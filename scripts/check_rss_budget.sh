@@ -1,10 +1,10 @@
 #!/bin/sh
 # CI guard: the streaming fleet pipeline must stay inside a fixed
-# peak-RSS budget.  The run is sized so the materializing path
-# (--stream off) needs well over the budget — see bench_streaming,
-# where the same shape peaks at ~3x the streamed figure — so a
-# regression that quietly re-materializes per-shard traces or
-# completion vectors trips the guard instead of landing.
+# peak-RSS budget.  The run is sized so materializing each shard's
+# trace and completion vector needs well over the budget — the
+# deleted materializing fleet path peaked at ~3x the streamed figure
+# on this shape (EXPERIMENTS.md M5) — so a regression that quietly
+# re-materializes per-shard state trips the guard instead of landing.
 #
 # Relies on dlwtool's own --max-rss-mb verdict (getrusage peak), so
 # the budget covers the whole process, not just the fleet stage.

@@ -1,9 +1,11 @@
 #include "disk/closedloop.hh"
 
 #include <algorithm>
+#include <queue>
+#include <tuple>
+#include <vector>
 
 #include "common/logging.hh"
-#include "sim/eventq.hh"
 
 namespace dlw
 {
@@ -16,6 +18,10 @@ namespace
 /**
  * The closed-loop engine: N clients, one mechanical server with the
  * same cache/scheduler semantics as the trace-driven engine.
+ *
+ * Every client has a submission or a completion outstanding, so
+ * events live in a heap ordered by (tick, priority, schedule order);
+ * the mechanism becoming free outranks everything else on its tick.
  */
 class Loop
 {
@@ -41,7 +47,24 @@ class Loop
     {
         for (std::size_t c = 0; c < config_.clients; ++c)
             scheduleThink(0);
-        eq_.run(config_.duration);
+        // Events at exactly the duration still run.
+        while (!events_.empty() &&
+               events_.top().when <= config_.duration) {
+            const Event e = events_.top();
+            events_.pop();
+            switch (e.kind) {
+              case Kind::Submit:
+                submit(e.when);
+                break;
+              case Kind::Served:
+                finish(e.arrival, e.when);
+                break;
+              case Kind::Free:
+                busy_ = false;
+                startNext(e.when);
+                break;
+            }
+        }
 
         ClosedLoopResult res;
         res.completed = completed_;
@@ -60,6 +83,41 @@ class Loop
     }
 
   private:
+    enum class Kind
+    {
+        /** A client submits its next request. */
+        Submit,
+        /** A mechanically served request completes. */
+        Served,
+        /** The mechanism finishes an access or destage. */
+        Free,
+    };
+
+    struct Event
+    {
+        Tick when;
+        /** 0 for Kind::Free, which fires first on its tick. */
+        int prio;
+        std::uint64_t seq;
+        Kind kind;
+        /** Arrival tick of the request a Served event completes. */
+        Tick arrival;
+
+        bool
+        operator>(const Event &o) const
+        {
+            return std::tie(when, prio, seq) >
+                   std::tie(o.when, o.prio, o.seq);
+        }
+    };
+
+    void
+    schedule(Kind kind, Tick when, Tick arrival = 0)
+    {
+        events_.push(Event{when, kind == Kind::Free ? 0 : 1, next_seq_++,
+                           kind, arrival});
+    }
+
     void
     scheduleThink(Tick now)
     {
@@ -67,7 +125,7 @@ class Loop
             ? static_cast<Tick>(rng_.exponential(
                   static_cast<double>(config_.mean_think)) + 0.5)
             : 0;
-        eq_.schedule(now + think, [this](Tick t) { submit(t); });
+        schedule(Kind::Submit, now + think);
     }
 
     void
@@ -123,11 +181,8 @@ class Loop
         const Tick end = now + drive_.overhead + mt.total();
         if (qr.req.isRead())
             cache_.installReadSegment(qr.req.lba, qr.req.blocks);
-        const Tick arrival = qr.req.arrival;
         occupy(now, end, qr.req.lba, qr.req.blocks);
-        eq_.schedule(end, [this, arrival](Tick t) {
-            finishServed(arrival, t);
-        });
+        schedule(Kind::Served, end, qr.req.arrival);
     }
 
     /** Mark the mechanism busy for [from, to). */
@@ -137,17 +192,7 @@ class Loop
         busy_ = true;
         busy_time_ += to - from;
         head_cylinder_ = model_.endCylinder(lba, blocks);
-        eq_.schedule(to, [this](Tick t) {
-            busy_ = false;
-            startNext(t);
-        }, sim::Priority::High);
-    }
-
-    /** A mechanically served request completes. */
-    void
-    finishServed(Tick arrival, Tick now)
-    {
-        finish(arrival, now);
+        schedule(Kind::Free, to);
     }
 
     /** Account a completion and restart the client. */
@@ -167,7 +212,9 @@ class Loop
     ClosedLoopConfig config_;
     Rng rng_;
 
-    sim::EventQueue eq_;
+    std::priority_queue<Event, std::vector<Event>, std::greater<>>
+        events_;
+    std::uint64_t next_seq_ = 0;
     std::vector<QueuedRequest> queue_;
     std::size_t next_index_ = 0;
     std::uint64_t completed_ = 0;

@@ -1,9 +1,9 @@
 #include "disk/drive.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
-#include "sim/eventq.hh"
 
 namespace dlw
 {
@@ -161,14 +161,21 @@ class BatchCursor
 };
 
 /**
- * The running engine: a single drive state machine over an event
- * queue.  Kept out of the header; DiskDrive::service() owns one per
- * call, so the drive object itself stays reusable and stateless.
+ * The running engine: a single drive state machine.  Kept out of the
+ * header; DiskDrive::service() owns one per call, so the drive object
+ * itself stays reusable and stateless.
  *
  * The engine consumes its input strictly in arrival order with
  * one-request lookahead, so it runs off a RequestSource cursor: the
  * pending request is copied out, the next one is pulled when (and
  * only when) the pending one arrives.
+ *
+ * At most two events are ever outstanding: the next arrival (the
+ * pending request) and one mechanism event — service done, destage
+ * done, or the destage timer, which is armed only while the drive is
+ * idle and which the next arrival disarms.  At equal ticks the
+ * arrival fires first, so the loop needs no queue: it fires whichever
+ * of the two is due first.
  */
 class Engine
 {
@@ -191,10 +198,15 @@ class Engine
     run()
     {
         pullNext();
-        if (has_pending_)
-            scheduleNextArrival();
-        eq_.run();
-        // The queue drains only when every request completed and the
+        while (has_pending_ || mech_ != Mech::None) {
+            if (has_pending_ &&
+                (mech_ == Mech::None || pending_.arrival <= mech_at_)) {
+                onArrival(pending_.arrival);
+            } else {
+                fire(std::exchange(mech_, Mech::None), mech_at_);
+            }
+        }
+        // The loop ends only when every request completed and the
         // write buffer was destaged.
         dlw_assert(queue_.empty(), "engine finished with queued work");
         dlw_assert(!cache_.dirty(), "engine finished with dirty data");
@@ -205,6 +217,42 @@ class Engine
     }
 
   private:
+    /** The one mechanism event that may be outstanding. */
+    enum class Mech
+    {
+        None,
+        ServiceDone,
+        DestageDone,
+        DestageTimer,
+    };
+
+    void
+    arm(Mech kind, Tick when)
+    {
+        dlw_assert(mech_ == Mech::None, "mechanism event already armed");
+        mech_ = kind;
+        mech_at_ = when;
+    }
+
+    /** Run the mechanism event `kind`, due at `now`. */
+    void
+    fire(Mech kind, Tick now)
+    {
+        if (kind == Mech::DestageTimer) {
+            startDestage(now);
+            return;
+        }
+        busy_ = false;
+        // Once destaging has begun, drain the buffer back to back
+        // unless foreground work arrived meanwhile; this consolidates
+        // background activity and preserves the long idle stretches
+        // the drive would otherwise see.
+        if (kind == Mech::DestageDone && queue_.empty() && cache_.dirty())
+            startDestage(now);
+        else
+            startNext(now);
+    }
+
     void
     pullNext()
     {
@@ -227,23 +275,15 @@ class Engine
     }
 
     void
-    scheduleNextArrival()
-    {
-        eq_.schedule(pending_.arrival,
-                     [this](Tick t) { onArrival(t); },
-                     sim::Priority::High);
-    }
-
-    void
     onArrival(Tick now)
     {
         const std::size_t idx = next_index_++;
         QueuedRequest qr{pending_, idx, pending_tag_};
         pullNext();
-        if (has_pending_)
-            scheduleNextArrival();
 
-        cancelDestageTimer();
+        // Foreground work defers background destaging.
+        if (mech_ == Mech::DestageTimer)
+            mech_ = Mech::None;
 
         // Cache-served requests never touch the mechanism and
         // complete immediately, even while it is busy.
@@ -319,10 +359,7 @@ class Engine
         addBusy(now, finish);
         busy_ = true;
         complete(qr, now, finish, false);
-        eq_.schedule(finish, [this](Tick t) {
-            busy_ = false;
-            startNext(t);
-        });
+        arm(Mech::ServiceDone, finish);
     }
 
     void
@@ -334,24 +371,17 @@ class Engine
         // immediately so the run terminates.
         const bool draining = !has_pending_;
         const Tick wait = draining ? 0 : config_.destage_idle_wait;
-        destage_timer_ = eq_.schedule(
-            now + wait, [this](Tick t) { startDestage(t); },
-            sim::Priority::Low);
+        arm(Mech::DestageTimer, now + wait);
     }
 
     void
     startDestage(Tick now)
     {
-        destage_timer_.reset();
-        if (busy_ || !cache_.dirty())
-            return;
-        // A foreground arrival cancels the timer, so the queue is
-        // empty here unless the cancel raced with the pop; serve
-        // foreground first in that case.
-        if (!queue_.empty()) {
-            startNext(now);
-            return;
-        }
+        // The timer is armed only while idle and dirty, and the next
+        // arrival disarms it, so nothing can have changed since.
+        dlw_assert(!busy_ && cache_.dirty(),
+                   "destage on a busy or clean drive");
+        dlw_assert(queue_.empty(), "destage started with queued work");
 
         const DirtyExtent e = cache_.popDestage();
         const MechanicalTime mt =
@@ -361,26 +391,7 @@ class Engine
         addBusy(now, finish);
         busy_ = true;
         ++log_.destages;
-        eq_.schedule(finish, [this](Tick t) {
-            busy_ = false;
-            // Once destaging has begun, drain the buffer back to
-            // back unless foreground work arrived meanwhile; this
-            // consolidates background activity and preserves the
-            // long idle stretches the drive would otherwise see.
-            if (queue_.empty() && cache_.dirty())
-                startDestage(t);
-            else
-                startNext(t);
-        });
-    }
-
-    void
-    cancelDestageTimer()
-    {
-        if (destage_timer_) {
-            eq_.cancel(*destage_timer_);
-            destage_timer_.reset();
-        }
+        arm(Mech::DestageDone, finish);
     }
 
     void
@@ -432,7 +443,6 @@ class Engine
     BatchCursor cursor_;
     CompletionSink *sink_;
 
-    sim::EventQueue eq_;
     ServiceLog log_;
     std::vector<QueuedRequest> queue_;
     trace::Request pending_{};
@@ -443,7 +453,8 @@ class Engine
     std::uint64_t head_cylinder_ = 0;
     bool busy_ = false;
     Tick last_busy_end_ = 0;
-    std::optional<sim::EventId> destage_timer_;
+    Mech mech_ = Mech::None;
+    Tick mech_at_ = 0;
 };
 
 } // anonymous namespace

@@ -14,7 +14,6 @@
 #ifndef DLW_DISK_DRIVE_HH
 #define DLW_DISK_DRIVE_HH
 
-#include <optional>
 #include <vector>
 
 #include "disk/cache.hh"

@@ -108,11 +108,8 @@ makeWorkload(FleetPreset klass, Lba capacity, double rate,
 }
 
 /**
- * Distils the completion stream into shard statistics on the fly.
- * Both shard paths run through it — the streaming engine feeds it
- * live, the reference path replays ServiceLog::completions into it —
- * so the two paths share one definition of the statistics and stay
- * byte-identical by construction.
+ * Distils the completion stream into shard statistics on the fly, as
+ * the engine produces it.
  */
 class ShardCompletionSink : public disk::CompletionSink
 {
@@ -215,39 +212,23 @@ characterizeDrive(const FleetConfig &config, std::size_t index)
     synth::Workload workload = makeWorkload(
         klass, dcfg.geometry.capacityBlocks(), config.rate, wseed);
 
+    // Bounded-memory path: batches flow workload -> engine and
+    // completions flow engine -> shard statistics, so neither the
+    // trace nor the completion vector is ever materialized.
     disk::DiskDrive drive(dcfg);
     ShardCompletionSink sink(shard);
-    std::size_t requests = 0;
-    disk::ServiceLog log;
-    if (config.stream) {
-        // Bounded-memory path: batches flow workload -> engine and
-        // completions flow engine -> shard statistics, so neither the
-        // trace nor the completion vector is ever materialized.
-        synth::WorkloadSource wsrc = [&] {
-            obs::ScopedSpan stage("generate");
-            return workload.openSource(rng, shard.drive_id, 0,
-                                       config.window);
-        }();
-        wsrc.setTag(config.tag);
-        requests = wsrc.size();
+    synth::WorkloadSource wsrc = [&] {
+        obs::ScopedSpan stage("generate");
+        return workload.openSource(rng, shard.drive_id, 0, config.window);
+    }();
+    wsrc.setTag(config.tag);
+    const std::size_t requests = wsrc.size();
+    const disk::ServiceLog log = [&] {
         obs::ScopedSpan stage("service");
-        log = drive.service(
+        return drive.service(
             wsrc, &sink,
             std::max<std::size_t>(config.batch_requests, 1));
-    } else {
-        trace::MsTrace tr = [&] {
-            obs::ScopedSpan stage("generate");
-            return workload.generate(rng, shard.drive_id, 0,
-                                     config.window);
-        }();
-        requests = tr.size();
-        {
-            obs::ScopedSpan stage("service");
-            log = drive.service(tr);
-        }
-        for (const disk::Completion &c : log.completions)
-            sink.onCompletion(c);
-    }
+    }();
 
     obs::ScopedSpan stage("characterize");
     shard.requests = requests;

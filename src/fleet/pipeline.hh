@@ -73,15 +73,11 @@ struct FleetConfig
      */
     std::size_t max_attempts = 3;
     /**
-     * Stream each shard's workload straight through the drive model
-     * (the default): requests are synthesized per batch and
-     * completions distilled into the shard statistics as they
-     * happen, so a shard's resident footprint is O(batch) instead of
-     * O(requests).  The report is byte-identical either way; off
-     * exists for A/B checks and as the reference path.
+     * Batch capacity (requests) each shard streams its workload in:
+     * requests are synthesized per batch and completions distilled
+     * into the shard statistics as they happen, so a shard's resident
+     * footprint is O(batch).  The report does not depend on it.
      */
-    bool stream = true;
-    /** Batch capacity (requests) used by the streaming path. */
     std::size_t batch_requests = trace::kDefaultBatchRequests;
     /**
      * Tenant/class tag the whole run executes under: every shard

@@ -298,13 +298,12 @@ TEST(FleetPipeline, ParallelEqualsSerialAtEveryThreadCount)
     }
 }
 
-TEST(FleetPipeline, StreamingMatchesReferenceAtEveryBatchSize)
+TEST(FleetPipeline, ReportIsBatchSizeInvariant)
 {
-    // The reference path materializes the trace and the completion
-    // vector; the streaming path (the default) materializes neither.
-    // Shards and report must agree byte for byte at any batch size.
-    FleetConfig ref_cfg = smallFleet(1);
-    ref_cfg.stream = false;
+    // Each shard streams its workload through the drive model in
+    // batches; shards and report must agree byte for byte with a
+    // default-batch run at any batch size.
+    const FleetConfig ref_cfg = smallFleet(1);
     const FleetResult reference = runFleet(ref_cfg);
 
     for (std::size_t batch : {std::size_t{1}, std::size_t{7},

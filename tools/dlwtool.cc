@@ -265,11 +265,12 @@ cmdAnalyze(const dlw::Options &opts)
         cfg.cache.enabled = false;
     disk::DiskDrive drive(cfg);
 
-    // Streaming path (the default): three O(batch)-memory trips over
-    // the file — validate, service, characterize — instead of one
-    // whole-trace materialization.  Output is byte-identical.
-    if (opts.get("stream", "on") != "off" &&
-        (endsWith(in, ".csv") || endsWith(in, ".bin"))) {
+    // Three O(batch)-memory trips over a .csv/.bin file — validate,
+    // service, characterize — instead of one whole-trace
+    // materialization.  Only .spc input and traces that fail the
+    // validating trip (unsorted, out of window, zero-size) take the
+    // whole-trace path below; the output does not depend on which.
+    if (endsWith(in, ".csv") || endsWith(in, ".bin")) {
         trace::IngestStats stats;
         if (streamReadyTrace(in, io, batch, &stats)) {
             if (stats.dirty())
@@ -321,7 +322,6 @@ cmdFleet(const dlw::Options &opts)
     cfg.nearline = opts.get("drive", "enterprise") == "nearline";
     cfg.max_attempts =
         static_cast<std::size_t>(opts.getInt("retries", 3));
-    cfg.stream = opts.get("stream", "on") != "off";
     cfg.batch_requests = batchOption(opts);
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -1224,7 +1224,7 @@ commandUsage()
         {"analyze",
          "  analyze     --in FILE [--drive enterprise|nearline]\n"
          "              [--cache on|off] [--on-corrupt abort|skip|clamp]\n"
-         "              [--stream on|off] [--batch N]\n"},
+         "              [--batch N]\n"},
         {"family",
          "  family      --drives N --min-hours A --max-hours B\n"
          "              --seed S --name NAME --out FILE\n"},
@@ -1232,8 +1232,7 @@ commandUsage()
          "  fleet       --drives N --threads T\n"
          "              --preset oltp|fileserver|streaming|backup|mixed\n"
          "              --rate R --minutes M --seed S --retries K\n"
-         "              [--drive enterprise|nearline]\n"
-         "              [--stream on|off] [--batch N]\n"},
+         "              [--drive enterprise|nearline] [--batch N]\n"},
         {"corrupt",
          "  corrupt     --in FILE --out FILE\n"
          "              --mode truncate|bitflip|garbage|dup|reorder\n"
@@ -1299,17 +1298,16 @@ commandFlags()
         {"generate", {"class", "rate", "minutes", "seed", "out"}},
         {"convert", {"in", "out", "on-corrupt"}},
         {"analyze",
-         {"in", "drive", "cache", "on-corrupt", "stream", "batch"}},
+         {"in", "drive", "cache", "on-corrupt", "batch"}},
         {"family",
          {"drives", "min-hours", "max-hours", "seed", "name", "out"}},
         {"fleet",
          {"drives", "threads", "preset", "rate", "minutes", "seed",
-          "retries", "drive", "stream", "batch"}},
+          "retries", "drive", "batch"}},
         {"corrupt", {"in", "out", "mode", "seed", "count", "offset"}},
         {"run-report",
          {"in", "drive", "cache", "on-corrupt", "drives", "threads",
-          "preset", "rate", "minutes", "seed", "retries", "stream",
-          "batch"}},
+          "preset", "rate", "minutes", "seed", "retries", "batch"}},
         {"bench-diff",
          {"max-wall-pct", "max-p95-pct", "max-counter-pct"}},
         {"characterize", {"in", "on-corrupt", "batch"}},
