@@ -220,6 +220,28 @@ TEST(ClosedLoopGolden, ZeroThinkBufferedWritesDigest)
         << std::hex << "got 0x" << digest.value();
 }
 
+TEST(ClosedLoopGolden, SstfZeroThinkDeepQueueDigest)
+{
+    // Forty clients with zero think time keep about forty requests
+    // queued, so every SSTF pick scans a deep queue and removes from
+    // its middle.  The digest pins which request each pick took
+    // through the totals it produces.
+    DriveConfig d = drive(false);
+    d.sched = SchedPolicy::Sstf;
+    const ClosedLoopResult res = runClosedLoop(
+        d, uniformReads(d.geometry.capacityBlocks()),
+        cfg(40, 0, 10 * kSec));
+
+    Fnv64 digest;
+    digest.add(res.completed);
+    digest.add(res.cache_hits);
+    digest.addDouble(res.throughput);
+    digest.addDouble(res.mean_response);
+    digest.addDouble(res.utilization);
+    EXPECT_EQ(digest.value(), 0x02591a02f167154cULL)
+        << std::hex << "got 0x" << digest.value();
+}
+
 TEST(ClosedLoop, EventsAtExactlyTheDurationRun)
 {
     // One client rereads one extent with zero think time: the first

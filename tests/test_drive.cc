@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hh"
 #include "disk/drive.hh"
@@ -381,6 +385,8 @@ TEST(DriveGolden, OltpPlusBackupDigests)
         {SchedPolicy::Fcfs, false, 0x51adba8cd365f417ULL},
         {SchedPolicy::Sstf, true, 0x50d11c80433bdb71ULL},
         {SchedPolicy::Sstf, false, 0xf5607a78ee470076ULL},
+        {SchedPolicy::Elevator, true, 0x4bd064aa2db24cbbULL},
+        {SchedPolicy::Elevator, false, 0xfc52b10ff2a8dffaULL},
     };
     for (const Case &c : cases) {
         DriveConfig cfg = base;
@@ -391,6 +397,80 @@ TEST(DriveGolden, OltpPlusBackupDigests)
             << schedPolicyName(c.sched) << " cache "
             << (c.cache ? "on" : "off") << std::hex << " got 0x"
             << logDigest(log);
+    }
+}
+
+/**
+ * One minute of streaming reads and writes arriving faster than the
+ * enterprise drive can serve them: the backlog grows for the whole
+ * run, so the request queue ends up about two thousand deep.
+ */
+trace::MsTrace
+saturatedStreaming(const DriveConfig &cfg)
+{
+    Rng rng(2017);
+    return synth::Workload::makeStreaming(cfg.geometry.capacityBlocks(),
+                                          150.0)
+        .generate(rng, "streaming", 0, kMinute);
+}
+
+/**
+ * Peak number of requests in system, swept from the completions'
+ * arrival and finish ticks.  A request leaves at its finish tick, so
+ * at equal ticks departures count before arrivals.
+ */
+std::size_t
+peakInSystem(const ServiceLog &log)
+{
+    std::vector<std::pair<Tick, int>> edges;
+    edges.reserve(2 * log.completions.size());
+    for (const Completion &c : log.completions) {
+        edges.emplace_back(c.arrival, 1);
+        edges.emplace_back(c.finish, -1);
+    }
+    std::sort(edges.begin(), edges.end());
+    std::size_t depth = 0;
+    std::size_t peak = 0;
+    for (const auto &[tick, delta] : edges) {
+        depth = delta > 0 ? depth + 1 : depth - 1;
+        peak = std::max(peak, depth);
+    }
+    return peak;
+}
+
+// Recorded while the request queue was still a vector, so they pin
+// that every pick, pop and erase keeps its order at depth.
+TEST(DriveGolden, SaturatedDeepQueueDigests)
+{
+    const DriveConfig base = DriveConfig::makeEnterprise();
+    const trace::MsTrace tr = saturatedStreaming(base);
+
+    struct Case
+    {
+        SchedPolicy sched;
+        bool cache;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {SchedPolicy::Fcfs, true, 0xf18f1582654eb8ebULL},
+        {SchedPolicy::Fcfs, false, 0x6764073b5fedd92bULL},
+        {SchedPolicy::Sstf, true, 0xfc3670fa27273949ULL},
+        {SchedPolicy::Sstf, false, 0xc8b5e1b5c6a035ffULL},
+        {SchedPolicy::Elevator, true, 0x1b7c9885d969942fULL},
+        {SchedPolicy::Elevator, false, 0x8c0ed60e0e226337ULL},
+    };
+    for (const Case &c : cases) {
+        DriveConfig cfg = base;
+        cfg.sched = c.sched;
+        cfg.cache.enabled = c.cache;
+        const ServiceLog log = DiskDrive(cfg).service(tr);
+        const std::string what = std::string(schedPolicyName(c.sched)) +
+                                 " cache " + (c.cache ? "on" : "off");
+        ASSERT_EQ(log.completions.size(), tr.size()) << what;
+        EXPECT_GE(peakInSystem(log), 1000u) << what;
+        EXPECT_EQ(logDigest(log), c.digest)
+            << what << std::hex << " got 0x" << logDigest(log)
+            << std::dec << " peak " << peakInSystem(log);
     }
 }
 
@@ -512,6 +592,28 @@ TEST(DriveEngine, ForegroundArrivalWaitsForOneDestageThenPreempts)
     ASSERT_FALSE(log.busy.empty());
     EXPECT_EQ(log.busy.front().first, timer);
     EXPECT_GT(log.busy.back().second, read.finish);
+}
+
+TEST(DriveEngine, FcfsServesMechanicalRequestsInArrivalOrder)
+{
+    DriveConfig cfg = DriveConfig::makeEnterprise();
+    const trace::MsTrace tr = saturatedStreaming(cfg);
+    for (bool cache : {true, false}) {
+        cfg.cache.enabled = cache;
+        const ServiceLog log = DiskDrive(cfg).service(tr);
+        std::size_t mechanical = 0;
+        std::size_t last = 0;
+        for (const Completion &c : log.completions) {
+            if (c.cache_hit)
+                continue;
+            if (mechanical > 0) {
+                ASSERT_GT(c.index, last) << "cache " << cache;
+            }
+            last = c.index;
+            ++mechanical;
+        }
+        EXPECT_GT(mechanical, 1000u) << "cache " << cache;
+    }
 }
 
 } // anonymous namespace
