@@ -215,7 +215,7 @@ class Loop
     std::priority_queue<Event, std::vector<Event>, std::greater<>>
         events_;
     std::uint64_t next_seq_ = 0;
-    std::vector<QueuedRequest> queue_;
+    RequestQueue queue_;
     std::size_t next_index_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t cache_hits_ = 0;

@@ -321,14 +321,14 @@ class Engine
                 cache_.readHit(qr.req.lba, qr.req.blocks)) {
                 complete(qr, now, now + config_.overhead, true);
                 ++log_.read_hits;
-                queue_.erase(queue_.begin());
+                queue_.pop_front();
                 continue;
             }
             if (qr.req.isWrite() && cache_.canBuffer(qr.req.blocks)) {
                 cache_.bufferWrite(qr.req.lba, qr.req.blocks);
                 complete(qr, now, now + config_.overhead, true);
                 ++log_.buffered_writes;
-                queue_.erase(queue_.begin());
+                queue_.pop_front();
                 continue;
             }
             break;
@@ -444,7 +444,7 @@ class Engine
     CompletionSink *sink_;
 
     ServiceLog log_;
-    std::vector<QueuedRequest> queue_;
+    RequestQueue queue_;
     trace::Request pending_{};
     qos::TagId pending_tag_;
     bool has_pending_ = false;

@@ -11,7 +11,7 @@
 #define DLW_DISK_SCHEDULER_HH
 
 #include <cstddef>
-#include <vector>
+#include <deque>
 
 #include "disk/geometry.hh"
 #include "qos/tag.hh"
@@ -43,6 +43,13 @@ struct QueuedRequest
 };
 
 /**
+ * A drive's pending requests in arrival order.  FCFS always serves
+ * the front, which a deque pops in O(1); SSTF and the elevator scan
+ * the whole queue and erase from wherever their pick lies.
+ */
+using RequestQueue = std::deque<QueuedRequest>;
+
+/**
  * Stateful scheduler: the elevator policy remembers its direction.
  */
 class Scheduler
@@ -61,7 +68,7 @@ class Scheduler
      * @param geometry     Geometry for LBA-to-cylinder mapping.
      * @return Index into queue of the chosen request.
      */
-    std::size_t pick(const std::vector<QueuedRequest> &queue,
+    std::size_t pick(const RequestQueue &queue,
                      std::uint64_t head_cylinder,
                      const DiskGeometry &geometry);
 

@@ -37,8 +37,8 @@ TEST(Scheduler, FcfsAlwaysFront)
 {
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Fcfs);
-    std::vector<QueuedRequest> q = {reqAt(900, 0), reqAt(10, 1),
-                                    reqAt(500, 2)};
+    RequestQueue q = {reqAt(900, 0), reqAt(10, 1),
+                      reqAt(500, 2)};
     EXPECT_EQ(s.pick(q, 50, g), 0u);
 }
 
@@ -47,8 +47,8 @@ TEST(Scheduler, SstfPicksNearestCylinder)
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Sstf);
     // Head at cylinder 50 (block 500).
-    std::vector<QueuedRequest> q = {reqAt(900, 0), reqAt(480, 1),
-                                    reqAt(10, 2)};
+    RequestQueue q = {reqAt(900, 0), reqAt(480, 1),
+                      reqAt(10, 2)};
     EXPECT_EQ(s.pick(q, 50, g), 1u); // cylinder 48 is closest
 }
 
@@ -56,7 +56,7 @@ TEST(Scheduler, SstfExactMatchWins)
 {
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Sstf);
-    std::vector<QueuedRequest> q = {reqAt(900, 0), reqAt(505, 1)};
+    RequestQueue q = {reqAt(900, 0), reqAt(505, 1)};
     EXPECT_EQ(s.pick(q, 50, g), 1u);
 }
 
@@ -65,10 +65,10 @@ TEST(Scheduler, ElevatorSweepsUpThenReverses)
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Elevator);
     // Head at 50, sweeping up: picks 60 not 45.
-    std::vector<QueuedRequest> q = {reqAt(450, 0), reqAt(600, 1)};
+    RequestQueue q = {reqAt(450, 0), reqAt(600, 1)};
     EXPECT_EQ(s.pick(q, 50, g), 1u);
     // Nothing above 90: reverses and picks the highest below.
-    std::vector<QueuedRequest> q2 = {reqAt(450, 0), reqAt(100, 1)};
+    RequestQueue q2 = {reqAt(450, 0), reqAt(100, 1)};
     EXPECT_EQ(s.pick(q2, 90, g), 0u);
 }
 
@@ -76,8 +76,8 @@ TEST(Scheduler, ElevatorPrefersNearestAhead)
 {
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Elevator);
-    std::vector<QueuedRequest> q = {reqAt(990, 0), reqAt(600, 1),
-                                    reqAt(700, 2)};
+    RequestQueue q = {reqAt(990, 0), reqAt(600, 1),
+                      reqAt(700, 2)};
     EXPECT_EQ(s.pick(q, 50, g), 1u);
 }
 
@@ -87,9 +87,53 @@ TEST(Scheduler, SingleElementShortCircuits)
     for (auto p : {SchedPolicy::Fcfs, SchedPolicy::Sstf,
                    SchedPolicy::Elevator}) {
         Scheduler s(p);
-        std::vector<QueuedRequest> q = {reqAt(990, 7)};
+        RequestQueue q = {reqAt(990, 7)};
         EXPECT_EQ(s.pick(q, 0, g), 0u) << schedPolicyName(p);
     }
+}
+
+TEST(Scheduler, PickIndexesAWrappedQueue)
+{
+    // Cycle the queue the way a drive does, popping the served front
+    // and appending arrivals, so the deque's storage wraps and its
+    // front no longer sits at the start of a block.  The pick is an
+    // index into the queue as it stands, not into its storage.
+    DiskGeometry g = flatGeometry();
+    RequestQueue q;
+    std::size_t next = 0;
+    for (; next < 8; ++next)
+        q.push_back(reqAt(0, next));
+    for (int cycle = 0; cycle < 700; ++cycle) {
+        q.pop_front();
+        q.push_back(reqAt(0, next++));
+    }
+    // Cylinders 0, 10, ..., 70 from front to back.
+    for (std::size_t i = 0; i < q.size(); ++i)
+        q[i].req.lba = static_cast<Lba>(100 * i);
+
+    // Head at cylinder 52: SSTF takes cylinder 50, the elevator
+    // sweeping up takes 60.
+    Scheduler sstf(SchedPolicy::Sstf);
+    Scheduler elevator(SchedPolicy::Elevator);
+    ASSERT_EQ(sstf.pick(q, 52, g), 5u);
+    EXPECT_EQ(q[5].index, next - 3);
+    EXPECT_EQ(elevator.pick(q, 52, g), 6u);
+
+    // Serve the SSTF pick and the front, then a new arrival at
+    // cylinder 99 joins the back: cylinders 10, 20, 30, 40, 60, 70,
+    // 99.  Both policies find it from a head at 95.
+    q.erase(q.begin() + 5);
+    q.pop_front();
+    q.push_back(reqAt(990, next++));
+    ASSERT_EQ(q.size(), 7u);
+    EXPECT_EQ(sstf.pick(q, 95, g), 6u);
+    EXPECT_EQ(elevator.pick(q, 95, g), 6u);
+    // At the top it still serves cylinder 99; once that is gone it
+    // reverses onto the nearest below.
+    EXPECT_EQ(elevator.pick(q, 99, g), 6u);
+    q.pop_back();
+    EXPECT_EQ(elevator.pick(q, 99, g), 5u);
+    EXPECT_EQ(q[5].req.lba, 700u);
 }
 
 TEST(Scheduler, PolicyNames)
@@ -103,7 +147,7 @@ TEST(SchedulerDeathTest, EmptyQueue)
 {
     DiskGeometry g = flatGeometry();
     Scheduler s(SchedPolicy::Fcfs);
-    std::vector<QueuedRequest> q;
+    RequestQueue q;
     EXPECT_DEATH(s.pick(q, 0, g), "empty queue");
 }
 
