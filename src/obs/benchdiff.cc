@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
 
 namespace dlw
 {
@@ -259,6 +260,26 @@ numberOr(const JsonValue *v, double fallback)
         : fallback;
 }
 
+/**
+ * Metrics whose values legitimately vary from run to run of the same
+ * bench, so no drift in them means the workload changed.  Work
+ * stealing is scheduling-dependent by design (fleet/pool.hh): the
+ * steal count moves with thread timing and core count.
+ */
+constexpr std::string_view kUngatedMetrics[] = {
+    "fleet.pool.steals",
+};
+
+bool
+isUngated(const std::string &metric)
+{
+    for (std::string_view name : kUngatedMetrics) {
+        if (metric == name)
+            return true;
+    }
+    return false;
+}
+
 /** Percent change of b relative to a (100 when a==0 and b!=0). */
 double
 pctChange(double a, double b)
@@ -376,6 +397,7 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
             continue;
         }
         const BenchSample &new_sample = it->second;
+        const bool ungated = isUngated(name);
         if (old_sample.type == MetricType::kHistogram) {
             BenchDiffEntry count;
             count.key = name + ".count";
@@ -385,8 +407,9 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
                 static_cast<double>(new_sample.count);
             count.delta_pct =
                 pctChange(count.old_value, count.new_value);
-            count.regressed = std::abs(count.delta_pct) >
-                              thresholds.counter_pct;
+            count.ungated = ungated;
+            count.regressed = !ungated && std::abs(count.delta_pct) >
+                                              thresholds.counter_pct;
             result.entries.push_back(count);
 
             // A p95 over zero observations is meaningless; only
@@ -398,7 +421,9 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
                 p95.new_value = new_sample.p95;
                 p95.delta_pct =
                     pctChange(old_sample.p95, new_sample.p95);
-                p95.regressed = p95.delta_pct > thresholds.p95_pct;
+                p95.ungated = ungated;
+                p95.regressed =
+                    !ungated && p95.delta_pct > thresholds.p95_pct;
                 result.entries.push_back(p95);
             }
         } else {
@@ -407,8 +432,9 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
             e.old_value = old_sample.value;
             e.new_value = new_sample.value;
             e.delta_pct = pctChange(e.old_value, e.new_value);
-            e.regressed =
-                std::abs(e.delta_pct) > thresholds.counter_pct;
+            e.ungated = ungated;
+            e.regressed = !ungated && std::abs(e.delta_pct) >
+                                          thresholds.counter_pct;
             result.entries.push_back(e);
         }
     }
@@ -451,7 +477,10 @@ renderBenchDiff(const BenchReport &older, const BenchReport &newer,
            << e.new_value << std::setw(9) << std::showpos
            << std::setprecision(2) << std::fixed << e.delta_pct
            << std::noshowpos << std::defaultfloat << "%  "
-           << (e.regressed ? "REGRESSED" : "ok") << '\n';
+           << (e.ungated     ? "ungated"
+               : e.regressed ? "REGRESSED"
+                             : "ok")
+           << '\n';
     }
     for (const std::string &name : diff.only_old)
         os << "  only in old: " << name << '\n';

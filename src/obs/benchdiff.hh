@@ -19,6 +19,12 @@
  *    deterministic per bench, so drift means the workload changed,
  *    which invalidates the wall-time comparison
  *
+ * The one exception is a short named list of metrics that are not
+ * deterministic by design: today only `fleet.pool.steals`, whose
+ * value depends on thread scheduling and core count (fleet/pool.hh).
+ * Such a metric is still compared and rendered, with the verdict
+ * `ungated`, but never counts as a regression.
+ *
  * The JSON parser underneath is a minimal zero-dependency recursive
  * descent over the subset BENCH files use (objects, arrays, strings,
  * numbers, bools, null) — exposed because the timeline tests reuse
@@ -111,6 +117,8 @@ struct BenchDiffEntry
     /** Percent change relative to old (100 when old == 0, new != 0). */
     double delta_pct = 0.0;
     bool regressed = false;
+    /** Compared but exempt from the gate: never regressed. */
+    bool ungated = false;
 };
 
 /** The full comparison. */

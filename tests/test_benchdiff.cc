@@ -221,6 +221,76 @@ TEST(BenchDiff, RenderNamesTheVerdict)
     EXPECT_NE(text.find("wall_seconds"), std::string::npos);
 }
 
+/** A report carrying the fleet pool's task and steal counters. */
+BenchReport
+poolReport(double wall, double tasks, double steals)
+{
+    BenchReport r;
+    r.bench = "demo";
+    r.wall_seconds = wall;
+    BenchSample s;
+    s.type = MetricType::kCounter;
+    s.value = tasks;
+    r.metrics["fleet.pool.tasks"] = s;
+    s.value = steals;
+    r.metrics["fleet.pool.steals"] = s;
+    return r;
+}
+
+const BenchDiffEntry &
+entryFor(const BenchDiffResult &d, const std::string &key)
+{
+    for (const BenchDiffEntry &e : d.entries) {
+        if (e.key == key)
+            return e;
+    }
+    ADD_FAILURE() << "no entry " << key;
+    return d.entries.front();
+}
+
+TEST(BenchDiff, StealDriftIsUngated)
+{
+    const BenchReport older = poolReport(2.0, 64, 0);
+    const BenchReport newer = poolReport(2.0, 64, 48);
+    const BenchDiffResult d =
+        diffBenchReports(older, newer, BenchDiffThresholds());
+    EXPECT_FALSE(d.regressed);
+    const BenchDiffEntry &steals = entryFor(d, "fleet.pool.steals");
+    EXPECT_TRUE(steals.ungated);
+    EXPECT_FALSE(steals.regressed);
+    EXPECT_DOUBLE_EQ(steals.new_value, 48.0);
+
+    // The entry still renders, with its own verdict.
+    const std::string text = renderBenchDiff(older, newer, d);
+    const std::size_t row = text.find("fleet.pool.steals");
+    ASSERT_NE(row, std::string::npos);
+    EXPECT_NE(text.find("ungated", row), std::string::npos);
+    EXPECT_NE(text.find("no regression"), std::string::npos);
+}
+
+TEST(BenchDiff, TaskDriftStillRegressesBesideSteals)
+{
+    const BenchDiffResult d =
+        diffBenchReports(poolReport(2.0, 64, 0),
+                         poolReport(2.0, 48, 48),
+                         BenchDiffThresholds());
+    EXPECT_TRUE(d.regressed);
+    EXPECT_TRUE(entryFor(d, "fleet.pool.tasks").regressed);
+    EXPECT_FALSE(entryFor(d, "fleet.pool.tasks").ungated);
+    EXPECT_FALSE(entryFor(d, "fleet.pool.steals").regressed);
+}
+
+TEST(BenchDiff, WallTimeStillGatedBesideSteals)
+{
+    const BenchDiffResult d =
+        diffBenchReports(poolReport(2.0, 64, 3),
+                         poolReport(2.5, 64, 4),
+                         BenchDiffThresholds());
+    EXPECT_TRUE(d.regressed);
+    EXPECT_TRUE(entryFor(d, "wall_seconds").regressed);
+    EXPECT_FALSE(entryFor(d, "fleet.pool.steals").regressed);
+}
+
 } // anonymous namespace
 } // namespace obs
 } // namespace dlw
