@@ -397,7 +397,7 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
             continue;
         }
         const BenchSample &new_sample = it->second;
-        const bool ungated = isUngated(name);
+        const std::size_t first = result.entries.size();
         if (old_sample.type == MetricType::kHistogram) {
             BenchDiffEntry count;
             count.key = name + ".count";
@@ -407,9 +407,8 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
                 static_cast<double>(new_sample.count);
             count.delta_pct =
                 pctChange(count.old_value, count.new_value);
-            count.ungated = ungated;
-            count.regressed = !ungated && std::abs(count.delta_pct) >
-                                              thresholds.counter_pct;
+            count.regressed = std::abs(count.delta_pct) >
+                              thresholds.counter_pct;
             result.entries.push_back(count);
 
             // A p95 over zero observations is meaningless; only
@@ -421,9 +420,7 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
                 p95.new_value = new_sample.p95;
                 p95.delta_pct =
                     pctChange(old_sample.p95, new_sample.p95);
-                p95.ungated = ungated;
-                p95.regressed =
-                    !ungated && p95.delta_pct > thresholds.p95_pct;
+                p95.regressed = p95.delta_pct > thresholds.p95_pct;
                 result.entries.push_back(p95);
             }
         } else {
@@ -432,10 +429,15 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
             e.old_value = old_sample.value;
             e.new_value = new_sample.value;
             e.delta_pct = pctChange(e.old_value, e.new_value);
-            e.ungated = ungated;
-            e.regressed = !ungated && std::abs(e.delta_pct) >
-                                          thresholds.counter_pct;
+            e.regressed =
+                std::abs(e.delta_pct) > thresholds.counter_pct;
             result.entries.push_back(e);
+        }
+        if (isUngated(name)) {
+            for (std::size_t i = first; i < result.entries.size(); ++i) {
+                result.entries[i].ungated = true;
+                result.entries[i].regressed = false;
+            }
         }
     }
     for (const auto &[name, sample] : newer.metrics) {
