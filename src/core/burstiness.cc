@@ -70,15 +70,15 @@ BurstinessAccumulator::BurstinessAccumulator(
 }
 
 void
-BurstinessAccumulator::begin(const trace::RequestSource &src)
+BurstinessAccumulator::begin(const trace::MsStreamHeader &meta)
 {
     // Pre-size the bins exactly like MsTrace::binCounts() does, so
     // the series layout (and thus every downstream figure) matches
     // the whole-trace path bit for bit.
-    const Tick duration = src.duration();
+    const Tick duration = meta.duration;
     auto bins = static_cast<std::size_t>(
         duration > 0 ? (duration + base_bin_ - 1) / base_bin_ : 0);
-    counts_ = stats::BinnedSeries(src.start(), base_bin_, bins);
+    counts_ = stats::BinnedSeries(meta.start, base_bin_, bins);
 }
 
 void

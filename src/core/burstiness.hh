@@ -79,7 +79,7 @@ class BurstinessAccumulator : public TraceAccumulator
 
     const char *name() const override { return "burstiness"; }
 
-    void begin(const trace::RequestSource &src) override;
+    void begin(const trace::MsStreamHeader &meta) override;
     void observe(const trace::RequestBatch &batch) override;
     void finish() override;
 

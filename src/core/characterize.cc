@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "core/live.hh"
+#include "core/pass.hh"
 #include "core/report.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -35,6 +37,51 @@ coreMetrics()
     return *m;
 }
 
+/**
+ * Folds each batch its consumer pulls from `src` into a
+ * LiveCharacterization first; a batch failing the order check ends
+ * the stream with that InvalidArgument, unseen by the consumer.
+ */
+class LiveTee final : public trace::RequestSource
+{
+  public:
+    explicit LiveTee(trace::RequestSource &src)
+        : src_(src), live_(src.header())
+    {
+        notePassRun(LiveCharacterization::kAccumulators);
+    }
+
+    const std::string &driveId() const override { return src_.driveId(); }
+
+    Tick start() const override { return src_.start(); }
+
+    Tick duration() const override { return src_.duration(); }
+
+    bool
+    next(trace::RequestBatch &batch) override
+    {
+        if (!check_.ok() || !src_.next(batch))
+            return false;
+        notePassBatch();
+        check_ = live_.observe(batch);
+        return check_.ok();
+    }
+
+    Status
+    status() const override
+    {
+        return check_.ok() ? src_.status() : check_;
+    }
+
+    /** The trace-derived characterization of every batch let through. */
+    DriveCharacterization finish() { return live_.finish(); }
+
+  private:
+    trace::RequestSource &src_;
+    LiveCharacterization live_;
+    Status check_;
+};
+
 } // anonymous namespace
 
 void
@@ -43,37 +90,48 @@ registerCoreMetrics()
     coreMetrics();
 }
 
-DriveCharacterization
-characterizeMs(trace::RequestSource &src, const disk::ServiceLog &log)
+StatusOr<DriveCharacterization>
+characterizeTrace(trace::RequestSource &src, std::size_t batch_requests)
 {
+    obs::ScopedSpan span("trace-pass");
+    LiveTee tee(src);
+    trace::RequestBatch batch(batch_requests);
+    while (tee.next(batch)) {
+    }
+    const Status st = tee.status();
+    if (!st.ok())
+        return st;
+    return tee.finish();
+}
+
+StatusOr<DriveCharacterization>
+serviceAndCharacterize(disk::DiskDrive &drive, trace::RequestSource &src,
+                       std::size_t batch_requests)
+{
+    LiveTee tee(src);
+    disk::ServiceLog log;
+    try {
+        obs::ScopedSpan stage("service");
+        log = drive.service(tee, nullptr, batch_requests);
+    } catch (const StatusError &e) {
+        // The drive surfaces the tee's failed status as a throw.
+        return e.status();
+    }
     obs::ScopedSpan span("characterize");
+    DriveCharacterization c = tee.finish();
+    addServiceLog(c, log);
+    return c;
+}
+
+void
+addServiceLog(DriveCharacterization &c, const disk::ServiceLog &log)
+{
     coreMetrics().ms_runs.add(1);
-
-    DriveCharacterization c;
-    c.drive_id = src.driveId();
-
     {
         obs::ScopedSpan stage("utilization");
         c.util_1s = utilizationProfile(log, kSec);
         c.util_1min = utilizationProfile(log, kMinute);
     }
-
-    // One fused trip over the request stream feeds every
-    // trace-derived analysis.
-    BurstinessAccumulator burstiness;
-    RwMixAccumulator rwmix;
-    TraceTotalsAccumulator totals;
-    {
-        obs::ScopedSpan stage("trace-pass");
-        CharacterizationPass pass;
-        pass.add(burstiness);
-        pass.add(rwmix);
-        pass.add(totals);
-        pass.run(src);
-    }
-    c.ms_burstiness = burstiness.report();
-    c.ms_rw = rwmix.report();
-
     {
         obs::ScopedSpan stage("idleness");
         IdlenessAnalysis idle(log);
@@ -90,8 +148,14 @@ characterizeMs(trace::RequestSource &src, const disk::ServiceLog &log)
             static_cast<double>(log.responseQuantile(0.99)) /
             static_cast<double>(kMsec);
     }
-    c.arrival_rate = totals.arrivalRate();
-    c.read_fraction = totals.readFraction();
+}
+
+DriveCharacterization
+characterizeMs(trace::RequestSource &src, const disk::ServiceLog &log)
+{
+    obs::ScopedSpan span("characterize");
+    DriveCharacterization c = characterizeTrace(src).valueOrThrow();
+    addServiceLog(c, log);
     return c;
 }
 

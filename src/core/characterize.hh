@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 
+#include "common/status.hh"
 #include "core/burstiness.hh"
 #include "core/idleness.hh"
 #include "core/rwmix.hh"
@@ -65,23 +66,48 @@ struct DriveCharacterization
 };
 
 /**
- * Characterize a drive from a streaming request source and the
- * service log the disk model produced for it.  The trace-derived
- * figures (burstiness, read/write dynamics, arrival rate, read
- * fraction) come from one fused CharacterizationPass over the
- * source — the stream is decoded once and peak memory is O(batch)
- * plus bounded accumulator state; the log-derived figures
- * (utilization, idleness, response quantiles) read the log as
- * before.
+ * The trace-derived characterization of a request stream (no drive
+ * model): one trip over `src` through a LiveCharacterization.
+ *
+ * @return InvalidArgument when the stream fails the order check
+ *         (sorted, inside the window, nonzero sizes); the source's
+ *         own status when it fails mid-stream.
+ */
+StatusOr<DriveCharacterization> characterizeTrace(
+    trace::RequestSource &src,
+    std::size_t batch_requests = trace::kDefaultBatchRequests);
+
+/**
+ * Service a request stream through `drive` and characterize it in
+ * the same trip: the drive pulls each batch through a tee that folds
+ * it into a LiveCharacterization first; addServiceLog() follows.
+ * Byte-identical to service() then characterizeMs().
+ *
+ * @return As characterizeTrace(): a batch failing the order check
+ *         ends the stream before the drive sees it.
+ */
+StatusOr<DriveCharacterization> serviceAndCharacterize(
+    disk::DiskDrive &drive, trace::RequestSource &src,
+    std::size_t batch_requests = trace::kDefaultBatchRequests);
+
+/**
+ * Extend a characterization with the service log's figures:
+ * utilization, idle structure, response-time quantiles.
+ */
+void addServiceLog(DriveCharacterization &c,
+                   const disk::ServiceLog &log);
+
+/**
+ * characterizeTrace() over `src`, then addServiceLog().
+ *
+ * @throws StatusError when characterizeTrace() fails.
  */
 DriveCharacterization characterizeMs(trace::RequestSource &src,
                                      const disk::ServiceLog &log);
 
 /**
  * Characterize a drive from its ms trace and the service log the
- * disk model produced for it.  Wraps the in-memory trace in a
- * source and runs the streaming overload, so both paths share one
- * implementation (and are byte-identical by construction).
+ * disk model produced for it (wraps the trace in a source).
  */
 DriveCharacterization characterizeMs(const trace::MsTrace &tr,
                                      const disk::ServiceLog &log);

@@ -12,28 +12,6 @@ namespace core
 namespace
 {
 
-/**
- * Metadata-only RequestSource: exists so the accumulators' begin()
- * hook sees the stream header exactly as a pulled pass would show
- * it.  next() is never called.
- */
-class MetaSource final : public trace::RequestSource
-{
-  public:
-    explicit MetaSource(const trace::MsStreamHeader &m) : m_(m) {}
-
-    const std::string &driveId() const override { return m_.drive_id; }
-
-    Tick start() const override { return m_.start; }
-
-    Tick duration() const override { return m_.duration; }
-
-    bool next(trace::RequestBatch &) override { return false; }
-
-  private:
-    trace::MsStreamHeader m_;
-};
-
 /** JSON number: finite values via %.12g, everything else null. */
 void
 jsonNum(std::ostringstream &os, double v)
@@ -95,10 +73,9 @@ jsonEscape(const std::string &s)
 LiveCharacterization::LiveCharacterization(trace::MsStreamHeader meta)
     : meta_(std::move(meta)), prev_(meta_.start)
 {
-    MetaSource src(meta_);
-    burstiness_.begin(src);
-    rwmix_.begin(src);
-    totals_.begin(src);
+    burstiness_.begin(meta_);
+    rwmix_.begin(meta_);
+    totals_.begin(meta_);
 }
 
 Status
@@ -107,19 +84,21 @@ LiveCharacterization::observe(const trace::RequestBatch &batch)
     const Tick end = meta_.start + meta_.duration;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Tick at = batch.arrival(i);
+        if (batch.blocks(i) != 0 && at >= prev_ && at < end) {
+            prev_ = at;
+            continue;
+        }
+        // Only a failing request pays for the message.
         std::ostringstream os;
         if (batch.blocks(i) == 0) {
             os << "zero-length request at stream offset " << n_ + i;
         } else if (at < prev_) {
             os << "out-of-order arrival at stream offset " << n_ + i
                << " (" << at << " after " << prev_ << ")";
-        } else if (at >= end) {
+        } else {
             os << "arrival outside the observation window at stream"
                   " offset "
                << n_ + i;
-        } else {
-            prev_ = at;
-            continue;
         }
         return Status::invalidArgument(os.str());
     }

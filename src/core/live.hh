@@ -13,10 +13,10 @@
  * totals) are *copied* to produce a mid-stream snapshot — finish()
  * runs on the copy, so the live state keeps accumulating untouched.
  *
- * The result of finish() is byte-identical to running the same
- * records through `dlwtool characterize` (both assemble the same
- * trace-derived subset of DriveCharacterization), which is the
- * contract the connection-storm harness asserts.
+ * The one place the trace-derived subset of DriveCharacterization is
+ * assembled: dlwd sessions, `dlwtool characterize` and `dlwtool
+ * analyze` all fold through it — so a session's report is
+ * byte-identical to `dlwtool characterize` over the same records.
  */
 
 #ifndef DLW_CORE_LIVE_HH
@@ -53,6 +53,9 @@ namespace core
 class LiveCharacterization
 {
   public:
+    /** Accumulators fused per stream (burstiness, rwmix, totals). */
+    static constexpr std::size_t kAccumulators = 3;
+
     explicit LiveCharacterization(trace::MsStreamHeader meta);
 
     /** Stream metadata in force. */

@@ -52,6 +52,24 @@ registerPassMetrics()
 }
 
 void
+notePassRun(std::size_t accumulators)
+{
+    if (!obs::enabled())
+        return;
+    PassMetrics &m = passMetrics();
+    m.runs.add(1);
+    m.fused.add(accumulators);
+    m.kernel_isa.set(static_cast<std::int64_t>(stats::simd::activeIsa()));
+}
+
+void
+notePassBatch()
+{
+    if (obs::enabled())
+        passMetrics().batches.add(1);
+}
+
+void
 noteKernelSlowPath(std::size_t elems)
 {
     if (elems == 0 || !obs::enabled())
@@ -61,9 +79,9 @@ noteKernelSlowPath(std::size_t elems)
 }
 
 void
-TraceTotalsAccumulator::begin(const trace::RequestSource &src)
+TraceTotalsAccumulator::begin(const trace::MsStreamHeader &meta)
 {
-    duration_ = src.duration();
+    duration_ = meta.duration;
 }
 
 void
@@ -134,21 +152,15 @@ CharacterizationPass::run(trace::RequestSource &src,
                           std::size_t batch_requests)
 {
     obs::ScopedSpan span("core.pass");
-    if (obs::enabled()) {
-        PassMetrics &m = passMetrics();
-        m.runs.add(1);
-        m.fused.add(accs_.size());
-        m.kernel_isa.set(
-            static_cast<std::int64_t>(stats::simd::activeIsa()));
-    }
+    notePassRun(accs_.size());
 
+    const trace::MsStreamHeader meta = src.header();
     for (TraceAccumulator *acc : accs_)
-        acc->begin(src);
+        acc->begin(meta);
 
     trace::RequestBatch batch(batch_requests);
     while (src.next(batch)) {
-        if (obs::enabled())
-            passMetrics().batches.add(1);
+        notePassBatch();
         for (TraceAccumulator *acc : accs_)
             acc->observe(batch);
     }

@@ -61,9 +61,9 @@ class TraceAccumulator
      * Start of stream: window metadata is known, no batch seen yet.
      * Implementations pre-size their bin layouts here.
      */
-    virtual void begin(const trace::RequestSource &src)
+    virtual void begin(const trace::MsStreamHeader &meta)
     {
-        (void)src;
+        (void)meta;
     }
 
     /** One batch, in arrival order. */
@@ -84,7 +84,7 @@ class TraceTotalsAccumulator : public TraceAccumulator
   public:
     const char *name() const override { return "totals"; }
 
-    void begin(const trace::RequestSource &src) override;
+    void begin(const trace::MsStreamHeader &meta) override;
     void observe(const trace::RequestBatch &batch) override;
 
     /** Number of requests observed. */
@@ -153,6 +153,15 @@ class CharacterizationPass
  * snapshots carry the schema before any pass runs.
  */
 void registerPassMetrics();
+
+/**
+ * Count one pass feeding `accumulators` accumulators in core.pass.*
+ * and publish the active kernel ISA (no-op while metrics are off).
+ */
+void notePassRun(std::size_t accumulators);
+
+/** Count one batch a pass fanned out (core.pass.batches). */
+void notePassBatch();
 
 /**
  * Record elems slow-path elements against core.kernel.slow: requests

@@ -49,15 +49,15 @@ RwMixAccumulator::RwMixAccumulator(Tick bin_width)
 }
 
 void
-RwMixAccumulator::begin(const trace::RequestSource &src)
+RwMixAccumulator::begin(const trace::MsStreamHeader &meta)
 {
     // Pre-size exactly like MsTrace::binCounts().
-    const Tick duration = src.duration();
+    const Tick duration = meta.duration;
     const Tick w = d_.bin_width;
     auto bins = static_cast<std::size_t>(
         duration > 0 ? (duration + w - 1) / w : 0);
-    reads_ = stats::BinnedSeries(src.start(), w, bins);
-    all_ = stats::BinnedSeries(src.start(), w, bins);
+    reads_ = stats::BinnedSeries(meta.start, w, bins);
+    all_ = stats::BinnedSeries(meta.start, w, bins);
 }
 
 void

@@ -80,9 +80,9 @@ ModelAccumulator::ModelAccumulator(Lba capacity)
 }
 
 void
-ModelAccumulator::begin(const trace::RequestSource &src)
+ModelAccumulator::begin(const trace::MsStreamHeader &meta)
 {
-    duration_ = src.duration();
+    duration_ = meta.duration;
 }
 
 void

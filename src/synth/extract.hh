@@ -101,7 +101,7 @@ class ModelAccumulator : public core::TraceAccumulator
 
     const char *name() const override { return "model"; }
 
-    void begin(const trace::RequestSource &src) override;
+    void begin(const trace::MsStreamHeader &meta) override;
     void observe(const trace::RequestBatch &batch) override;
     void finish() override;
 

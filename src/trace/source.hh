@@ -32,6 +32,14 @@ namespace dlw
 namespace trace
 {
 
+/** Stream metadata carried by a ms-trace header (CSV or binary). */
+struct MsStreamHeader
+{
+    std::string drive_id;
+    Tick start = 0;
+    Tick duration = 0;
+};
+
 /**
  * A pull-based stream of request batches in arrival order.
  */
@@ -51,6 +59,9 @@ class RequestSource
 
     /** End of the observation window. */
     Tick end() const { return start() + duration(); }
+
+    /** Drive id and window, as a stream header carries them. */
+    MsStreamHeader header() const { return {driveId(), start(), duration()}; }
 
     /**
      * Clear `batch` and refill it with the next chunk of the stream.

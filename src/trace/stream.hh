@@ -127,14 +127,6 @@ StatusOr<MsTrace> drainMsSource(
 // record codec per format, whether it arrives from a file or a
 // socket.
 
-/** Stream metadata carried by a ms-trace header (CSV or binary). */
-struct MsStreamHeader
-{
-    std::string drive_id;
-    Tick start = 0;
-    Tick duration = 0;
-};
-
 /** Parse a `# dlw-ms-v1,<id>,<start>,<duration>` header line. */
 Status parseMsCsvHeaderLine(const std::string &line,
                             MsStreamHeader &out);

@@ -2,27 +2,9 @@
  * @file
  * dlwtool — command-line front end for the dlw toolkit.
  *
- * Subcommands:
- *   generate    synthesize a Millisecond trace from a workload preset
- *   convert     translate between csv / binary / spc trace formats
- *   analyze     service a trace through the drive model and print the
- *               multi-scale characterization
- *   family      synthesize a drive family's lifetime CSV
- *   fleet       characterize N drives in parallel and print the
- *               cross-drive variability report
- *   corrupt     deterministically mangle a trace file (torture input)
- *   run-report  run analyze (with --in) or fleet (without), then
- *               append the observability report: every metric the run
- *               moved plus the aggregated span tree
- *   bench-diff  compare two BENCH_*.json perf snapshots against
- *               regression thresholds (exit 2 on regression)
- *   characterize trace-derived characterization only (no drive
- *               model) — the batch twin of a dlwd streaming session
- *   serve       run dlwd: the characterization daemon (epoll loop,
- *               streaming sessions, HTTP results plane)
- *   stream      stream a trace to a running dlwd and print the
- *               final report
- *   help        print usage for one command (or all of them)
+ * Subcommands live in one table, kCommands: each row is a name, a
+ * handler and the usage text, whose --flags are the flags the command
+ * accepts.  `dlwtool --help` prints them all.
  *
  * Formats are chosen by file extension: .csv, .bin, .spc.
  *
@@ -55,7 +37,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -77,7 +58,6 @@
 #include "common/status.hh"
 #include "common/strutil.hh"
 #include "core/characterize.hh"
-#include "core/live.hh"
 #include "daemon/server.hh"
 #include "disk/drive.hh"
 #include "net/buffer.hh"
@@ -216,38 +196,6 @@ batchOption(const dlw::Options &opts)
     return static_cast<std::size_t>(n);
 }
 
-/**
- * Pass 0 of streaming analyze: decode the file once checking the
- * whole-trace invariants (sorted arrivals, inside the window, nonzero
- * sizes) incrementally.  True means the stream can be fed straight to
- * the engine; false sends the caller to the whole-trace path, whose
- * sort-then-validate handles disordered input exactly as before.
- * Decode failures throw, like the whole-trace reader would.
- */
-bool
-streamReadyTrace(const std::string &path,
-                 const trace::IngestOptions &io,
-                 std::size_t batch_requests, trace::IngestStats *stats)
-{
-    auto src = trace::openMsSource(path, io).valueOrThrow();
-    trace::RequestBatch batch(batch_requests);
-    Tick prev = src->start();
-    const Tick end = src->end();
-    while (src->next(batch)) {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const Tick at = batch.arrival(i);
-            if (batch.blocks(i) == 0 || at < prev || at >= end)
-                return false;
-            prev = at;
-        }
-    }
-    Status st = src->status();
-    if (!st.ok())
-        throw StatusError(st);
-    *stats = src->stats();
-    return true;
-}
-
 int
 cmdAnalyze(const dlw::Options &opts)
 {
@@ -265,28 +213,22 @@ cmdAnalyze(const dlw::Options &opts)
         cfg.cache.enabled = false;
     disk::DiskDrive drive(cfg);
 
-    // Three O(batch)-memory trips over a .csv/.bin file — validate,
-    // service, characterize — instead of one whole-trace
-    // materialization.  Only .spc input and traces that fail the
-    // validating trip (unsorted, out of window, zero-size) take the
-    // whole-trace path below; the output does not depend on which.
+    // One O(batch)-memory trip over a .csv/.bin file: the drive pulls
+    // it through the order check and the trace-derived fold.  Only
+    // .spc input and a file that fails the order check (unsorted, out
+    // of window, zero-size) are read whole, sorted and validated, then
+    // take the same trip; the output does not depend on which.
     if (endsWith(in, ".csv") || endsWith(in, ".bin")) {
-        trace::IngestStats stats;
-        if (streamReadyTrace(in, io, batch, &stats)) {
-            if (stats.dirty())
-                std::cout << "ingestion: " << stats.summary()
+        auto src = trace::openMsSource(in, io).valueOrThrow();
+        StatusOr<core::DriveCharacterization> c =
+            core::serviceAndCharacterize(drive, *src, batch);
+        if (c.status().code() != StatusCode::kInvalidArgument) {
+            const core::DriveCharacterization r =
+                std::move(c).valueOrThrow();
+            if (src->stats().dirty())
+                std::cout << "ingestion: " << src->stats().summary()
                           << "\n\n";
-            auto service_src = trace::openMsSource(in, io)
-                                   .valueOrThrow();
-            disk::ServiceLog log =
-                drive.service(*service_src, nullptr, batch);
-            auto pass_src = trace::openMsSource(in, io).valueOrThrow();
-            core::DriveCharacterization c =
-                core::characterizeMs(*pass_src, log);
-            Status st = pass_src->status();
-            if (!st.ok())
-                throw StatusError(st);
-            std::cout << c.render();
+            std::cout << r.render();
             return 0;
         }
     }
@@ -297,10 +239,10 @@ cmdAnalyze(const dlw::Options &opts)
         std::cout << "ingestion: " << stats.summary() << "\n\n";
     tr.sortByArrival();
     tr.validate(true);
-
-    disk::ServiceLog log = drive.service(tr);
-    core::DriveCharacterization c = core::characterizeMs(tr, log);
-    std::cout << c.render();
+    trace::MsTraceSource src(tr);
+    std::cout << core::serviceAndCharacterize(drive, src, batch)
+                     .valueOrThrow()
+                     .render();
     return 0;
 }
 
@@ -405,25 +347,10 @@ cmdCharacterize(const dlw::Options &opts)
     const std::string in = opts.get("in", "");
     if (in.empty())
         dlw_fatal("characterize needs --in");
-    const trace::IngestOptions io = ingestOptions(opts);
-    auto src = trace::openMsSource(in, io).valueOrThrow();
-
-    trace::MsStreamHeader meta;
-    meta.drive_id = src->driveId();
-    meta.start = src->start();
-    meta.duration = src->duration();
-    core::LiveCharacterization live(meta);
-
-    trace::RequestBatch batch(batchOption(opts));
-    while (src->next(batch)) {
-        Status s = live.observe(batch);
-        if (!s.ok())
-            throw StatusError(s);
-    }
-    Status st = src->status();
-    if (!st.ok())
-        throw StatusError(st);
-    std::cout << live.finish().render();
+    auto src = trace::openMsSource(in, ingestOptions(opts)).valueOrThrow();
+    std::cout << core::characterizeTrace(*src, batchOption(opts))
+                     .valueOrThrow()
+                     .render();
     return 0;
 }
 
@@ -1210,121 +1137,103 @@ cmdRunReport(const dlw::Options &opts)
 // ---------------------------------------------------------------------------
 // Usage, flag validation, and the --metrics emitter.
 
-/** Per-command usage text, shown on help and on flag errors. */
-const std::map<std::string, const char *> &
-commandUsage()
+/**
+ * One dlwtool command.  The flags it accepts are the --flags its usage
+ * text names, so help and the unknown-flag check cannot disagree.
+ */
+struct Command
 {
-    static const std::map<std::string, const char *> usages = {
-        {"generate",
-         "  generate    --class oltp|fileserver|streaming|backup\n"
-         "              --rate R --minutes M --seed S --out FILE\n"},
-        {"convert",
-         "  convert     --in FILE --out FILE      (.csv/.bin/.spc)\n"
-         "              [--on-corrupt abort|skip|clamp]\n"},
-        {"analyze",
-         "  analyze     --in FILE [--drive enterprise|nearline]\n"
-         "              [--cache on|off] [--on-corrupt abort|skip|clamp]\n"
-         "              [--batch N]\n"},
-        {"family",
-         "  family      --drives N --min-hours A --max-hours B\n"
-         "              --seed S --name NAME --out FILE\n"},
-        {"fleet",
-         "  fleet       --drives N --threads T\n"
-         "              --preset oltp|fileserver|streaming|backup|mixed\n"
-         "              --rate R --minutes M --seed S --retries K\n"
-         "              [--drive enterprise|nearline] [--batch N]\n"},
-        {"corrupt",
-         "  corrupt     --in FILE --out FILE\n"
-         "              --mode truncate|bitflip|garbage|dup|reorder\n"
-         "              --seed S --count N --offset B\n"},
-        {"run-report",
-         "  run-report  analyze (--in FILE) or fleet (no --in) plus the\n"
-         "              observability report: accepts the union of the\n"
-         "              analyze and fleet options\n"},
-        {"bench-diff",
-         "  bench-diff  OLD.json NEW.json    (BENCH_* perf snapshots)\n"
-         "              [--max-wall-pct P] [--max-p95-pct P]\n"
-         "              [--max-counter-pct P]    exit 2 on regression\n"},
-        {"characterize",
-         "  characterize --in FILE    trace-derived characterization\n"
-         "              only (no drive model) — the batch twin of a\n"
-         "              dlwd streaming session\n"
-         "              [--on-corrupt abort|skip|clamp] [--batch N]\n"},
-        {"serve",
-         "  serve       run dlwd: stream traces in, characterize\n"
-         "              live, query reports over HTTP\n"
-         "              [--port P] [--port-file F] [--max-conns N]\n"
-         "              [--max-buffer-kb K] [--threads T]\n"
-         "              [--drain-grace-ms MS]\n"
-         "              [--first-byte-timeout-ms MS]\n"
-         "              [--header-timeout-ms MS]\n"
-         "              [--idle-timeout-ms MS]\n"
-         "              [--write-stall-timeout-ms MS]\n"
-         "              (0 disables a deadline)\n"
-         "              [--state-dir DIR] [--ckpt-ms MS]\n"
-         "              crash-safe session checkpoints\n"
-         "              [--qos on|off] per-tenant/class ratekeeper\n"
-         "              [--qos-target-qd N] [--qos-target-p95-us US]\n"
-         "              [--qos-min-rate R] [--qos-max-rate R]\n"
-         "              ratekeeper tuning\n"},
-        {"stream",
-         "  stream      --in FILE    stream a .csv/.bin trace to a\n"
-         "              running dlwd and print the final report\n"
-         "              [--host H] [--port P] [--tenant NAME]\n"
-         "              [--class interactive|bulk|background]\n"
-         "              [--connect-timeout-ms MS] [--retries K]\n"
-         "              [--retry-seed S]    exit 3 when the server\n"
-         "              closes the connection mid-session\n"
-         "              [--trace-id ID]    tag the session for\n"
-         "              end-to-end tracing; with --trace-out the\n"
-         "              server's spans are fetched and merged into\n"
-         "              the trace file (an id is self-assigned when\n"
-         "              only --trace-out is given)\n"},
-        {"top",
-         "  top         live daemon dashboard: poll GET /v1/stats\n"
-         "              and redraw each interval\n"
-         "              [--host H] [--port P] [--interval-ms MS]\n"
-         "              [--iterations N]    N=1 prints one frame\n"
-         "              and exits (script mode); 0 runs until ^C\n"},
-    };
-    return usages;
-}
+    const char *name;
+    /** Null for bench-diff, whose positional inputs main() parses. */
+    int (*run)(const dlw::Options &);
+    const char *usage;
+    /** Commands whose flags this one accepts as well. */
+    std::vector<std::string> accepts_flags_of = {};
+};
 
-/** Flags each command accepts (globals are allowed everywhere). */
-const std::map<std::string, std::set<std::string>> &
-commandFlags()
+/** Every command, in help order. */
+const std::vector<Command> kCommands = {
+    {"analyze", cmdAnalyze,
+     "  analyze     --in FILE [--drive enterprise|nearline]\n"
+     "              [--cache on|off] [--on-corrupt abort|skip|clamp]\n"
+     "              [--batch N]\n"},
+    {"bench-diff", nullptr,
+     "  bench-diff  OLD.json NEW.json    (BENCH_* perf snapshots)\n"
+     "              [--max-wall-pct P] [--max-p95-pct P]\n"
+     "              [--max-counter-pct P]    exit 2 on regression\n"},
+    {"characterize", cmdCharacterize,
+     "  characterize --in FILE    trace-derived characterization\n"
+     "              only (no drive model) — the batch twin of a\n"
+     "              dlwd streaming session\n"
+     "              [--on-corrupt abort|skip|clamp] [--batch N]\n"},
+    {"convert", cmdConvert,
+     "  convert     --in FILE --out FILE      (.csv/.bin/.spc)\n"
+     "              [--on-corrupt abort|skip|clamp]\n"},
+    {"corrupt", cmdCorrupt,
+     "  corrupt     --in FILE --out FILE\n"
+     "              --mode truncate|bitflip|garbage|dup|reorder\n"
+     "              --seed S --count N --offset B\n"},
+    {"family", cmdFamily,
+     "  family      --drives N --min-hours A --max-hours B\n"
+     "              --seed S --name NAME --out FILE\n"},
+    {"fleet", cmdFleet,
+     "  fleet       --drives N --threads T\n"
+     "              --preset oltp|fileserver|streaming|backup|mixed\n"
+     "              --rate R --minutes M --seed S --retries K\n"
+     "              [--drive enterprise|nearline] [--batch N]\n"},
+    {"generate", cmdGenerate,
+     "  generate    --class oltp|fileserver|streaming|backup\n"
+     "              --rate R --minutes M --seed S --out FILE\n"},
+    {"run-report", cmdRunReport,
+     "  run-report  analyze (--in FILE) or fleet (no --in) plus the\n"
+     "              observability report: accepts the union of the\n"
+     "              analyze and fleet options\n",
+     {"analyze", "fleet"}},
+    {"serve", cmdServe,
+     "  serve       run dlwd: stream traces in, characterize\n"
+     "              live, query reports over HTTP\n"
+     "              [--port P] [--port-file F] [--max-conns N]\n"
+     "              [--max-buffer-kb K] [--threads T]\n"
+     "              [--drain-grace-ms MS]\n"
+     "              [--first-byte-timeout-ms MS]\n"
+     "              [--header-timeout-ms MS]\n"
+     "              [--idle-timeout-ms MS]\n"
+     "              [--write-stall-timeout-ms MS]\n"
+     "              (0 disables a deadline)\n"
+     "              [--state-dir DIR] [--ckpt-ms MS]\n"
+     "              crash-safe session checkpoints\n"
+     "              [--qos on|off] per-tenant/class ratekeeper\n"
+     "              [--qos-target-qd N] [--qos-target-p95-us US]\n"
+     "              [--qos-min-rate R] [--qos-max-rate R]\n"
+     "              ratekeeper tuning\n"},
+    {"stream", cmdStream,
+     "  stream      --in FILE    stream a .csv/.bin trace to a\n"
+     "              running dlwd and print the final report\n"
+     "              [--host H] [--port P] [--tenant NAME]\n"
+     "              [--class interactive|bulk|background]\n"
+     "              [--connect-timeout-ms MS] [--retries K]\n"
+     "              [--retry-seed S]    exit 3 when the server\n"
+     "              closes the connection mid-session\n"
+     "              [--trace-id ID]    tag the session for\n"
+     "              end-to-end tracing; with --trace-out the\n"
+     "              server's spans are fetched and merged into\n"
+     "              the trace file (an id is self-assigned when\n"
+     "              only --trace-out is given)\n"},
+    {"top", cmdTop,
+     "  top         live daemon dashboard: poll GET /v1/stats\n"
+     "              and redraw each interval\n"
+     "              [--host H] [--port P] [--interval-ms MS]\n"
+     "              [--iterations N]    N=1 prints one frame\n"
+     "              and exits (script mode); 0 runs until ^C\n"},
+};
+
+/** The command called `name`, or null. */
+const Command *
+findCommand(const std::string &name)
 {
-    static const std::map<std::string, std::set<std::string>> flags = {
-        {"generate", {"class", "rate", "minutes", "seed", "out"}},
-        {"convert", {"in", "out", "on-corrupt"}},
-        {"analyze",
-         {"in", "drive", "cache", "on-corrupt", "batch"}},
-        {"family",
-         {"drives", "min-hours", "max-hours", "seed", "name", "out"}},
-        {"fleet",
-         {"drives", "threads", "preset", "rate", "minutes", "seed",
-          "retries", "drive", "batch"}},
-        {"corrupt", {"in", "out", "mode", "seed", "count", "offset"}},
-        {"run-report",
-         {"in", "drive", "cache", "on-corrupt", "drives", "threads",
-          "preset", "rate", "minutes", "seed", "retries", "batch"}},
-        {"bench-diff",
-         {"max-wall-pct", "max-p95-pct", "max-counter-pct"}},
-        {"characterize", {"in", "on-corrupt", "batch"}},
-        {"serve",
-         {"port", "port-file", "max-conns", "max-buffer-kb",
-          "threads", "drain-grace-ms", "first-byte-timeout-ms",
-          "header-timeout-ms", "idle-timeout-ms",
-          "write-stall-timeout-ms", "state-dir", "ckpt-ms", "qos",
-          "qos-target-qd", "qos-target-p95-us", "qos-min-rate",
-          "qos-max-rate"}},
-        {"stream",
-         {"in", "host", "port", "tenant", "class",
-          "connect-timeout-ms", "retries", "retry-seed",
-          "trace-id"}},
-        {"top", {"host", "port", "interval-ms", "iterations"}},
-    };
-    return flags;
+    auto it = std::find_if(kCommands.begin(), kCommands.end(),
+                           [&](const Command &c) { return name == c.name; });
+    return it == kCommands.end() ? nullptr : &*it;
 }
 
 const char *kGlobalUsage =
@@ -1352,18 +1261,14 @@ const char *kGlobalUsage =
     "\n"
     "see docs/METRICS.md for every metric the snapshot can contain\n";
 
-const std::set<std::string> kGlobalFlags = {"fault", "metrics",
-                                            "metrics-out",
-                                            "max-rss-mb", "trace-out"};
-
 void
 usage(std::ostream &os)
 {
     os << "dlwtool <command> [--option value ...]\n"
           "\n"
           "commands:\n";
-    for (const auto &[name, text] : commandUsage())
-        os << text;
+    for (const Command &c : kCommands)
+        os << c.usage;
     os << kGlobalUsage;
 }
 
@@ -1371,32 +1276,49 @@ usage(std::ostream &os)
 void
 usageFor(std::ostream &os, const std::string &cmd)
 {
-    auto it = commandUsage().find(cmd);
-    if (it == commandUsage().end()) {
+    const Command *c = findCommand(cmd);
+    if (c == nullptr) {
         usage(os);
         return;
     }
-    os << "usage:\n" << it->second << kGlobalUsage;
+    os << "usage:\n" << c->usage << kGlobalUsage;
 }
 
 /**
  * Reject flags the command does not accept, pointing at the relevant
  * usage instead of silently ignoring the typo.
  */
-bool
-validateFlags(const std::string &cmd, const dlw::Options &opts)
+/** The --flags a usage text names. */
+std::set<std::string>
+flagsIn(const std::string &text)
 {
-    const auto &allowed = commandFlags().at(cmd);
+    std::set<std::string> out;
+    for (std::size_t at = text.find("--"); at != std::string::npos;
+         at = text.find("--", at + 2)) {
+        const std::size_t end = text.find_first_not_of(
+            "abcdefghijklmnopqrstuvwxyz0123456789-", at + 2);
+        out.insert(text.substr(at + 2, end - (at + 2)));
+    }
+    return out;
+}
+
+bool
+validateFlags(const Command &cmd, const dlw::Options &opts)
+{
+    std::set<std::string> allowed =
+        flagsIn(std::string(cmd.usage) + kGlobalUsage);
+    for (const std::string &other : cmd.accepts_flags_of)
+        allowed.merge(flagsIn(findCommand(other)->usage));
     bool ok = true;
     for (const std::string &key : opts.keys()) {
-        if (allowed.count(key) || kGlobalFlags.count(key))
+        if (allowed.count(key))
             continue;
-        std::cerr << "dlwtool " << cmd << ": unknown option --" << key
-                  << '\n';
+        std::cerr << "dlwtool " << cmd.name << ": unknown option --"
+                  << key << '\n';
         ok = false;
     }
     if (!ok)
-        usageFor(std::cerr, cmd);
+        usageFor(std::cerr, cmd.name);
     return ok;
 }
 
@@ -1544,35 +1466,6 @@ checkRssBudget(const dlw::Options &opts, int rc)
     return rc;
 }
 
-int
-dispatch(const std::string &cmd, const dlw::Options &opts)
-{
-    if (cmd == "generate")
-        return cmdGenerate(opts);
-    if (cmd == "convert")
-        return cmdConvert(opts);
-    if (cmd == "analyze")
-        return cmdAnalyze(opts);
-    if (cmd == "family")
-        return cmdFamily(opts);
-    if (cmd == "fleet")
-        return cmdFleet(opts);
-    if (cmd == "corrupt")
-        return cmdCorrupt(opts);
-    if (cmd == "run-report")
-        return cmdRunReport(opts);
-    if (cmd == "characterize")
-        return cmdCharacterize(opts);
-    if (cmd == "serve")
-        return cmdServe(opts);
-    if (cmd == "stream")
-        return cmdStream(opts);
-    if (cmd == "top")
-        return cmdTop(opts);
-    usage(std::cerr);
-    return 2;
-}
-
 } // anonymous namespace
 
 int
@@ -1593,7 +1486,8 @@ main(int argc, char **argv)
             usage(std::cout);
         return 0;
     }
-    if (!commandFlags().count(cmd)) {
+    const Command *command = findCommand(cmd);
+    if (command == nullptr) {
         std::cerr << "dlwtool: unknown command '" << cmd << "'\n";
         usage(std::cerr);
         return 2;
@@ -1616,7 +1510,7 @@ main(int argc, char **argv)
             return 2;
         }
         dlw::Options opts(argc, argv, 4);
-        if (!validateFlags(cmd, opts))
+        if (!validateFlags(*command, opts))
             return 2;
         try {
             return cmdBenchDiff(argv[2], argv[3], opts);
@@ -1633,7 +1527,7 @@ main(int argc, char **argv)
         return 2;
     }
     dlw::Options opts(argc, argv, 2);
-    if (!validateFlags(cmd, opts))
+    if (!validateFlags(*command, opts))
         return 2;
 
     MetricsEmitter metrics;
@@ -1646,7 +1540,7 @@ main(int argc, char **argv)
         }
         metrics.setup(opts);
         timeline.setup(opts);
-        const int rc = dispatch(cmd, opts);
+        const int rc = command->run(opts);
         timeline.emit();
         metrics.emit();
         return checkRssBudget(opts, rc);
