@@ -14,6 +14,12 @@
 # the same doc, so the trace-viewer vocabulary is as trustworthy as
 # the metric list.
 #
+# Span names follow it too, in both directions: every literal name
+# passed to an obs::ScopedSpan in src/ or tools/ (a local
+# `obs::ScopedSpan x("name")` or a ScopedSpan member initialized as
+# `span_("name")`) must head a line of the doc's span-tree block, and
+# every name heading a line there must still be such a literal.
+#
 # Usage: scripts/check_metrics_docs.sh [repo-root]
 
 set -u
@@ -45,7 +51,38 @@ if [ -z "$events" ]; then
     exit 1
 fi
 
+spans=$(grep -rhoE '(ScopedSpan [A-Za-z_]+|span_)\("[^"]+"' src tools \
+        | sed 's/.*("//; s/"$//' | sort -u)
+
+if [ -z "$spans" ]; then
+    echo "error: found no ScopedSpan names under src/ or tools/" >&2
+    echo "check_metrics_docs: FAILED" >&2
+    exit 1
+fi
+
+# The first token of every line in the fenced block under "## Span
+# tree".
+tree=$(awk '/^## Span tree/ { sect = 1; next }
+            sect && /^```/ { if (inblk) exit; inblk = 1; next }
+            inblk && NF { print $1 }' "$doc" | sort -u)
+
 bad=0
+for name in $spans; do
+    if ! printf '%s\n' "$tree" | grep -qxF -- "$name"; then
+        echo "error: span '$name' is opened in src/ or tools/ but" \
+             "missing from the span tree in $doc" >&2
+        bad=1
+    fi
+done
+
+for name in $tree; do
+    if ! printf '%s\n' "$spans" | grep -qxF -- "$name"; then
+        echo "error: span '$name' is in the span tree in $doc but no" \
+             "ScopedSpan in src/ or tools/ opens it" >&2
+        bad=1
+    fi
+done
+
 for name in $names; do
     if ! grep -q "\`$name\`" "$doc"; then
         echo "error: metric '$name' is registered in src/ but not" \
@@ -85,4 +122,5 @@ if [ "$bad" != 0 ]; then
     exit 1
 fi
 echo "check_metrics_docs: OK ($(echo "$names" | wc -l) metrics," \
-     "$(echo "$events" | wc -l) timeline events)"
+     "$(echo "$events" | wc -l) timeline events," \
+     "$(echo "$spans" | wc -l) spans)"
