@@ -8,12 +8,13 @@
  *     BenchReportGuard) that times the dispatched characterization
  *     kernels — histogram binning, IDC window counting, the Welford
  *     gap fold — against the scalar reference on 4096-request
- *     batches, prints the speedup table, and snapshots BENCH_kernels
+ *     batches, and the autocorrelation's lag sums on a fixed binned
+ *     series, prints the speedup table, and snapshots BENCH_kernels
  *     .json for the bench-diff CI gate.  The phase does fixed work,
  *     so every counter in the snapshot is reproducible to the digit.
  *     When the AVX2 table is dispatchable, the phase *enforces* the
- *     >= 2x speedup floor on linear-histogram binning and IDC
- *     counting by exiting nonzero below it.
+ *     >= 2x speedup floor on linear-histogram binning, IDC counting
+ *     and the ACF lag sums by exiting nonzero below it.
  *
  *  2. The pre-existing google-benchmark suite (workload synthesis,
  *     drive servicing, binary trace I/O, estimators) plus per-ISA
@@ -61,6 +62,11 @@ namespace simd = stats::simd;
 
 /** Batch size the acceptance numbers are quoted at. */
 constexpr std::size_t kBatch = 4096;
+
+/** The ACF kernel's fixed input: series length, lags, calls/trial. */
+constexpr std::size_t kAcfSeries = 16384;
+constexpr std::size_t kAcfLags = 64;
+constexpr int kAcfReps = 20;
 
 /** Local xorshift so inputs never depend on libc or repo RNG state. */
 struct XRng
@@ -150,6 +156,7 @@ struct KernelRow
     double welford = 0.0;
     double gaps = 0.0;
     double reduce = 0.0;
+    double acf = 0.0;
 };
 
 /**
@@ -163,8 +170,9 @@ timeIsa(simd::Isa isa, const std::vector<double> &lin_xs,
         const std::vector<double> &gap_xs,
         const std::vector<std::uint8_t> &dirs,
         const std::vector<std::uint32_t> &blocks,
+        const std::vector<double> &acf_xs,
         std::vector<std::int32_t> &idx, std::vector<double> &bins,
-        std::vector<double> &gaps_out)
+        std::vector<double> &gaps_out, std::vector<double> &acf_out)
 {
     simd::force(isa);
     const simd::KernelOps &k = simd::ops();
@@ -219,13 +227,21 @@ timeIsa(simd::Isa isa, const std::vector<double> &lin_xs,
             benchmark::DoNotOptimize(r);
         },
         kReps);
+    row.acf = secsPerCall(
+        [&] {
+            k.acf_lags(acf_xs.data(), kAcfSeries, 1, kAcfLags,
+                       acf_out.data());
+            benchmark::DoNotOptimize(acf_out.data());
+        },
+        kAcfReps);
     return row;
 }
 
 /**
  * Run the deterministic phase: per-ISA timings, speedup table,
  * snapshot metrics.  Returns nonzero when the AVX2 speedup floor
- * (>= 2x on linear binning and IDC counting) is violated.
+ * (>= 2x on linear binning, IDC counting and ACF lag sums) is
+ * violated.
  */
 int
 runKernelPhase()
@@ -251,6 +267,13 @@ runKernelPhase()
         (ticks.back() / (10 * kMsec)) + 1);
     std::vector<double> bins(nbins, 0.0);
     std::vector<double> gaps_out(kBatch);
+    // Spiky values of both signs, like the centered count series
+    // autocorrelation() hands the kernel.
+    std::vector<double> acf_xs =
+        uniformSamples(kAcfSeries, -3.0, 40.0);
+    for (std::size_t i = 0; i < kAcfSeries; i += 97)
+        acf_xs[i] = 900.0;
+    std::vector<double> acf_out(kAcfLags);
 
     std::vector<KernelRow> rows;
     for (simd::Isa isa :
@@ -258,7 +281,8 @@ runKernelPhase()
         if (!simd::supported(isa))
             continue;
         rows.push_back(timeIsa(isa, lin_xs, log_xs, ticks, gap_xs,
-                               dirs, blocks, idx, bins, gaps_out));
+                               dirs, blocks, acf_xs, idx, bins,
+                               gaps_out, acf_out));
     }
     simd::force(simd::bestSupported());
 
@@ -266,9 +290,9 @@ runKernelPhase()
     std::printf("SIMD kernel timings, %zu-request batches "
                 "(ns/element, best of 3; speedup vs scalar)\n",
                 kBatch);
-    std::printf("%-8s %-22s %-22s %-22s %-22s\n", "isa",
+    std::printf("%-8s %-22s %-22s %-22s %-22s %-22s\n", "isa",
                 "bin_linear", "count_sorted(IDC)", "bin_log",
-                "welford");
+                "welford", "acf_lags");
     auto cell = [](double secs, double base) {
         char buf[32];
         std::snprintf(buf, sizeof buf, "%7.2f (%4.2fx)",
@@ -276,12 +300,17 @@ runKernelPhase()
         return std::string(buf);
     };
     for (const KernelRow &r : rows) {
-        std::printf("%-8s %-22s %-22s %-22s %-22s\n",
+        std::printf("%-8s %-22s %-22s %-22s %-22s %-22s\n",
                     simd::isaName(r.isa),
                     cell(r.bin_linear, scalar.bin_linear).c_str(),
                     cell(r.count_sorted, scalar.count_sorted).c_str(),
                     cell(r.bin_log, scalar.bin_log).c_str(),
-                    cell(r.welford, scalar.welford).c_str());
+                    cell(r.welford, scalar.welford).c_str(),
+                    // ns per lag product, not per batch element
+                    cell(r.acf * kBatch / (kAcfSeries * kAcfLags),
+                         scalar.acf * kBatch /
+                             (kAcfSeries * kAcfLags))
+                        .c_str());
     }
 
     // Deterministic end-to-end slice so the snapshot also carries the
@@ -314,14 +343,15 @@ runKernelPhase()
                      "pass by the kernel phase (fixed work)")
             .add(totals.count());
     }
-    // Fixed-work volume counter: reps * batch per timed kernel.  The
-    // bench-diff gate holds this to +-5%, i.e. exactly equal, so the
-    // wall-time comparison always covers the same work.
+    // Fixed-work volume counter: reps * batch (series length for the
+    // ACF) per timed kernel.  The bench-diff gate holds this to +-5%,
+    // i.e. exactly equal, so the wall-time comparison always covers
+    // the same work.
     obs::counter("bench.kernels.elements", "elements", "bench",
                  "kernel-folded elements in the timed phase "
                  "(fixed work)")
         .add(static_cast<std::uint64_t>(rows.size()) *
-             (5 * 2000 + 1000) * kBatch);
+             ((5 * 2000 + 1000) * kBatch + kAcfReps * kAcfSeries));
 
     int rc = 0;
     const bool have_avx2 = simd::supported(simd::Isa::kAvx2);
@@ -331,18 +361,30 @@ runKernelPhase()
     obs::Gauge &idc_ok = obs::gauge(
         "bench.kernels.avx2_idc_ge2x", "bool", "bench",
         "1 when the AVX2 IDC counting kernel beat scalar by >= 2x");
+    obs::Gauge &acf_ok = obs::gauge(
+        "bench.kernels.avx2_acf_ge2x", "bool", "bench",
+        "1 when the AVX2 ACF lag-sum kernel beat scalar by >= 2x");
     if (have_avx2) {
         const KernelRow &avx2 = rows.back();
         const double lin_speedup = scalar.bin_linear / avx2.bin_linear;
         const double idc_speedup =
             scalar.count_sorted / avx2.count_sorted;
+        const double acf_speedup = scalar.acf / avx2.acf;
         lin_ok.set(lin_speedup >= 2.0 ? 1 : 0);
         idc_ok.set(idc_speedup >= 2.0 ? 1 : 0);
+        acf_ok.set(acf_speedup >= 2.0 ? 1 : 0);
         if (lin_speedup < 2.0 || idc_speedup < 2.0) {
             std::fprintf(stderr,
                          "FAIL: AVX2 speedup floor (>= 2x) violated: "
                          "bin_linear %.2fx, count_sorted %.2fx\n",
                          lin_speedup, idc_speedup);
+            rc = 1;
+        }
+        if (acf_speedup < 2.0) {
+            std::fprintf(stderr,
+                         "FAIL: AVX2 speedup floor (>= 2x) violated: "
+                         "acf_lags %.2fx\n",
+                         acf_speedup);
             rc = 1;
         }
     } else {

@@ -28,8 +28,8 @@ split(std::string_view s, char delim)
     return out;
 }
 
-std::string
-trim(std::string_view s)
+std::string_view
+trimView(std::string_view s)
 {
     std::size_t b = 0;
     std::size_t e = s.size();
@@ -37,7 +37,13 @@ trim(std::string_view s)
         ++b;
     while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
         --e;
-    return std::string(s.substr(b, e - b));
+    return s.substr(b, e - b);
+}
+
+std::string
+trim(std::string_view s)
+{
+    return std::string(trimView(s));
 }
 
 bool
@@ -171,7 +177,7 @@ tryParseDouble(std::string_view s, double &out)
 bool
 tryParseInt(std::string_view s, std::int64_t &out)
 {
-    std::string t = trim(s);
+    const std::string_view t = trimView(s);
     std::int64_t v = 0;
     auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
     if (ec != std::errc() || p != t.data() + t.size())
@@ -183,7 +189,7 @@ tryParseInt(std::string_view s, std::int64_t &out)
 bool
 tryParseUint(std::string_view s, std::uint64_t &out)
 {
-    std::string t = trim(s);
+    const std::string_view t = trimView(s);
     std::uint64_t v = 0;
     auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
     if (ec != std::errc() || p != t.data() + t.size())

@@ -20,6 +20,9 @@ std::vector<std::string> split(std::string_view s, char delim);
 /** Strip leading and trailing ASCII whitespace. */
 std::string trim(std::string_view s);
 
+/** trim() without the copy: a view into `s`. */
+std::string_view trimView(std::string_view s);
+
 /** True when the string begins with the given prefix. */
 bool startsWith(std::string_view s, std::string_view prefix);
 

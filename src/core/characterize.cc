@@ -1,6 +1,8 @@
 #include "core/characterize.hh"
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/live.hh"
 #include "core/pass.hh"
@@ -40,13 +42,16 @@ coreMetrics()
 /**
  * Folds each batch its consumer pulls from `src` into a
  * LiveCharacterization first; a batch failing the order check ends
- * the stream with that InvalidArgument, unseen by the consumer.
+ * the stream with that InvalidArgument, and one holding a request
+ * past `capacity` blocks ends it with CorruptData, unseen by the
+ * consumer either way.
  */
 class LiveTee final : public trace::RequestSource
 {
   public:
-    explicit LiveTee(trace::RequestSource &src)
-        : src_(src), live_(src.header())
+    explicit LiveTee(trace::RequestSource &src,
+                     Lba capacity = std::numeric_limits<Lba>::max())
+        : src_(src), live_(src.header()), capacity_(capacity)
     {
         notePassRun(LiveCharacterization::kAccumulators);
     }
@@ -64,6 +69,9 @@ class LiveTee final : public trace::RequestSource
             return false;
         notePassBatch();
         check_ = live_.observe(batch);
+        if (check_.ok())
+            check_ = checkCapacity(batch);
+        offset_ += batch.size();
         return check_.ok();
     }
 
@@ -77,8 +85,25 @@ class LiveTee final : public trace::RequestSource
     DriveCharacterization finish() { return live_.finish(); }
 
   private:
+    Status
+    checkCapacity(const trace::RequestBatch &batch) const
+    {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            // Untrusted input: compare without overflowing lba + blocks.
+            if (batch.lba(i) > capacity_ ||
+                batch.blocks(i) > capacity_ - batch.lba(i)) {
+                return Status::corruptData(
+                    "request beyond drive capacity at stream offset " +
+                    std::to_string(offset_ + i));
+            }
+        }
+        return Status();
+    }
+
     trace::RequestSource &src_;
     LiveCharacterization live_;
+    Lba capacity_;
+    std::uint64_t offset_ = 0; ///< requests before the current batch
     Status check_;
 };
 
@@ -108,7 +133,7 @@ StatusOr<DriveCharacterization>
 serviceAndCharacterize(disk::DiskDrive &drive, trace::RequestSource &src,
                        std::size_t batch_requests)
 {
-    LiveTee tee(src);
+    LiveTee tee(src, drive.config().geometry.capacityBlocks());
     disk::ServiceLog log;
     try {
         obs::ScopedSpan stage("service");

@@ -84,7 +84,9 @@ StatusOr<DriveCharacterization> characterizeTrace(
  * Byte-identical to service() then characterizeMs().
  *
  * @return As characterizeTrace(): a batch failing the order check
- *         ends the stream before the drive sees it.
+ *         ends the stream before the drive sees it.  CorruptData
+ *         when a request reaches past the drive's capacity, also
+ *         before the drive sees its batch.
  */
 StatusOr<DriveCharacterization> serviceAndCharacterize(
     disk::DiskDrive &drive, trace::RequestSource &src,

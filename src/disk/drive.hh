@@ -126,7 +126,7 @@ struct ServiceLog
     /** Mean response time over all completions (0 when empty). */
     double meanResponse() const;
 
-    /** Response time at a quantile (exact, sorts a copy). */
+    /** Response time at a quantile (exact, selects in a copy). */
     Tick responseQuantile(double q) const;
 
     /**

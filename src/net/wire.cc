@@ -197,35 +197,44 @@ StreamDecoder::drainCsv(ByteQueue &in)
             }
             return Status();
         }
-        std::string line(in.data(), nl);
+        // Parse the line in place: consume() may compact the queue,
+        // so the view dies with it.
+        Status s = csvLine(std::string_view(in.data(), nl));
         in.consume(nl + 1);
-
-        if (!saw_header_line_) {
-            Status s = trace::parseMsCsvHeaderLine(line, header_);
-            if (!s.ok())
-                return s;
-            saw_header_line_ = true;
-            header_ready_ = true;
-            continue;
-        }
-        if (!saw_column_line_) {
-            saw_column_line_ = true;
-            continue;
-        }
-        const std::string t = trim(line);
-        if (t.empty())
-            continue;
-        trace::Request r;
-        trace::MsRecordParse p =
-            trace::parseMsCsvRecordLine(t, /*clamp=*/false, r);
-        if (!p.why.empty()) {
-            std::ostringstream os;
-            os << "record " << records_ << ": " << p.why;
-            return Status::corruptData(os.str());
-        }
-        pending_.push_back(r);
-        ++records_;
+        if (!s.ok())
+            return s;
     }
+}
+
+Status
+StreamDecoder::csvLine(std::string_view line)
+{
+    if (!saw_header_line_) {
+        Status s = trace::parseMsCsvHeaderLine(line, header_);
+        if (!s.ok())
+            return s;
+        saw_header_line_ = true;
+        header_ready_ = true;
+        return Status();
+    }
+    if (!saw_column_line_) {
+        saw_column_line_ = true;
+        return Status();
+    }
+    const std::string_view t = trimView(line);
+    if (t.empty())
+        return Status();
+    trace::Request r;
+    trace::MsRecordParse p =
+        trace::parseMsCsvRecordLine(t, /*clamp=*/false, r);
+    if (!p.why.empty()) {
+        std::ostringstream os;
+        os << "record " << records_ << ": " << p.why;
+        return Status::corruptData(os.str());
+    }
+    pending_.push_back(r);
+    ++records_;
+    return Status();
 }
 
 Status

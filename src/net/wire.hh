@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/binenc.hh"
@@ -205,6 +206,8 @@ class StreamDecoder
 
   private:
     Status drainCsv(ByteQueue &in);
+    /** Decode one CSV line (header, column line or record). */
+    Status csvLine(std::string_view line);
     Status drainBin(ByteQueue &in);
     Status decodeBinPayload();
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "stats/simd/simd.hh"
 
 namespace dlw
 {
@@ -21,9 +22,14 @@ autocorrelation(const std::vector<double> &xs, std::size_t max_lag)
         mean += x;
     mean /= n;
 
+    // The centered series, once: the same rounding as subtracting
+    // the mean inside every product.
+    std::vector<double> d(xs.size());
     double c0 = 0.0;
-    for (double x : xs)
-        c0 += (x - mean) * (x - mean);
+    for (std::size_t t = 0; t < xs.size(); ++t) {
+        d[t] = xs[t] - mean;
+        c0 += d[t] * d[t];
+    }
     c0 /= n;
 
     std::vector<double> out(max_lag + 1, 0.0);
@@ -31,13 +37,10 @@ autocorrelation(const std::vector<double> &xs, std::size_t max_lag)
         return out; // constant series: no correlation structure
 
     out[0] = 1.0;
-    for (std::size_t k = 1; k <= max_lag; ++k) {
-        double ck = 0.0;
-        for (std::size_t t = 0; t + k < xs.size(); ++t)
-            ck += (xs[t] - mean) * (xs[t + k] - mean);
-        ck /= n;
-        out[k] = ck / c0;
-    }
+    simd::ops().acf_lags(d.data(), d.size(), 1, max_lag,
+                         out.data() + 1);
+    for (std::size_t k = 1; k <= max_lag; ++k)
+        out[k] = (out[k] / n) / c0;
     return out;
 }
 

@@ -98,6 +98,20 @@ welfordOne(SummaryLanes &s, std::uint32_t lane, double x)
     s.mx[lane] = x > s.mx[lane] ? x : s.mx[lane];
 }
 
+/**
+ * Continue lag k's cross-product chain from t0: the reference tree
+ * of KernelOps::acf_lags, one serial ascending-t sum.  From t0 = 0
+ * and c = 0.0 it is the whole lag.
+ */
+inline double
+acfLagFrom(const double *d, std::size_t n, std::size_t k,
+           std::size_t t0, double c)
+{
+    for (std::size_t t = t0; t + k < n; ++t)
+        c += d[t] * d[t + k];
+    return c;
+}
+
 /** The scalar reference table (always built, ground truth). */
 extern const KernelOps kScalarOps;
 

@@ -380,12 +380,58 @@ sumU32Avx2(const std::uint32_t *v, std::size_t n)
     return s;
 }
 
+/**
+ * Lags [k0, k0 + 4 * kVecs) side by side, lane j of vector v on lag
+ * k0 + 4v + j: over the t range every one of them covers, then each
+ * lag's own tail in scalar code, in order.  Four vectors are four
+ * independent add chains, which is what lifts the loop off the
+ * add latency the one-lag loop waits on.
+ */
+template <std::size_t kVecs>
+void
+acfBlockAvx2(const double *d, std::size_t n, std::size_t k0,
+             double *acc)
+{
+    constexpr std::size_t kLags = 4 * kVecs;
+    const std::size_t common = n - (k0 + kLags - 1);
+    const double *y = d + k0;
+    __m256d a[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v)
+        a[v] = _mm256_setzero_pd();
+    for (std::size_t t = 0; t < common; ++t) {
+        const __m256d x = _mm256_broadcast_sd(d + t);
+#pragma GCC unroll 4
+        for (std::size_t v = 0; v < kVecs; ++v) {
+            a[v] = _mm256_add_pd(
+                a[v],
+                _mm256_mul_pd(x, _mm256_loadu_pd(y + t + 4 * v)));
+        }
+    }
+    for (std::size_t v = 0; v < kVecs; ++v)
+        _mm256_storeu_pd(acc + 4 * v, a[v]);
+    for (std::size_t j = 0; j < kLags; ++j)
+        acc[j] = acfLagFrom(d, n, k0 + j, common, acc[j]);
+}
+
+void
+acfLagsAvx2(const double *d, std::size_t n, std::size_t k,
+            std::size_t lags, double *acc)
+{
+    std::size_t j = 0;
+    for (; j + 16 <= lags; j += 16)
+        acfBlockAvx2<4>(d, n, k + j, acc + j);
+    for (; j + 4 <= lags; j += 4)
+        acfBlockAvx2<1>(d, n, k + j, acc + j);
+    for (; j < lags; ++j)
+        acc[j] = acfLagFrom(d, n, k + j, 0, 0.0);
+}
+
 } // anonymous namespace
 
 const KernelOps kAvx2Ops = {
     binLinearAvx2,    binLogAvx2,  countSortedAvx2,
     countSortedIfAvx2, gapsI64Avx2, welfordAddAvx2,
-    countEqU8Avx2,    sumU32Avx2,
+    countEqU8Avx2,    sumU32Avx2,  acfLagsAvx2,
 };
 
 } // namespace detail

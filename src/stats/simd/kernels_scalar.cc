@@ -110,12 +110,20 @@ sumU32Scalar(const std::uint32_t *v, std::size_t n)
     return s;
 }
 
+void
+acfLagsScalar(const double *d, std::size_t n, std::size_t k,
+              std::size_t lags, double *acc)
+{
+    for (std::size_t j = 0; j < lags; ++j)
+        acc[j] = acfLagFrom(d, n, k + j, 0, 0.0);
+}
+
 } // anonymous namespace
 
 const KernelOps kScalarOps = {
     binLinearScalar,    binLogScalar,  countSortedScalar,
     countSortedIfScalar, gapsI64Scalar, welfordAddScalar,
-    countEqU8Scalar,    sumU32Scalar,
+    countEqU8Scalar,    sumU32Scalar,  acfLagsScalar,
 };
 
 } // namespace detail

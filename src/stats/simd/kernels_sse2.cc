@@ -314,12 +314,55 @@ sumU32Sse2(const std::uint32_t *v, std::size_t n)
     return s;
 }
 
+/**
+ * Lags [k0, k0 + 2 * kVecs) side by side, lane j of vector v on lag
+ * k0 + 2v + j: over the t range every one of them covers, then each
+ * lag's own tail in scalar code, in order.
+ */
+template <std::size_t kVecs>
+void
+acfBlockSse2(const double *d, std::size_t n, std::size_t k0,
+             double *acc)
+{
+    constexpr std::size_t kLags = 2 * kVecs;
+    const std::size_t common = n - (k0 + kLags - 1);
+    const double *y = d + k0;
+    __m128d a[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v)
+        a[v] = _mm_setzero_pd();
+    for (std::size_t t = 0; t < common; ++t) {
+        const __m128d x = _mm_set1_pd(d[t]);
+#pragma GCC unroll 4
+        for (std::size_t v = 0; v < kVecs; ++v) {
+            a[v] = _mm_add_pd(
+                a[v], _mm_mul_pd(x, _mm_loadu_pd(y + t + 2 * v)));
+        }
+    }
+    for (std::size_t v = 0; v < kVecs; ++v)
+        _mm_storeu_pd(acc + 2 * v, a[v]);
+    for (std::size_t j = 0; j < kLags; ++j)
+        acc[j] = acfLagFrom(d, n, k0 + j, common, acc[j]);
+}
+
+void
+acfLagsSse2(const double *d, std::size_t n, std::size_t k,
+            std::size_t lags, double *acc)
+{
+    std::size_t j = 0;
+    for (; j + 8 <= lags; j += 8)
+        acfBlockSse2<4>(d, n, k + j, acc + j);
+    for (; j + 2 <= lags; j += 2)
+        acfBlockSse2<1>(d, n, k + j, acc + j);
+    for (; j < lags; ++j)
+        acc[j] = acfLagFrom(d, n, k + j, 0, 0.0);
+}
+
 } // anonymous namespace
 
 const KernelOps kSse2Ops = {
     binLinearSse2,    binLogSse2,  countSortedSse2,
     countSortedIfSse2, gapsI64Sse2, welfordAddSse2,
-    countEqU8Sse2,    sumU32Sse2,
+    countEqU8Sse2,    sumU32Sse2,  acfLagsSse2,
 };
 
 } // namespace detail

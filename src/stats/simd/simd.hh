@@ -5,10 +5,11 @@
  *
  * The hot accumulators — histogram binning, binned arrival counting,
  * the interarrival-gap moment fold, totals — all reduce to tight
- * loops over one dense column of the SoA trace::RequestBatch.  This
- * layer lifts those loops into per-ISA kernels (scalar reference,
- * SSE2, AVX2) selected once at startup by CPUID, overridable with
- * DLW_SIMD=scalar|sse2|avx2|auto.
+ * loops over one dense column of the SoA trace::RequestBatch; the
+ * autocorrelation's lagged sums are one more such loop over a
+ * binned series.  This layer lifts those loops into per-ISA kernels
+ * (scalar reference, SSE2, AVX2) selected once at startup by CPUID,
+ * overridable with DLW_SIMD=scalar|sse2|avx2|auto.
  *
  * The contract that makes dispatch safe everywhere byte-identity is
  * promised (thread counts, batch sizes, daemon checkpoints): every
@@ -212,6 +213,18 @@ struct KernelOps
 
     /** Sum of u32 values, accumulated mod 2^64 (block totals). */
     std::uint64_t (*sum_u32)(const std::uint32_t *v, std::size_t n);
+
+    /**
+     * Lagged cross products of a centered series for a block of
+     * lags: acc[j] = sum of d[t] * d[t + k + j] over
+     * t = 0 .. n - k - j - 1, for j < lags (needs k + lags <= n).
+     * Each lag is one serial add chain from 0.0 in ascending t — the
+     * per-lag loop of stats::autocorrelation — so the vector tables
+     * run several lags side by side, finish each lag's tail in the
+     * same order, and stay bit-identical.
+     */
+    void (*acf_lags)(const double *d, std::size_t n, std::size_t k,
+                     std::size_t lags, double *acc);
 };
 
 /** True when this build + CPU can dispatch the given ISA. */

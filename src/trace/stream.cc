@@ -36,6 +36,17 @@ openIn(const std::string &path, std::ifstream &is, bool binary)
     return Status();
 }
 
+/** `<what> '<trimmed field>'`, a record parse's failure text. */
+std::string
+quoted(std::string_view what, std::string_view field)
+{
+    std::string s(what);
+    s += " '";
+    s += trimView(field);
+    s += '\'';
+    return s;
+}
+
 std::string
 atLine(std::size_t lineno, const std::string &what)
 {
@@ -72,7 +83,7 @@ class MsCsvSource final : public FileSource
         std::string line;
         while (!batch.full() && std::getline(is_, line)) {
             ++lineno_;
-            std::string t = trim(line);
+            const std::string_view t = trimView(line);
             if (t.empty())
                 continue;
             const std::size_t record_bytes = line.size() + 1;
@@ -325,7 +336,7 @@ const std::array<char, 8> kMsBinaryMagic =
     {'D', 'L', 'W', 'M', 'S', '1', '\0', '\0'};
 
 Status
-parseMsCsvHeaderLine(const std::string &line, MsStreamHeader &out)
+parseMsCsvHeaderLine(std::string_view line, MsStreamHeader &out)
 {
     auto head = split(trim(line), ',');
     std::int64_t start = 0, duration = 0;
@@ -342,23 +353,35 @@ parseMsCsvHeaderLine(const std::string &line, MsStreamHeader &out)
 }
 
 MsRecordParse
-parseMsCsvRecordLine(const std::string &trimmed, bool clamp,
+parseMsCsvRecordLine(std::string_view trimmed, bool clamp,
                      Request &out)
 {
     MsRecordParse p;
-    auto f = split(trimmed, ',');
+    // Views of the first four fields; `nf` counts every field up to
+    // a fifth, so three or five fields both fail the arity check.
+    std::array<std::string_view, 4> f;
+    std::size_t nf = 0;
+    for (std::size_t start = 0; nf <= f.size();) {
+        const std::size_t comma = trimmed.find(',', start);
+        if (nf < f.size())
+            f[nf] = trimmed.substr(start, comma - start);
+        ++nf;
+        if (comma == std::string_view::npos)
+            break;
+        start = comma + 1;
+    }
     std::uint64_t blocks = 0;
-    if (f.size() != 4) {
+    if (nf != f.size()) {
         p.why = "expected 4 fields";
     } else if (!tryParseInt(f[0], out.arrival)) {
-        p.why = "malformed arrival '" + trim(f[0]) + "'";
+        p.why = quoted("malformed arrival", f[0]);
     } else if (!tryParseUint(f[1], out.lba)) {
-        p.why = "malformed lba '" + trim(f[1]) + "'";
+        p.why = quoted("malformed lba", f[1]);
     } else if (!tryParseUint(f[2], blocks)) {
-        p.why = "malformed blocks '" + trim(f[2]) + "'";
+        p.why = quoted("malformed blocks", f[2]);
     } else {
         out.blocks = static_cast<BlockCount>(blocks);
-        const std::string op = trim(f[3]);
+        const std::string_view op = trimView(f[3]);
         if (op == "R") {
             out.op = Op::Read;
         } else if (op == "W") {
@@ -366,21 +389,15 @@ parseMsCsvRecordLine(const std::string &trimmed, bool clamp,
         } else if (clamp && (op == "r" || op == "w")) {
             out.op = op == "r" ? Op::Read : Op::Write;
             p.clamped = true;
-            p.why = "lowercase op '" + op + "'";
+            p.why = quoted("lowercase op", op);
         } else {
-            p.why = "bad op '" + op + "'";
+            p.why = quoted("bad op", op);
         }
-        if (p.why.empty() || p.clamped) {
-            if (out.blocks == 0) {
-                if (clamp) {
-                    out.blocks = 1;
-                    p.clamped = true;
-                    p.why = "zero-length request";
-                } else {
-                    p.clamped = false;
-                    p.why = "zero-length request";
-                }
-            }
+        if ((p.why.empty() || p.clamped) && out.blocks == 0) {
+            p.clamped = clamp;
+            p.why = "zero-length request";
+            if (clamp)
+                out.blocks = 1;
         }
     }
     return p;
@@ -389,6 +406,8 @@ parseMsCsvRecordLine(const std::string &trimmed, bool clamp,
 MsRecordParse
 decodeMsRawRecord(const MsRawRecord &raw, bool clamp, Request &out)
 {
+    // Both defects are checked so a clamped record is repaired
+    // whole; `why` keeps the first one's text.
     MsRecordParse p;
     MsRawRecord r = raw;
     if (r.op > 1) {
@@ -397,8 +416,10 @@ decodeMsRawRecord(const MsRawRecord &raw, bool clamp, Request &out)
             r.op &= 1;
             p.clamped = true;
         }
-    } else if (r.blocks == 0) {
-        p.why = "zero-length request";
+    }
+    if (r.blocks == 0) {
+        if (p.why.empty())
+            p.why = "zero-length request";
         if (clamp) {
             r.blocks = 1;
             p.clamped = true;

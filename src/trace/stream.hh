@@ -24,6 +24,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/status.hh"
@@ -128,7 +129,7 @@ StatusOr<MsTrace> drainMsSource(
 // socket.
 
 /** Parse a `# dlw-ms-v1,<id>,<start>,<duration>` header line. */
-Status parseMsCsvHeaderLine(const std::string &line,
+Status parseMsCsvHeaderLine(std::string_view line,
                             MsStreamHeader &out);
 
 /**
@@ -151,7 +152,7 @@ struct MsRecordParse
  * repairs of RecordPolicy::kBestEffortClamp (lowercase ops,
  * zero-length requests).
  */
-MsRecordParse parseMsCsvRecordLine(const std::string &trimmed,
+MsRecordParse parseMsCsvRecordLine(std::string_view trimmed,
                                    bool clamp, Request &out);
 
 /** On-wire binary request record, explicitly padded to 24 bytes. */

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hh"
 #include "stats/acf.hh"
+#include "stats/simd/simd.hh"
+#include "synth/bmodel.hh"
 
 namespace dlw
 {
@@ -75,6 +79,65 @@ TEST(Acf, MaxLagClamped)
     std::vector<double> xs = {1.0, 2.0, 3.0};
     auto acf = autocorrelation(xs, 100);
     EXPECT_EQ(acf.size(), 3u); // lags 0..2
+}
+
+/**
+ * The per-lag loop autocorrelation() ran before its lag sums moved
+ * into a kernel, kept verbatim as the bit-exact oracle.
+ */
+std::vector<double>
+perLagAutocorrelation(const std::vector<double> &xs,
+                      std::size_t max_lag)
+{
+    max_lag = std::min(max_lag, xs.size() - 1);
+    const double n = static_cast<double>(xs.size());
+    double mean = 0.0;
+    for (double x : xs)
+        mean += x;
+    mean /= n;
+
+    double c0 = 0.0;
+    for (double x : xs)
+        c0 += (x - mean) * (x - mean);
+    c0 /= n;
+
+    std::vector<double> out(max_lag + 1, 0.0);
+    if (c0 == 0.0)
+        return out;
+
+    out[0] = 1.0;
+    for (std::size_t k = 1; k <= max_lag; ++k) {
+        double ck = 0.0;
+        for (std::size_t t = 0; t + k < xs.size(); ++t)
+            ck += (xs[t] - mean) * (xs[t + k] - mean);
+        ck /= n;
+        out[k] = ck / c0;
+    }
+    return out;
+}
+
+TEST(Acf, BitIdenticalToPerLagLoopOnBModelSeries)
+{
+    // analyze's shape: 720 000 bins of bursty counts, 200 lags.
+    Rng rng(11);
+    const synth::BModel bm(0.75, 20);
+    const std::vector<std::uint64_t> counts = bm.counts(rng, 3'000'000);
+    const std::vector<double> xs(counts.begin(),
+                                 counts.begin() + 720'000);
+
+    const std::vector<double> want = perLagAutocorrelation(xs, 200);
+    for (simd::Isa isa :
+         {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+        if (!simd::supported(isa))
+            continue;
+        simd::force(isa);
+        const std::vector<double> got = autocorrelation(xs, 200);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(double)))
+            << "isa=" << simd::isaName(isa);
+    }
+    simd::force(simd::bestSupported());
 }
 
 TEST(DecorrelationLag, FindsFirstDrop)

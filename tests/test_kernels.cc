@@ -25,6 +25,7 @@
 #include "core/burstiness.hh"
 #include "core/pass.hh"
 #include "core/rwmix.hh"
+#include "stats/acf.hh"
 #include "stats/histogram.hh"
 #include "stats/simd/kernels.hh"
 #include "stats/simd/simd.hh"
@@ -453,6 +454,99 @@ TEST(HistogramBatch, IdenticalToSequentialAdds)
         for (std::size_t i = 0; i < log_ref.binCount(); ++i)
             ASSERT_EQ(log_ref.binWeight(i), log_got.binWeight(i))
                 << "isa=" << isaName(isa) << " bin=" << i;
+    }
+}
+
+/** Raw bits of every element, so -0.0, NaN and inf compare exactly. */
+std::vector<std::uint64_t>
+rawBits(const std::vector<double> &xs)
+{
+    std::vector<std::uint64_t> out(xs.size());
+    std::memcpy(out.data(), xs.data(), xs.size() * sizeof(double));
+    return out;
+}
+
+/** Adversarial series for the ACF kernel: signs, denormals, spikes. */
+std::vector<double>
+acfSamples(std::size_t n)
+{
+    Rng rng(0xacf);
+    std::vector<double> xs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        switch (rng.next() % 16) {
+          case 0:
+            xs[i] = std::numeric_limits<double>::denorm_min() *
+                    static_cast<double>(rng.next() % 7);
+            break;
+          case 1:
+            xs[i] = -std::numeric_limits<double>::denorm_min();
+            break;
+          case 2:
+            xs[i] = i % 2 ? 1e300 : -1e300;
+            break;
+          default:
+            xs[i] = rng.uniform(-50.0, 50.0);
+            break;
+        }
+    }
+    return xs;
+}
+
+TEST(AcfLagsKernel, BitIdenticalAcrossIsas)
+{
+    for (std::size_t n : {std::size_t{2}, std::size_t{3},
+                          std::size_t{17}, std::size_t{4101}}) {
+        const std::vector<double> d = acfSamples(n);
+        for (std::size_t max_lag :
+             {std::size_t{1}, std::size_t{15}, std::size_t{16},
+              std::size_t{17}, std::size_t{200}, n - 1}) {
+            if (max_lag > n - 1)
+                continue;
+            // Lags 1..max_lag, as autocorrelation asks, and a block
+            // starting at lag 0.
+            for (std::size_t k : {std::size_t{1}, std::size_t{0}}) {
+                const std::size_t lags = max_lag + 1 - k;
+                std::vector<double> ref(lags, 42.0);
+                detail::kScalarOps.acf_lags(d.data(), n, k, lags,
+                                            ref.data());
+                for (Isa isa : supportedIsas()) {
+                    IsaGuard guard;
+                    force(isa);
+                    std::vector<double> got(lags, -42.0);
+                    ops().acf_lags(d.data(), n, k, lags, got.data());
+                    EXPECT_EQ(rawBits(ref), rawBits(got))
+                        << "isa=" << isaName(isa) << " n=" << n
+                        << " max_lag=" << max_lag << " k=" << k;
+                }
+            }
+        }
+    }
+}
+
+TEST(AcfLagsKernel, ScalarIsThePerLagSum)
+{
+    const std::vector<double> d = acfSamples(61);
+    std::vector<double> got(60);
+    detail::kScalarOps.acf_lags(d.data(), d.size(), 1, got.size(),
+                                got.data());
+    for (std::size_t k = 1; k <= got.size(); ++k) {
+        double ck = 0.0;
+        for (std::size_t t = 0; t + k < d.size(); ++t)
+            ck += d[t] * d[t + k];
+        EXPECT_EQ(rawBits({ck}), rawBits({got[k - 1]})) << "lag " << k;
+    }
+}
+
+TEST(AcfLagsKernel, ConstantSeriesIsAllZeroOnEveryIsa)
+{
+    const std::vector<double> xs(4101, 7.25);
+    for (Isa isa : supportedIsas()) {
+        IsaGuard guard;
+        force(isa);
+        const std::vector<double> acf = autocorrelation(xs, 200);
+        ASSERT_EQ(acf.size(), 201u);
+        EXPECT_EQ(rawBits(acf), rawBits(std::vector<double>(201, 0.0)))
+            << "isa=" << isaName(isa);
     }
 }
 

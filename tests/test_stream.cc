@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -22,6 +24,7 @@
 #include "synth/extract.hh"
 #include "synth/workload.hh"
 #include "trace/batch.hh"
+#include "trace/binio.hh"
 #include "trace/csvio.hh"
 #include "trace/source.hh"
 #include "trace/stream.hh"
@@ -190,6 +193,174 @@ TEST(StreamDecode, AbortPolicyReportsTheSameError)
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), whole.status().code());
     EXPECT_EQ(st.message(), whole.status().message());
+}
+
+// ---- Record codec: the literal corruption texts ----------------
+
+/** One CSV record parse: its `why`, and whether it was clamped. */
+std::pair<std::string, bool>
+csvWhy(const std::string &line, bool clamp,
+       trace::Request *out = nullptr)
+{
+    trace::Request r;
+    const trace::MsRecordParse p =
+        trace::parseMsCsvRecordLine(line, clamp, r);
+    if (out)
+        *out = r;
+    return {p.why, p.clamped};
+}
+
+TEST(CsvRecordLine, FieldCountTexts)
+{
+    for (bool clamp : {false, true}) {
+        EXPECT_EQ(csvWhy("1,2,3", clamp).first, "expected 4 fields");
+        EXPECT_EQ(csvWhy("1,2,3,R,x", clamp).first,
+                  "expected 4 fields");
+        EXPECT_EQ(csvWhy("1,2,3,R,", clamp).first, "expected 4 fields");
+        EXPECT_EQ(csvWhy("1", clamp).first, "expected 4 fields");
+    }
+}
+
+TEST(CsvRecordLine, PaddedFieldsParse)
+{
+    trace::Request r;
+    EXPECT_EQ(csvWhy("10 ,\t20, 8 , W", false, &r).first, "");
+    EXPECT_EQ(r.arrival, 10);
+    EXPECT_EQ(r.lba, 20u);
+    EXPECT_EQ(r.blocks, 8u);
+    EXPECT_EQ(r.op, trace::Op::Write);
+    EXPECT_EQ(csvWhy("-1,0,1,R", false, &r).first, "");
+    EXPECT_EQ(r.arrival, -1);
+}
+
+TEST(CsvRecordLine, MalformedFieldTexts)
+{
+    for (bool clamp : {false, true}) {
+        EXPECT_EQ(csvWhy("1 x ,2,3,R", clamp).first,
+                  "malformed arrival '1 x'");
+        EXPECT_EQ(csvWhy(",2,3,R", clamp).first,
+                  "malformed arrival ''");
+        EXPECT_EQ(csvWhy("+5,2,3,R", clamp).first,
+                  "malformed arrival '+5'");
+        EXPECT_EQ(csvWhy("18446744073709551616,2,3,R", clamp).first,
+                  "malformed arrival '18446744073709551616'");
+        EXPECT_EQ(csvWhy("1, ,3,R", clamp).first, "malformed lba ''");
+        EXPECT_EQ(csvWhy("1,-1,3,R", clamp).first,
+                  "malformed lba '-1'");
+        EXPECT_EQ(csvWhy("1,18446744073709551616,3,R", clamp).first,
+                  "malformed lba '18446744073709551616'");
+        EXPECT_EQ(csvWhy("1,2,+5,R", clamp).first,
+                  "malformed blocks '+5'");
+        EXPECT_EQ(csvWhy("1,2,,R", clamp).first,
+                  "malformed blocks ''");
+        EXPECT_FALSE(csvWhy("1,2,,R", clamp).second);
+    }
+}
+
+TEST(CsvRecordLine, OpTexts)
+{
+    EXPECT_EQ(csvWhy("1,2,3,", false),
+              std::make_pair(std::string("bad op ''"), false));
+    EXPECT_EQ(csvWhy("1,2,3, X", false),
+              std::make_pair(std::string("bad op 'X'"), false));
+    EXPECT_EQ(csvWhy("1,2,3,X", true),
+              std::make_pair(std::string("bad op 'X'"), false));
+    EXPECT_EQ(csvWhy("1,2,3,r", false),
+              std::make_pair(std::string("bad op 'r'"), false));
+    trace::Request r;
+    EXPECT_EQ(csvWhy("1,2,3, w", true, &r),
+              std::make_pair(std::string("lowercase op 'w'"), true));
+    EXPECT_EQ(r.op, trace::Op::Write);
+    EXPECT_EQ(r.blocks, 3u);
+}
+
+TEST(CsvRecordLine, ZeroBlocksTexts)
+{
+    trace::Request r;
+    EXPECT_EQ(csvWhy("1,2,0,R", false),
+              std::make_pair(std::string("zero-length request"), false));
+    EXPECT_EQ(csvWhy("1,2,0,R", true, &r),
+              std::make_pair(std::string("zero-length request"), true));
+    EXPECT_EQ(r.blocks, 1u);
+    // A lowercase op repaired too: the zero length names the record.
+    EXPECT_EQ(csvWhy("1,2,0,r", true, &r),
+              std::make_pair(std::string("zero-length request"), true));
+    EXPECT_EQ(r.blocks, 1u);
+    EXPECT_EQ(r.op, trace::Op::Read);
+    // A bad op is not repairable; its text wins.
+    EXPECT_EQ(csvWhy("1,2,0,Q", true),
+              std::make_pair(std::string("bad op 'Q'"), false));
+}
+
+TEST(RawRecord, BadOpAndZeroBlocksIsRepairedWhole)
+{
+    const trace::MsRawRecord raw{5, 9, 0, 7, {0, 0, 0}};
+    for (bool clamp : {false, true}) {
+        trace::Request r;
+        const trace::MsRecordParse p =
+            trace::decodeMsRawRecord(raw, clamp, r);
+        EXPECT_EQ(p.why, "bad op byte");
+        EXPECT_EQ(p.clamped, clamp);
+        if (clamp) {
+            EXPECT_EQ(r.blocks, 1u);
+            EXPECT_EQ(r.op, trace::Op::Write);
+        }
+    }
+    trace::Request r;
+    const trace::MsRecordParse zero = trace::decodeMsRawRecord(
+        trace::MsRawRecord{5, 9, 0, 1, {0, 0, 0}}, true, r);
+    EXPECT_EQ(zero.why, "zero-length request");
+    EXPECT_TRUE(zero.clamped);
+    EXPECT_EQ(r.blocks, 1u);
+}
+
+TEST(RawRecord, BadOpAndZeroBlocksUnderEveryPolicy)
+{
+    MsTrace tr("raw", 0, 1000);
+    trace::Request a;
+    a.arrival = 10;
+    a.lba = 4;
+    a.blocks = 8;
+    tr.append(a);
+    a.arrival = 20;
+    tr.append(a);
+    std::ostringstream os;
+    trace::writeMsBinary(os, tr);
+    std::string bytes = os.str();
+    // Poison the last record: zero blocks and op byte 7.
+    const std::size_t rec = bytes.size() - sizeof(trace::MsRawRecord);
+    const std::uint32_t zero = 0;
+    std::memcpy(&bytes[rec + 16], &zero, sizeof zero);
+    bytes[rec + 20] = 7;
+
+    for (trace::RecordPolicy policy :
+         {trace::RecordPolicy::kAbort,
+          trace::RecordPolicy::kSkipAndCount,
+          trace::RecordPolicy::kBestEffortClamp}) {
+        std::istringstream is(bytes);
+        trace::IngestOptions opts;
+        opts.policy = policy;
+        StatusOr<MsTrace> got =
+            trace::drainMsSource(trace::openMsBinarySource(is, opts),
+                                 nullptr);
+        const char *name = trace::recordPolicyName(policy);
+        if (policy == trace::RecordPolicy::kAbort) {
+            ASSERT_FALSE(got.ok()) << name;
+            EXPECT_NE(got.status().message().find(
+                          "bad op byte at record 1"),
+                      std::string::npos)
+                << got.status().message();
+            continue;
+        }
+        ASSERT_TRUE(got.ok()) << name << ": " << got.status().message();
+        if (policy == trace::RecordPolicy::kSkipAndCount) {
+            EXPECT_EQ(got.value().size(), 1u);
+        } else {
+            ASSERT_EQ(got.value().size(), 2u);
+            EXPECT_EQ(got.value().at(1).blocks, 1u);
+            EXPECT_EQ(got.value().at(1).op, trace::Op::Write);
+        }
+    }
 }
 
 // ---- Chunking invariance of the characterization kernels --------

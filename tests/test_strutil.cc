@@ -52,6 +52,35 @@ TEST(Trim, StripsBothEnds)
     EXPECT_EQ(trim(""), "");
 }
 
+TEST(TrimView, ViewsIntoTheSource)
+{
+    const std::string s = "  hello \t\n";
+    const std::string_view v = trimView(s);
+    EXPECT_EQ(v, "hello");
+    EXPECT_EQ(v.data(), s.data() + 2);
+    EXPECT_EQ(trimView("x"), "x");
+    EXPECT_TRUE(trimView("   ").empty());
+    EXPECT_TRUE(trimView("").empty());
+    EXPECT_EQ(trimView("\ta b\r"), "a b");
+}
+
+TEST(TryParse, TrimsAndRejectsWithoutCopying)
+{
+    std::int64_t i = 7;
+    EXPECT_TRUE(tryParseInt(" -12 ", i));
+    EXPECT_EQ(i, -12);
+    EXPECT_FALSE(tryParseInt("+5", i));
+    EXPECT_FALSE(tryParseInt("", i));
+    EXPECT_FALSE(tryParseInt("1 2", i));
+    EXPECT_EQ(i, -12); // untouched on failure
+    std::uint64_t u = 3;
+    EXPECT_TRUE(tryParseUint("\t18446744073709551615 ", u));
+    EXPECT_EQ(u, 18446744073709551615ull);
+    EXPECT_FALSE(tryParseUint("18446744073709551616", u));
+    EXPECT_FALSE(tryParseUint("-1", u));
+    EXPECT_EQ(u, 18446744073709551615ull);
+}
+
 TEST(StartsWith, Matches)
 {
     EXPECT_TRUE(startsWith("# dlw-ms-v1", "# dlw"));
