@@ -400,6 +400,8 @@ acfBlockAvx2(const double *d, std::size_t n, std::size_t k0,
         a[v] = _mm256_setzero_pd();
     for (std::size_t t = 0; t < common; ++t) {
         const __m256d x = _mm256_broadcast_sd(d + t);
+        // Fully unrolled, so the accumulators stay in registers
+        // at -O2 too.
 #pragma GCC unroll 4
         for (std::size_t v = 0; v < kVecs; ++v) {
             a[v] = _mm256_add_pd(

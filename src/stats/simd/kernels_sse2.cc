@@ -332,6 +332,8 @@ acfBlockSse2(const double *d, std::size_t n, std::size_t k0,
         a[v] = _mm_setzero_pd();
     for (std::size_t t = 0; t < common; ++t) {
         const __m128d x = _mm_set1_pd(d[t]);
+        // Fully unrolled, so the accumulators stay in registers
+        // at -O2 too.
 #pragma GCC unroll 4
         for (std::size_t v = 0; v < kVecs; ++v) {
             a[v] = _mm_add_pd(

@@ -64,7 +64,7 @@ TEST(TrimView, ViewsIntoTheSource)
     EXPECT_EQ(trimView("\ta b\r"), "a b");
 }
 
-TEST(TryParse, TrimsAndRejectsWithoutCopying)
+TEST(TryParse, TrimsAndLeavesOutputUntouchedOnFailure)
 {
     std::int64_t i = 7;
     EXPECT_TRUE(tryParseInt(" -12 ", i));
