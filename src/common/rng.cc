@@ -146,45 +146,7 @@ Rng::geometric(double p)
 std::int64_t
 Rng::zipf(std::int64_t n, double s)
 {
-    dlw_assert(n > 0, "zipf population must be positive");
-    if (n == 1)
-        return 0;
-    if (s <= 0.0)
-        return uniformInt(0, n - 1);
-
-    // Rejection-inversion (Hormann & Derflinger).  H(x) is an
-    // integrable upper envelope of the zipf pmf over ranks 1..n.
-    auto h = [s](double x) {
-        return std::pow(x, -s);
-    };
-    auto bigH = [s](double x) {
-        if (s == 1.0)
-            return std::log(x);
-        return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-    };
-    auto bigHinv = [s](double y) {
-        if (s == 1.0)
-            return std::exp(y);
-        return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
-    };
-
-    const double nd = static_cast<double>(n);
-    const double h_x1 = bigH(1.5) - h(1.0);
-    const double big_h_n = bigH(nd + 0.5);
-
-    for (int attempt = 0; attempt < 10000; ++attempt) {
-        double u = h_x1 + uniform() * (big_h_n - h_x1);
-        double x = bigHinv(u);
-        std::int64_t k = static_cast<std::int64_t>(x + 0.5);
-        if (k < 1)
-            k = 1;
-        if (k > n)
-            k = n;
-        double kd = static_cast<double>(k);
-        if (kd - x <= 0.5 || u >= bigH(kd + 0.5) - h(kd))
-            return k - 1;
-    }
-    dlw_panic("zipf rejection sampling failed to converge");
+    return ZipfSampler(n, s)(*this);
 }
 
 std::size_t
@@ -205,6 +167,62 @@ Rng::discrete(const std::vector<double> &weights)
             return i;
     }
     return weights.size() - 1;
+}
+
+ZipfSampler::ZipfSampler(std::int64_t n, double s) : n_(n), s_(s)
+{
+    dlw_assert(n > 0, "zipf population must be positive");
+    if (n > 1 && s > 0.0) {
+        h_x1_ = bigH(1.5) - h(1.0);
+        big_h_n_ = bigH(static_cast<double>(n) + 0.5);
+    }
+}
+
+double
+ZipfSampler::h(double x) const
+{
+    return std::pow(x, -s_);
+}
+
+double
+ZipfSampler::bigH(double x) const
+{
+    if (s_ == 1.0)
+        return std::log(x);
+    return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
+}
+
+double
+ZipfSampler::bigHinv(double y) const
+{
+    if (s_ == 1.0)
+        return std::exp(y);
+    return std::pow(1.0 + y * (1.0 - s_), 1.0 / (1.0 - s_));
+}
+
+std::int64_t
+ZipfSampler::operator()(Rng &rng) const
+{
+    if (n_ == 1)
+        return 0;
+    if (s_ <= 0.0)
+        return rng.uniformInt(0, n_ - 1);
+
+    // H is an integrable upper envelope of the zipf pmf over ranks
+    // 1..n.
+    for (int attempt = 0; attempt < 10000; ++attempt) {
+        double u = h_x1_ + rng.uniform() * (big_h_n_ - h_x1_);
+        double x = bigHinv(u);
+        std::int64_t k = static_cast<std::int64_t>(x + 0.5);
+        if (k < 1)
+            k = 1;
+        if (k > n_)
+            k = n_;
+        double kd = static_cast<double>(k);
+        if (kd - x <= 0.5 || u >= bigH(kd + 0.5) - h(kd))
+            return k - 1;
+    }
+    dlw_panic("zipf rejection sampling failed to converge");
 }
 
 } // namespace dlw

@@ -105,9 +105,7 @@ class Rng
     std::int64_t geometric(double p);
 
     /**
-     * Zipf-distributed integer in [0, n).
-     *
-     * Uses rejection-inversion sampling; exact for any exponent >= 0.
+     * Zipf-distributed integer in [0, n): one draw of ZipfSampler(n, s).
      *
      * @param n Population size.
      * @param s Skew exponent (0 = uniform; ~1 = classic Zipf).
@@ -130,6 +128,38 @@ class Rng
     std::mt19937_64 engine_;
     /** Seed the engine was last (re)seeded with; keys fork(stream). */
     std::uint64_t seed_;
+};
+
+/**
+ * Zipf-distributed ranks in [0, n) by rejection-inversion sampling
+ * (Hormann & Derflinger); exact for any exponent >= 0.
+ *
+ * The envelope's constants depend only on (n, s), so they are
+ * computed once, at construction, rather than on every draw.
+ */
+class ZipfSampler
+{
+  public:
+    /**
+     * @param n Population size (> 0).
+     * @param s Skew exponent (0 = uniform; ~1 = classic Zipf).
+     */
+    ZipfSampler(std::int64_t n, double s);
+
+    /** A rank in [0, n) with P(k) proportional to 1/(k+1)^s. */
+    std::int64_t operator()(Rng &rng) const;
+
+  private:
+    /** The zipf pmf's kernel x^-s. */
+    double h(double x) const;
+    /** Integral of h: the envelope, inverted by bigHinv. */
+    double bigH(double x) const;
+    double bigHinv(double y) const;
+
+    std::int64_t n_;
+    double s_;
+    double h_x1_ = 0.0;    ///< bigH(1.5) - h(1.0)
+    double big_h_n_ = 0.0; ///< bigH(n + 0.5)
 };
 
 } // namespace dlw

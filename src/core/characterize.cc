@@ -3,6 +3,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/live.hh"
 #include "core/pass.hh"
@@ -107,6 +108,51 @@ class LiveTee final : public trace::RequestSource
     Status check_;
 };
 
+/**
+ * The busy-interval half of a service log's figures: utilization at
+ * 1 s and 1 min, and the idle structure.  Counts one full
+ * millisecond-scale characterization.
+ */
+void
+addBusyProfile(DriveCharacterization &c, const disk::ServiceLog &log)
+{
+    coreMetrics().ms_runs.add(1);
+    {
+        obs::ScopedSpan stage("utilization");
+        c.util_1s = utilizationProfile(log, kSec);
+        c.util_1min = utilizationProfile(log, kMinute);
+    }
+    {
+        obs::ScopedSpan stage("idleness");
+        IdlenessAnalysis idle(log);
+        c.idle_fraction = idle.idleFraction();
+        c.mean_idle_interval = idle.meanInterval();
+        c.idle_mass_1s = idle.idleMassAtLeast(kSec);
+    }
+}
+
+/**
+ * The response half: mean, p95 and p99 of the response times, given
+ * in completion order (the mean's sum order).  Selects in place, so
+ * `responses` is left permuted.
+ */
+void
+addResponses(DriveCharacterization &c, std::vector<Tick> &responses)
+{
+    c.mean_response_ms =
+        disk::meanResponse(responses) / static_cast<double>(kMsec);
+    if (!responses.empty()) {
+        c.p95_response_ms =
+            static_cast<double>(
+                disk::selectResponseQuantile(responses, 0.95)) /
+            static_cast<double>(kMsec);
+        c.p99_response_ms =
+            static_cast<double>(
+                disk::selectResponseQuantile(responses, 0.99)) /
+            static_cast<double>(kMsec);
+    }
+}
+
 } // anonymous namespace
 
 void
@@ -134,45 +180,30 @@ serviceAndCharacterize(disk::DiskDrive &drive, trace::RequestSource &src,
                        std::size_t batch_requests)
 {
     LiveTee tee(src, drive.config().geometry.capacityBlocks());
+    // Only response times outlive the drive run: the completion log
+    // is never materialized.
+    disk::ResponseTicks responses;
     disk::ServiceLog log;
     try {
         obs::ScopedSpan stage("service");
-        log = drive.service(tee, nullptr, batch_requests);
+        log = drive.service(tee, &responses, batch_requests);
     } catch (const StatusError &e) {
         // The drive surfaces the tee's failed status as a throw.
         return e.status();
     }
     obs::ScopedSpan span("characterize");
     DriveCharacterization c = tee.finish();
-    addServiceLog(c, log);
+    addBusyProfile(c, log);
+    addResponses(c, responses.ticks);
     return c;
 }
 
 void
 addServiceLog(DriveCharacterization &c, const disk::ServiceLog &log)
 {
-    coreMetrics().ms_runs.add(1);
-    {
-        obs::ScopedSpan stage("utilization");
-        c.util_1s = utilizationProfile(log, kSec);
-        c.util_1min = utilizationProfile(log, kMinute);
-    }
-    {
-        obs::ScopedSpan stage("idleness");
-        IdlenessAnalysis idle(log);
-        c.idle_fraction = idle.idleFraction();
-        c.mean_idle_interval = idle.meanInterval();
-        c.idle_mass_1s = idle.idleMassAtLeast(kSec);
-    }
-    c.mean_response_ms = log.meanResponse() / static_cast<double>(kMsec);
-    if (!log.completions.empty()) {
-        c.p95_response_ms =
-            static_cast<double>(log.responseQuantile(0.95)) /
-            static_cast<double>(kMsec);
-        c.p99_response_ms =
-            static_cast<double>(log.responseQuantile(0.99)) /
-            static_cast<double>(kMsec);
-    }
+    addBusyProfile(c, log);
+    std::vector<Tick> responses = log.responseTimes();
+    addResponses(c, responses);
 }
 
 DriveCharacterization

@@ -80,8 +80,11 @@ StatusOr<DriveCharacterization> characterizeTrace(
 /**
  * Service a request stream through `drive` and characterize it in
  * the same trip: the drive pulls each batch through a tee that folds
- * it into a LiveCharacterization first; addServiceLog() follows.
- * Byte-identical to service() then characterizeMs().
+ * it into a LiveCharacterization first, and streams its completions
+ * into a disk::ResponseTicks, so per request only the response time
+ * (8 B) stays resident; addServiceLog()'s figures follow from the
+ * busy intervals and those ticks.  Byte-identical to service() then
+ * characterizeMs().
  *
  * @return As characterizeTrace(): a batch failing the order check
  *         ends the stream before the drive sees it.  CorruptData
@@ -94,7 +97,8 @@ StatusOr<DriveCharacterization> serviceAndCharacterize(
 
 /**
  * Extend a characterization with the service log's figures:
- * utilization, idle structure, response-time quantiles.
+ * utilization and idle structure from its busy intervals, then the
+ * mean and p95/p99 response time from its completions.
  */
 void addServiceLog(DriveCharacterization &c,
                    const disk::ServiceLog &log);

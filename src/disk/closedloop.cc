@@ -172,8 +172,13 @@ class Loop
         const std::size_t pick =
             sched_.pick(queue_, head_cylinder_, drive_.geometry);
         QueuedRequest qr = queue_[pick];
-        queue_.erase(queue_.begin() +
-                     static_cast<std::ptrdiff_t>(pick));
+        // A front pick (every FCFS pick) pops in O(1) instead of
+        // going through the general erase.
+        if (pick == 0)
+            queue_.pop_front();
+        else
+            queue_.erase(queue_.begin() +
+                         static_cast<std::ptrdiff_t>(pick));
 
         const MechanicalTime mt =
             model_.access(now + drive_.overhead, head_cylinder_,

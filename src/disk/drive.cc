@@ -47,32 +47,52 @@ ServiceLog::utilization() const
 }
 
 double
-ServiceLog::meanResponse() const
+meanResponse(const std::vector<Tick> &responses)
 {
-    if (completions.empty())
+    if (responses.empty())
         return 0.0;
     double s = 0.0;
+    for (const Tick r : responses)
+        s += static_cast<double>(r);
+    return s / static_cast<double>(responses.size());
+}
+
+Tick
+selectResponseQuantile(std::vector<Tick> &responses, double q)
+{
+    dlw_assert(q >= 0.0 && q <= 1.0, "quantile out of range");
+    dlw_assert(!responses.empty(), "quantile of empty log");
+    const auto idx = std::min(
+        static_cast<std::size_t>(
+            q * static_cast<double>(responses.size() - 1) + 0.5),
+        responses.size() - 1);
+    // Selection puts the element a full sort would hold at idx there.
+    std::nth_element(responses.begin(), responses.begin() + idx,
+                     responses.end());
+    return responses[idx];
+}
+
+std::vector<Tick>
+ServiceLog::responseTimes() const
+{
+    std::vector<Tick> rs;
+    rs.reserve(completions.size());
     for (const Completion &c : completions)
-        s += static_cast<double>(c.response());
-    return s / static_cast<double>(completions.size());
+        rs.push_back(c.response());
+    return rs;
+}
+
+double
+ServiceLog::meanResponse() const
+{
+    return disk::meanResponse(responseTimes());
 }
 
 Tick
 ServiceLog::responseQuantile(double q) const
 {
-    dlw_assert(q >= 0.0 && q <= 1.0, "quantile out of range");
-    dlw_assert(!completions.empty(), "quantile of empty log");
-    std::vector<Tick> rs;
-    rs.reserve(completions.size());
-    for (const Completion &c : completions)
-        rs.push_back(c.response());
-    const auto idx = std::min(
-        static_cast<std::size_t>(
-            q * static_cast<double>(rs.size() - 1) + 0.5),
-        rs.size() - 1);
-    // Selection puts the element a full sort would hold at idx there.
-    std::nth_element(rs.begin(), rs.begin() + idx, rs.end());
-    return rs[idx];
+    std::vector<Tick> rs = responseTimes();
+    return selectResponseQuantile(rs, q);
 }
 
 std::vector<Tick>
@@ -345,8 +365,13 @@ class Engine
         const std::size_t pick =
             sched_.pick(queue_, head_cylinder_, config_.geometry);
         QueuedRequest qr = queue_[pick];
-        queue_.erase(queue_.begin() +
-                     static_cast<std::ptrdiff_t>(pick));
+        // A front pick (every FCFS pick) pops in O(1) instead of
+        // going through the general erase.
+        if (pick == 0)
+            queue_.pop_front();
+        else
+            queue_.erase(queue_.begin() +
+                         static_cast<std::ptrdiff_t>(pick));
 
         const MechanicalTime mt = model_.access(
             now + config_.overhead, head_cylinder_, qr.req.lba,

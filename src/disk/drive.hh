@@ -82,7 +82,9 @@ struct Completion
  * with a sink therefore holds only the current batch, the in-flight
  * queue, and the (coalesced) busy intervals.  Callbacks arrive in
  * completion order, exactly the order ServiceLog::completions would
- * have been filled in.
+ * have been filled in.  The fleet folds each shard's statistics
+ * through one; `analyze` keeps only response times through
+ * ResponseTicks.
  */
 class CompletionSink
 {
@@ -91,6 +93,39 @@ class CompletionSink
 
     /** One request finished. */
     virtual void onCompletion(const Completion &c) = 0;
+};
+
+/**
+ * Mean of response times, summed in the order given (0 when empty).
+ * ServiceLog::meanResponse() and `analyze` both sum here, in
+ * completion order, so their doubles are bit-identical.
+ */
+double meanResponse(const std::vector<Tick> &responses);
+
+/**
+ * Response time at quantile q in [0, 1] (exact): the element a full
+ * sort would hold at index min(size_t(q (n-1) + 0.5), n-1), found by
+ * selection.  Permutes `responses`, which must not be empty; an
+ * order statistic does not depend on the permutation it starts from,
+ * so successive quantiles may select in the same vector.
+ */
+Tick selectResponseQuantile(std::vector<Tick> &responses, double q);
+
+/**
+ * A CompletionSink that keeps each request's response time (one Tick,
+ * 8 B) in completion order and nothing else: the whole per-request
+ * residency of a characterized run.
+ */
+class ResponseTicks final : public CompletionSink
+{
+  public:
+    void
+    onCompletion(const Completion &c) override
+    {
+        ticks.push_back(c.response());
+    }
+
+    std::vector<Tick> ticks;
 };
 
 /**
@@ -122,6 +157,9 @@ struct ServiceLog
 
     /** Busy fraction of the observation window. */
     double utilization() const;
+
+    /** Response time of every completion, in completion order. */
+    std::vector<Tick> responseTimes() const;
 
     /** Mean response time over all completions (0 when empty). */
     double meanResponse() const;

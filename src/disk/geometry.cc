@@ -87,9 +87,15 @@ DiskGeometry::makeNearline(std::uint32_t capacity_gib)
 const Zone &
 DiskGeometry::zoneOf(Lba lba) const
 {
-    for (const Zone &z : zones_) {
-        if (lba >= z.start && lba < z.end)
-            return z;
+    return zones_[zoneIndexOf(lba)];
+}
+
+std::size_t
+DiskGeometry::zoneIndexOf(Lba lba) const
+{
+    for (std::size_t i = 0; i < zones_.size(); ++i) {
+        if (lba >= zones_[i].start && lba < zones_[i].end)
+            return i;
     }
     dlw_fatal("LBA ", lba, " beyond drive capacity ", capacity_);
 }
@@ -97,14 +103,9 @@ DiskGeometry::zoneOf(Lba lba) const
 std::uint64_t
 DiskGeometry::cylinderOf(Lba lba) const
 {
-    for (std::size_t i = 0; i < zones_.size(); ++i) {
-        const Zone &z = zones_[i];
-        if (lba >= z.start && lba < z.end) {
-            return zone_first_cyl_[i] +
-                   (lba - z.start) / z.sectors_per_track;
-        }
-    }
-    dlw_fatal("LBA ", lba, " beyond drive capacity ", capacity_);
+    const std::size_t i = zoneIndexOf(lba);
+    const Zone &z = zones_[i];
+    return zone_first_cyl_[i] + (lba - z.start) / z.sectors_per_track;
 }
 
 double
@@ -119,15 +120,26 @@ DiskGeometry::angleOf(Lba lba) const
 Tick
 DiskGeometry::transferTime(Lba lba, BlockCount blocks) const
 {
+    return transferTime(lba, blocks, zoneIndexOf(lba));
+}
+
+Tick
+DiskGeometry::transferTime(Lba lba, BlockCount blocks,
+                           std::size_t zone) const
+{
     dlw_assert(blocks > 0, "transfer of zero blocks");
     dlw_assert(lba + blocks <= capacity_, "transfer beyond capacity");
+    dlw_assert(zone < zones_.size() && lba >= zones_[zone].start &&
+                   lba < zones_[zone].end,
+               "transfer starts outside its zone");
 
-    // Accumulate per-zone (bandwidth changes at zone boundaries).
+    // Accumulate per-zone (bandwidth changes at zone boundaries);
+    // zones are contiguous, so the run continues in the next one.
     double time = 0.0;
     Lba at = lba;
     BlockCount left = blocks;
-    while (left > 0) {
-        const Zone &z = zoneOf(at);
+    for (std::size_t i = zone; left > 0; ++i) {
+        const Zone &z = zones_[i];
         const Lba in_zone = std::min<Lba>(left, z.end - at);
         // One revolution moves sectors_per_track blocks under the head.
         time += static_cast<double>(in_zone) /

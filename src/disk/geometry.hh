@@ -91,6 +91,17 @@ class DiskGeometry
     /** Zone containing an LBA (fatal when out of range). */
     const Zone &zoneOf(Lba lba) const;
 
+    /** Index in zones() of the zone containing an LBA (fatal when
+     *  out of range). */
+    std::size_t zoneIndexOf(Lba lba) const;
+
+    /** First cylinder index of zones()[zone]. */
+    std::uint64_t
+    zoneFirstCylinder(std::size_t zone) const
+    {
+        return zone_first_cyl_[zone];
+    }
+
     /** Cylinder index of an LBA. */
     std::uint64_t cylinderOf(Lba lba) const;
 
@@ -103,6 +114,10 @@ class DiskGeometry
      * or initial rotational latency).
      */
     Tick transferTime(Lba lba, BlockCount blocks) const;
+
+    /** transferTime() with lba's zone index already known. */
+    Tick transferTime(Lba lba, BlockCount blocks,
+                      std::size_t zone) const;
 
     /**
      * Sustained sequential bandwidth at an LBA, in bytes/second.

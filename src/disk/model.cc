@@ -18,7 +18,9 @@ double
 DiskModel::angleAt(Tick t) const
 {
     const Tick rot = geometry_.rotationTime();
-    const Tick phase = ((t % rot) + rot) % rot;
+    Tick phase = t % rot;
+    if (phase < 0)
+        phase += rot;
     return static_cast<double>(phase) / static_cast<double>(rot);
 }
 
@@ -30,12 +32,23 @@ DiskModel::access(Tick now, std::uint64_t from_cylinder, Lba lba,
     dlw_assert(lba + blocks <= geometry_.capacityBlocks(),
                "access beyond drive capacity");
 
+    // One zone lookup serves the cylinder, the angle and the
+    // transfer: the same values cylinderOf(), angleOf() and
+    // transferTime() would each find.
+    const std::size_t zone = geometry_.zoneIndexOf(lba);
+    const Zone &z = geometry_.zones()[zone];
+    const Lba rel = lba - z.start;
+    const Lba track = rel / z.sectors_per_track;
+    const Lba offset = rel % z.sectors_per_track;
+
     MechanicalTime mt;
-    mt.seek = seek_.seekTime(from_cylinder, geometry_.cylinderOf(lba));
+    mt.seek = seek_.seekTime(from_cylinder,
+                             geometry_.zoneFirstCylinder(zone) + track);
 
     // After the seek settles, wait for the target sector's angle.
     const Tick settle = now + mt.seek;
-    const double target = geometry_.angleOf(lba);
+    const double target = static_cast<double>(offset) /
+                          static_cast<double>(z.sectors_per_track);
     const double current = angleAt(settle);
     double wait = target - current;
     if (wait < 0.0)
@@ -43,7 +56,7 @@ DiskModel::access(Tick now, std::uint64_t from_cylinder, Lba lba,
     mt.rotation = static_cast<Tick>(
         wait * static_cast<double>(geometry_.rotationTime()) + 0.5);
 
-    mt.transfer = geometry_.transferTime(lba, blocks);
+    mt.transfer = geometry_.transferTime(lba, blocks, zone);
     return mt;
 }
 

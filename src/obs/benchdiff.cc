@@ -270,6 +270,15 @@ constexpr std::string_view kUngatedMetrics[] = {
     "fleet.pool.steals",
 };
 
+/**
+ * Fewest observations a histogram needs in both runs before its p95
+ * is gated.  Below it the p95 is in effect one of the slowest few
+ * samples (a 16-shard fleet's p95 is its slowest shard) and a bench's
+ * stage histograms may see 0 or 1 samples a run, so neither the p95
+ * nor the count is stable enough to gate.
+ */
+constexpr std::uint64_t kMinGatedSamples = 32;
+
 bool
 isUngated(const std::string &metric)
 {
@@ -398,7 +407,11 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
         }
         const BenchSample &new_sample = it->second;
         const std::size_t first = result.entries.size();
+        bool ungated = isUngated(name);
         if (old_sample.type == MetricType::kHistogram) {
+            ungated = ungated ||
+                      old_sample.count < kMinGatedSamples ||
+                      new_sample.count < kMinGatedSamples;
             BenchDiffEntry count;
             count.key = name + ".count";
             count.old_value =
@@ -433,7 +446,7 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
                 std::abs(e.delta_pct) > thresholds.counter_pct;
             result.entries.push_back(e);
         }
-        if (isUngated(name)) {
+        if (ungated) {
             for (std::size_t i = first; i < result.entries.size(); ++i) {
                 result.entries[i].ungated = true;
                 result.entries[i].regressed = false;

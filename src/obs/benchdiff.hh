@@ -19,11 +19,13 @@
  *    deterministic per bench, so drift means the workload changed,
  *    which invalidates the wall-time comparison
  *
- * The one exception is a short named list of metrics that are not
- * deterministic by design: today only `fleet.pool.steals`, whose
- * value depends on thread scheduling and core count (fleet/pool.hh).
- * Such a metric is still compared and rendered, with the verdict
- * `ungated`, but never counts as a regression.
+ * Two kinds of metric are exempt.  One is a short named list of
+ * metrics that are not deterministic by design: today only
+ * `fleet.pool.steals`, whose value depends on thread scheduling and
+ * core count (fleet/pool.hh).  The other is a histogram that recorded
+ * fewer than 32 observations in either run, too few for a stable
+ * p95.  Such a metric is still compared and rendered, with the
+ * verdict `ungated`, but never counts as a regression.
  *
  * The JSON parser underneath is a minimal zero-dependency recursive
  * descent over the subset BENCH files use (objects, arrays, strings,

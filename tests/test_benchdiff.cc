@@ -291,6 +291,61 @@ TEST(BenchDiff, WallTimeStillGatedBesideSteals)
     EXPECT_FALSE(entryFor(d, "fleet.pool.steals").regressed);
 }
 
+TEST(BenchDiff, SparseHistogramIsUngated)
+{
+    // 16 observations: the p95 is the slowest shard or so, and a
+    // doubling of it is reported but does not gate.
+    const BenchDiffResult d = diffBenchReports(
+        report(2.0, 100, 16, 0.05), report(2.0, 100, 16, 0.10),
+        BenchDiffThresholds());
+    EXPECT_FALSE(d.regressed);
+    EXPECT_TRUE(entryFor(d, "demo.lat.p95").ungated);
+    EXPECT_FALSE(entryFor(d, "demo.lat.p95").regressed);
+    EXPECT_TRUE(entryFor(d, "demo.lat.count").ungated);
+    EXPECT_FALSE(entryFor(d, "demo.work").ungated);
+
+    // A stage that saw 0 samples in one run and 1 in the next: the
+    // count doubles past any drift budget, ungated too.
+    const BenchDiffResult flap = diffBenchReports(
+        report(2.0, 100, 0, 0.0), report(2.0, 100, 1, 0.2),
+        BenchDiffThresholds());
+    EXPECT_FALSE(flap.regressed);
+    EXPECT_TRUE(entryFor(flap, "demo.lat.count").ungated);
+
+    // The wall time and the counters stay gated beside it.
+    const BenchDiffResult slow = diffBenchReports(
+        report(2.0, 100, 16, 0.05), report(3.0, 130, 16, 0.05),
+        BenchDiffThresholds());
+    EXPECT_TRUE(entryFor(slow, "wall_seconds").regressed);
+    EXPECT_TRUE(entryFor(slow, "demo.work").regressed);
+
+    const std::string text = renderBenchDiff(
+        report(2.0, 100, 16, 0.05), report(2.0, 100, 16, 0.10), d);
+    const std::size_t row = text.find("demo.lat.p95");
+    ASSERT_NE(row, std::string::npos);
+    EXPECT_NE(text.find("ungated", row), std::string::npos);
+}
+
+TEST(BenchDiff, HistogramGatedFromThirtyTwoSamplesInBothRuns)
+{
+    const BenchDiffThresholds th;
+    // 31 in either run is below the minimum.
+    EXPECT_FALSE(diffBenchReports(report(2.0, 100, 31, 0.5),
+                                  report(2.0, 100, 32, 0.8), th)
+                     .regressed);
+    EXPECT_FALSE(diffBenchReports(report(2.0, 100, 32, 0.5),
+                                  report(2.0, 100, 31, 0.8), th)
+                     .regressed);
+    // 32 in both: a +60 % p95 regresses, and so does count drift.
+    const BenchDiffResult d = diffBenchReports(
+        report(2.0, 100, 32, 0.5), report(2.0, 100, 32, 0.8), th);
+    EXPECT_TRUE(entryFor(d, "demo.lat.p95").regressed);
+    EXPECT_FALSE(entryFor(d, "demo.lat.p95").ungated);
+    EXPECT_TRUE(diffBenchReports(report(2.0, 100, 40, 0.5),
+                                 report(2.0, 100, 60, 0.5), th)
+                    .regressed);
+}
+
 } // anonymous namespace
 } // namespace obs
 } // namespace dlw

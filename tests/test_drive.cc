@@ -313,6 +313,52 @@ TEST(Drive, ResponseQuantilesOrdered)
     EXPECT_LE(log.responseQuantile(0.9), log.responseQuantile(0.99));
 }
 
+TEST(Drive, ResponseTicksSinkKeepsOnlyResponseTimes)
+{
+    Rng rng(7);
+    synth::Workload w = synth::Workload::makeOltp(100000, 80.0);
+    const trace::MsTrace tr = w.generate(rng, "t", 0, 20 * kSec);
+    DiskDrive drive(testConfig(true));
+    const ServiceLog ref = drive.service(tr);
+    ASSERT_GT(ref.completions.size(), 500u);
+
+    trace::MsTraceSource src(tr);
+    ResponseTicks sink;
+    const ServiceLog log = drive.service(src, &sink, 7);
+    EXPECT_TRUE(log.completions.empty());
+    EXPECT_EQ(log.busy, ref.busy);
+    EXPECT_EQ(sink.ticks, ref.responseTimes());
+
+    // The mean sums in completion order either way: equal bits.
+    EXPECT_EQ(meanResponse(sink.ticks), ref.meanResponse());
+    // Successive selections in one vector find the order statistics
+    // the log's copy-per-call quantiles find.
+    for (const double q : {0.95, 0.99, 0.0, 0.5, 1.0})
+        EXPECT_EQ(selectResponseQuantile(sink.ticks, q),
+                  ref.responseQuantile(q))
+            << q;
+}
+
+TEST(Drive, ResponseQuantileIndexRounds)
+{
+    // Index min(size_t(q (n - 1) + 0.5), n - 1) of the sorted ticks.
+    std::vector<Tick> rs = {50, 10, 40, 20, 30};
+    EXPECT_EQ(selectResponseQuantile(rs, 0.0), 10);
+    EXPECT_EQ(selectResponseQuantile(rs, 0.12), 10); // 0.48 -> 0
+    EXPECT_EQ(selectResponseQuantile(rs, 0.125), 20); // 0.5 -> 1
+    EXPECT_EQ(selectResponseQuantile(rs, 0.95), 50);  // 4.3 -> 4
+    EXPECT_EQ(selectResponseQuantile(rs, 1.0), 50);
+    EXPECT_DOUBLE_EQ(meanResponse({}), 0.0);
+}
+
+TEST(DriveDeathTest, ResponseQuantileNeedsTicks)
+{
+    std::vector<Tick> none;
+    EXPECT_DEATH(selectResponseQuantile(none, 0.5), "empty");
+    std::vector<Tick> one = {1};
+    EXPECT_DEATH(selectResponseQuantile(one, 1.5), "out of range");
+}
+
 TEST(Drive, EmptyTraceProducesEmptyLog)
 {
     DiskDrive drive(testConfig(true));

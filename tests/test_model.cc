@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "disk/model.hh"
 
 namespace dlw
@@ -93,6 +94,84 @@ TEST(Model, DeterministicForSameInputs)
     MechanicalTime a = m.access(1000, 2, 333, 8);
     MechanicalTime b = m.access(1000, 2, 333, 8);
     EXPECT_EQ(a.total(), b.total());
+}
+
+/**
+ * access() composed from the per-query geometry calls, each of which
+ * finds the LBA's zone on its own: the definition the one-lookup
+ * access() must reproduce bit for bit.
+ */
+MechanicalTime
+composedAccess(const DiskModel &m, Tick now, std::uint64_t from,
+               Lba lba, BlockCount blocks)
+{
+    const DiskGeometry &g = m.geometry();
+    MechanicalTime mt;
+    mt.seek = m.seek().seekTime(from, g.cylinderOf(lba));
+    double wait = g.angleOf(lba) - m.angleAt(now + mt.seek);
+    if (wait < 0.0)
+        wait += 1.0;
+    mt.rotation = static_cast<Tick>(
+        wait * static_cast<double>(g.rotationTime()) + 0.5);
+    mt.transfer = g.transferTime(lba, blocks);
+    return mt;
+}
+
+TEST(Model, AccessMatchesComposedGeometryQueries)
+{
+    for (const bool nearline : {false, true}) {
+        DiskGeometry g = nearline ? DiskGeometry::makeNearline(8)
+                                  : DiskGeometry::makeEnterprise(4);
+        const SeekModel s = nearline
+            ? SeekModel::makeNearline(g.cylinders())
+            : SeekModel::makeEnterprise(g.cylinders());
+        const Lba cap = g.capacityBlocks();
+        const std::vector<Zone> zones = g.zones();
+        const DiskModel m(std::move(g), s);
+
+        Rng rng(nearline ? 41 : 40);
+        int crossings = 0;
+        for (int i = 0; i < 20000; ++i) {
+            const auto blocks = static_cast<BlockCount>(
+                rng.uniformInt(1, 4096));
+            Lba lba = 0;
+            if (i % 4 == 0) {
+                // Straddle an internal zone boundary.
+                const Zone &z = zones[static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          zones.size() - 2)))];
+                lba = z.end - static_cast<Lba>(
+                                  rng.uniformInt(1, blocks));
+            } else {
+                lba = static_cast<Lba>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(cap - blocks)));
+            }
+            if (lba + blocks > m.geometry().zoneOf(lba).end)
+                ++crossings;
+            // Negative ticks exercise angleAt's wrap below zero.
+            const Tick now = rng.uniformInt(-kSec, 3600 * kSec);
+            const auto from = static_cast<std::uint64_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(
+                       m.geometry().cylinders() - 1)));
+            const MechanicalTime got = m.access(now, from, lba, blocks);
+            const MechanicalTime want =
+                composedAccess(m, now, from, lba, blocks);
+            ASSERT_EQ(got.seek, want.seek) << "lba " << lba;
+            ASSERT_EQ(got.rotation, want.rotation) << "lba " << lba;
+            ASSERT_EQ(got.transfer, want.transfer) << "lba " << lba;
+        }
+        EXPECT_GT(crossings, 4000);
+    }
+}
+
+TEST(Model, AngleAtWrapsBelowZero)
+{
+    DiskModel m = tinyModel();
+    EXPECT_DOUBLE_EQ(m.angleAt(-2500 * kUsec), 0.75);
+    EXPECT_DOUBLE_EQ(m.angleAt(-10 * kMsec), 0.0);
+    EXPECT_DOUBLE_EQ(m.angleAt(-1),
+                     static_cast<double>(10 * kMsec - 1) /
+                         static_cast<double>(10 * kMsec));
 }
 
 TEST(ModelDeathTest, InvalidAccess)

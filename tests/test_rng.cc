@@ -208,6 +208,67 @@ TEST(Rng, ZipfSingleton)
     EXPECT_EQ(rng.zipf(1, 2.0), 0);
 }
 
+/**
+ * The per-draw rejection-inversion loop Rng::zipf ran before the
+ * envelope moved into ZipfSampler: every constant recomputed on
+ * every draw.  The oracle the sampler must match draw for draw.
+ */
+std::int64_t
+zipfPerDraw(Rng &rng, std::int64_t n, double s)
+{
+    if (n == 1)
+        return 0;
+    if (s <= 0.0)
+        return rng.uniformInt(0, n - 1);
+    auto h = [s](double x) { return std::pow(x, -s); };
+    auto bigH = [s](double x) {
+        if (s == 1.0)
+            return std::log(x);
+        return (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
+    };
+    auto bigHinv = [s](double y) {
+        if (s == 1.0)
+            return std::exp(y);
+        return std::pow(1.0 + y * (1.0 - s), 1.0 / (1.0 - s));
+    };
+    const double nd = static_cast<double>(n);
+    const double h_x1 = bigH(1.5) - h(1.0);
+    const double big_h_n = bigH(nd + 0.5);
+    for (;;) {
+        double u = h_x1 + rng.uniform() * (big_h_n - h_x1);
+        double x = bigHinv(u);
+        std::int64_t k = static_cast<std::int64_t>(x + 0.5);
+        if (k < 1)
+            k = 1;
+        if (k > n)
+            k = n;
+        double kd = static_cast<double>(k);
+        if (kd - x <= 0.5 || u >= bigH(kd + 0.5) - h(kd))
+            return k - 1;
+    }
+}
+
+TEST(ZipfSampler, DrawsMatchRngZipfAndThePerDrawLoop)
+{
+    for (const double s : {0.0, 0.8, 0.9, 1.0, 1.5}) {
+        for (const std::int64_t n : {1, 2, 512, 1024}) {
+            const ZipfSampler sampler(n, s);
+            Rng a(31), b(31), c(31);
+            for (int i = 0; i < 20000; ++i) {
+                const std::int64_t k = sampler(a);
+                ASSERT_EQ(k, b.zipf(n, s))
+                    << "s=" << s << " n=" << n << " draw " << i;
+                ASSERT_EQ(k, zipfPerDraw(c, n, s))
+                    << "s=" << s << " n=" << n << " draw " << i;
+            }
+            // Equal consumption: the streams are still in step.
+            const double next = a.uniform();
+            EXPECT_EQ(next, b.uniform());
+            EXPECT_EQ(next, c.uniform());
+        }
+    }
+}
+
 TEST(Rng, DiscreteFollowsWeights)
 {
     Rng rng(23);
