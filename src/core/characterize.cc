@@ -7,6 +7,7 @@
 
 #include "core/live.hh"
 #include "core/pass.hh"
+#include "core/prefetch.hh"
 #include "core/report.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -180,21 +181,39 @@ serviceAndCharacterize(disk::DiskDrive &drive, trace::RequestSource &src,
                        std::size_t batch_requests)
 {
     LiveTee tee(src, drive.config().geometry.capacityBlocks());
+    DriveCharacterization c;
+    // The tee runs on a producer thread a few slots ahead of the
+    // drive, and finishes the fold while the drive works through the
+    // last slots.
+    PrefetchSource ahead(tee, batch_requests, [&tee, &c] {
+        obs::ScopedSpan span("live-finish");
+        c = tee.finish();
+    });
     // Only response times outlive the drive run: the completion log
     // is never materialized.
     disk::ResponseTicks responses;
     disk::ServiceLog log;
     try {
         obs::ScopedSpan stage("service");
-        log = drive.service(tee, &responses, batch_requests);
+        log = drive.service(ahead, &responses, ahead.slotCapacity());
     } catch (const StatusError &e) {
         // The drive surfaces the tee's failed status as a throw.
         return e.status();
     }
     obs::ScopedSpan span("characterize");
-    DriveCharacterization c = tee.finish();
-    addBusyProfile(c, log);
-    addResponses(c, responses.ticks);
+    DriveCharacterization tail;
+    addBusyProfile(tail, log);
+    addResponses(tail, responses.ticks);
+    ahead.join();
+    // The producer's fold and the service log fill disjoint fields.
+    c.util_1s = std::move(tail.util_1s);
+    c.util_1min = std::move(tail.util_1min);
+    c.idle_fraction = tail.idle_fraction;
+    c.mean_idle_interval = tail.mean_idle_interval;
+    c.idle_mass_1s = tail.idle_mass_1s;
+    c.mean_response_ms = tail.mean_response_ms;
+    c.p95_response_ms = tail.p95_response_ms;
+    c.p99_response_ms = tail.p99_response_ms;
     return c;
 }
 

@@ -1,5 +1,7 @@
 #include "trace/batch.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace dlw
@@ -34,6 +36,30 @@ RequestBatch::append(const Request &req)
     lbas_.push_back(req.lba);
     blocks_.push_back(req.blocks);
     ops_.push_back(req.op);
+}
+
+void
+RequestBatch::append(const RequestBatch &other)
+{
+    dlw_assert(size() + other.size() <= capacity_,
+               "append past the batch capacity");
+    arrivals_.insert(arrivals_.end(), other.arrivals_.begin(),
+                     other.arrivals_.end());
+    lbas_.insert(lbas_.end(), other.lbas_.begin(), other.lbas_.end());
+    blocks_.insert(blocks_.end(), other.blocks_.begin(),
+                   other.blocks_.end());
+    ops_.insert(ops_.end(), other.ops_.begin(), other.ops_.end());
+}
+
+void
+RequestBatch::swap(RequestBatch &other) noexcept
+{
+    std::swap(capacity_, other.capacity_);
+    std::swap(tag_, other.tag_);
+    arrivals_.swap(other.arrivals_);
+    lbas_.swap(other.lbas_);
+    blocks_.swap(other.blocks_);
+    ops_.swap(other.ops_);
 }
 
 Request

@@ -32,6 +32,13 @@ namespace trace
 constexpr std::size_t kDefaultBatchRequests = 4096;
 
 /**
+ * Largest batch capacity a caller may ask for: 2^20 requests ~=
+ * 21 MiB of payload.  A batch reserves its whole capacity up front,
+ * so a larger request would only turn into a failed allocation.
+ */
+constexpr std::size_t kMaxBatchRequests = std::size_t{1} << 20;
+
+/**
  * A bounded chunk of a request stream, in arrival order.
  */
 class RequestBatch
@@ -57,6 +64,15 @@ class RequestBatch
 
     /** Append a request (asserts the batch is not full). */
     void append(const Request &req);
+
+    /**
+     * Append every request of `other` (asserts they fit).  The tag
+     * is left as it is.
+     */
+    void append(const RequestBatch &other);
+
+    /** Exchange contents, capacity and tag with `other`. */
+    void swap(RequestBatch &other) noexcept;
 
     /** Arrival tick of request i. */
     Tick arrival(std::size_t i) const { return arrivals_[i]; }

@@ -8,6 +8,9 @@
 
 #include "common/rng.hh"
 #include "core/burstiness.hh"
+#include "stats/acf.hh"
+#include "stats/dispersion.hh"
+#include "stats/hurst.hh"
 #include "synth/arrival.hh"
 #include "synth/bmodel.hh"
 #include "synth/workload.hh"
@@ -101,6 +104,33 @@ TEST(Burstiness, CountSeriesPathMatchesTracePath)
         EXPECT_DOUBLE_EQ(via_trace.idc[i].idc, via_series.idc[i].idc);
     // Only the trace path can compute interarrival CV.
     EXPECT_DOUBLE_EQ(via_series.interarrival_cv, 0.0);
+}
+
+TEST(Burstiness, FannedOutFinishMatchesEachEstimator)
+{
+    // 2^17 bins take the fan-out: every field must still be exactly
+    // what the estimator gives when called on its own.
+    Rng rng(8);
+    stats::BinnedSeries counts(0, 10 * kMsec, std::size_t{1} << 17);
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        counts.at(i) = static_cast<double>(rng.poisson(2.0));
+    const std::vector<std::size_t> scales = {1, 4, 16, 64, 256};
+    const BurstinessReport rep = analyzeCountSeries(counts, scales);
+    const std::vector<double> &v = counts.values();
+
+    const auto idc = stats::idcAcrossScales(counts, scales);
+    ASSERT_EQ(rep.idc.size(), idc.size());
+    for (std::size_t i = 0; i < idc.size(); ++i)
+        EXPECT_EQ(rep.idc[i].idc, idc[i].idc);
+    const stats::HurstEstimate hv = stats::hurstAggregatedVariance(v);
+    EXPECT_EQ(rep.hurst_var.h, hv.h);
+    EXPECT_EQ(rep.hurst_var.r2, hv.r2);
+    const stats::HurstEstimate hr = stats::hurstRescaledRange(v);
+    EXPECT_EQ(rep.hurst_rs.h, hr.h);
+    EXPECT_EQ(rep.hurst_rs.r2, hr.r2);
+    EXPECT_EQ(rep.acf, stats::autocorrelation(v, 200));
+    EXPECT_EQ(rep.decorrelation_lag,
+              stats::decorrelationLag(rep.acf, 0.1));
 }
 
 TEST(Burstiness, CustomScalesRespected)

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <limits>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hh"
 #include "core/characterize.hh"
+#include "core/prefetch.hh"
 #include "synth/family.hh"
 #include "synth/workload.hh"
 #include "trace/aggregate.hh"
@@ -167,20 +172,29 @@ TEST(ServiceAndCharacterize, MatchesServiceThenCharacterizeMs)
 {
     Rng rng(5);
     synth::Workload w = synth::Workload::makeOltp(1 << 22, 80.0);
-    const trace::MsTrace tr = w.generate(rng, "oltp-5", 0, 90 * kSec);
-    for (bool cache : {true, false}) {
-        disk::DriveConfig cfg = disk::DriveConfig::makeEnterprise();
-        cfg.cache.enabled = cache;
-        disk::DiskDrive drive(cfg);
-        const std::string ref =
-            characterizeMs(tr, drive.service(tr)).render();
-        for (std::size_t bs : {1, 7, 4096}) {
-            trace::MsTraceSource src(tr);
-            StatusOr<DriveCharacterization> c =
-                serviceAndCharacterize(drive, src, bs);
-            ASSERT_TRUE(c.ok()) << c.status().toString();
-            EXPECT_EQ(c.value().render(), ref)
-                << "batch " << bs << ", cache " << cache;
+    // 90 s stays under the fan-out threshold of the burstiness
+    // finish; the sparse 20-minute trace (120 000 bins of 10 ms)
+    // crosses it, so its helper threads run beside the drive.
+    synth::Workload sparse = synth::Workload::makeOltp(1 << 22, 2.0);
+    const trace::MsTrace traces[] = {
+        w.generate(rng, "oltp-5", 0, 90 * kSec),
+        sparse.generate(rng, "oltp-sparse", 0, 20 * kMinute)};
+    for (const trace::MsTrace &tr : traces) {
+        for (bool cache : {true, false}) {
+            disk::DriveConfig cfg = disk::DriveConfig::makeEnterprise();
+            cfg.cache.enabled = cache;
+            disk::DiskDrive drive(cfg);
+            const std::string ref =
+                characterizeMs(tr, drive.service(tr)).render();
+            for (std::size_t bs : {1, 7, 4096}) {
+                trace::MsTraceSource src(tr);
+                StatusOr<DriveCharacterization> c =
+                    serviceAndCharacterize(drive, src, bs);
+                ASSERT_TRUE(c.ok()) << c.status().toString();
+                EXPECT_EQ(c.value().render(), ref)
+                    << tr.driveId() << ", batch " << bs << ", cache "
+                    << cache;
+            }
         }
     }
 }
@@ -243,6 +257,134 @@ TEST(ServiceAndCharacterize, DecodeFailureReportsItsOwnStatus)
     }
     RawSource src(validRequests(1000), corrupt, 300);
     EXPECT_THROW(characterizeMs(src, disk::ServiceLog()), StatusError);
+}
+
+TEST(PrefetchSource, DeliversUpstreamInOrder)
+{
+    const std::vector<trace::Request> reqs = validRequests(20000);
+    const Status corrupt = Status::corruptData("line 12001: bad op");
+    for (std::size_t bs : {1, 7, 4096, 5000}) {
+        for (bool fail : {false, true}) {
+            RawSource src(reqs, fail ? corrupt : Status(),
+                          fail ? 12000 : reqs.size());
+            int ends = 0;
+            PrefetchSource ahead(src, bs, [&ends] { ++ends; });
+            trace::RequestBatch batch(ahead.slotCapacity());
+            std::size_t n = 0;
+            while (ahead.next(batch)) {
+                for (std::size_t i = 0; i < batch.size(); ++i, ++n) {
+                    ASSERT_LT(n, reqs.size());
+                    EXPECT_EQ(batch.arrival(i), reqs[n].arrival);
+                    EXPECT_EQ(batch.lba(i), reqs[n].lba);
+                }
+            }
+            ahead.join();
+            EXPECT_EQ(n, fail ? 12000u : reqs.size()) << "batch " << bs;
+            EXPECT_EQ(ahead.status(), fail ? corrupt : Status());
+            // on_end runs after a clean end only.
+            EXPECT_EQ(ends, fail ? 0 : 1) << "batch " << bs;
+        }
+    }
+}
+
+/** An endless source that counts its next() calls. */
+class EndlessSource final : public trace::RequestSource
+{
+  public:
+    const std::string &driveId() const override { return id_; }
+
+    Tick start() const override { return 0; }
+
+    Tick duration() const override
+    {
+        return std::numeric_limits<Tick>::max();
+    }
+
+    bool
+    next(trace::RequestBatch &batch) override
+    {
+        if (throw_at_ != 0 && calls_.load() + 1 == throw_at_)
+            throw std::runtime_error("upstream gave up");
+        batch.clear();
+        trace::Request r;
+        r.blocks = 8;
+        while (!batch.full()) {
+            r.arrival = at_++;
+            batch.append(r);
+        }
+        calls_.fetch_add(1);
+        return true;
+    }
+
+    /** next() calls that returned so far. */
+    std::size_t calls() const { return calls_.load(); }
+
+    /** Make the n-th next() call throw (1-based; 0 for never). */
+    void throwAt(std::size_t n) { throw_at_ = n; }
+
+  private:
+    std::string id_ = "endless";
+    Tick at_ = 0;
+    std::size_t throw_at_ = 0;
+    std::atomic<std::size_t> calls_{0};
+};
+
+/** Wait until `src` made `n` calls and stays there a while. */
+void
+expectProducerParkedAt(const EndlessSource &src, std::size_t n)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (src.calls() < n && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(src.calls(), n);
+}
+
+TEST(PrefetchSource, AbandonedWithAFullRingReturns)
+{
+    // The producer fills every slot, then blocks on the full ring;
+    // destroying the source must cancel and join it, not hang.
+    {
+        EndlessSource src;
+        bool ended = false;
+        {
+            PrefetchSource ahead(src, 4096, [&ended] { ended = true; });
+            expectProducerParkedAt(src, PrefetchSource::kSlots);
+        }
+        EXPECT_FALSE(ended);
+    }
+    // Likewise once the consumer took a batch and then unwinds.  The
+    // producer stays parked until only kResumeAt slots are left.
+    {
+        EndlessSource src;
+        try {
+            PrefetchSource ahead(src, 7);
+            const std::size_t per_slot = ahead.slotCapacity() / 7;
+            expectProducerParkedAt(src, PrefetchSource::kSlots * per_slot);
+            trace::RequestBatch batch(ahead.slotCapacity());
+            ASSERT_TRUE(ahead.next(batch));
+            EXPECT_EQ(batch.size(), ahead.slotCapacity());
+            expectProducerParkedAt(src, PrefetchSource::kSlots * per_slot);
+            throw std::runtime_error("consumer gave up");
+        } catch (const std::runtime_error &) {
+        }
+    }
+}
+
+TEST(PrefetchSource, UpstreamExceptionReachesTheConsumer)
+{
+    EndlessSource src;
+    src.throwAt(3);
+    PrefetchSource ahead(src, 4096);
+    trace::RequestBatch batch(ahead.slotCapacity());
+    // The two batches before the throw still arrive, in order.
+    ASSERT_TRUE(ahead.next(batch));
+    EXPECT_EQ(batch.arrival(0), 0);
+    ASSERT_TRUE(ahead.next(batch));
+    EXPECT_EQ(batch.arrival(0), 4096);
+    EXPECT_THROW(ahead.next(batch), std::runtime_error);
+    EXPECT_THROW(ahead.join(), std::runtime_error);
 }
 
 } // anonymous namespace

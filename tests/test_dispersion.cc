@@ -120,6 +120,44 @@ TEST(IdcAcrossScales, WindowWidthsReported)
     EXPECT_EQ(curve[1].windows, 256u);
 }
 
+TEST(IdcAcrossScales, MatchesAggregateReference)
+{
+    // The curve reads the series in place; it must equal, bit for
+    // bit, the IDC of each aggregate() with its partial tail dropped.
+    Rng rng(5);
+    BinnedSeries base(0, 10 * kMsec, 1000);
+    for (std::size_t i = 0; i < base.size(); ++i)
+        base.at(i) = static_cast<double>(rng.poisson(3.0)) * 0.1;
+    // 1: in place; 7 and 333: a trailing partial window; 125 and
+    // 200: whole windows only; 126 (7 windows) and 1001 (none) fall
+    // under min_windows.
+    const std::vector<std::size_t> factors = {1, 7, 125, 126, 200,
+                                              333, 1001};
+    for (std::size_t min_windows : {0, 3, 8}) {
+        std::vector<IdcPoint> ref;
+        for (std::size_t f : factors) {
+            const BinnedSeries agg = base.aggregate(f);
+            std::vector<double> v = agg.values();
+            if (base.size() % f != 0 && !v.empty())
+                v.pop_back();
+            if (v.size() < min_windows)
+                continue;
+            ref.push_back({agg.binWidth(), indexOfDispersion(v),
+                           v.size()});
+        }
+        const std::vector<IdcPoint> got =
+            idcAcrossScales(base, factors, min_windows);
+        ASSERT_EQ(got.size(), ref.size()) << "min_windows " << min_windows;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_EQ(got[i].window, ref[i].window);
+            EXPECT_EQ(got[i].windows, ref[i].windows);
+            // Bit identity, not closeness.
+            EXPECT_EQ(got[i].idc, ref[i].idc)
+                << "window " << ref[i].window;
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace stats
 } // namespace dlw

@@ -184,7 +184,7 @@ cmdConvert(const dlw::Options &opts)
     return 0;
 }
 
-/** The --batch option (streaming chunk capacity, >= 1). */
+/** The --batch option (streaming chunk capacity, 1 .. 2^20). */
 std::size_t
 batchOption(const dlw::Options &opts)
 {
@@ -193,6 +193,8 @@ batchOption(const dlw::Options &opts)
         static_cast<std::int64_t>(trace::kDefaultBatchRequests));
     if (n < 1)
         dlw_fatal("--batch must be >= 1");
+    if (static_cast<std::uint64_t>(n) > trace::kMaxBatchRequests)
+        dlw_fatal("--batch must be <= ", trace::kMaxBatchRequests);
     return static_cast<std::size_t>(n);
 }
 
