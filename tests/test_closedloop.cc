@@ -242,6 +242,45 @@ TEST(ClosedLoopGolden, SstfZeroThinkDeepQueueDigest)
         << std::hex << "got 0x" << digest.value();
 }
 
+TEST(ClosedLoopGolden, ReadMostlyCacheHitsDigest)
+{
+    // Eight clients re-read a hot set of 48 extents, larger than the
+    // 16 read segments, so hits, LRU evictions and re-reads inside a
+    // prefetch window all occur; one request in ten writes into the
+    // same set and invalidates whatever segment it overlaps.
+    // Recorded while the read segments were an array of structs
+    // scanned with early exits.
+    DriveConfig d = drive(true);
+    const Lba cap = d.geometry.capacityBlocks();
+    Fnv64 issued;
+    RequestFactory hot = [cap, &issued](Rng &rng) {
+        trace::Request r;
+        r.op = rng.bernoulli(0.1) ? trace::Op::Write : trace::Op::Read;
+        const auto extent = static_cast<Lba>(rng.uniformInt(0, 47));
+        r.lba = (extent * 7919 * 4096) % (cap - 4096) +
+                static_cast<Lba>(rng.uniformInt(0, 600));
+        r.blocks = 8 * static_cast<BlockCount>(rng.uniformInt(1, 8));
+        issued.add(r.lba);
+        issued.add(r.blocks);
+        issued.add(r.isWrite());
+        return r;
+    };
+    const ClosedLoopResult res =
+        runClosedLoop(d, hot, cfg(8, 2 * kMsec, 5 * kSec));
+
+    Fnv64 digest;
+    digest.add(issued.value());
+    digest.add(res.completed);
+    digest.add(res.cache_hits);
+    digest.addDouble(res.throughput);
+    digest.addDouble(res.mean_response);
+    digest.addDouble(res.utilization);
+    EXPECT_GT(res.cache_hits, res.completed / 5);
+    EXPECT_EQ(digest.value(), 0x0056ba83e0daed13ULL)
+        << std::hex << "got 0x" << digest.value() << std::dec
+        << " hits " << res.cache_hits << " of " << res.completed;
+}
+
 TEST(ClosedLoop, EventsAtExactlyTheDurationRun)
 {
     // One client rereads one extent with zero think time: the first

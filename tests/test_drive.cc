@@ -520,6 +520,53 @@ TEST(DriveGolden, SaturatedDeepQueueDigests)
     }
 }
 
+// The classes with the most cache hits, with the cache on: the file
+// server's Zipf re-reads hit segments all over the LRU order, and
+// the streaming class's sequential reads hit inside the prefetch
+// windows.  Streaming reads 1024-block chunks, past the default
+// 512-block look-ahead, so its case widens the look-ahead to two
+// chunks; then two reads in three hit.  Recorded while the read
+// segments were an array of structs scanned with early exits, so
+// they pin each hit's segment, each victim and each invalidation.
+TEST(DriveGolden, CacheHeavyClassDigests)
+{
+    struct Case
+    {
+        bool nearline;
+        bool streaming;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {false, false, 0xbf3357224cf99b4dULL},
+        {false, true, 0xa9418fca9817626aULL},
+        {true, false, 0xc1f5432c8778f422ULL},
+        {true, true, 0xa0a1bb5a9f5d2e72ULL},
+    };
+    for (const Case &c : cases) {
+        DriveConfig cfg = c.nearline ? DriveConfig::makeNearline()
+                                     : DriveConfig::makeEnterprise();
+        if (c.streaming)
+            cfg.cache.prefetch_blocks = 2048;
+        const Lba cap = cfg.geometry.capacityBlocks();
+        Rng rng(c.streaming ? 2018 : 2019);
+        const trace::MsTrace tr = c.streaming
+            ? synth::Workload::makeStreaming(cap, 60.0)
+                  .generate(rng, "streaming", 0, kMinute)
+            : synth::Workload::makeFileServer(cap, 150.0)
+                  .generate(rng, "fileserver", 0, kMinute);
+        const ServiceLog log = DiskDrive(cfg).service(tr);
+        const std::string what =
+            std::string(c.streaming ? "streaming" : "fileserver") +
+            (c.nearline ? " nearline" : " enterprise");
+        ASSERT_EQ(log.completions.size(), tr.size()) << what;
+        EXPECT_GT(log.read_hits, tr.size() / 20) << what;
+        EXPECT_EQ(logDigest(log), c.digest)
+            << what << std::hex << " got 0x" << logDigest(log)
+            << std::dec << " read hits " << log.read_hits << " of "
+            << tr.size();
+    }
+}
+
 TEST(DriveGolden, ArrivalAtServiceDoneIsQueuedBeforeThePick)
 {
     DriveConfig cfg = testConfig(false);
