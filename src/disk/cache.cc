@@ -1,6 +1,7 @@
 #include "disk/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -14,23 +15,33 @@ DiskCache::DiskCache(const CacheConfig &config)
 {
     if (config_.enabled) {
         dlw_assert(config_.segments > 0, "cache needs >= 1 segment");
-        segments_.resize(config_.segments);
+        dlw_assert(config_.segments <= 64,
+                   "cache supports at most 64 segments");
+        start_.assign(config_.segments, 0);
+        end_.assign(config_.segments, 0);
+        last_use_.assign(config_.segments, 0);
     }
 }
 
 bool
 DiskCache::readHit(Lba lba, BlockCount blocks)
 {
-    if (!config_.enabled)
-        return false;
     const Lba end = lba + blocks;
-    for (Segment &s : segments_) {
-        if (s.valid && lba >= s.start && end <= s.end) {
-            s.last_use = ++use_clock_;
-            return true;
-        }
+    // Bit i marks segment i; walking down from the last segment
+    // builds the mask with a shift by one per step.
+    std::uint64_t covers = 0;
+    for (std::size_t i = start_.size(); i-- > 0;) {
+        covers = covers << 1 |
+                 static_cast<std::uint64_t>((lba >= start_[i]) &
+                                            (end <= end_[i]));
     }
-    return false;
+    if (covers == 0)
+        return false;
+    // The lowest covering segment: the one a front-to-back scan
+    // would stop at.
+    last_use_[static_cast<std::size_t>(std::countr_zero(covers))] =
+        ++use_clock_;
+    return true;
 }
 
 void
@@ -38,20 +49,20 @@ DiskCache::installReadSegment(Lba lba, BlockCount blocks)
 {
     if (!config_.enabled)
         return;
-    // Victimize the least recently used (or any invalid) segment.
-    Segment *victim = &segments_[0];
-    for (Segment &s : segments_) {
-        if (!s.valid) {
-            victim = &s;
-            break;
-        }
-        if (s.last_use < victim->last_use)
-            victim = &s;
+    // Victimize the least recently used segment.  Invalid segments
+    // are stamped 0 and valid stamps are distinct and positive, so
+    // the arg-min (first index on a tie) is the first invalid
+    // segment when there is one.
+    std::size_t victim = 0;
+    std::uint64_t oldest = last_use_[0];
+    for (std::size_t i = 1; i < last_use_.size(); ++i) {
+        const bool older = last_use_[i] < oldest;
+        oldest = older ? last_use_[i] : oldest;
+        victim = older ? i : victim;
     }
-    victim->start = lba;
-    victim->end = lba + blocks + config_.prefetch_blocks;
-    victim->last_use = ++use_clock_;
-    victim->valid = true;
+    start_[victim] = lba;
+    end_[victim] = lba + blocks + config_.prefetch_blocks;
+    last_use_[victim] = ++use_clock_;
 }
 
 bool
@@ -96,8 +107,9 @@ DiskCache::popDestage()
 void
 DiskCache::clear()
 {
-    for (Segment &s : segments_)
-        s.valid = false;
+    std::fill(start_.begin(), start_.end(), 0);
+    std::fill(end_.begin(), end_.end(), 0);
+    std::fill(last_use_.begin(), last_use_.end(), 0);
     dirty_.clear();
     dirty_blocks_ = 0;
 }
@@ -106,9 +118,17 @@ void
 DiskCache::invalidateOverlapping(Lba lba, BlockCount blocks)
 {
     const Lba end = lba + blocks;
-    for (Segment &s : segments_) {
-        if (s.valid && lba < s.end && end > s.start)
-            s.valid = false;
+    std::uint64_t overlaps = 0;
+    for (std::size_t i = start_.size(); i-- > 0;) {
+        overlaps = overlaps << 1 |
+                   static_cast<std::uint64_t>((lba < end_[i]) &
+                                              (end > start_[i]));
+    }
+    for (; overlaps != 0; overlaps &= overlaps - 1) {
+        const auto i = static_cast<std::size_t>(std::countr_zero(overlaps));
+        start_[i] = 0;
+        end_[i] = 0;
+        last_use_[i] = 0;
     }
 }
 

@@ -31,7 +31,7 @@ struct CacheConfig
 {
     /** Master switch; when false every access is mechanical. */
     bool enabled = true;
-    /** Number of read look-ahead segments. */
+    /** Number of read look-ahead segments (1 .. 64). */
     std::uint32_t segments = 16;
     /** Blocks prefetched past the end of each read. */
     BlockCount prefetch_blocks = 512;
@@ -105,18 +105,18 @@ class DiskCache
     void clear();
 
   private:
-    struct Segment
-    {
-        Lba start = 0;
-        Lba end = 0;
-        std::uint64_t last_use = 0;
-        bool valid = false;
-    };
-
     void invalidateOverlapping(Lba lba, BlockCount blocks);
 
     CacheConfig config_;
-    std::vector<Segment> segments_;
+    // The read segments as parallel arrays, one entry per segment
+    // (none when the cache is off).  An invalid segment is the empty
+    // range [0, 0) stamped 0: no read or write overlaps it, and the
+    // victim arg-min takes it before any valid one.  Each lookup is
+    // one pass over all segments that builds a bitmask of matches,
+    // so at most 64 segments fit.
+    std::vector<Lba> start_;
+    std::vector<Lba> end_;
+    std::vector<std::uint64_t> last_use_;
     std::deque<DirtyExtent> dirty_;
     BlockCount dirty_blocks_ = 0;
     std::uint64_t use_clock_ = 0;

@@ -165,7 +165,7 @@ class Loop
                 const DirtyExtent e = cache_.popDestage();
                 const MechanicalTime mt = model_.access(
                     now, head_cylinder_, e.lba, e.blocks);
-                occupy(now, now + mt.total(), e.lba, e.blocks);
+                occupy(now, now + mt.total(), mt.end_cylinder);
             }
             return;
         }
@@ -186,17 +186,18 @@ class Loop
         const Tick end = now + drive_.overhead + mt.total();
         if (qr.req.isRead())
             cache_.installReadSegment(qr.req.lba, qr.req.blocks);
-        occupy(now, end, qr.req.lba, qr.req.blocks);
+        occupy(now, end, mt.end_cylinder);
         schedule(Kind::Served, end, qr.req.arrival);
     }
 
-    /** Mark the mechanism busy for [from, to). */
+    /** Mark the mechanism busy for [from, to), leaving the head at
+     *  end_cylinder. */
     void
-    occupy(Tick from, Tick to, Lba lba, BlockCount blocks)
+    occupy(Tick from, Tick to, std::uint64_t end_cylinder)
     {
         busy_ = true;
         busy_time_ += to - from;
-        head_cylinder_ = model_.endCylinder(lba, blocks);
+        head_cylinder_ = end_cylinder;
         schedule(Kind::Free, to);
     }
 

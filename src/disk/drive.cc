@@ -383,7 +383,7 @@ class Engine
         else
             ++log_.write_through;
 
-        head_cylinder_ = model_.endCylinder(qr.req.lba, qr.req.blocks);
+        head_cylinder_ = mt.end_cylinder;
         addBusy(now, finish);
         busy_ = true;
         complete(qr, now, finish, false);
@@ -415,7 +415,7 @@ class Engine
         const MechanicalTime mt =
             model_.access(now, head_cylinder_, e.lba, e.blocks);
         const Tick finish = now + mt.total();
-        head_cylinder_ = model_.endCylinder(e.lba, e.blocks);
+        head_cylinder_ = mt.end_cylinder;
         addBusy(now, finish);
         busy_ = true;
         ++log_.destages;

@@ -32,18 +32,19 @@ DiskModel::access(Tick now, std::uint64_t from_cylinder, Lba lba,
     dlw_assert(lba + blocks <= geometry_.capacityBlocks(),
                "access beyond drive capacity");
 
-    // One zone lookup serves the cylinder, the angle and the
-    // transfer: the same values cylinderOf(), angleOf() and
-    // transferTime() would each find.
+    // One zone lookup serves the cylinder, the angle, the transfer
+    // and the end cylinder: the same values cylinderOf(), angleOf(),
+    // transferTime() and endCylinder() would each find.
     const std::size_t zone = geometry_.zoneIndexOf(lba);
     const Zone &z = geometry_.zones()[zone];
     const Lba rel = lba - z.start;
     const Lba track = rel / z.sectors_per_track;
     const Lba offset = rel % z.sectors_per_track;
+    const std::uint64_t cylinder =
+        geometry_.zoneFirstCylinder(zone) + track;
 
     MechanicalTime mt;
-    mt.seek = seek_.seekTime(from_cylinder,
-                             geometry_.zoneFirstCylinder(zone) + track);
+    mt.seek = seek_.seekTime(from_cylinder, cylinder);
 
     // After the seek settles, wait for the target sector's angle.
     const Tick settle = now + mt.seek;
@@ -57,6 +58,11 @@ DiskModel::access(Tick now, std::uint64_t from_cylinder, Lba lba,
         wait * static_cast<double>(geometry_.rotationTime()) + 0.5);
 
     mt.transfer = geometry_.transferTime(lba, blocks, zone);
+    // The last block lies (offset + blocks - 1) / sectors_per_track
+    // tracks past the first, unless the run leaves the zone.
+    mt.end_cylinder = blocks <= z.end - lba
+        ? cylinder + (offset + blocks - 1) / z.sectors_per_track
+        : endCylinder(lba, blocks);
     return mt;
 }
 

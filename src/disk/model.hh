@@ -27,6 +27,8 @@ struct MechanicalTime
     Tick seek = 0;
     Tick rotation = 0;
     Tick transfer = 0;
+    /** Cylinder of the access's last block, where the head rests. */
+    std::uint64_t end_cylinder = 0;
 
     /** Total mechanical time. */
     Tick total() const { return seek + rotation + transfer; }
@@ -59,12 +61,14 @@ class DiskModel
      * @param from_cylinder Head position before the access.
      * @param lba           First block of the access.
      * @param blocks        Access length in blocks.
-     * @return Time breakdown; the head ends at cylinderOf(last block).
+     * @return Time breakdown and the head's end cylinder, the one
+     *         endCylinder(lba, blocks) names.
      */
     MechanicalTime access(Tick now, std::uint64_t from_cylinder,
                           Lba lba, BlockCount blocks) const;
 
-    /** Cylinder where the head rests after the access. */
+    /** Cylinder where the head rests after the access (access()
+     *  returns it as MechanicalTime::end_cylinder). */
     std::uint64_t endCylinder(Lba lba, BlockCount blocks) const;
 
   private:

@@ -159,6 +159,8 @@ TEST(Model, AccessMatchesComposedGeometryQueries)
             ASSERT_EQ(got.seek, want.seek) << "lba " << lba;
             ASSERT_EQ(got.rotation, want.rotation) << "lba " << lba;
             ASSERT_EQ(got.transfer, want.transfer) << "lba " << lba;
+            ASSERT_EQ(got.end_cylinder, m.endCylinder(lba, blocks))
+                << "lba " << lba;
         }
         EXPECT_GT(crossings, 4000);
     }
