@@ -9,6 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <map>
 
 #include "common/rng.hh"
@@ -287,6 +291,143 @@ TEST(Rng, DiscreteZeroWeightNeverChosen)
     std::vector<double> w = {0.0, 1.0};
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(rng.discrete(w), 1u);
+}
+
+/** 64-bit FNV-1a over a sequence of integers (8 LE bytes each). */
+class Fnv64
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/** The bit pattern of a double, so digests see every bit of a draw. */
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+// Recorded while Rng wrapped std::mt19937_64 and drew every variate
+// through the std:: distributions, so they pin each method's exact
+// output stream: any change to the engine, the canonical draw or a
+// distribution's arithmetic shows up here.
+TEST(RngGolden, DrawDigests)
+{
+    constexpr int kDraws = 100000;
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const std::vector<double> weights = {1.0, 0.0, 2.5, 4.0};
+    using Draw = std::function<std::uint64_t(Rng &, int)>;
+    auto u64 = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+
+    struct Case
+    {
+        const char *name;
+        Draw draw;
+        std::uint64_t digest[2];
+    };
+    const Case cases[] = {
+        {"engine", [](Rng &r, int) { return r.engine()(); },
+         {0xa779e29a82055ce6ULL, 0x49b9ca2e2fc7e8a1ULL}},
+        {"fork", [](Rng &r, int) { return r.fork().engine()(); },
+         {0x1d3da88bdbcb8dceULL, 0x76d1f954bfe01b61ULL}},
+        {"fork(stream)",
+         [](Rng &r, int i) {
+             return r.fork(static_cast<std::uint64_t>(i)).engine()();
+         },
+         {0xbc082ed80da53647ULL, 0x1158fc4341e51576ULL}},
+        {"uniform", [](Rng &r, int) { return bitsOf(r.uniform()); },
+         {0x3147b4440c95b0b8ULL, 0xff6ffd5a6078163cULL}},
+        {"uniform(lo, hi)",
+         [](Rng &r, int) { return bitsOf(r.uniform(-3.5, 12.25)); },
+         {0xad762db1e0c8c502ULL, 0x9965fcd8af7c633ULL}},
+        {"uniformInt",
+         [&](Rng &r, int i) {
+             switch (i % 4) {
+               case 0: return u64(r.uniformInt(0, 1));
+               case 1: return u64(r.uniformInt(-7, 1000003));
+               case 2: return u64(r.uniformInt(5, 5));
+               default: return u64(r.uniformInt(kMin, kMax));
+             }
+         },
+         {0x8347a481ad592c15ULL, 0x6fefb8cde612aaf4ULL}},
+        {"bernoulli",
+         [](Rng &r, int i) {
+             // p <= 0 and p >= 1 draw nothing; the cycle checks that
+             // they leave the stream where it was.
+             static const double ps[] = {-0.25, 0.0, 0.3, 1.0,
+                                         1.75,  0.9, 1e-9};
+             return std::uint64_t{r.bernoulli(ps[i % 7])};
+         },
+         {0xf1f1eae2cf9b7e85ULL, 0x9d165db09a4060e4ULL}},
+        {"exponential",
+         [](Rng &r, int) { return bitsOf(r.exponential(2.5)); },
+         {0x3d174ce0110d233eULL, 0x71f045cae670d91cULL}},
+        {"normal", [](Rng &r, int) { return bitsOf(r.normal(1.0, 3.0)); },
+         {0x47c5af90dcc74aedULL, 0xd88ac1eb0b956e37ULL}},
+        {"lognormal",
+         [](Rng &r, int) { return bitsOf(r.lognormal(0.5, 1.2)); },
+         {0xd4f52055e47c7cd4ULL, 0x87b345871d8ac4a7ULL}},
+        {"pareto", [](Rng &r, int) { return bitsOf(r.pareto(1.5, 2.0)); },
+         {0x7f0846cc33320390ULL, 0xd9f41b03a27275f3ULL}},
+        {"boundedPareto",
+         [](Rng &r, int) {
+             return bitsOf(r.boundedPareto(1.2, 1.0, 1000.0));
+         },
+         {0x2046dee4f80b16f9ULL, 0xdf68276a2b707f1ULL}},
+        {"weibull",
+         [](Rng &r, int) { return bitsOf(r.weibull(1.7, 4.0)); },
+         {0x6f8799d211a7e791ULL, 0x7a6a66053b74f4b7ULL}},
+        {"poisson",
+         [&](Rng &r, int i) {
+             // Below 12 and from 12 up take different algorithms.
+             static const double means[] = {0.0,  0.7,  5.5, 11.99,
+                                            12.0, 40.0, 1e4};
+             return u64(r.poisson(means[i % 7]));
+         },
+         {0xb81f0022d43b09d7ULL, 0xdfd48ef0b81e1e55ULL}},
+        {"geometric",
+         [&](Rng &r, int i) {
+             static const double ps[] = {0.2, 1.0, 0.999, 1e-3};
+             return u64(r.geometric(ps[i % 4]));
+         },
+         {0xdd0d8066563740f4ULL, 0xd043fab99a089dfdULL}},
+        {"zipf",
+         [&](Rng &r, int i) {
+             static const double ss[] = {0.0, 0.9, 1.0, 1.5};
+             return u64(r.zipf(i % 5 == 0 ? 1 : 1000, ss[i % 4]));
+         },
+         {0x3f68e5f6aa889b0aULL, 0x341ce05d7c85ce4bULL}},
+        {"discrete",
+         [&](Rng &r, int) { return std::uint64_t{r.discrete(weights)}; },
+         {0x6349c5547022cc24ULL, 0x4ec5fe9472cf0ec5ULL}},
+    };
+    const std::uint64_t seeds[2] = {0x5eedf00dULL, 2009};
+    for (const Case &c : cases) {
+        for (int s = 0; s < 2; ++s) {
+            Rng rng(seeds[s]);
+            Fnv64 d;
+            for (int i = 0; i < kDraws; ++i)
+                d.add(c.draw(rng, i));
+            EXPECT_EQ(d.value(), c.digest[s])
+                << c.name << " seed " << seeds[s] << std::hex
+                << " got 0x" << d.value();
+        }
+    }
 }
 
 TEST(RngDeathTest, InvalidParameters)

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.hh"
+#include "disk/drive.hh"
 #include "synth/bmodel.hh"
 #include "synth/workload.hh"
 
@@ -136,6 +139,101 @@ TEST(Workload, DeterministicForSameSeed)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(a.at(i) == b.at(i));
+}
+
+/** 64-bit FNV-1a over a sequence of integers (8 LE bytes each). */
+class Fnv64
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/** Drain a source the way the fleet does and digest every request. */
+std::uint64_t
+streamDigest(trace::RequestSource &src, std::size_t *count)
+{
+    Fnv64 d;
+    trace::RequestBatch batch;
+    *count = 0;
+    while (src.next(batch)) {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            d.add(static_cast<std::uint64_t>(batch.arrival(i)));
+            d.add(batch.lba(i));
+            d.add(batch.blocks(i));
+            d.add(static_cast<std::uint64_t>(batch.op(i)));
+        }
+        *count += batch.size();
+    }
+    return d.value();
+}
+
+// Recorded while Rng wrapped std::mt19937_64 and the std::
+// distributions.  Each class is seeded as a fleet drive is (a keyed
+// fork, then one raw draw for the workload's own seed), so these pin
+// the exact request stream every fleet figure is computed from.
+TEST(WorkloadGolden, ClassStreamDigests)
+{
+    const Lba cap =
+        disk::DriveConfig::makeEnterprise().geometry.capacityBlocks();
+    const Tick window = 10 * kMinute;
+    constexpr double kRate = 120.0;
+
+    struct Case
+    {
+        const char *klass;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {"oltp", 0xa8ae2fffc062e2feULL},
+        {"fileserver", 0xf67c45e13697afd8ULL},
+        {"streaming", 0x1d89f6c9c6af39a2ULL},
+        {"backup", 0x2705d1f4be5b17f0ULL},
+    };
+    std::uint64_t index = 0;
+    for (const Case &c : cases) {
+        Rng rng = Rng(2009).fork(index++);
+        const std::uint64_t wseed = rng.engine()();
+        const std::string klass = c.klass;
+        const Workload w = klass == "oltp"
+            ? Workload::makeOltp(cap, kRate, wseed)
+            : klass == "fileserver"
+            ? Workload::makeFileServer(cap, kRate, wseed)
+            : klass == "streaming" ? Workload::makeStreaming(cap, kRate)
+                                   : Workload::makeBackup(cap, kRate);
+        WorkloadSource src = w.openSource(rng, klass, 0, window);
+        std::size_t count = 0;
+        const std::uint64_t digest = streamDigest(src, &count);
+        EXPECT_GT(count, 50000u) << klass;
+        EXPECT_EQ(digest, c.digest)
+            << klass << std::hex << " got 0x" << digest << std::dec
+            << " over " << count << " requests";
+    }
+
+    // Arrivals drawn outside the workload: a b-model cascade.
+    Rng rng(2010);
+    const Workload w = Workload::makeFileServer(cap, kRate, 3);
+    std::vector<Tick> arrivals =
+        BModel(0.8, 12).arrivals(rng, 0, window, 72000);
+    WorkloadSource src =
+        w.openSourceFromArrivals(rng, "bmodel", 0, window,
+                                 std::move(arrivals));
+    std::size_t count = 0;
+    const std::uint64_t digest = streamDigest(src, &count);
+    EXPECT_EQ(count, 72000u);
+    EXPECT_EQ(digest, 0x9c1aded850b98d27ULL)
+        << "bmodel" << std::hex << " got 0x" << digest;
 }
 
 TEST(WorkloadDeathTest, MissingComponents)
