@@ -1,8 +1,7 @@
 #include "common/rng.hh"
 
 #include <cmath>
-
-#include "common/logging.hh"
+#include <random>
 
 namespace dlw
 {
@@ -21,9 +20,39 @@ splitmix(std::uint64_t z)
 
 } // anonymous namespace
 
-Rng::Rng(std::uint64_t seed)
-    : engine_(seed), seed_(seed)
+void
+Mt19937_64::seed(result_type value)
 {
+    state_[0] = value;
+    for (std::size_t i = 1; i < kStateWords; ++i) {
+        const result_type prev = state_[i - 1];
+        state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+    pos_ = kStateWords;
+}
+
+void
+Mt19937_64::refill()
+{
+    constexpr std::size_t kShift = 156;
+    constexpr result_type kUpper = ~result_type{0} << 31;
+    constexpr result_type kLower = ~kUpper;
+    constexpr result_type kTwist = 0xb5026f5aa96619e9ULL;
+    // The twist constant is applied when y's low bit is set; the mask
+    // 0 - (y & 1) selects it without a branch on that random bit.
+    auto twist = [](result_type upper, result_type lower) {
+        const result_type y = (upper & kUpper) | (lower & kLower);
+        return (y >> 1) ^ ((0 - (y & 1)) & kTwist);
+    };
+    std::size_t k = 0;
+    for (; k < kStateWords - kShift; ++k)
+        state_[k] = state_[k + kShift] ^ twist(state_[k], state_[k + 1]);
+    for (; k < kStateWords - 1; ++k) {
+        state_[k] = state_[k + kShift - kStateWords] ^
+                    twist(state_[k], state_[k + 1]);
+    }
+    state_[k] = state_[kShift - 1] ^ twist(state_[k], state_[0]);
+    pos_ = 0;
 }
 
 void
@@ -50,53 +79,11 @@ Rng::fork(std::uint64_t stream) const
     return Rng(splitmix(seed_ + (stream + 1) * 0x9e3779b97f4a7c15ULL));
 }
 
-double
-Rng::uniform()
-{
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    dlw_assert(lo <= hi, "uniform bounds inverted");
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
-}
-
 std::int64_t
 Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 {
     dlw_assert(lo <= hi, "uniformInt bounds inverted");
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return std::bernoulli_distribution(p)(engine_);
-}
-
-double
-Rng::exponential(double mean)
-{
-    dlw_assert(mean > 0.0, "exponential mean must be positive");
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
-}
-
-double
-Rng::normal(double mean, double stddev)
-{
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-}
-
-double
-Rng::lognormal(double mu, double sigma)
-{
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
 }
 
 double
@@ -118,13 +105,6 @@ Rng::boundedPareto(double shape, double scale, double bound)
     double u = uniform();
     double x = -(u * h_a - u * l_a - h_a) / (h_a * l_a);
     return std::pow(x, -1.0 / shape);
-}
-
-double
-Rng::weibull(double shape, double scale)
-{
-    dlw_assert(shape > 0.0 && scale > 0.0, "weibull parameters invalid");
-    return std::weibull_distribution<double>(shape, scale)(engine_);
 }
 
 std::int64_t

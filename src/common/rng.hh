@@ -4,20 +4,92 @@
  *
  * Every stochastic component in dlw draws from an Rng handed to it by
  * its owner, so a whole experiment is reproducible from a single seed.
- * The class wraps std::mt19937_64 and adds the distributions the
- * synthetic-trace generators need (including heavy-tailed ones that
- * the standard library does not provide directly).
+ *
+ * The engine is dlw's own MT19937-64 (Mt19937_64): the same seeding
+ * and the same outputs as std::mt19937_64, with a refill that picks
+ * the twist constant by mask instead of by branch.  The hot
+ * distributions (uniform, bernoulli, exponential, normal, lognormal,
+ * weibull) are inline here, written as the exact expressions
+ * libstdc++'s distributions evaluate over one canonical draw
+ * (canonicalDouble), so a stream depends on dlw's code and libm, not
+ * on a standard library's distribution internals.  The rest of the
+ * menu, including the heavy-tailed variates the standard library does
+ * not provide directly, lives in rng.cc.
  */
 
 #ifndef DLW_COMMON_RNG_HH
 #define DLW_COMMON_RNG_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <random>
 #include <vector>
+
+#include "common/logging.hh"
 
 namespace dlw
 {
+
+/**
+ * 64-bit Mersenne Twister with the standard's MT19937-64 parameters.
+ *
+ * Seeds and outputs match std::mt19937_64 word for word.  operator()
+ * is inline; refill() regenerates all 312 words at once, out of line,
+ * without a data-dependent branch.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    static constexpr std::size_t kStateWords = 312;
+    static constexpr result_type kDefaultSeed = 5489;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    explicit Mt19937_64(result_type value = kDefaultSeed) { seed(value); }
+
+    /** Re-seed exactly as std::mt19937_64::seed(value) does. */
+    void seed(result_type value);
+
+    /** The next tempered output word. */
+    result_type
+    operator()()
+    {
+        if (pos_ >= kStateWords)
+            refill();
+        result_type z = state_[pos_++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        return z ^ (z >> 43);
+    }
+
+  private:
+    /** Twist the whole state and rewind to its first word. */
+    void refill();
+
+    result_type state_[kStateWords];
+    std::size_t pos_ = kStateWords;
+};
+
+/**
+ * libstdc++'s generate_canonical<double, 53> over one 64-bit draw:
+ * the draw rounded once to double, scaled by 2^-64, and a result that
+ * rounds up to 1 mapped to the largest double below 1.
+ *
+ * The draw is split into two 32-bit halves, each exact as a double,
+ * so their sum rounds exactly as the direct conversion would; this
+ * avoids the sign-bit branch of a uint64 -> double conversion.
+ */
+inline double
+canonicalDouble(std::uint64_t x)
+{
+    const double d = static_cast<double>(x >> 32) * 0x1p32 +
+                     static_cast<double>(x & 0xffffffffULL);
+    return std::min(d * 0x1p-64, 0x1.fffffffffffffp-1);
+}
 
 /**
  * Seedable random source with the distribution menu used across dlw.
@@ -26,7 +98,10 @@ class Rng
 {
   public:
     /** Construct from an explicit seed (default gives a fixed seed). */
-    explicit Rng(std::uint64_t seed = 0x5eedf00dULL);
+    explicit Rng(std::uint64_t seed = 0x5eedf00dULL)
+        : engine_(seed), seed_(seed)
+    {
+    }
 
     /** Re-seed the underlying engine. */
     void reseed(std::uint64_t seed);
@@ -58,25 +133,61 @@ class Rng
     Rng fork(std::uint64_t stream) const;
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform() { return canonicalDouble(engine_()); }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double
+    uniform(double lo, double hi)
+    {
+        dlw_assert(lo <= hi, "uniform bounds inverted");
+        return uniform() * (hi - lo) + lo;
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
     /** Bernoulli trial with success probability p. */
-    bool bernoulli(double p);
+    bool
+    bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /** Exponential variate with the given mean (mean > 0). */
-    double exponential(double mean);
+    double
+    exponential(double mean)
+    {
+        dlw_assert(mean > 0.0, "exponential mean must be positive");
+        return -std::log(1.0 - uniform()) / (1.0 / mean);
+    }
 
-    /** Normal variate. */
-    double normal(double mean, double stddev);
+    /**
+     * Normal variate by the polar method.  Each call draws a fresh
+     * pair and returns its second member; the first is dropped, as a
+     * freshly constructed std::normal_distribution would.
+     */
+    double
+    normal(double mean, double stddev)
+    {
+        double x, y, r2;
+        do {
+            x = 2.0 * uniform() - 1.0;
+            y = 2.0 * uniform() - 1.0;
+            r2 = x * x + y * y;
+        } while (r2 > 1.0 || r2 == 0.0);
+        return y * std::sqrt(-2 * std::log(r2) / r2) * stddev + mean;
+    }
 
     /** Lognormal variate with the given log-space parameters. */
-    double lognormal(double mu, double sigma);
+    double
+    lognormal(double mu, double sigma)
+    {
+        return std::exp(sigma * normal(0.0, 1.0) + mu);
+    }
 
     /**
      * Pareto (type I) variate.
@@ -96,7 +207,13 @@ class Rng
     double boundedPareto(double shape, double scale, double bound);
 
     /** Weibull variate with the given shape and scale. */
-    double weibull(double shape, double scale);
+    double
+    weibull(double shape, double scale)
+    {
+        dlw_assert(shape > 0.0 && scale > 0.0,
+                   "weibull parameters invalid");
+        return scale * std::pow(-std::log(1.0 - uniform()), 1.0 / shape);
+    }
 
     /** Poisson count with the given mean. */
     std::int64_t poisson(double mean);
@@ -122,10 +239,10 @@ class Rng
     std::size_t discrete(const std::vector<double> &weights);
 
     /** Access the raw engine for use with std:: distributions. */
-    std::mt19937_64 &engine() { return engine_; }
+    Mt19937_64 &engine() { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
     /** Seed the engine was last (re)seeded with; keys fork(stream). */
     std::uint64_t seed_;
 };

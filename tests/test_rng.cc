@@ -14,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <random>
 
 #include "common/rng.hh"
 
@@ -429,6 +430,121 @@ TEST(RngGolden, DrawDigests)
         }
     }
 }
+
+TEST(Mt19937_64, TenThousandthOutputOfTheDefaultSeed)
+{
+    // The value the C++ standard gives for mt19937_64 ([rand.predef]).
+    Mt19937_64 e;
+    for (int i = 1; i < 10000; ++i)
+        e();
+    EXPECT_EQ(e(), 9981545732273789042ULL);
+}
+
+TEST(CanonicalDouble, RoundsOnceAndStaysBelowOne)
+{
+    EXPECT_EQ(bitsOf(canonicalDouble(0)), bitsOf(0.0));
+    EXPECT_EQ(canonicalDouble(1), 0x1p-64);
+    EXPECT_EQ(canonicalDouble(1ULL << 63), 0.5);
+    // 2^63 + 1024 is half an ulp above 2^63: the tie goes to even.
+    EXPECT_EQ(canonicalDouble(0x8000000000000400ULL), 0.5);
+    EXPECT_EQ(canonicalDouble(0x8000000000000401ULL), 0.5 + 0x1p-53);
+    EXPECT_EQ(canonicalDouble(~0ULL), std::nextafter(1.0, 0.0));
+}
+
+#ifdef __GLIBCXX__
+
+TEST(Mt19937_64, MatchesTheStandardEngine)
+{
+    // Past three refills, so the twist's wrap-around words are used.
+    constexpr int kWords =
+        3 * static_cast<int>(Mt19937_64::kStateWords) + 7;
+    const std::uint64_t seeds[] = {0, 1, 5489, 0x5eedf00d, 2009, ~0ULL};
+    for (const std::uint64_t seed : seeds) {
+        Mt19937_64 ours(seed);
+        std::mt19937_64 theirs(seed);
+        for (int i = 0; i < kWords; ++i)
+            ASSERT_EQ(ours(), theirs())
+                << "seed " << seed << " word " << i;
+        // Re-seeding mid-block rewinds to a fresh state in both.
+        ours.seed(seed ^ 0x9e3779b97f4a7c15ULL);
+        theirs.seed(seed ^ 0x9e3779b97f4a7c15ULL);
+        for (int i = 0; i < kWords; ++i)
+            ASSERT_EQ(ours(), theirs())
+                << "reseeded " << seed << " word " << i;
+
+        Rng rng(seed);
+        std::mt19937_64 oracle(seed);
+        for (int i = 0; i < 400; ++i)
+            ASSERT_EQ(rng.engine()(), oracle());
+        rng.reseed(seed + 1);
+        oracle.seed(seed + 1);
+        for (int i = 0; i < kWords; ++i)
+            ASSERT_EQ(rng.engine()(), oracle())
+                << "Rng::reseed word " << i;
+    }
+}
+
+/** A generator that returns one fixed 64-bit word forever. */
+struct FixedWord
+{
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() { return word; }
+    result_type word;
+};
+
+TEST(CanonicalDouble, MatchesGenerateCanonical)
+{
+    const std::uint64_t words[] = {
+        0,
+        1,
+        (1ULL << 53) - 1,
+        1ULL << 53,
+        (1ULL << 53) + 1,
+        1ULL << 63,
+        0x8000000000000400ULL, // a tie: rounds to even, 2^63
+        0x80000000000003ffULL,
+        0x8000000000000401ULL,
+        ~0ULL - 1023, // 2^64 - 1024
+        ~0ULL,        // rounds up to 2^64: mapped below 1
+    };
+    for (const std::uint64_t x : words) {
+        FixedWord g{x};
+        EXPECT_EQ(bitsOf(canonicalDouble(x)),
+                  bitsOf(std::generate_canonical<double, 53>(g)))
+            << std::hex << "0x" << x;
+    }
+}
+
+// The inline draws against the std:: distributions they replaced,
+// each over its own std::mt19937_64 (a fresh distribution per draw,
+// as the old Rng constructed one per call).
+TEST(Rng, InlineDrawsMatchTheStandardDistributions)
+{
+    constexpr int kDraws = 20000;
+    Rng rng(77);
+    std::mt19937_64 e(77);
+    using Real = std::uniform_real_distribution<double>;
+    for (int i = 0; i < kDraws; ++i) {
+        ASSERT_EQ(bitsOf(rng.uniform()), bitsOf(Real(0.0, 1.0)(e)));
+        ASSERT_EQ(bitsOf(rng.uniform(-2.0, 7.5)), bitsOf(Real(-2.0, 7.5)(e)));
+        const double p = (i % 9) / 8.0 * 0.98 + 0.01;
+        ASSERT_EQ(rng.bernoulli(p), std::bernoulli_distribution(p)(e));
+        ASSERT_EQ(
+            bitsOf(rng.exponential(0.3)),
+            bitsOf(std::exponential_distribution<double>(1.0 / 0.3)(e)));
+        ASSERT_EQ(bitsOf(rng.normal(-1.0, 2.5)),
+                  bitsOf(std::normal_distribution<double>(-1.0, 2.5)(e)));
+        ASSERT_EQ(bitsOf(rng.lognormal(1.5, 0.8)),
+                  bitsOf(std::lognormal_distribution<double>(1.5, 0.8)(e)));
+        ASSERT_EQ(bitsOf(rng.weibull(0.7, 3.0)),
+                  bitsOf(std::weibull_distribution<double>(0.7, 3.0)(e)))
+            << "draw " << i;
+    }
+}
+
+#endif // __GLIBCXX__
 
 TEST(RngDeathTest, InvalidParameters)
 {
