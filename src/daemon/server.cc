@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sstream>
@@ -125,17 +124,6 @@ tracedShed(const std::string &trace_id)
         return;
     obs::emitInstant(
         obs::internTimelineName("trace/" + trace_id + "/server.shed"));
-}
-
-Status
-setNonBlocking(int fd)
-{
-    const int flags = fcntl(fd, F_GETFL, 0);
-    if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-        return Status::ioError(std::string("fcntl O_NONBLOCK: ") +
-                               std::strerror(errno));
-    }
-    return Status();
 }
 
 } // namespace

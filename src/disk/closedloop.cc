@@ -151,7 +151,8 @@ class Loop
             return;
         }
 
-        queue_.push_back(QueuedRequest{r, next_index_++});
+        queue_.push_back(
+            QueuedRequest{r, next_index_++, qos::TagId{}});
         if (!busy_)
             startNext(now);
     }

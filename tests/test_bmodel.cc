@@ -64,8 +64,9 @@ TEST(BModel, ArrivalsSortedInsideWindow)
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
         EXPECT_GE(arrivals[i], 100);
         EXPECT_LT(arrivals[i], 100 + kSec);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(arrivals[i], arrivals[i - 1]);
+        }
     }
 }
 

@@ -230,8 +230,9 @@ TEST(Drive, BusyIntervalsSortedDisjoint)
     ServiceLog log = drive.service(tr);
     for (std::size_t i = 0; i < log.busy.size(); ++i) {
         EXPECT_LT(log.busy[i].first, log.busy[i].second);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(log.busy[i].first, log.busy[i - 1].second);
+        }
     }
 }
 

@@ -151,10 +151,12 @@ TEST_P(ExtractRoundTrip, RegeneratedMatchesSource)
     // smooth stays smooth.
     const double cv_orig = gapCvOf(original);
     const double cv_copy = gapCvOf(copy);
-    if (cv_orig > 1.5)
+    if (cv_orig > 1.5) {
         EXPECT_GT(cv_copy, 1.3) << m.describe();
-    if (cv_orig < 1.2)
+    }
+    if (cv_orig < 1.2) {
         EXPECT_LT(cv_copy, 1.4) << m.describe();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Presets, ExtractRoundTrip,
