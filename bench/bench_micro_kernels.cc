@@ -16,9 +16,9 @@
  *     >= 2x speedup floor on linear-histogram binning, IDC counting
  *     and the ACF lag sums by exiting nonzero below it.
  *
- *  2. The pre-existing google-benchmark suite (workload synthesis,
- *     drive servicing, binary trace I/O, estimators) plus per-ISA
- *     kernel benchmarks.  Adaptive iteration counts make gbench
+ *  2. The pre-existing google-benchmark suite (workload synthesis
+ *     per drive class, Rng draws, drive servicing, binary trace I/O,
+ *     estimators) plus per-ISA kernel benchmarks.  Adaptive iteration counts make gbench
  *     numbers non-deterministic, which is why this part runs after
  *     the guard above has been destroyed and is not snapshot-gated.
  *     `--kernels-only` skips it (what CI runs).
@@ -406,20 +406,82 @@ sampleTrace(Tick window)
     return w.generate(rng, "micro", 0, window);
 }
 
+/** The fleet's four drive classes at 120 req/s, by benchmark arg. */
+synth::Workload
+classWorkload(std::int64_t klass)
+{
+    constexpr Lba kCap = 1 << 24;
+    constexpr double kRate = 120.0;
+    switch (klass) {
+      case 0:
+        return synth::Workload::makeOltp(kCap, kRate);
+      case 1:
+        return synth::Workload::makeFileServer(kCap, kRate);
+      case 2:
+        return synth::Workload::makeStreaming(kCap, kRate);
+      default:
+        return synth::Workload::makeBackup(kCap, kRate);
+    }
+}
+
+/**
+ * Request generation as a fleet drive does it: open the class's
+ * source (the arrival draws) and drain next() into one batch (the
+ * per-request size, direction and placement draws).
+ */
 void
 BM_WorkloadGenerate(benchmark::State &state)
 {
+    static const char *const kNames[] = {"oltp", "fileserver",
+                                         "streaming", "backup"};
+    state.SetLabel(kNames[state.range(0)]);
+    const synth::Workload w = classWorkload(state.range(0));
     Rng rng(1);
-    synth::Workload w = synth::Workload::makeOltp(1 << 24, 200.0);
+    trace::RequestBatch batch;
     std::uint64_t requests = 0;
     for (auto _ : state) {
-        trace::MsTrace tr = w.generate(rng, "g", 0, 10 * kSec);
-        requests += tr.size();
-        benchmark::DoNotOptimize(tr);
+        synth::WorkloadSource src = w.openSource(rng, "g", 0, kMinute);
+        while (src.next(batch))
+            benchmark::DoNotOptimize(batch.lbasData());
+        requests += src.size();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(requests));
 }
-BENCHMARK(BM_WorkloadGenerate);
+BENCHMARK(BM_WorkloadGenerate)->DenseRange(0, 3);
+
+/** One Rng method per benchmark arg, 1024 draws per iteration. */
+void
+BM_RngDraw(benchmark::State &state)
+{
+    static const char *const kNames[] = {"uniform", "bernoulli",
+                                         "exponential", "lognormal"};
+    const std::int64_t which = state.range(0);
+    state.SetLabel(kNames[which]);
+    constexpr int kDraws = 1024;
+    Rng rng(1);
+    for (auto _ : state) {
+        double acc = 0.0;
+        for (int i = 0; i < kDraws; ++i) {
+            switch (which) {
+              case 0:
+                acc += rng.uniform();
+                break;
+              case 1:
+                acc += rng.bernoulli(0.67);
+                break;
+              case 2:
+                acc += rng.exponential(2.5);
+                break;
+              default:
+                acc += rng.lognormal(2.0, 1.0);
+                break;
+            }
+        }
+        benchmark::DoNotOptimize(acc);
+    }
+    state.SetItemsProcessed(state.iterations() * kDraws);
+}
+BENCHMARK(BM_RngDraw)->DenseRange(0, 3);
 
 void
 BM_DriveService(benchmark::State &state)
