@@ -120,6 +120,13 @@ std::int64_t
 Rng::geometric(double p)
 {
     dlw_assert(p > 0.0 && p <= 1.0, "geometric probability invalid");
+    // std::geometric_distribution requires p < 1.  At p == 1 it would
+    // return 0 after one canonical draw; consume that draw so the
+    // stream stays where it was.
+    if (p == 1.0) {
+        engine_();
+        return 0;
+    }
     return std::geometric_distribution<std::int64_t>(p)(engine_);
 }
 

@@ -70,7 +70,7 @@ class Mt19937_64
     /** Twist the whole state and rewind to its first word. */
     void refill();
 
-    result_type state_[kStateWords];
+    result_type state_[kStateWords] = {};
     std::size_t pos_ = kStateWords;
 };
 

@@ -180,6 +180,16 @@ TEST(Rng, PoissonMean)
     EXPECT_EQ(rng.poisson(0.0), 0);
 }
 
+TEST(Rng, GeometricCertainSuccessIsZeroAndDrawsOnce)
+{
+    Rng a(26), b(26);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(a.geometric(1.0), 0);
+    for (int i = 0; i < 100; ++i)
+        b.engine()();
+    EXPECT_EQ(a.uniform(), b.uniform());
+}
+
 TEST(Rng, ZipfSkewOrdersRanks)
 {
     Rng rng(20);
