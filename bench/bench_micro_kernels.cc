@@ -18,9 +18,10 @@
  *
  *  2. The pre-existing google-benchmark suite (workload synthesis
  *     per drive class, Rng draws, drive servicing, binary trace I/O,
- *     estimators) plus per-ISA kernel benchmarks.  Adaptive iteration counts make gbench
- *     numbers non-deterministic, which is why this part runs after
- *     the guard above has been destroyed and is not snapshot-gated.
+ *     estimators) plus per-ISA kernel benchmarks.  Adaptive
+ *     iteration counts make gbench numbers non-deterministic, which
+ *     is why this part runs after the guard above has been destroyed
+ *     and is not snapshot-gated.
  *     `--kernels-only` skips it (what CI runs).
  */
 
@@ -441,8 +442,10 @@ BM_WorkloadGenerate(benchmark::State &state)
     std::uint64_t requests = 0;
     for (auto _ : state) {
         synth::WorkloadSource src = w.openSource(rng, "g", 0, kMinute);
-        while (src.next(batch))
+        while (src.next(batch)) {
             benchmark::DoNotOptimize(batch.lbasData());
+            benchmark::ClobberMemory();
+        }
         requests += src.size();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(requests));
