@@ -1,6 +1,5 @@
 #include "common/strutil.hh"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -26,18 +25,6 @@ split(std::string_view s, char delim)
         start = pos + 1;
     }
     return out;
-}
-
-std::string_view
-trimView(std::string_view s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
 }
 
 std::string

@@ -20,8 +20,29 @@ std::vector<std::string> split(std::string_view s, char delim);
 /** Strip leading and trailing ASCII whitespace. */
 std::string trim(std::string_view s);
 
+/**
+ * True for the C locale's isspace set: space, \t, \n, \v, \f and
+ * \r.  The program never calls setlocale, so this is std::isspace
+ * without the locale lookup.
+ */
+constexpr bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /** trim() without the copy: a view into `s`. */
-std::string_view trimView(std::string_view s);
+inline std::string_view
+trimView(std::string_view s)
+{
+    std::size_t b = 0;
+    std::size_t e = s.size();
+    while (b < e && isSpace(s[b]))
+        ++b;
+    while (e > b && isSpace(s[e - 1]))
+        --e;
+    return s.substr(b, e - b);
+}
 
 /** True when the string begins with the given prefix. */
 bool startsWith(std::string_view s, std::string_view prefix);

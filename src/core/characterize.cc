@@ -125,10 +125,10 @@ addBusyProfile(DriveCharacterization &c, const disk::ServiceLog &log)
     }
     {
         obs::ScopedSpan stage("idleness");
-        IdlenessAnalysis idle(log);
-        c.idle_fraction = idle.idleFraction();
-        c.mean_idle_interval = idle.meanInterval();
-        c.idle_mass_1s = idle.idleMassAtLeast(kSec);
+        const IdleFigures idle = idleFigures(log, kSec);
+        c.idle_fraction = idle.fraction;
+        c.mean_idle_interval = idle.mean_interval;
+        c.idle_mass_1s = idle.mass_at_least;
     }
 }
 
@@ -147,9 +147,12 @@ addResponses(DriveCharacterization &c, std::vector<Tick> &responses)
             static_cast<double>(
                 disk::selectResponseQuantile(responses, 0.95)) /
             static_cast<double>(kMsec);
+        // p99 sits in the upper partition p95's selection left.
+        const std::size_t idx95 =
+            disk::responseQuantileIndex(responses.size(), 0.95);
         c.p99_response_ms =
-            static_cast<double>(
-                disk::selectResponseQuantile(responses, 0.99)) /
+            static_cast<double>(disk::selectResponseQuantile(
+                responses, 0.99, idx95)) /
             static_cast<double>(kMsec);
     }
 }

@@ -116,5 +116,29 @@ IdlenessAnalysis::massCurve(std::size_t points) const
     return out;
 }
 
+IdleFigures
+idleFigures(const disk::ServiceLog &log, Tick t)
+{
+    Tick total = 0;
+    Tick mass = 0;
+    std::size_t count = 0;
+    log.forEachIdleInterval([&](Tick gap) {
+        total += gap;
+        if (gap >= t)
+            mass += gap;
+        ++count;
+    });
+    IdleFigures f;
+    const Tick window = log.window_end - log.window_start;
+    if (window > 0)
+        f.fraction = static_cast<double>(total) / static_cast<double>(window);
+    if (count != 0)
+        f.mean_interval = total / static_cast<Tick>(count);
+    if (total > 0)
+        f.mass_at_least =
+            static_cast<double>(mass) / static_cast<double>(total);
+    return f;
+}
+
 } // namespace core
 } // namespace dlw

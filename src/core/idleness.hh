@@ -88,6 +88,22 @@ class IdlenessAnalysis
     Tick window_ = 0;
 };
 
+/** The idle figures a drive characterization reports. */
+struct IdleFigures
+{
+    double fraction = 0.0;      ///< IdlenessAnalysis::idleFraction()
+    Tick mean_interval = 0;     ///< IdlenessAnalysis::meanInterval()
+    double mass_at_least = 0.0; ///< IdlenessAnalysis::idleMassAtLeast(t)
+};
+
+/**
+ * IdleFigures of a service log, with `t` as the idle-mass threshold,
+ * in one pass over its busy intervals.  They are integer sums and a
+ * count, so unlike IdlenessAnalysis this needs no sorted copy of the
+ * intervals, and the values are the same bits.
+ */
+IdleFigures idleFigures(const disk::ServiceLog &log, Tick t);
+
 } // namespace core
 } // namespace dlw
 

@@ -57,17 +57,24 @@ meanResponse(const std::vector<Tick> &responses)
     return s / static_cast<double>(responses.size());
 }
 
-Tick
-selectResponseQuantile(std::vector<Tick> &responses, double q)
+std::size_t
+responseQuantileIndex(std::size_t n, double q)
 {
     dlw_assert(q >= 0.0 && q <= 1.0, "quantile out of range");
-    dlw_assert(!responses.empty(), "quantile of empty log");
-    const auto idx = std::min(
-        static_cast<std::size_t>(
-            q * static_cast<double>(responses.size() - 1) + 0.5),
-        responses.size() - 1);
+    dlw_assert(n > 0, "quantile of empty log");
+    return std::min(
+        static_cast<std::size_t>(q * static_cast<double>(n - 1) + 0.5),
+        n - 1);
+}
+
+Tick
+selectResponseQuantile(std::vector<Tick> &responses, double q,
+                       std::size_t first)
+{
+    const std::size_t idx = responseQuantileIndex(responses.size(), q);
+    dlw_assert(idx >= first, "quantile below the selected partition");
     // Selection puts the element a full sort would hold at idx there.
-    std::nth_element(responses.begin(), responses.begin() + idx,
+    std::nth_element(responses.begin() + first, responses.begin() + idx,
                      responses.end());
     return responses[idx];
 }
@@ -99,14 +106,7 @@ std::vector<Tick>
 ServiceLog::idleIntervals() const
 {
     std::vector<Tick> gaps;
-    Tick at = window_start;
-    for (const trace::BusyInterval &iv : busy) {
-        if (iv.first > at)
-            gaps.push_back(iv.first - at);
-        at = std::max(at, iv.second);
-    }
-    if (window_end > at)
-        gaps.push_back(window_end - at);
+    forEachIdleInterval([&gaps](Tick gap) { gaps.push_back(gap); });
     return gaps;
 }
 

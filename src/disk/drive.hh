@@ -14,6 +14,7 @@
 #ifndef DLW_DISK_DRIVE_HH
 #define DLW_DISK_DRIVE_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "disk/cache.hh"
@@ -103,13 +104,25 @@ class CompletionSink
 double meanResponse(const std::vector<Tick> &responses);
 
 /**
- * Response time at quantile q in [0, 1] (exact): the element a full
- * sort would hold at index min(size_t(q (n-1) + 0.5), n-1), found by
- * selection.  Permutes `responses`, which must not be empty; an
- * order statistic does not depend on the permutation it starts from,
- * so successive quantiles may select in the same vector.
+ * Index a full sort of n response times holds quantile q in [0, 1]
+ * at: min(size_t(q (n-1) + 0.5), n-1).  n must be positive.
  */
-Tick selectResponseQuantile(std::vector<Tick> &responses, double q);
+std::size_t responseQuantileIndex(std::size_t n, double q);
+
+/**
+ * Response time at quantile q in [0, 1] (exact): the element a full
+ * sort would hold at responseQuantileIndex(n, q), found by selection.
+ * Permutes `responses`, which must not be empty; an order statistic
+ * does not depend on the permutation it starts from, so successive
+ * quantiles may select in the same vector.
+ *
+ * Selection runs in [first, n) only.  A caller that has just
+ * selected a lower quantile at index i may pass first = i: that
+ * selection left no element from i on smaller than one before it.
+ * q's index must not be below `first`.
+ */
+Tick selectResponseQuantile(std::vector<Tick> &responses, double q,
+                            std::size_t first = 0);
 
 /**
  * A CompletionSink that keeps each request's response time (one Tick,
@@ -171,6 +184,21 @@ struct ServiceLog
      * Idle gaps between busy intervals inside the window, in ticks.
      */
     std::vector<Tick> idleIntervals() const;
+
+    /** Call f(gap) on each of idleIntervals(), in order, unstored. */
+    template <typename F>
+    void
+    forEachIdleInterval(F &&f) const
+    {
+        Tick at = window_start;
+        for (const trace::BusyInterval &iv : busy) {
+            if (iv.first > at)
+                f(iv.first - at);
+            at = std::max(at, iv.second);
+        }
+        if (window_end > at)
+            f(window_end - at);
+    }
 
     /** Per-bin busy time as a series (bin width in ticks). */
     stats::BinnedSeries busySeries(Tick bin_width) const;

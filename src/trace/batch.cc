@@ -29,16 +29,6 @@ RequestBatch::clear()
 }
 
 void
-RequestBatch::append(const Request &req)
-{
-    dlw_assert(!full(), "append to a full batch");
-    arrivals_.push_back(req.arrival);
-    lbas_.push_back(req.lba);
-    blocks_.push_back(req.blocks);
-    ops_.push_back(req.op);
-}
-
-void
 RequestBatch::append(const RequestBatch &other)
 {
     dlw_assert(size() + other.size() <= capacity_,
@@ -60,18 +50,6 @@ RequestBatch::swap(RequestBatch &other) noexcept
     lbas_.swap(other.lbas_);
     blocks_.swap(other.blocks_);
     ops_.swap(other.ops_);
-}
-
-Request
-RequestBatch::get(std::size_t i) const
-{
-    dlw_assert(i < size(), "batch index out of range");
-    Request r;
-    r.arrival = arrivals_[i];
-    r.lba = lbas_[i];
-    r.blocks = blocks_[i];
-    r.op = ops_[i];
-    return r;
 }
 
 std::size_t

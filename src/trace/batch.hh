@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/logging.hh"
 #include "qos/tag.hh"
 #include "trace/record.hh"
 
@@ -63,7 +64,15 @@ class RequestBatch
     void clear();
 
     /** Append a request (asserts the batch is not full). */
-    void append(const Request &req);
+    void
+    append(const Request &req)
+    {
+        dlw_assert(!full(), "append to a full batch");
+        arrivals_.push_back(req.arrival);
+        lbas_.push_back(req.lba);
+        blocks_.push_back(req.blocks);
+        ops_.push_back(req.op);
+    }
 
     /**
      * Append every request of `other` (asserts they fit).  The tag
@@ -100,7 +109,17 @@ class RequestBatch
     }
 
     /** Reassembled request i (for AoS consumers). */
-    Request get(std::size_t i) const;
+    Request
+    get(std::size_t i) const
+    {
+        dlw_assert(i < size(), "batch index out of range");
+        Request r;
+        r.arrival = arrivals_[i];
+        r.lba = lbas_[i];
+        r.blocks = blocks_[i];
+        r.op = ops_[i];
+        return r;
+    }
 
     /** Dense arrival-tick array (size() entries). */
     const std::vector<Tick> &arrivals() const { return arrivals_; }

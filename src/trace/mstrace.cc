@@ -24,13 +24,6 @@ MsTrace::setWindow(Tick start, Tick duration)
 }
 
 void
-MsTrace::append(const Request &req)
-{
-    dlw_assert(req.blocks > 0, "zero-length request");
-    reqs_.push_back(req);
-}
-
-void
 MsTrace::appendExtending(const Request &req)
 {
     append(req);

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/status.hh"
 #include "stats/timeseries.hh"
 #include "trace/record.hh"
@@ -55,7 +56,12 @@ class MsTrace
     void setWindow(Tick start, Tick duration);
 
     /** Append a request (arrivals should be non-decreasing). */
-    void append(const Request &req);
+    void
+    append(const Request &req)
+    {
+        dlw_assert(req.blocks > 0, "zero-length request");
+        reqs_.push_back(req);
+    }
 
     /** Append, growing the window if the arrival falls outside it. */
     void appendExtending(const Request &req);

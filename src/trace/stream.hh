@@ -7,8 +7,10 @@
  * The header (drive id, observation window) is decoded eagerly by the
  * open*() factory — header corruption is never recoverable and fails
  * the open — and the records are decoded lazily, one RequestBatch per
- * next() call, under the caller's corrupt-record policy.  Peak decode
- * memory is O(batch), not O(file).
+ * next() call, under the caller's corrupt-record policy.  A source
+ * reads its stream in kDecodeBlockBytes blocks into one buffer it owns
+ * and decodes records straight out of it, so peak decode memory is
+ * O(batch + block + longest line), not O(file).
  *
  * The whole-trace readers in trace/csvio.hh and trace/binio.hh are
  * thin drains over these sources, so there is exactly one decode
@@ -74,11 +76,10 @@ class FileSource : public RequestSource
 
   protected:
     FileSource(const IngestOptions &opts, std::string drive_id,
-               Tick start, Tick duration,
-               std::unique_ptr<std::istream> owned, std::istream &is)
+               Tick start, Tick duration)
         : drive_id_(std::move(drive_id)), start_(start),
-          duration_(duration), opts_(opts), owned_(std::move(owned)),
-          is_(is), gate_{opts_, {}}, obs_scope_(gate_.st)
+          duration_(duration), opts_(opts), gate_{opts_, {}},
+          obs_scope_(gate_.st)
     {
     }
 
@@ -86,8 +87,6 @@ class FileSource : public RequestSource
     Tick start_ = 0;
     Tick duration_ = 0;
     IngestOptions opts_;
-    std::unique_ptr<std::istream> owned_; ///< set for path opens
-    std::istream &is_;
     Gate gate_;
     IngestMetricsScope obs_scope_;
     Status status_;
@@ -96,9 +95,17 @@ class FileSource : public RequestSource
 };
 
 /**
+ * Bytes a file source reads from its stream at a time, into the one
+ * buffer the source owns.  A CSV line (or binary header field) longer
+ * than this grows the buffer to fit.
+ */
+constexpr std::size_t kDecodeBlockBytes = 64 * 1024;
+
+/**
  * Open a streaming CSV decoder over a caller-owned stream (which
  * must outlive the source) or a file path.  Fails on a bad or
- * truncated header.
+ * truncated header.  The source reads the stream in blocks, so it
+ * may consume bytes past the last record it has delivered.
  */
 StatusOr<std::unique_ptr<FileSource>> openMsCsvSource(
     std::istream &is, const IngestOptions &opts);
@@ -148,9 +155,11 @@ struct MsRecordParse
 
 /**
  * Parse one trimmed, non-empty CSV record line
- * (`arrival,lba,blocks,op`).  `clamp` enables the best-effort
- * repairs of RecordPolicy::kBestEffortClamp (lowercase ops,
- * zero-length requests).
+ * (`arrival,lba,blocks,op`) in one left-to-right scan.  Each field
+ * is trimmed of C-locale whitespace and must parse whole: no `+`, no
+ * sign on lba or blocks, no overflow.  `clamp` enables the
+ * best-effort repairs of RecordPolicy::kBestEffortClamp (lowercase
+ * ops, zero-length requests).
  */
 MsRecordParse parseMsCsvRecordLine(std::string_view trimmed,
                                    bool clamp, Request &out);

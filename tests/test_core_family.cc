@@ -82,7 +82,7 @@ TEST(FamilyAnalysis, PercentilesOrdered)
 {
     std::vector<trace::HourTrace> pop;
     for (int i = 0; i < 20; ++i) {
-        pop.push_back(flatTrace("d" + std::to_string(i),
+        pop.push_back(flatTrace(std::string("d").append(std::to_string(i)),
                                 0.05 * static_cast<double>(i), 10));
     }
     FamilyReport rep = analyzeFamily(pop);
@@ -121,7 +121,8 @@ TEST(FamilyAnalysis, HourlyPercentileBands)
 {
     std::vector<trace::HourTrace> pop;
     for (int i = 1; i <= 9; ++i) {
-        pop.push_back(flatTrace("d" + std::to_string(i), 0.1, 5,
+        pop.push_back(flatTrace(std::string("d").append(std::to_string(i)),
+                                0.1, 5,
                                 static_cast<std::uint64_t>(i * 100)));
     }
     auto bands = hourlyPercentileBands(pop, 5);

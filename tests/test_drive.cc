@@ -352,12 +352,33 @@ TEST(Drive, ResponseQuantileIndexRounds)
     EXPECT_DOUBLE_EQ(meanResponse({}), 0.0);
 }
 
+TEST(Drive, UpperQuantileSelectsInsideTheLowerOnesPartition)
+{
+    Rng rng(17);
+    for (std::size_t n : {1u, 2u, 20u, 101u, 5000u}) {
+        std::vector<Tick> rs(n);
+        for (Tick &r : rs)
+            r = rng.uniformInt(0, 40); // many ties
+        std::vector<Tick> sorted = rs;
+        std::sort(sorted.begin(), sorted.end());
+        const Tick p95 = selectResponseQuantile(rs, 0.95);
+        const std::size_t idx95 = responseQuantileIndex(n, 0.95);
+        EXPECT_EQ(p95, sorted[idx95]);
+        EXPECT_EQ(selectResponseQuantile(rs, 0.99, idx95),
+                  sorted[responseQuantileIndex(n, 0.99)])
+            << n;
+    }
+}
+
 TEST(DriveDeathTest, ResponseQuantileNeedsTicks)
 {
     std::vector<Tick> none;
     EXPECT_DEATH(selectResponseQuantile(none, 0.5), "empty");
     std::vector<Tick> one = {1};
     EXPECT_DEATH(selectResponseQuantile(one, 1.5), "out of range");
+    std::vector<Tick> three = {3, 1, 2};
+    EXPECT_DEATH(selectResponseQuantile(three, 0.0, 1),
+                 "below the selected partition");
 }
 
 TEST(Drive, EmptyTraceProducesEmptyLog)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "core/idleness.hh"
 
 namespace dlw
@@ -126,6 +127,36 @@ TEST(Idleness, LongStretchDominatesMass)
     IdlenessAnalysis a(log);
     EXPECT_GT(a.idleMassAtLeast(kMinute), 0.98);
     EXPECT_GT(a.idleFraction(), 0.99);
+}
+
+TEST(IdleFigures, MatchTheSortedAnalysis)
+{
+    std::vector<disk::ServiceLog> logs = {
+        logWith(10, {{1, 2}, {5, 6}}), logWith(100, {}),
+        logWith(100, {{0, 100}}), logWith(0, {}),
+        logWith(100, {{10, 20}, {22, 30}, {80, 90}})};
+    // Busy intervals at seeded random spots, some gaps past 1 s.
+    Rng rng(5);
+    for (int k = 0; k < 20; ++k) {
+        std::vector<trace::BusyInterval> busy;
+        Tick at = 0;
+        for (int i = 0; i < 200; ++i) {
+            at += rng.uniformInt(0, 3 * kSec);
+            const Tick end = at + rng.uniformInt(1, 50 * kMsec);
+            busy.emplace_back(at, end);
+            at = end;
+        }
+        logs.push_back(logWith(at + rng.uniformInt(0, kMinute), busy));
+    }
+    for (const disk::ServiceLog &log : logs) {
+        const IdlenessAnalysis a(log);
+        for (Tick t : {Tick{0}, Tick{1}, kSec, 10 * kSec}) {
+            const IdleFigures f = idleFigures(log, t);
+            EXPECT_EQ(f.fraction, a.idleFraction());
+            EXPECT_EQ(f.mean_interval, a.meanInterval());
+            EXPECT_EQ(f.mass_at_least, a.idleMassAtLeast(t)) << t;
+        }
+    }
 }
 
 } // anonymous namespace

@@ -8,13 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cctype>
+#include <charconv>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/fault.hh"
 #include "common/rng.hh"
+#include "common/strutil.hh"
 #include "core/burstiness.hh"
 #include "core/characterize.hh"
 #include "core/footprint.hh"
@@ -26,6 +34,7 @@
 #include "trace/batch.hh"
 #include "trace/binio.hh"
 #include "trace/csvio.hh"
+#include "trace/gate.hh"
 #include "trace/source.hh"
 #include "trace/stream.hh"
 
@@ -632,6 +641,732 @@ TEST(Interarrivals, DegenerateTracesCharacterizeCleanly)
     MsTrace empty("e", 0, kSec);
     const core::BurstinessReport rep0 = core::analyzeBurstiness(empty);
     EXPECT_EQ(rep0.interarrival_cv, 0.0);
+}
+
+// ---- Block decode against the getline oracle -------------------
+//
+// The oracle is a copy of the file decoders as they were before the
+// sources read their input in blocks: std::getline per CSV line,
+// istream::read per binary record, and the find-based record parser
+// that trimmed each field with std::isspace.  The block decoders must
+// match it in every record, every corruption text (line numbers and
+// record indexes included) and every IngestStats field.
+
+namespace oracle
+{
+
+std::string_view
+trimView(std::string_view s)
+{
+    std::size_t b = 0;
+    std::size_t e = s.size();
+    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
+        ++b;
+    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
+        --e;
+    return s.substr(b, e - b);
+}
+
+template <typename T>
+bool
+tryParse(std::string_view s, T &out)
+{
+    const std::string_view t = trimView(s);
+    T v = 0;
+    auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+    if (ec != std::errc() || p != t.data() + t.size())
+        return false;
+    out = v;
+    return true;
+}
+
+std::string
+quoted(std::string_view what, std::string_view field)
+{
+    std::string s(what);
+    s += " '";
+    s += trimView(field);
+    s += '\'';
+    return s;
+}
+
+std::string
+atLine(std::size_t lineno, const std::string &what)
+{
+    std::ostringstream os;
+    os << "line " << lineno << ": " << what;
+    return os.str();
+}
+
+trace::MsRecordParse
+parseLine(std::string_view trimmed, bool clamp, trace::Request &out)
+{
+    trace::MsRecordParse p;
+    std::array<std::string_view, 4> f;
+    std::size_t nf = 0;
+    for (std::size_t start = 0; nf <= f.size();) {
+        const std::size_t comma = trimmed.find(',', start);
+        if (nf < f.size())
+            f[nf] = trimmed.substr(start, comma - start);
+        ++nf;
+        if (comma == std::string_view::npos)
+            break;
+        start = comma + 1;
+    }
+    std::uint64_t blocks = 0;
+    if (nf != f.size()) {
+        p.why = "expected 4 fields";
+    } else if (!tryParse(f[0], out.arrival)) {
+        p.why = quoted("malformed arrival", f[0]);
+    } else if (!tryParse(f[1], out.lba)) {
+        p.why = quoted("malformed lba", f[1]);
+    } else if (!tryParse(f[2], blocks)) {
+        p.why = quoted("malformed blocks", f[2]);
+    } else {
+        out.blocks = static_cast<BlockCount>(blocks);
+        const std::string_view op = trimView(f[3]);
+        if (op == "R") {
+            out.op = trace::Op::Read;
+        } else if (op == "W") {
+            out.op = trace::Op::Write;
+        } else if (clamp && (op == "r" || op == "w")) {
+            out.op = op == "r" ? trace::Op::Read : trace::Op::Write;
+            p.clamped = true;
+            p.why = quoted("lowercase op", op);
+        } else {
+            p.why = quoted("bad op", op);
+        }
+        if ((p.why.empty() || p.clamped) && out.blocks == 0) {
+            p.clamped = clamp;
+            p.why = "zero-length request";
+            if (clamp)
+                out.blocks = 1;
+        }
+    }
+    return p;
+}
+
+class CsvSource final : public trace::FileSource
+{
+  public:
+    CsvSource(const trace::IngestOptions &opts,
+              trace::MsStreamHeader head, std::istream &is)
+        : FileSource(opts, head.drive_id, head.start, head.duration),
+          is_(is)
+    {
+    }
+
+    bool
+    next(RequestBatch &batch) override
+    {
+        batch.clear();
+        if (done_)
+            return false;
+        std::string line;
+        while (!batch.full() && std::getline(is_, line)) {
+            ++lineno_;
+            const std::string_view t = trimView(line);
+            if (t.empty())
+                continue;
+            const std::size_t record_bytes = line.size() + 1;
+            std::string why;
+            bool was_clamped = false;
+            trace::Request r;
+            if (FAULT_POINT("trace.read.record")) {
+                why = atLine(lineno_,
+                             "injected fault at trace.read.record");
+            } else {
+                trace::MsRecordParse p =
+                    parseLine(t, gate_.clampMode(), r);
+                was_clamped = p.clamped;
+                if (!p.why.empty())
+                    why = atLine(lineno_, p.why);
+            }
+            if (!why.empty()) {
+                Status s = gate_.corrupt(why);
+                if (!s.ok()) {
+                    status_ = std::move(s);
+                    done_ = true;
+                    return false;
+                }
+                if (!was_clamped) {
+                    gate_.skip();
+                    continue;
+                }
+                gate_.clamped();
+            }
+            batch.append(r);
+            gate_.accept(record_bytes);
+        }
+        if (!batch.full())
+            done_ = true;
+        return !batch.empty();
+    }
+
+  private:
+    std::istream &is_;
+    std::size_t lineno_ = 2;
+};
+
+StatusOr<std::unique_ptr<trace::FileSource>>
+openCsv(std::istream &is, const trace::IngestOptions &opts)
+{
+    std::string line;
+    if (!std::getline(is, line))
+        return Status::truncated("empty ms-trace CSV");
+    trace::MsStreamHeader head;
+    Status hs = trace::parseMsCsvHeaderLine(line, head);
+    if (!hs.ok())
+        return hs;
+    if (!std::getline(is, line))
+        return Status::truncated("truncated CSV: missing column header");
+    return std::unique_ptr<trace::FileSource>(
+        new CsvSource(opts, std::move(head), is));
+}
+
+template <typename T>
+bool
+readRaw(std::istream &is, T &v)
+{
+    is.read(reinterpret_cast<char *>(&v), sizeof(T));
+    return static_cast<bool>(is);
+}
+
+class BinarySource final : public trace::FileSource
+{
+  public:
+    BinarySource(const trace::IngestOptions &opts, std::string id,
+                 Tick start, Tick duration, std::uint64_t count,
+                 std::istream &is)
+        : FileSource(opts, std::move(id), start, duration), is_(is),
+          count_(count)
+    {
+    }
+
+    bool
+    next(RequestBatch &batch) override
+    {
+        batch.clear();
+        if (done_)
+            return false;
+        const bool clamp = gate_.clampMode();
+        while (!batch.full() && i_ < count_) {
+            trace::MsRawRecord raw{};
+            if (!readRaw(is_, raw)) {
+                std::ostringstream os;
+                os << "truncated binary trace at record " << i_
+                   << " of " << count_;
+                gate_.st.noteError(os.str(), opts_.max_error_samples);
+                if (opts_.policy == trace::RecordPolicy::kAbort) {
+                    status_ = Status::truncated(os.str());
+                    done_ = true;
+                    return false;
+                }
+                gate_.st.records_skipped += count_ - i_;
+                i_ = count_;
+                break;
+            }
+            const std::uint64_t rec = i_++;
+            std::string why;
+            bool was_clamped = false;
+            trace::Request r;
+            if (FAULT_POINT("trace.read.record")) {
+                std::ostringstream os;
+                os << "injected fault at trace.read.record (record "
+                   << rec << ")";
+                why = os.str();
+            } else {
+                trace::MsRecordParse p =
+                    trace::decodeMsRawRecord(raw, clamp, r);
+                was_clamped = p.clamped;
+                if (!p.why.empty()) {
+                    std::ostringstream os;
+                    os << p.why << " at record " << rec;
+                    why = os.str();
+                }
+            }
+            if (!why.empty()) {
+                Status s = gate_.corrupt(why);
+                if (!s.ok()) {
+                    status_ = std::move(s);
+                    done_ = true;
+                    return false;
+                }
+                if (!was_clamped) {
+                    gate_.skip();
+                    continue;
+                }
+                gate_.clamped();
+            }
+            batch.append(r);
+            gate_.accept(sizeof(trace::MsRawRecord));
+        }
+        if (i_ >= count_)
+            done_ = true;
+        return !batch.empty();
+    }
+
+  private:
+    std::istream &is_;
+    std::uint64_t count_ = 0;
+    std::uint64_t i_ = 0;
+};
+
+StatusOr<std::unique_ptr<trace::FileSource>>
+openBinary(std::istream &is, const trace::IngestOptions &opts)
+{
+    std::array<char, 8> magic{};
+    is.read(magic.data(), magic.size());
+    if (!is || magic != trace::kMsBinaryMagic)
+        return Status::corruptData("not a dlw binary ms trace (bad magic)");
+    std::uint32_t id_len = 0;
+    if (!readRaw(is, id_len)) {
+        return Status::truncated(
+            "truncated binary trace while reading id length");
+    }
+    if (id_len > 4096) {
+        std::ostringstream os;
+        os << "implausible drive-id length " << id_len;
+        return Status::corruptData(os.str());
+    }
+    std::string id(id_len, '\0');
+    is.read(id.data(), id_len);
+    if (!is) {
+        return Status::truncated(
+            "truncated binary trace while reading drive id");
+    }
+    Tick start = 0, duration = 0;
+    std::uint64_t count = 0;
+    if (!readRaw(is, start) || !readRaw(is, duration) ||
+        !readRaw(is, count)) {
+        return Status::truncated(
+            "truncated binary trace while reading header");
+    }
+    if (duration < 0)
+        return Status::corruptData("negative duration in binary header");
+    return std::unique_ptr<trace::FileSource>(
+        new BinarySource(opts, std::move(id), start, duration, count, is));
+}
+
+} // namespace oracle
+
+/** Everything a drain of one source observes. */
+struct Decoded
+{
+    Status open;
+    std::string drive_id;
+    Tick start = 0;
+    Tick duration = 0;
+    std::vector<trace::Request> records;
+    Status end;
+    trace::IngestStats stats;
+};
+
+using Opener = StatusOr<std::unique_ptr<trace::FileSource>> (*)(
+    std::istream &, const trace::IngestOptions &);
+
+Decoded
+decode(Opener open, const std::string &bytes,
+       const trace::IngestOptions &opts, std::size_t batch_requests)
+{
+    std::istringstream is(bytes);
+    auto src = open(is, opts);
+    Decoded d;
+    if (!src.ok()) {
+        d.open = src.status();
+        return d;
+    }
+    trace::FileSource &s = *src.value();
+    d.drive_id = s.driveId();
+    d.start = s.start();
+    d.duration = s.duration();
+    RequestBatch batch(batch_requests);
+    while (s.next(batch)) {
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            d.records.push_back(batch.get(i));
+    }
+    d.end = s.status();
+    d.stats = s.stats();
+    return d;
+}
+
+::testing::AssertionResult
+sameDecode(const Decoded &want, const Decoded &got)
+{
+    auto fail = [](const char *what) {
+        return ::testing::AssertionFailure() << what << " differs";
+    };
+    if (got.open.code() != want.open.code() ||
+        got.open.message() != want.open.message()) {
+        return ::testing::AssertionFailure()
+               << "open: '" << got.open.toString() << "' vs oracle '"
+               << want.open.toString() << "'";
+    }
+    if (got.drive_id != want.drive_id || got.start != want.start ||
+        got.duration != want.duration)
+        return fail("header");
+    if (got.end.code() != want.end.code() ||
+        got.end.message() != want.end.message()) {
+        return ::testing::AssertionFailure()
+               << "status: '" << got.end.toString() << "' vs oracle '"
+               << want.end.toString() << "'";
+    }
+    if (got.records.size() != want.records.size()) {
+        return ::testing::AssertionFailure()
+               << got.records.size() << " records vs oracle "
+               << want.records.size();
+    }
+    for (std::size_t i = 0; i < got.records.size(); ++i) {
+        if (!(got.records[i] == want.records[i]))
+            return ::testing::AssertionFailure() << "record " << i;
+    }
+    const trace::IngestStats &a = got.stats;
+    const trace::IngestStats &b = want.stats;
+    if (a.records_read != b.records_read ||
+        a.records_skipped != b.records_skipped ||
+        a.records_clamped != b.records_clamped ||
+        a.errors != b.errors || a.bytes_read != b.bytes_read ||
+        a.bytes_recovered != b.bytes_recovered)
+        return fail("IngestStats counts");
+    if (a.error_samples != b.error_samples)
+        return fail("error texts");
+    return ::testing::AssertionSuccess();
+}
+
+const trace::RecordPolicy kPolicies[] = {
+    trace::RecordPolicy::kAbort, trace::RecordPolicy::kSkipAndCount,
+    trace::RecordPolicy::kBestEffortClamp};
+
+trace::IngestOptions
+keepEveryText(trace::RecordPolicy policy)
+{
+    trace::IngestOptions opts;
+    opts.policy = policy;
+    opts.max_error_samples = 1 << 20;
+    return opts;
+}
+
+std::string
+bytesOf(const char *s, std::size_t n)
+{
+    return std::string(s, n);
+}
+
+/** Record lines at the parser's edges (no newline in any). */
+const std::vector<std::string> &
+edgeLines()
+{
+    static const std::vector<std::string> lines = {
+        "10,0,8,R", "20,8,4,W", "  30 ,\t16 , 2 ,  R  ", "40,24,2,W\r",
+        "", "   ", "\t\v\f\r", "\r",
+        "1,2,3", "1,2,3,R,x", "1,2,3,R,", ",,,", ",", "1",
+        "+5,2,3,R", "5,+2,3,R", "5,-2,3,R", "-5,2,3,R", "5,2,-3,R",
+        "-,2,3,R", "5,2,3,+R", "- 5,2,3,R", "5,2,3,R R",
+        bytesOf("5,2\0,3,R", 8), bytesOf("5\0,2,3,R", 8),
+        bytesOf("\0", 1), bytesOf("5,2,3,R\0", 8), bytesOf("\0 5,2,3,W", 9),
+        "9223372036854775807,2,3,R", "9223372036854775808,2,3,R",
+        "-9223372036854775808,2,3,R", "-9223372036854775809,2,3,R",
+        "1,18446744073709551615,3,R", "1,18446744073709551616,3,R",
+        "1,2,18446744073709551615,R", "1,2,4294967296,W",
+        "1,2,18446744073709551616,R", "1,2,0,R", "1,2,0,r", "1,2,0,Q",
+        "1,2,3,r", "1,2,3,w", "1,2,3,x", "1,2,3,RW", "1,2,3, W ",
+        "1,2,3,\vR\f", "1,2,3,", "1 2,3,4,R", "1,2 3,4,R", "0x10,2,3,R",
+        "1e3,2,3,R", "01,002,0003,R", "\xff,2,3,R", "1,2,3,\xc2\xa0R",
+        "7 , 7 , 7 , w", "00000000000000000000000000001,2,3,R",
+    };
+    return lines;
+}
+
+/** A seeded mutation of an edge line: inserts, deletes, swaps. */
+std::string
+mutate(Rng &rng, std::string line)
+{
+    static const char kAlphabet[] = "0123456789,,,  \t\r\v\f+-RWrwx\xff";
+    const std::size_t alphabet = sizeof(kAlphabet) - 1; // no final NUL
+    const auto edits = rng.uniformInt(0, 3);
+    for (std::int64_t k = 0; k < edits; ++k) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(line.size())));
+        const char c = rng.bernoulli(0.05)
+                           ? '\0'
+                           : kAlphabet[rng.uniformInt(
+                                 0, static_cast<std::int64_t>(alphabet) -
+                                        1)];
+        switch (rng.uniformInt(0, 2)) {
+        case 0:
+            line.insert(line.begin() + static_cast<std::ptrdiff_t>(at), c);
+            break;
+        case 1:
+            if (at < line.size())
+                line.erase(at, 1);
+            break;
+        default:
+            if (at < line.size())
+                line[at] = c;
+            break;
+        }
+    }
+    return line;
+}
+
+std::vector<std::string>
+mutatedCorpus(std::uint64_t seed, std::size_t n)
+{
+    Rng rng(seed);
+    const std::vector<std::string> &edges = edgeLines();
+    std::vector<std::string> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (rng.bernoulli(0.5)) {
+            // A record as the writer prints it.
+            out.push_back(mutate(
+                rng, std::to_string(rng.uniformInt(0, 1LL << 42)) + "," +
+                         std::to_string(rng.uniformInt(0, 1LL << 30)) +
+                         "," + std::to_string(rng.uniformInt(0, 256)) +
+                         (rng.bernoulli(0.5) ? ",R" : ",W")));
+            continue;
+        }
+        const auto pick = static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(edges.size()) - 1));
+        out.push_back(mutate(rng, edges[pick]));
+    }
+    return out;
+}
+
+/** `lines` joined by LF or CRLF at random, with a final newline or not. */
+std::string
+joinLines(Rng &rng, const std::vector<std::string> &lines,
+          bool final_newline)
+{
+    std::string text;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        text += lines[i];
+        if (i + 1 < lines.size() || final_newline)
+            text += rng.bernoulli(0.3) ? "\r\n" : "\n";
+    }
+    return text;
+}
+
+TEST(BlockDecode, RecordParserMatchesTheOracle)
+{
+    std::vector<std::string> lines = mutatedCorpus(20, 20000);
+    lines.insert(lines.end(), edgeLines().begin(), edgeLines().end());
+    for (const std::string &line : lines) {
+        const std::string_view t = trimView(line);
+        if (t.empty())
+            continue;
+        for (bool clamp : {false, true}) {
+            trace::Request want, got;
+            const trace::MsRecordParse a =
+                oracle::parseLine(t, clamp, want);
+            const trace::MsRecordParse b =
+                trace::parseMsCsvRecordLine(t, clamp, got);
+            ASSERT_EQ(b.why, a.why) << "line '" << line << "'";
+            ASSERT_EQ(b.clamped, a.clamped) << "line '" << line << "'";
+            if (a.usable()) {
+                ASSERT_TRUE(got == want) << "line '" << line << "'";
+            }
+        }
+    }
+}
+
+TEST(BlockDecode, CsvHeadersMatchTheOracle)
+{
+    const std::vector<std::string> files = {
+        "",
+        "\n",
+        "# dlw-ms-v1,d,0,1000",
+        "# dlw-ms-v1,d,0,1000\n",
+        "# dlw-ms-v1,d,0,1000\r\narrival_ns,lba,blocks,op",
+        "# dlw-ms-v1,d,0,1000\narrival_ns,lba,blocks,op\n",
+        "# dlw-ms-v1,d,0,1000\narrival_ns,lba,blocks,op\n1,2,3,R",
+        "  # dlw-ms-v1 , d ,0, 1000 \r\n\n1,2,3,R\n",
+        "# dlw-ms-v1,d,0,-1\nx\n",
+        "# dlw-ms-v1,d,0\nx\n",
+        "# dlw-ms-v2,d,0,1000\nx\n",
+        bytesOf("# dlw-ms-v1,d\0,0,1000\nx\n1,2,3,R\n", 32),
+    };
+    for (const std::string &text : files) {
+        for (trace::RecordPolicy policy : kPolicies) {
+            const trace::IngestOptions opts = keepEveryText(policy);
+            ASSERT_TRUE(sameDecode(decode(oracle::openCsv, text, opts, 7),
+                                   decode(trace::openMsCsvSource, text,
+                                          opts, 7)))
+                << "file '" << text << "'";
+        }
+    }
+}
+
+TEST(BlockDecode, CsvMatchesTheOracleAtEveryRefillOffset)
+{
+    // The column-header line is never parsed, so its length moves
+    // the first block boundary across every byte of the records.
+    const std::string head = "# dlw-ms-v1,edge,0,100000000\n";
+    Rng rng(7);
+    std::vector<std::string> lines = edgeLines();
+    const std::vector<std::string> more = mutatedCorpus(8, 40);
+    lines.insert(lines.end(), more.begin(), more.end());
+    for (bool final_newline : {true, false}) {
+        const std::string records = joinLines(rng, lines, final_newline);
+        ASSERT_LT(head.size() + records.size() + 1,
+                  trace::kDecodeBlockBytes);
+        for (trace::RecordPolicy policy : kPolicies) {
+            const trace::IngestOptions opts = keepEveryText(policy);
+            const std::string base = head + "c\n" + records;
+            const Decoded want = decode(oracle::openCsv, base, opts, 5);
+            for (std::size_t at = 0; at <= records.size(); ++at) {
+                const std::size_t column =
+                    trace::kDecodeBlockBytes - head.size() - 1 - at;
+                const std::string text =
+                    head + std::string(column, 'c') + "\n" + records;
+                ASSERT_TRUE(sameDecode(
+                    want, decode(trace::openMsCsvSource, text, opts, 5)))
+                    << trace::recordPolicyName(policy)
+                    << ", refill at record byte " << at
+                    << (final_newline ? "" : ", no final newline");
+            }
+        }
+    }
+}
+
+TEST(BlockDecode, CsvMatchesTheOracleOnAMutatedCorpus)
+{
+    Rng rng(11);
+    std::vector<std::string> lines = mutatedCorpus(12, 6000);
+    // Lines longer than a block: a valid record padded inside a
+    // field, and garbage.
+    lines.insert(lines.begin() + 100,
+                 "7," + std::string(3 * trace::kDecodeBlockBytes, ' ') +
+                     "8,9,W");
+    lines.insert(lines.begin() + 3000,
+                 std::string(trace::kDecodeBlockBytes + 5, 'x'));
+    lines.push_back(std::string(2 * trace::kDecodeBlockBytes, ' '));
+    lines.push_back("11,12,13,W");
+    for (bool final_newline : {true, false}) {
+        const std::string text = "# dlw-ms-v1,mut,5,100000000\n"
+                                 "arrival_ns,lba,blocks,op\r\n" +
+                                 joinLines(rng, lines, final_newline);
+        ASSERT_GT(text.size(), 4 * trace::kDecodeBlockBytes);
+        for (trace::RecordPolicy policy : kPolicies) {
+            const trace::IngestOptions opts = keepEveryText(policy);
+            for (std::size_t bs : kSweep) {
+                const Decoded want =
+                    decode(oracle::openCsv, text, opts, bs);
+                EXPECT_TRUE(sameDecode(
+                    want, decode(trace::openMsCsvSource, text, opts, bs)))
+                    << trace::recordPolicyName(policy) << ", batch " << bs
+                    << (final_newline ? "" : ", no final newline");
+                if (policy == trace::RecordPolicy::kSkipAndCount &&
+                    bs == 4096) {
+                    // The corpus must reach the far end and exercise
+                    // every branch, or the comparison proves little.
+                    EXPECT_GT(want.stats.records_read, 1000u);
+                    EXPECT_GT(want.stats.records_skipped, 1000u);
+                }
+            }
+        }
+    }
+}
+
+TEST(BlockDecode, FaultPointFiresOnTheSameRecords)
+{
+    const std::string text = "# dlw-ms-v1,f,0,100000\n"
+                             "arrival_ns,lba,blocks,op\n"
+                             "1,0,8,R\n\n2,8,8,W\n3,16,8,R\n"
+                             "4,24,8,W\r\n5,32,8,R\n6,40,8,W";
+    MsTrace tr("f", 0, 100000);
+    for (Tick t = 1; t <= 9; ++t) {
+        trace::Request r;
+        r.arrival = t;
+        r.lba = static_cast<Lba>(8 * t);
+        r.blocks = 8;
+        tr.append(r);
+    }
+    std::ostringstream bin;
+    trace::writeMsBinary(bin, tr);
+    for (trace::RecordPolicy policy : kPolicies) {
+        const trace::IngestOptions opts = keepEveryText(policy);
+        for (const auto &[open_old, open_new, bytes] :
+             {std::make_tuple(Opener(oracle::openCsv),
+                              Opener(trace::openMsCsvSource), text),
+              std::make_tuple(Opener(oracle::openBinary),
+                              Opener(trace::openMsBinarySource),
+                              bin.str())}) {
+            Decoded want, got;
+            {
+                fault::ScopedFault f("trace.read.record:nth=3");
+                want = decode(open_old, bytes, opts, 2);
+            }
+            {
+                fault::ScopedFault f("trace.read.record:nth=3");
+                got = decode(open_new, bytes, opts, 2);
+            }
+            EXPECT_GT(want.stats.errors, 0u);
+            EXPECT_TRUE(sameDecode(want, got))
+                << trace::recordPolicyName(policy);
+        }
+    }
+}
+
+/** A binary trace of `n` records; record `bad` has zero blocks, op 7. */
+std::string
+binaryTrace(std::size_t n, std::size_t bad)
+{
+    MsTrace tr("bin-drive", 3, 1000000);
+    for (std::size_t i = 0; i < n; ++i) {
+        trace::Request r;
+        r.arrival = static_cast<Tick>(10 * i);
+        r.lba = 8 * i;
+        r.blocks = 8;
+        r.op = i % 2 == 0 ? trace::Op::Read : trace::Op::Write;
+        tr.append(r);
+    }
+    std::ostringstream os;
+    trace::writeMsBinary(os, tr);
+    std::string bytes = os.str();
+    const std::size_t rec = bytes.size() -
+                            (n - bad) * sizeof(trace::MsRawRecord);
+    const std::uint32_t zero = 0;
+    std::memcpy(&bytes[rec + 16], &zero, sizeof zero);
+    bytes[rec + 20] = 7;
+    return bytes;
+}
+
+TEST(BlockDecode, BinaryMatchesTheOracleAtEveryTruncation)
+{
+    // Small: every prefix, header bytes included.  Large: past one
+    // block, cut at every byte of the last three records.
+    const std::string small = binaryTrace(6, 2);
+    const std::size_t n_large =
+        2 * trace::kDecodeBlockBytes / sizeof(trace::MsRawRecord) + 3;
+    const std::string large = binaryTrace(n_large, n_large - 2);
+    const std::size_t cut_from =
+        large.size() - 3 * sizeof(trace::MsRawRecord);
+    for (trace::RecordPolicy policy : kPolicies) {
+        const trace::IngestOptions opts = keepEveryText(policy);
+        for (std::size_t len = 0; len <= small.size(); ++len) {
+            const std::string bytes = small.substr(0, len);
+            ASSERT_TRUE(sameDecode(
+                decode(oracle::openBinary, bytes, opts, 4),
+                decode(trace::openMsBinarySource, bytes, opts, 4)))
+                << trace::recordPolicyName(policy) << ", " << len
+                << " of " << small.size() << " bytes";
+        }
+        for (std::size_t len = cut_from; len <= large.size(); ++len) {
+            const std::string bytes = large.substr(0, len);
+            ASSERT_TRUE(sameDecode(
+                decode(oracle::openBinary, bytes, opts, 4096),
+                decode(trace::openMsBinarySource, bytes, opts, 4096)))
+                << trace::recordPolicyName(policy) << ", " << len
+                << " of " << large.size() << " bytes";
+        }
+    }
+    // A trailing byte past the records is ignored by both.
+    const trace::IngestOptions opts;
+    EXPECT_TRUE(
+        sameDecode(decode(oracle::openBinary, small + "z", opts, 4),
+                   decode(trace::openMsBinarySource, small + "z", opts,
+                          4)));
 }
 
 } // anonymous namespace

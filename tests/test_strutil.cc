@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "common/strutil.hh"
 #include "common/types.hh"
 
@@ -62,6 +64,14 @@ TEST(TrimView, ViewsIntoTheSource)
     EXPECT_TRUE(trimView("   ").empty());
     EXPECT_TRUE(trimView("").empty());
     EXPECT_EQ(trimView("\ta b\r"), "a b");
+}
+
+TEST(IsSpace, IsTheCLocaleIsspaceOnEveryByte)
+{
+    for (int c = 0; c < 256; ++c) {
+        const char ch = static_cast<char>(c);
+        EXPECT_EQ(isSpace(ch), std::isspace(c) != 0) << "byte " << c;
+    }
 }
 
 TEST(TryParse, TrimsAndLeavesOutputUntouchedOnFailure)

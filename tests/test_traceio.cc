@@ -108,7 +108,7 @@ TEST(CsvIo, LifetimeRoundTrip)
     LifetimeTrace a("FAM-X");
     for (int i = 0; i < 10; ++i) {
         LifetimeRecord r;
-        r.drive_id = "d" + std::to_string(i);
+        r.drive_id = std::string("d").append(std::to_string(i));
         r.power_on = static_cast<Tick>(1000 + i) * kHour;
         r.busy = static_cast<Tick>(100 + i) * kHour;
         r.reads = static_cast<std::uint64_t>(i) * 1000;
