@@ -3,7 +3,8 @@
  * Streaming-pipeline tests: batch/source mechanics, streamed file
  * decoding against the whole-trace readers, chunking invariance of
  * the characterization pass (bit-identical results at every batch
- * size), and the streamed drive-service path.
+ * size), the streamed drive-service path, and the block-buffered
+ * file decoders against a copy of the getline decoders they replaced.
  */
 
 #include <gtest/gtest.h>
