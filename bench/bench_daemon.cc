@@ -16,128 +16,26 @@
  * trajectory for the network layer.
  */
 
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "benchutil.hh"
 #include "common/rng.hh"
 #include "daemon/server.hh"
+#include "net/client.hh"
 #include "obs/export.hh"
 #include "synth/workload.hh"
 #include "trace/csvio.hh"
 
 using namespace dlw;
 
-namespace
-{
-
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Connect to the local daemon; returns the fd or -1. */
-int
-dialLocal(std::uint16_t port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return fd;
-}
-
-bool
-sendAll(int fd, const std::string &bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::send(fd, bytes.data() + off, bytes.size() - off,
-                   MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/** Read until the peer closes; returns everything received. */
-std::string
-recvAll(int fd)
-{
-    std::string out;
-    char buf[65536];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0)
-            break;
-        out.append(buf, static_cast<std::size_t>(n));
-    }
-    return out;
-}
-
-/**
- * One full csv streaming session; returns the report text, or the
- * empty string on any protocol failure.
- */
-std::string
-streamOnce(std::uint16_t port, const std::string &payload,
-           const std::string &tenant)
-{
-    const int fd = dialLocal(port);
-    if (fd < 0)
-        return {};
-    std::string report;
-    if (sendAll(fd, "DLWS1 csv " + tenant + "\n") &&
-        sendAll(fd, payload)) {
-        ::shutdown(fd, SHUT_WR);
-        const std::string raw = recvAll(fd);
-        // "DLWS1 ok <id>\n" then "DLWR1 ok <n>\n<report>".
-        const std::size_t ack = raw.find('\n');
-        if (ack != std::string::npos &&
-            raw.compare(0, 8, "DLWS1 ok") == 0) {
-            const std::size_t hdr = raw.find('\n', ack + 1);
-            if (hdr != std::string::npos &&
-                raw.compare(ack + 1, 8, "DLWR1 ok") == 0)
-                report = raw.substr(hdr + 1);
-        }
-    }
-    ::close(fd);
-    return report;
-}
-
-} // anonymous namespace
-
 int
 main()
 {
     obs::BenchReportGuard obs_guard("daemon");
-    daemon::registerNetMetrics();
-    daemon::registerDaemonMetrics();
 
     std::cout << "Daemon under load: sustained sessions and "
                  "shedding (M6)\n\n";
@@ -167,19 +65,20 @@ main()
     // ---- Sustained waves of concurrent clients -------------------
     constexpr int kWaves = 4;
     constexpr int kClientsPerWave = 16;
-    const std::uint16_t port = server.port();
+    const net::Endpoint to{.port = server.port()};
 
     std::string reference;
     int mismatches = 0;
-    const double t0 = nowSeconds();
+    const double t0 = bench::nowSeconds();
     for (int wave = 0; wave < kWaves; ++wave) {
         std::vector<std::string> reports(kClientsPerWave);
         std::vector<std::thread> clients;
         clients.reserve(kClientsPerWave);
         for (int c = 0; c < kClientsPerWave; ++c)
             clients.emplace_back([&, c] {
-                reports[static_cast<std::size_t>(c)] = streamOnce(
-                    port, payload, "bench" + std::to_string(c));
+                reports[static_cast<std::size_t>(c)] =
+                    bench::streamReport(to, payload,
+                                        "bench" + std::to_string(c));
             });
         for (auto &t : clients)
             t.join();
@@ -190,7 +89,7 @@ main()
                 ++mismatches;
         }
     }
-    const double sustained_s = nowSeconds() - t0;
+    const double sustained_s = bench::nowSeconds() - t0;
     const int n_sessions = kWaves * kClientsPerWave;
     const double rec_per_s =
         static_cast<double>(n_records) * n_sessions / sustained_s;
@@ -223,11 +122,14 @@ main()
     }
     std::thread shed_loop([&shed_server] { (void)shed_server.run(); });
 
-    std::vector<int> held;
+    const net::Endpoint shed_to{.port = shed_server.port()};
+    const std::string hold =
+        net::renderStreamHello(net::StreamFormat::kCsv, "hold");
+    std::vector<net::ClientConn> held;
     for (int i = 0; i < kHold; ++i) {
-        const int fd = dialLocal(shed_server.port());
-        if (fd >= 0 && sendAll(fd, "DLWS1 csv hold\n"))
-            held.push_back(fd);
+        StatusOr<net::ClientConn> c = net::ClientConn::dial(shed_to);
+        if (c.ok() && c.value().sendAll(hold).ok())
+            held.push_back(std::move(c).value());
     }
     // Let the event loop accept the holders before probing.
     while (shed_server.activeConnections() <
@@ -235,19 +137,16 @@ main()
         std::this_thread::yield();
 
     int shed = 0;
-    const double t1 = nowSeconds();
+    const double t1 = bench::nowSeconds();
     for (int i = 0; i < kProbes; ++i) {
-        const int fd = dialLocal(shed_server.port());
-        if (fd < 0)
-            continue;
-        sendAll(fd, "DLWS1 csv probe\n");
-        ::shutdown(fd, SHUT_WR);
-        if (recvAll(fd).find("DLWR1 error overloaded") !=
-            std::string::npos)
+        net::StreamHello probe;
+        probe.tenant = "probe";
+        StatusOr<net::StreamReply> r =
+            net::streamSession(shed_to, probe, std::string_view());
+        if (!r.ok() && r.status().message() == "server overloaded")
             ++shed;
-        ::close(fd);
     }
-    const double shed_s = nowSeconds() - t1;
+    const double shed_s = bench::nowSeconds() - t1;
 
     std::cout << "shedding:  " << shed << "/" << kProbes
               << " probes refused past a budget of " << kHold
@@ -259,8 +158,7 @@ main()
         ok = false;
     }
 
-    for (const int fd : held)
-        ::close(fd);
+    held.clear();
     shed_server.requestStop();
     shed_loop.join();
     server.requestStop();

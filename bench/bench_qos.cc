@@ -30,16 +30,10 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include "benchutil.hh"
 #include "common/rng.hh"
 #include "daemon/server.hh"
+#include "net/client.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "qos/ratekeeper.hh"
@@ -57,105 +51,6 @@ constexpr int kInteractiveClients = 4;
 constexpr int kRoundsPerClient = 8;
 constexpr std::size_t kBatch = 4096;
 
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Connect to the local daemon; returns the fd or -1. */
-int
-dialLocal(std::uint16_t port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return fd;
-}
-
-/** Cap blocking send/recv so storm clients can notice a stop flag. */
-void
-setIoTimeout(int fd, int millis)
-{
-    timeval tv{};
-    tv.tv_sec = millis / 1000;
-    tv.tv_usec = (millis % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-bool
-sendAll(int fd, const std::string &bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::send(fd, bytes.data() + off, bytes.size() - off,
-                   MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/** Read until the peer closes (or the socket times out). */
-std::string
-recvAll(int fd)
-{
-    std::string out;
-    char buf[65536];
-    for (;;) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0)
-            break;
-        out.append(buf, static_cast<std::size_t>(n));
-    }
-    return out;
-}
-
-/**
- * One full csv streaming session; returns the report text, or the
- * empty string on any protocol failure.
- */
-std::string
-streamOnce(std::uint16_t port, const std::string &payload,
-           const std::string &hello)
-{
-    const int fd = dialLocal(port);
-    if (fd < 0)
-        return {};
-    std::string report;
-    if (sendAll(fd, hello) && sendAll(fd, payload)) {
-        ::shutdown(fd, SHUT_WR);
-        const std::string raw = recvAll(fd);
-        // "DLWS1 ok <id>\n" then "DLWR1 ok <n>\n<report>".
-        const std::size_t ack = raw.find('\n');
-        if (ack != std::string::npos &&
-            raw.compare(0, 8, "DLWS1 ok") == 0) {
-            const std::size_t hdr = raw.find('\n', ack + 1);
-            if (hdr != std::string::npos &&
-                raw.compare(ack + 1, 8, "DLWR1 ok") == 0)
-                report = raw.substr(hdr + 1);
-        }
-    }
-    ::close(fd);
-    return report;
-}
-
 /**
  * A bulk streamer: loops full sessions of `payload` under one shared
  * bulk tenant until `stop`.  Short socket timeouts stand in for an
@@ -165,23 +60,12 @@ streamOnce(std::uint16_t port, const std::string &payload,
  */
 void
 bulkWorker(std::uint16_t port, const std::string &payload,
-           std::atomic<bool> &stop, std::atomic<std::uint64_t> &tries)
+           std::atomic<bool> &stop)
 {
-    while (!stop.load(std::memory_order_relaxed)) {
-        const int fd = dialLocal(port);
-        if (fd < 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            continue;
-        }
-        setIoTimeout(fd, 250);
-        tries.fetch_add(1, std::memory_order_relaxed);
-        if (sendAll(fd, "DLWS1 csv storm bulk\n") &&
-            sendAll(fd, payload)) {
-            ::shutdown(fd, SHUT_WR);
-            (void)recvAll(fd);
-        }
-        ::close(fd);
-    }
+    const net::Endpoint to{.port = port, .io_timeout_ms = 250};
+    while (!stop.load(std::memory_order_relaxed))
+        (void)bench::streamReport(to, payload, "storm",
+                                  qos::WorkClass::kBulk);
 }
 
 /**
@@ -196,16 +80,16 @@ stormInteractiveP95(std::uint16_t port, const std::string &bulk_payload,
                     std::vector<std::string> &reports)
 {
     std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> tries{0};
     std::vector<std::thread> storm;
     storm.reserve(kBulkClients);
     for (int i = 0; i < kBulkClients; ++i)
         storm.emplace_back([&] {
-            bulkWorker(port, bulk_payload, stop, tries);
+            bulkWorker(port, bulk_payload, stop);
         });
     // Let the storm actually land before sampling.
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
+    const net::Endpoint to{.port = port};
     std::vector<double> lat(
         static_cast<std::size_t>(kInteractiveClients) *
         kRoundsPerClient);
@@ -217,11 +101,10 @@ stormInteractiveP95(std::uint16_t port, const std::string &bulk_payload,
             for (int r = 0; r < kRoundsPerClient; ++r) {
                 const std::size_t slot = static_cast<std::size_t>(
                     c * kRoundsPerClient + r);
-                const double t0 = nowSeconds();
-                reports[slot] = streamOnce(
-                    port, lat_payload,
-                    "DLWS1 csv lat" + std::to_string(c) + "\n");
-                lat[slot] = nowSeconds() - t0;
+                const double t0 = bench::nowSeconds();
+                reports[slot] = bench::streamReport(
+                    to, lat_payload, "lat" + std::to_string(c));
+                lat[slot] = bench::nowSeconds() - t0;
             }
         });
     for (auto &t : clients)
@@ -243,9 +126,6 @@ int
 main(int argc, char **argv)
 {
     obs::BenchReportGuard obs_guard("qos");
-    daemon::registerNetMetrics();
-    daemon::registerDaemonMetrics();
-    qos::registerQosMetrics();
     bool gate = false;
     for (int i = 1; i < argc; ++i)
         if (std::strcmp(argv[i], "--qos-gate") == 0)
@@ -283,14 +163,14 @@ main(int argc, char **argv)
                           qos::WorkClass::kInteractive};
     constexpr int kMicroReps = 1'000'000;
     std::uint64_t now_ns = 1;
-    const double m0 = nowSeconds();
+    const double m0 = bench::nowSeconds();
     for (int i = 0; i < kMicroReps; ++i) {
         now_ns += 1000;
         (void)rk.admit(itag, now_ns);
         rk.charge(itag, kBatch);
     }
     const double admit_charge_ns =
-        (nowSeconds() - m0) * 1e9 / kMicroReps;
+        (bench::nowSeconds() - m0) * 1e9 / kMicroReps;
 
     daemon::ServerConfig idle_cfg;
     idle_cfg.port = 0;
@@ -300,6 +180,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::thread idle_loop([&idle_server] { (void)idle_server.run(); });
+    const net::Endpoint idle_to{.port = idle_server.port()};
 
     // Unloaded reference session: also the byte-identity reference
     // for every interactive report below.
@@ -307,11 +188,10 @@ main(int argc, char **argv)
     double session_wall_s = 0.0;
     constexpr int kIdleReps = 8;
     for (int i = 0; i < kIdleReps; ++i) {
-        const double t0 = nowSeconds();
-        const std::string r = streamOnce(idle_server.port(),
-                                         lat_payload,
-                                         "DLWS1 csv lat0\n");
-        session_wall_s += nowSeconds() - t0;
+        const double t0 = bench::nowSeconds();
+        const std::string r =
+            bench::streamReport(idle_to, lat_payload, "lat0");
+        session_wall_s += bench::nowSeconds() - t0;
         if (reference.empty())
             reference = r;
         if (r.empty() || r != reference) {

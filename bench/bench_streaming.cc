@@ -34,14 +34,6 @@ using namespace dlw;
 namespace
 {
 
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /** Peak resident set of this process in MiB (monotone). */
 long
 peakRssMb()
@@ -87,24 +79,24 @@ main()
         w.generate(rng, "m5-drive", 0, 5 * kMinute);
     const Lba capacity = 1 << 24;
 
-    const double t0 = nowSeconds();
+    const double t0 = bench::nowSeconds();
     const core::BurstinessReport b_ref = core::analyzeBurstiness(tr);
     const core::RwDynamics rw_ref = core::analyzeRwDynamics(tr);
     const core::FootprintReport f_ref =
         core::analyzeFootprint(tr, capacity);
-    const double multi_s = nowSeconds() - t0;
+    const double multi_s = bench::nowSeconds() - t0;
 
     core::BurstinessAccumulator b;
     core::RwMixAccumulator rw;
     core::FootprintAccumulator f(capacity);
-    const double t1 = nowSeconds();
+    const double t1 = bench::nowSeconds();
     trace::MsTraceSource src(tr);
     core::CharacterizationPass pass;
     pass.add(b);
     pass.add(rw);
     pass.add(f);
     pass.run(src);
-    const double fused_s = nowSeconds() - t1;
+    const double fused_s = bench::nowSeconds() - t1;
 
     ok = ok && b.report().interarrival_cv == b_ref.interarrival_cv &&
          rw.report().mean_run_length == rw_ref.mean_run_length &&
@@ -122,9 +114,9 @@ main()
 
     // ---- Bounded memory: peak RSS of a long streamed fleet -------
     const long rss_start = peakRssMb();
-    const double t2 = nowSeconds();
+    const double t2 = bench::nowSeconds();
     const fleet::FleetResult streamed = fleet::runFleet(heavyFleet());
-    const double stream_s = nowSeconds() - t2;
+    const double stream_s = bench::nowSeconds() - t2;
     const long rss_stream = peakRssMb();
 
     core::Table mt("fleet memory: 16 drives x 120 req/s x 10 min",

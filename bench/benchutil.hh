@@ -12,11 +12,13 @@
 #ifndef DLW_BENCH_BENCHUTIL_HH
 #define DLW_BENCH_BENCHUTIL_HH
 
+#include <chrono>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "disk/drive.hh"
+#include "net/client.hh"
 #include "synth/family.hh"
 #include "synth/workload.hh"
 #include "trace/mstrace.hh"
@@ -118,6 +120,28 @@ constexpr std::size_t kHourDrives = 64;
 
 /** Number of drives in the Lifetime trace set. */
 constexpr std::size_t kLifetimeDrives = 512;
+
+/** Steady-clock seconds, for wall timings. */
+inline double
+nowSeconds()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+/** One csv session against the dlwd at `to`: the report, or "". */
+inline std::string
+streamReport(const net::Endpoint &to, const std::string &payload,
+             const std::string &tenant,
+             qos::WorkClass klass = qos::WorkClass::kInteractive)
+{
+    net::StreamHello hello;
+    hello.tenant = tenant;
+    hello.klass = klass;
+    StatusOr<net::StreamReply> r = net::streamSession(to, hello, payload);
+    return r.ok() ? r.value().report : std::string();
+}
 
 } // namespace bench
 } // namespace dlw

@@ -58,9 +58,6 @@ class RaidArray
      */
     RaidArray(RaidConfig raid, disk::DriveConfig drive);
 
-    /** Array geometry. */
-    const RaidConfig &raidConfig() const { return raid_; }
-
     /** Logical capacity in blocks. */
     Lba logicalCapacity() const;
 

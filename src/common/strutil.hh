@@ -50,6 +50,12 @@ bool startsWith(std::string_view s, std::string_view prefix);
 /** True when the string ends with the given suffix. */
 bool endsWith(std::string_view s, std::string_view suffix);
 
+/**
+ * Escape `s` for the inside of a JSON string: quote, backslash, \n,
+ * \r and \t get their short escapes, other control bytes \u00XX.
+ */
+std::string jsonEscape(std::string_view s);
+
 /** Render a double with fixed precision. */
 std::string formatDouble(double v, int precision);
 

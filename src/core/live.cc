@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/strutil.hh"
+
 namespace dlw
 {
 namespace core
@@ -40,32 +42,6 @@ jsonField(std::ostringstream &os, bool &first, const char *key,
 {
     os << (first ? "" : ",") << '"' << key << "\":" << v;
     first = false;
-}
-
-/** Escape the characters JSON strings cannot carry verbatim. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // anonymous namespace

@@ -1,9 +1,8 @@
 #include "daemon/server.hh"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -16,128 +15,24 @@
 
 #include "common/strutil.hh"
 #include "daemon/checkpoint.hh"
+#include "daemon/server_internal.hh"
 #include "net/io.hh"
 #include "net/wire.hh"
-#include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
-#include "obs/timeline_export.hh"
 
 namespace dlw
 {
 namespace daemon
 {
 
-namespace
-{
-
-/** net.* metric handles, registered once. */
-struct NetMetrics
-{
-    obs::Counter &accepted = obs::counter("net.accepted", "connections", "net",
-        "TCP connections accepted");
-    obs::Counter &closed = obs::counter("net.closed", "connections", "net",
-        "TCP connections closed (any reason)");
-    obs::Gauge &active = obs::gauge("net.active", "connections", "net",
-        "TCP connections currently open");
-    obs::Counter &bytes_in = obs::counter("net.bytes_in", "bytes", "net",
-        "payload bytes read from peers");
-    obs::Counter &bytes_out = obs::counter("net.bytes_out", "bytes", "net",
-        "payload bytes written to peers");
-    obs::Counter &http_requests = obs::counter("net.http.requests", "requests", "net",
-        "HTTP requests parsed and routed");
-    obs::Counter &protocol_errors = obs::counter("net.protocol_errors", "errors", "net",
-        "connections failed by malformed bytes");
-    obs::Counter &shed_connections = obs::counter("net.shed.connections", "connections", "net",
-        "connections shed at accept (over the connection budget)");
-    obs::Counter &shed_buffer = obs::counter("net.shed.buffer", "connections", "net",
-        "connections cut for exceeding the per-connection buffer cap");
-    obs::Counter &shed_http = obs::counter("net.shed.http", "requests", "net",
-        "HTTP requests answered 503 on shed connections");
-};
-
-NetMetrics &
-netMetrics()
-{
-    static NetMetrics m;
-    return m;
-}
-
-/** daemon.* metric handles, registered once. */
-struct DaemonMetrics
-{
-    obs::Counter &opened = obs::counter("daemon.sessions.opened", "sessions", "daemon",
-        "streaming sessions admitted (hello accepted)");
-    obs::Counter &completed = obs::counter("daemon.sessions.completed", "sessions", "daemon",
-        "streaming sessions that delivered a final report");
-    obs::Counter &aborted = obs::counter("daemon.sessions.aborted", "sessions", "daemon",
-        "streaming sessions that failed (protocol error, bad data, disconnect)");
-    obs::Gauge &active = obs::gauge("daemon.sessions.active", "sessions", "daemon",
-        "streaming sessions currently open");
-    obs::Counter &requests_streamed = obs::counter("daemon.requests_streamed", "records", "daemon",
-        "trace records decoded across all sessions");
-    obs::Counter &folds = obs::counter("daemon.folds", "folds", "daemon",
-        "final folds handed to the thread pool");
-    obs::Histogram &fold_seconds = obs::histogram("daemon.fold_seconds", "s", "daemon",
-        "wall time of one final fold (finish + render)");
-    obs::Counter &evict_first_byte = obs::counter("daemon.evict.first_byte", "connections", "daemon",
-        "connections evicted: accepted but never sent a byte");
-    obs::Counter &evict_header = obs::counter("daemon.evict.header", "connections", "daemon",
-        "connections evicted: hello line / HTTP head never completed (slow loris)");
-    obs::Counter &evict_idle = obs::counter("daemon.evict.idle", "connections", "daemon",
-        "connections evicted: payload or keep-alive gap exceeded the idle deadline");
-    obs::Counter &evict_write_stall = obs::counter("daemon.evict.write_stall", "connections", "daemon",
-        "connections cut: peer stopped draining our writes");
-    obs::Counter &ckpt_saved = obs::counter("daemon.ckpt.saved", "checkpoints", "daemon",
-        "session checkpoints written to the state dir");
-    obs::Counter &ckpt_restored = obs::counter("daemon.ckpt.restored", "sessions", "daemon",
-        "sessions restored from the state dir at startup");
-    obs::Gauge &uptime_s = obs::gauge("daemon.uptime_s", "s", "daemon",
-        "seconds since the daemon started");
-};
-
-DaemonMetrics &
-daemonMetrics()
-{
-    static DaemonMetrics m;
-    return m;
-}
-
-std::uint64_t
-nowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/**
- * Cold-path trace marker for a shed/throttled traced hello: no
- * Session exists yet, so the name is interned here (once per shed,
- * never on the data path).
- */
-void
-tracedShed(const std::string &trace_id)
-{
-    if (trace_id.empty() || !obs::timelineEnabled())
-        return;
-    obs::emitInstant(
-        obs::internTimelineName("trace/" + trace_id + "/server.shed"));
-}
-
-} // namespace
-
-void
-registerNetMetrics()
-{
-    netMetrics();
-}
-
 void
 registerDaemonMetrics()
 {
+    netMetrics();
     daemonMetrics();
+    net::registerNetIoMetrics();
+    qos::registerQosMetrics();
 }
 
 Server::Server(ServerConfig config) : config_(config)
@@ -158,23 +53,14 @@ Server::~Server()
 Status
 Server::start()
 {
-    registerNetMetrics();
     registerDaemonMetrics();
-    net::registerNetIoMetrics();
-    qos::registerQosMetrics();
     // Force-register the stage histograms so /metrics and /v1/stats
     // carry the schema before the first streamed batch.
-    sessionStageHistogram(SessionStage::kRead);
-    sessionStageHistogram(SessionStage::kDecode);
-    sessionStageHistogram(SessionStage::kAdmit);
-    sessionStageHistogram(SessionStage::kFold);
-    sessionStageHistogram(SessionStage::kMerge);
+    for (std::size_t st = 0; st < kSessionStageCount; ++st)
+        sessionStageHistogram(static_cast<SessionStage>(st));
 
     started_ns_ = nowNs();
-    started_wall_ms_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
+    started_wall_ms_ = wallNowMs();
 
     if (config_.qos) {
         rk_ = std::make_unique<qos::Ratekeeper>(config_.qos_config);
@@ -301,20 +187,12 @@ Server::run()
                 continue;
             const std::uint64_t token = it->second;
             const std::uint32_t mask = events[i].events;
-            if (mask & (EPOLLHUP | EPOLLERR)) {
-                // The read path sees the EOF/reset and settles the
-                // connection; pending bytes still drain first.
-                auto ct = conns_.find(token);
-                if (ct != conns_.end())
-                    connReadable(*ct->second);
-                continue;
-            }
-            if (mask & EPOLLIN) {
-                auto ct = conns_.find(token);
-                if (ct != conns_.end())
-                    connReadable(*ct->second);
-            }
-            if ((mask & EPOLLOUT) && conns_.count(token) != 0)
+            // On HUP/ERR the read path sees the EOF/reset and settles
+            // the connection; pending bytes still drain first.
+            const bool hup = (mask & (EPOLLHUP | EPOLLERR)) != 0;
+            if ((hup || (mask & EPOLLIN)) && conns_.count(token) != 0)
+                connReadable(*conns_[token]);
+            if (!hup && (mask & EPOLLOUT) && conns_.count(token) != 0)
                 connWritable(*conns_[token]);
         }
 
@@ -395,13 +273,10 @@ Server::expireDeadlines(std::uint64_t now_ns)
         // Stale entry for a deadline that has since been pushed out
         // (or disarmed): re-arm the wheel at the live deadline.
         std::uint64_t next = UINT64_MAX;
-        if (c.read_deadline_ns != 0)
-            next = c.read_deadline_ns;
-        if (c.write_deadline_ns != 0 && c.write_deadline_ns < next)
-            next = c.write_deadline_ns;
-        if (c.throttle_deadline_ns != 0 &&
-            c.throttle_deadline_ns < next)
-            next = c.throttle_deadline_ns;
+        for (std::uint64_t d : {c.read_deadline_ns, c.write_deadline_ns,
+                                c.throttle_deadline_ns})
+            if (d != 0)
+                next = std::min(next, d);
         if (next != UINT64_MAX)
             wheel_.schedule(token, next);
     }
@@ -438,6 +313,35 @@ Server::throttleConn(Conn &c, std::uint64_t now_ns)
     armRead(c, ReadDeadline::kNone);
     wheel_.schedule(c.token, c.throttle_deadline_ns);
     updateEpoll(c);
+}
+
+bool
+Server::shedByQos(Conn &c, const std::string &tenant,
+                  qos::WorkClass klass)
+{
+    if (rk_ == nullptr)
+        return false;
+    const qos::TagId tag{qos::internTenant(tenant), klass};
+    if (rk_->admitSession(tag, nowNs()) != qos::Admission::kShed)
+        return false;
+    if (c.state == ConnState::kHttp) {
+        queueWrite(c, net::renderHttpResponse(429, "Too Many Requests",
+                                              "text/plain", "throttled\n",
+                                              false));
+        c.close_after_flush = true;
+    } else {
+        closeWith(c, net::renderReportError("throttled"));
+    }
+    return true;
+}
+
+void
+Server::closeWith(Conn &c, const std::string &bytes)
+{
+    queueWrite(c, bytes);
+    c.close_after_flush = true;
+    c.state = ConnState::kFold;
+    armRead(c, ReadDeadline::kNone); // the flush is the write's problem
 }
 
 void
@@ -496,8 +400,6 @@ Server::evictRead(Conn &c)
     case ReadDeadline::kNone:
         return; // raced a disarm; nothing to evict
     }
-    c.read_kind = ReadDeadline::kNone;
-    c.read_deadline_ns = 0;
     if (c.state == ConnState::kStream) {
         failSession(c, "timeout: no payload bytes before the idle"
                        " deadline",
@@ -506,20 +408,15 @@ Server::evictRead(Conn &c)
     }
     if (c.state == ConnState::kHttp && !c.in.empty()) {
         // Mid-head: tell the slow client why before closing.
-        queueWrite(c, net::renderHttpResponse(
-                          408, "Request Timeout", "text/plain",
-                          "header read deadline exceeded\n", false));
-        c.close_after_flush = true;
-        c.state = ConnState::kFold;
+        closeWith(c, net::renderHttpResponse(
+                         408, "Request Timeout", "text/plain",
+                         "header read deadline exceeded\n", false));
         return;
     }
     if (c.state == ConnState::kSniff && !c.in.empty()) {
         // A partial DLWS1 hello (or ambiguous bytes): answer on the
         // stream plane, where 5-byte prefixes have already matched.
-        queueWrite(c, net::renderReportError(
-                          "timeout waiting for hello"));
-        c.close_after_flush = true;
-        c.state = ConnState::kFold;
+        closeWith(c, net::renderReportError("timeout waiting for hello"));
         return;
     }
     // Idle keep-alive (or empty sniff) reap: close quietly.
@@ -568,14 +465,10 @@ Server::restoreState()
         ckpt_stamp_[s->id()] = {s->records(), s->state()};
         daemonMetrics().ckpt_restored.add();
         obs::emitInstant("daemon.ckpt");
-        // Session ids are "<tenant>-<n>"; keep new ids unique.
-        const std::size_t dash = s->id().rfind('-');
-        if (dash != std::string::npos) {
-            std::uint64_t n = 0;
-            if (tryParseUint(s->id().substr(dash + 1), n) &&
-                n >= next_session_)
-                next_session_ = n + 1;
-        }
+        // Restored ids are "<tenant>-<n>"; keep new ids unique.
+        std::uint64_t n = 0;
+        if (tryParseUint(s->id().substr(s->id().rfind('-') + 1), n))
+            next_session_ = std::max(next_session_, n + 1);
     }
     return Status();
 }
@@ -754,7 +647,7 @@ Server::sniff(Conn &c)
     // "DLWS1 ..." → ingest session; anything else → HTTP.  Decide as
     // soon as the available bytes diverge from the hello magic.
     const std::size_t probe = std::min<std::size_t>(n, 5);
-    if (std::memcmp(c.in.data(), "DLWS1", probe) != 0) {
+    if (std::memcmp(c.in.data(), net::kHelloMagic, probe) != 0) {
         c.state = ConnState::kHttp;
         return;
     }
@@ -764,11 +657,7 @@ Server::sniff(Conn &c)
     if (nl == net::ByteQueue::npos) {
         if (n > net::kMaxHelloBytes) {
             netMetrics().protocol_errors.add();
-            queueWrite(c, net::renderReportError(
-                              "oversized hello line"));
-            c.close_after_flush = true;
-            c.state = ConnState::kFold; // no further reads parsed
-            armRead(c, ReadDeadline::kNone);
+            closeWith(c, net::renderReportError("oversized hello line"));
         }
         return;
     }
@@ -779,34 +668,21 @@ Server::sniff(Conn &c)
     Status s = net::parseStreamHello(line, hello);
     if (!s.ok()) {
         netMetrics().protocol_errors.add();
-        queueWrite(c, net::renderReportError(s.message()));
-        c.close_after_flush = true;
-        c.state = ConnState::kFold;
-        armRead(c, ReadDeadline::kNone);
+        closeWith(c, net::renderReportError(s.message()));
         return;
     }
     // Tag-aware shedding fires before the blunt overload check so a
     // bulk client learns it was throttled (retry later), not that
     // the daemon is down.
-    if (rk_ != nullptr) {
-        const qos::TagId tag{qos::internTenant(hello.tenant),
-                             hello.klass};
-        if (rk_->admitSession(tag, nowNs()) ==
-            qos::Admission::kShed) {
-            tracedShed(hello.trace_id);
-            queueWrite(c, net::renderReportError("throttled"));
-            c.close_after_flush = true;
-            c.state = ConnState::kFold;
-            armRead(c, ReadDeadline::kNone);
-            return;
-        }
-    }
-    if (c.shed || draining_) {
-        tracedShed(hello.trace_id);
-        queueWrite(c, net::renderReportError("overloaded"));
-        c.close_after_flush = true;
-        c.state = ConnState::kFold;
-        armRead(c, ReadDeadline::kNone);
+    const bool throttled = shedByQos(c, hello.tenant, hello.klass);
+    if (throttled || c.shed || draining_) {
+        if (!throttled)
+            closeWith(c, net::renderReportError("overloaded"));
+        // No Session exists yet, so a traced hello's marker is
+        // interned here: once per shed, never on the data path.
+        if (!hello.trace_id.empty() && obs::timelineEnabled())
+            obs::emitInstant(obs::internTimelineName(
+                "trace/" + hello.trace_id + "/server.shed"));
         return;
     }
 
@@ -842,259 +718,6 @@ Server::sniff(Conn &c)
                                        obs::timelineNowNs()));
     c.state = ConnState::kStream;
     armRead(c, ReadDeadline::kIdle);
-}
-
-void
-Server::serveHttp(Conn &c)
-{
-    bool served = false;
-    for (;;) {
-        net::HttpRequest req;
-        std::string why;
-        const net::HttpParser::Result r = c.http.next(c.in, req, why);
-        if (r == net::HttpParser::Result::kNeedMore)
-            break;
-        if (r == net::HttpParser::Result::kError) {
-            netMetrics().protocol_errors.add();
-            queueWrite(c, net::renderHttpResponse(
-                              400, "Bad Request", "text/plain",
-                              why + "\n", false));
-            c.close_after_flush = true;
-            return;
-        }
-        netMetrics().http_requests.add();
-        served = true;
-        if (c.shed || draining_) {
-            netMetrics().shed_http.add();
-            obs::emitInstant("net.shed");
-            queueWrite(c, net::renderHttpResponse(
-                              503, "Service Unavailable",
-                              "text/plain", "overloaded\n", false));
-            c.close_after_flush = true;
-            return;
-        }
-        // An HTTP client may volunteer its tag; a sheddable class
-        // under pressure gets 429 (retry later), never 503.
-        if (rk_ != nullptr) {
-            const std::string klass_hdr =
-                req.headerValue("x-dlw-class");
-            qos::WorkClass klass;
-            if (!klass_hdr.empty() &&
-                qos::parseWorkClass(klass_hdr, klass)) {
-                const qos::TagId tag{
-                    qos::internTenant(
-                        req.headerValue("x-dlw-tenant")),
-                    klass};
-                if (rk_->admitSession(tag, nowNs()) ==
-                    qos::Admission::kShed) {
-                    queueWrite(c, net::renderHttpResponse(
-                                      429, "Too Many Requests",
-                                      "text/plain", "throttled\n",
-                                      false));
-                    c.close_after_flush = true;
-                    return;
-                }
-            }
-        }
-        bool keep_alive = req.keepAlive();
-        queueWrite(c, routeHttp(req, keep_alive));
-        if (!keep_alive) {
-            c.close_after_flush = true;
-            return;
-        }
-    }
-    if (served)
-        armRead(c, ReadDeadline::kIdle); // between keep-alive requests
-    if (c.saw_eof && c.in.empty()) {
-        if (c.out.empty())
-            closeConn(c.token);
-        else
-            c.close_after_flush = true;
-    }
-}
-
-std::string
-Server::routeHttp(const net::HttpRequest &req, bool &keep_alive)
-{
-    if (req.method != "GET") {
-        keep_alive = false;
-        return net::renderHttpResponse(405, "Method Not Allowed",
-                                       "text/plain",
-                                       "only GET is served\n", false);
-    }
-    if (req.target == "/healthz") {
-        // JSON body, same 200 semantics: probes that only grep for
-        // "ok" keep working via the status field.
-        std::ostringstream os;
-        os << "{\"status\":\"ok\",\"version\":\"" << kDaemonVersion
-           << "\",\"uptime_s\":" << (nowNs() - started_ns_) / 1000000000ull
-           << ",\"qos\":" << (rk_ != nullptr ? "true" : "false")
-           << ",\"active_sessions\":"
-           << daemonMetrics().active.value() << "}\n";
-        return net::renderHttpResponse(200, "OK", "application/json",
-                                       os.str(), keep_alive);
-    }
-    if (req.target == "/metrics") {
-        return net::renderHttpResponse(
-            200, "OK", "text/plain; version=0.0.4",
-            obs::renderProm(obs::takeSnapshot()), keep_alive);
-    }
-    if (req.target == "/v1/timeline") {
-        // A live snapshot of the flight-recorder ring: no quiesce,
-        // no reset — concurrent emitters keep recording and the
-        // worst case is one torn slot (see timeline.hh).
-        return net::renderHttpResponse(
-            200, "OK", "application/json",
-            obs::renderChromeTrace(obs::timelineSnapshot()),
-            keep_alive);
-    }
-    if (req.target == "/v1/stats") {
-        return net::renderHttpResponse(200, "OK", "application/json",
-                                       statsJson(), keep_alive);
-    }
-    if (req.target == "/v1/sessions") {
-        std::ostringstream os;
-        os << "[";
-        bool first = true;
-        for (const auto &kv : sessions_) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << "{\"session\":\"" << kv.first << "\",\"tenant\":\""
-               << kv.second->tenant() << "\",\"class\":\""
-               << qos::workClassName(kv.second->klass())
-               << "\",\"state\":\""
-               << sessionStateName(kv.second->state()) << "\"";
-            if (!kv.second->traceId().empty())
-                os << ",\"trace\":\"" << kv.second->traceId()
-                   << "\"";
-            char rate[32];
-            std::snprintf(rate, sizeof(rate), "%.1f",
-                          kv.second->recordsPerS());
-            os << ",\"started_at_ms\":" << kv.second->startedAtMs()
-               << ",\"duration_ms\":" << kv.second->durationMs()
-               << ",\"records_per_s\":" << rate << "}";
-        }
-        os << "]\n";
-        return net::renderHttpResponse(200, "OK", "application/json",
-                                       os.str(), keep_alive);
-    }
-    const std::string prefix = "/v1/sessions/";
-    const std::string suffix = "/report";
-    if (startsWith(req.target, prefix) &&
-        endsWith(req.target, suffix) &&
-        req.target.size() > prefix.size() + suffix.size()) {
-        const std::string id = req.target.substr(
-            prefix.size(),
-            req.target.size() - prefix.size() - suffix.size());
-        auto it = sessions_.find(id);
-        if (it == sessions_.end()) {
-            return net::renderHttpResponse(
-                404, "Not Found", "text/plain",
-                "no such session\n", keep_alive);
-        }
-        return net::renderHttpResponse(200, "OK", "application/json",
-                                       it->second->reportJson(),
-                                       keep_alive);
-    }
-    return net::renderHttpResponse(404, "Not Found", "text/plain",
-                                   "unknown path\n", keep_alive);
-}
-
-std::string
-Server::statsJson() const
-{
-    // Everything here is either loop-thread state (conns_,
-    // sessions_) or internally synchronized (metrics, ratekeeper,
-    // pool), so the snapshot is one pass, no quiesce.
-    std::ostringstream os;
-    char buf[64];
-    os << "{\"uptime_s\":" << (nowNs() - started_ns_) / 1000000000ull
-       << ",\"started_at_ms\":" << started_wall_ms_
-       << ",\"connections\":" << conns_.size()
-       << ",\"active_sessions\":" << daemonMetrics().active.value()
-       << ",\"draining\":" << (draining_ ? "true" : "false");
-    os << ",\"pool\":{\"threads\":"
-       << (pool_ != nullptr ? pool_->threadCount() : 0)
-       << ",\"queue_depth\":"
-       << (pool_ != nullptr ? pool_->queueDepth() : 0) << "}";
-    const stats::LogHistogram folds =
-        daemonMetrics().fold_seconds.merged();
-    std::snprintf(buf, sizeof(buf), "%.1f",
-                  folds.total() > 0 ? folds.quantile(0.95) * 1e6
-                                    : 0.0);
-    os << ",\"fold_p95_us\":" << buf;
-    os << ",\"stages\":{";
-    static const SessionStage kStages[] = {
-        SessionStage::kRead, SessionStage::kDecode,
-        SessionStage::kAdmit, SessionStage::kFold,
-        SessionStage::kMerge};
-    bool first = true;
-    for (SessionStage st : kStages) {
-        const stats::LogHistogram h =
-            sessionStageHistogram(st).merged();
-        if (!first)
-            os << ',';
-        first = false;
-        os << '"' << sessionStageName(st) << "\":{\"count\":"
-           << h.total();
-        std::snprintf(buf, sizeof(buf),
-                      ",\"p50_us\":%.1f,\"p95_us\":%.1f,"
-                      "\"p99_us\":%.1f}",
-                      h.total() > 0 ? h.quantile(0.50) * 1e6 : 0.0,
-                      h.total() > 0 ? h.quantile(0.95) * 1e6 : 0.0,
-                      h.total() > 0 ? h.quantile(0.99) * 1e6 : 0.0);
-        os << buf;
-    }
-    os << '}';
-    // Per-tenant/class session aggregation over the live registry.
-    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
-        tenants; // key "tenant/class" -> {sessions, records}
-    for (const auto &kv : sessions_) {
-        const std::string key = kv.second->tenant() + std::string("/") +
-            qos::workClassName(kv.second->klass());
-        auto &agg = tenants[key];
-        agg.first += 1;
-        agg.second += kv.second->records();
-    }
-    os << ",\"tenants\":[";
-    first = true;
-    for (const auto &kv : tenants) {
-        if (!first)
-            os << ',';
-        first = false;
-        const std::size_t slash = kv.first.find('/');
-        os << "{\"tenant\":\"" << kv.first.substr(0, slash)
-           << "\",\"class\":\"" << kv.first.substr(slash + 1)
-           << "\",\"sessions\":" << kv.second.first
-           << ",\"records\":" << kv.second.second << '}';
-    }
-    os << ']';
-    os << ",\"qos\":{\"enabled\":"
-       << (rk_ != nullptr ? "true" : "false");
-    if (rk_ != nullptr) {
-        os << ",\"pressure_milli\":" << rk_->pressureMilli()
-           << ",\"limits\":{\"interactive\":"
-           << rk_->limitPerSec(qos::WorkClass::kInteractive)
-           << ",\"bulk\":"
-           << rk_->limitPerSec(qos::WorkClass::kBulk)
-           << ",\"background\":"
-           << rk_->limitPerSec(qos::WorkClass::kBackground) << '}';
-        os << ",\"tags\":[";
-        first = true;
-        for (const qos::Ratekeeper::TagStat &t : rk_->tagStats()) {
-            if (!first)
-                os << ',';
-            first = false;
-            os << "{\"tenant\":\"" << qos::tenantName(t.tenant)
-               << "\",\"class\":\"" << qos::workClassName(t.klass)
-               << "\",\"rate_per_s\":" << t.rate_per_sec
-               << ",\"balance_micro\":" << t.balance_micro << '}';
-        }
-        os << ']';
-    }
-    os << "}}\n";
-    return os.str();
 }
 
 void
@@ -1164,10 +787,7 @@ Server::failSession(Conn &c, const std::string &why, bool protocol)
         daemonMetrics().aborted.add();
         daemonMetrics().active.add(-1);
     }
-    queueWrite(c, net::renderReportError(why));
-    c.close_after_flush = true;
-    c.state = ConnState::kFold;
-    armRead(c, ReadDeadline::kNone); // flush is the write's problem
+    closeWith(c, net::renderReportError(why));
 }
 
 void
@@ -1330,15 +950,8 @@ Server::closeConn(std::uint64_t token)
 void
 Server::shutdownAll()
 {
-    while (!conns_.empty()) {
-        Conn &c = *conns_.begin()->second;
-        if (c.session != nullptr && c.session->settleOnce()) {
-            c.session->abort("server shutting down");
-            daemonMetrics().aborted.add();
-            daemonMetrics().active.add(-1);
-        }
-        closeConn(c.token);
-    }
+    while (!conns_.empty())
+        dropConn(*conns_.begin()->second, "server shutting down");
 }
 
 } // namespace daemon

@@ -219,6 +219,8 @@ class Server
     void closeConn(std::uint64_t token);
     void shutdownAll();
     void dropConn(Conn &c, const std::string &why);
+    /** Queue a last reply, parse no more input, close once flushed. */
+    void closeWith(Conn &c, const std::string &bytes);
 
     // Deadline machinery.
     void armRead(Conn &c, ReadDeadline kind);
@@ -234,6 +236,13 @@ class Server
     // QoS machinery (all no-ops while rk_ == nullptr).
     void qosTick(std::uint64_t now_ns);
     void throttleConn(Conn &c, std::uint64_t now_ns);
+    /**
+     * Admit a new session or tagged HTTP request for (tenant, klass).
+     * On a shed, queue the "throttled" refusal (429 on HTTP, DLWR1
+     * error on a stream), close after the flush and return true.
+     */
+    bool shedByQos(Conn &c, const std::string &tenant,
+                   qos::WorkClass klass);
 
     ServerConfig config_;
     std::uint16_t bound_port_ = 0;
@@ -274,14 +283,9 @@ class Server
 };
 
 /**
- * Force-register the net.* connection/shedding metrics so snapshots
- * cover the schema before any server runs.
- */
-void registerNetMetrics();
-
-/**
- * Force-register the daemon.* session metrics so snapshots cover the
- * schema before any server runs.
+ * Force-register the metrics a server keeps (net.*, net.fault.*,
+ * daemon.* and qos.*) so snapshots cover the schema before any
+ * server runs.
  */
 void registerDaemonMetrics();
 

@@ -1,10 +1,11 @@
 #include "daemon/session.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <utility>
 
+#include "common/strutil.hh"
+#include "daemon/server_internal.hh"
 #include "obs/timeline.hh"
 
 namespace dlw
@@ -15,59 +16,13 @@ namespace daemon
 namespace
 {
 
-std::string
-jsonEscape(const std::string &s)
+/** True when `id` is "<tenant>-<digits>", the form sessions get. */
+bool
+isSessionIdOf(const std::string &id, const std::string &tenant)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::uint64_t
-steadyNowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-std::uint64_t
-wallNowMs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
+    const std::size_t n = tenant.size() + 1;
+    return id.size() > n && id.compare(0, n, tenant + "-") == 0 &&
+           id.find_first_not_of("0123456789", n) == std::string::npos;
 }
 
 } // namespace
@@ -178,7 +133,7 @@ Session::Session(std::string id, std::string tenant,
 {
     batch_.setTag(tag_);
     started_at_ms_ = wallNowMs();
-    started_ns_ = steadyNowNs();
+    started_ns_ = nowNs();
     internTraceNames();
 }
 
@@ -212,7 +167,7 @@ Session::durationMs() const
     std::lock_guard<std::mutex> lock(mu_);
     if (final_duration_ms_ != 0 || state_ != SessionState::kStreaming)
         return final_duration_ms_;
-    return (steadyNowNs() - started_ns_) / 1000000;
+    return (nowNs() - started_ns_) / 1000000;
 }
 
 double
@@ -232,9 +187,9 @@ Session::consume(net::ByteQueue &in)
     const std::size_t before = in.size();
     if (tl_decode_ != nullptr)
         obs::emitBegin(tl_decode_);
-    const std::uint64_t t0 = steadyNowNs();
+    const std::uint64_t t0 = nowNs();
     Status s = decoder_.drain(in);
-    const std::uint64_t t1 = steadyNowNs();
+    const std::uint64_t t1 = nowNs();
     if (tl_decode_ != nullptr)
         obs::emitEnd(tl_decode_);
     noteStage(SessionStage::kDecode, t1 - t0);
@@ -247,7 +202,7 @@ Session::consume(net::ByteQueue &in)
         return s;
     }
     s = foldPending();
-    noteStage(SessionStage::kFold, steadyNowNs() - t1);
+    noteStage(SessionStage::kFold, nowNs() - t1);
     if (!s.ok())
         abort(s.message());
     return s;
@@ -299,7 +254,7 @@ Session::abort(const std::string &why)
 std::string
 Session::finalReportText()
 {
-    const std::uint64_t t0 = steadyNowNs();
+    const std::uint64_t t0 = nowNs();
     std::string text;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -314,12 +269,12 @@ Session::finalReportText()
         final_records_ = live_->requests();
         final_char_json_ = core::renderCharacterizationJson(c);
         final_text_ = c.render();
-        final_duration_ms_ = (steadyNowNs() - started_ns_) / 1000000;
+        final_duration_ms_ = (nowNs() - started_ns_) / 1000000;
         if (final_duration_ms_ == 0)
             final_duration_ms_ = 1; // sub-ms sessions still rank
         text = final_text_;
     }
-    noteStage(SessionStage::kMerge, steadyNowNs() - t0);
+    noteStage(SessionStage::kMerge, nowNs() - t0);
     return text;
 }
 
@@ -345,7 +300,7 @@ Session::reportJson() const
         (final_duration_ms_ != 0 ||
          state_ != SessionState::kStreaming)
         ? final_duration_ms_
-        : (steadyNowNs() - started_ns_) / 1000000;
+        : (nowNs() - started_ns_) / 1000000;
     os << ",\"started_at_ms\":" << started_at_ms_
        << ",\"duration_ms\":" << dur_ms << ",\"records_per_s\":";
     char rate[32];
@@ -476,8 +431,12 @@ Session::restore(BinDec &dec)
     const std::uint8_t klass = dec.u8();
     const std::uint8_t format = dec.u8();
     const std::uint8_t state = dec.u8();
+    // The id names the checkpoint file and, like the tenant, is
+    // served in JSON: a blob whose strings a hello could not have
+    // produced is garbled, not restorable.
     if (!dec.ok() || klass >= qos::kWorkClassCount || format > 1 ||
-        state > static_cast<std::uint8_t>(SessionState::kAborted))
+        state > static_cast<std::uint8_t>(SessionState::kAborted) ||
+        !net::isIdToken(tenant) || !isSessionIdOf(id, tenant))
         return nullptr;
     auto s = std::make_shared<Session>(
         id, tenant,
@@ -500,6 +459,8 @@ Session::restore(BinDec &dec)
             return nullptr;
     }
     s->trace_id_ = dec.str();
+    if (!s->trace_id_.empty() && !net::isIdToken(s->trace_id_))
+        return nullptr;
     s->internTraceNames();
     s->started_at_ms_ = dec.u64();
     s->final_duration_ms_ = dec.u64();

@@ -132,7 +132,6 @@ class Session
      * untraced session costs one branch beyond the armed gate.
      */
     const char *tlSpan() const { return tl_span_; }
-    const char *tlDecode() const { return tl_decode_; }
     const char *tlFold() const { return tl_fold_; }
     const char *tlPark() const { return tl_park_; }
     const char *tlReport() const { return tl_report_; }

@@ -88,25 +88,6 @@ classFor(FleetPreset preset, std::size_t index)
     }
 }
 
-synth::Workload
-makeWorkload(FleetPreset klass, Lba capacity, double rate,
-             std::uint64_t seed)
-{
-    switch (klass) {
-      case FleetPreset::Oltp:
-        return synth::Workload::makeOltp(capacity, rate, seed);
-      case FleetPreset::FileServer:
-        return synth::Workload::makeFileServer(capacity, rate, seed);
-      case FleetPreset::Streaming:
-        return synth::Workload::makeStreaming(capacity, rate);
-      case FleetPreset::Backup:
-        return synth::Workload::makeBackup(capacity, rate);
-      case FleetPreset::Mixed:
-        break;
-    }
-    dlw_panic("mixed preset must be resolved per drive");
-}
-
 /**
  * Distils the completion stream into shard statistics on the fly, as
  * the engine produces it.
@@ -169,6 +150,25 @@ parseFleetPreset(const std::string &name)
     return Status::invalidArgument(
         "unknown fleet preset '" + name +
         "' (oltp|fileserver|streaming|backup|mixed)");
+}
+
+synth::Workload
+makeWorkload(FleetPreset klass, Lba capacity, double rate,
+             std::uint64_t seed)
+{
+    switch (klass) {
+      case FleetPreset::Oltp:
+        return synth::Workload::makeOltp(capacity, rate, seed);
+      case FleetPreset::FileServer:
+        return synth::Workload::makeFileServer(capacity, rate, seed);
+      case FleetPreset::Streaming:
+        return synth::Workload::makeStreaming(capacity, rate);
+      case FleetPreset::Backup:
+        return synth::Workload::makeBackup(capacity, rate);
+      case FleetPreset::Mixed:
+        break;
+    }
+    dlw_panic("mixed preset must be resolved per drive");
 }
 
 /** The drive id shard `index` carries (also known before it runs). */

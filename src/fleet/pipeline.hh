@@ -23,6 +23,7 @@
 #include "common/status.hh"
 #include "common/types.hh"
 #include "fleet/merge.hh"
+#include "synth/workload.hh"
 #include "trace/batch.hh"
 
 namespace dlw
@@ -46,6 +47,14 @@ const char *fleetPresetName(FleetPreset preset);
 
 /** Parse a preset name; InvalidArgument on an unknown one. */
 StatusOr<FleetPreset> parseFleetPreset(const std::string &name);
+
+/**
+ * The workload of one class: the one class -> synth::Workload table,
+ * shared by the fleet's drives and `dlwtool generate`.  Mixed is not
+ * a class; resolve it per drive first.
+ */
+synth::Workload makeWorkload(FleetPreset klass, Lba capacity,
+                             double rate, std::uint64_t seed);
 
 /**
  * Fleet run configuration.

@@ -10,10 +10,44 @@ namespace dlw
 namespace net
 {
 
+namespace
+{
+
+constexpr std::size_t kMaxIdTokenBytes = 64;
+
+/** isIdToken() as a hello verdict naming what was wrong. */
+Status
+checkIdToken(const std::string &s, const std::string &what)
+{
+    if (isIdToken(s))
+        return Status();
+    if (s.empty() || s.size() > kMaxIdTokenBytes)
+        return Status::invalidArgument("bad " + what + " length");
+    return Status::invalidArgument("bad " + what +
+                                   " (want [A-Za-z0-9._-])");
+}
+
+} // namespace
+
 const char *
 streamFormatName(StreamFormat f)
 {
     return f == StreamFormat::kCsv ? "csv" : "bin";
+}
+
+bool
+isIdToken(std::string_view s)
+{
+    if (s.empty() || s.size() > kMaxIdTokenBytes)
+        return false;
+    for (char c : s) {
+        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '.' || c == '_' ||
+                        c == '-';
+        if (!ok)
+            return false;
+    }
+    return true;
 }
 
 Status
@@ -39,18 +73,9 @@ parseStreamHello(const std::string &line, StreamHello &out)
     out.klass = qos::WorkClass::kInteractive;
     out.trace_id.clear();
     if (f.size() >= 3) {
-        if (f[2].empty() || f[2].size() > 64)
-            return Status::invalidArgument("bad tenant id length");
-        for (char c : f[2]) {
-            const bool ok = (c >= 'a' && c <= 'z') ||
-                            (c >= 'A' && c <= 'Z') ||
-                            (c >= '0' && c <= '9') || c == '.' ||
-                            c == '_' || c == '-';
-            if (!ok) {
-                return Status::invalidArgument(
-                    "bad tenant id (want [A-Za-z0-9._-])");
-            }
-        }
+        Status s = checkIdToken(f[2], "tenant id");
+        if (!s.ok())
+            return s;
         out.tenant = f[2];
     }
     if (f.size() >= 4 && !qos::parseWorkClass(f[3], out.klass)) {
@@ -59,18 +84,9 @@ parseStreamHello(const std::string &line, StreamHello &out)
             "' (interactive|bulk|background)");
     }
     if (f.size() == 5) {
-        if (f[4].empty() || f[4].size() > 64)
-            return Status::invalidArgument("bad trace id length");
-        for (char c : f[4]) {
-            const bool ok = (c >= 'a' && c <= 'z') ||
-                            (c >= 'A' && c <= 'Z') ||
-                            (c >= '0' && c <= '9') || c == '.' ||
-                            c == '_' || c == '-';
-            if (!ok) {
-                return Status::invalidArgument(
-                    "bad trace id (want [A-Za-z0-9._-])");
-            }
-        }
+        Status s = checkIdToken(f[4], "trace id");
+        if (!s.ok())
+            return s;
         out.trace_id = f[4];
     }
     return Status();
@@ -99,16 +115,6 @@ renderStreamHello(StreamFormat format, const std::string &tenant,
         s += ' ';
         s += trace_id;
     }
-    s += '\n';
-    return s;
-}
-
-std::string
-renderStreamAck(const std::string &session_id)
-{
-    std::string s = kHelloMagic;
-    s += " ok ";
-    s += session_id;
     s += '\n';
     return s;
 }

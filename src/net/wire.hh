@@ -6,7 +6,7 @@
  * A streaming session is one TCP connection:
  *
  *   client -> server   "DLWS1 <csv|bin> <tenant>\n"      (hello)
- *   server -> client   "DLWS1 ok <session-id>\n"         (ack)
+ *   server -> client   "DLWS1 ok <session-id> <ts-ns>\n" (ack)
  *   client -> server   the trace payload (see below)
  *   server -> client   "DLWR1 ok <nbytes>\n<report>"     (final)
  *                  or  "DLWR1 error <message>\n"
@@ -66,6 +66,13 @@ inline constexpr std::size_t kMaxHelloBytes = 256;
 /** Hard cap on one binary frame's payload. */
 inline constexpr std::size_t kMaxFrameBytes = std::size_t(1) << 20;
 
+/**
+ * True for 1-64 bytes of [A-Za-z0-9._-]: the rule for the tenant and
+ * trace ids a hello may carry and a checkpoint may name.  Such an id
+ * is safe in a file name and needs no escaping in JSON.
+ */
+bool isIdToken(std::string_view s);
+
 /** Payload encoding of a streaming session. */
 enum class StreamFormat
 {
@@ -108,14 +115,11 @@ std::string renderStreamHello(
     qos::WorkClass klass = qos::WorkClass::kInteractive,
     const std::string &trace_id = std::string());
 
-/** Render the server's hello ack, newline included. */
-std::string renderStreamAck(const std::string &session_id);
-
 /**
- * Render "DLWS1 ok <session-id> <server-ts-ns>\n": the ack plus the
- * server's monotonic timeline clock at ack time, letting a tracing
- * client compute the clock offset that stitches client- and
- * server-side spans onto one timeline.
+ * Render the server's hello ack, "DLWS1 ok <session-id>
+ * <server-ts-ns>\n": the server's monotonic timeline clock at ack
+ * time lets a tracing client compute the clock offset that stitches
+ * client- and server-side spans onto one timeline.
  */
 std::string renderStreamAck(const std::string &session_id,
                             std::uint64_t server_ts_ns);

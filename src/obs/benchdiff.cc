@@ -252,13 +252,6 @@ class JsonParser
     std::size_t pos_ = 0;
 };
 
-double
-numberOr(const JsonValue *v, double fallback)
-{
-    return (v != nullptr && v->type == JsonValue::Type::kNumber)
-        ? v->number
-        : fallback;
-}
 
 /**
  * Metrics whose values legitimately vary from run to run of the same
@@ -312,6 +305,23 @@ JsonValue::find(const std::string &key) const
     return nullptr;
 }
 
+double
+jsonNumber(const JsonValue *obj, const std::string &key, double def)
+{
+    const JsonValue *v = obj != nullptr ? obj->find(key) : nullptr;
+    return v != nullptr && v->type == JsonValue::Type::kNumber ? v->number
+                                                               : def;
+}
+
+std::string
+jsonString(const JsonValue *obj, const std::string &key)
+{
+    const JsonValue *v = obj != nullptr ? obj->find(key) : nullptr;
+    return v != nullptr && v->type == JsonValue::Type::kString
+        ? v->str
+        : std::string();
+}
+
 StatusOr<JsonValue>
 parseJson(const std::string &text)
 {
@@ -335,7 +345,7 @@ parseBenchReport(const std::string &json_text)
         return Status::invalidArgument(
             "bench report: missing \"bench\" name");
     report.bench = bench->str;
-    report.wall_seconds = numberOr(root.find("wall_seconds"), 0.0);
+    report.wall_seconds = jsonNumber(&root, "wall_seconds");
 
     const JsonValue *snapshot = root.find("snapshot");
     const JsonValue *metrics =
@@ -355,12 +365,12 @@ parseBenchReport(const std::string &json_text)
         if (type_name == "histogram") {
             sample.type = MetricType::kHistogram;
             sample.count = static_cast<std::uint64_t>(
-                numberOr(m.find("count"), 0.0));
-            sample.p95 = numberOr(m.find("p95"), 0.0);
+                jsonNumber(&m, "count"));
+            sample.p95 = jsonNumber(&m, "p95");
         } else {
             sample.type = type_name == "gauge" ? MetricType::kGauge
                                                : MetricType::kCounter;
-            sample.value = numberOr(m.find("value"), 0.0);
+            sample.value = jsonNumber(&m, "value");
         }
         report.metrics.emplace(name, sample);
     }

@@ -76,6 +76,16 @@ struct JsonValue
     const JsonValue *find(const std::string &key) const;
 };
 
+/**
+ * Member `key` of `obj` as a number: `def` when `obj` is null or the
+ * member is absent or not a number.
+ */
+double jsonNumber(const JsonValue *obj, const std::string &key,
+                  double def = 0.0);
+
+/** Member `key` of `obj` as a string; empty, like jsonNumber(). */
+std::string jsonString(const JsonValue *obj, const std::string &key);
+
 /** Parse a complete JSON document (trailing junk is an error). */
 StatusOr<JsonValue> parseJson(const std::string &text);
 

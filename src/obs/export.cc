@@ -7,63 +7,23 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/strutil.hh"
 
 namespace dlw
 {
 namespace obs
 {
 
-namespace
-{
-
-/** Finite-or-zero: exporters must never emit "inf" or "nan". */
-double
-finite(double v)
-{
-    return std::isfinite(v) ? v : 0.0;
-}
-
-/** Compact numeric form shared by every exporter (round-trippable). */
 std::string
-num(double v)
+formatNumber(double v)
 {
     std::ostringstream os;
-    os << std::setprecision(12) << finite(v);
+    os << std::setprecision(12) << (std::isfinite(v) ? v : 0.0);
     return os.str();
 }
 
-/** JSON string escaping (quotes, backslashes, control bytes). */
-std::string
-jsonEscape(const std::string &s)
+namespace
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Prometheus metric name: dots to underscores under a dlw_ prefix. */
 std::string
@@ -83,9 +43,9 @@ renderSpanText(std::ostringstream &os, const SpanStats &node,
         os << std::string(2 * depth, ' ') << node.name;
         const std::size_t used = 2 * depth + node.name.size();
         os << std::string(used < 32 ? 32 - used : 1, ' ');
-        os << node.count << "x  total " << num(node.total_s)
+        os << node.count << "x  total " << formatNumber(node.total_s)
            << " s  mean "
-           << num(node.count
+           << formatNumber(node.count
                       ? node.total_s / static_cast<double>(node.count)
                       : 0.0)
            << " s\n";
@@ -99,8 +59,8 @@ renderSpanJson(std::ostringstream &os, const SpanStats &node)
 {
     os << "{\"name\":\"" << jsonEscape(node.name)
        << "\",\"count\":" << node.count << ",\"total_s\":"
-       << num(node.total_s) << ",\"min_s\":" << num(node.min_s)
-       << ",\"max_s\":" << num(node.max_s) << ",\"children\":[";
+       << formatNumber(node.total_s) << ",\"min_s\":" << formatNumber(node.min_s)
+       << ",\"max_s\":" << formatNumber(node.max_s) << ",\"children\":[";
     bool first = true;
     for (const SpanStats &child : node.children) {
         if (!first)
@@ -156,10 +116,10 @@ renderText(const Snapshot &snap)
           case MetricType::kHistogram:
             os << m.count << " samples";
             if (m.count != 0) {
-                os << ", mean " << num(m.mean) << ' ' << m.info.unit
-                   << ", p50 " << num(m.p50) << ", p95 "
-                   << num(m.p95) << ", p99 " << num(m.p99) << ", max "
-                   << num(m.max);
+                os << ", mean " << formatNumber(m.mean) << ' ' << m.info.unit
+                   << ", p50 " << formatNumber(m.p50) << ", p95 "
+                   << formatNumber(m.p95) << ", p99 " << formatNumber(m.p99) << ", max "
+                   << formatNumber(m.max);
             }
             break;
         }
@@ -195,11 +155,11 @@ renderJson(const Snapshot &snap)
             break;
           case MetricType::kHistogram:
             os << ",\"count\":" << m.count << ",\"sum\":"
-               << num(m.sum) << ",\"mean\":" << num(m.mean)
-               << ",\"min\":" << num(m.min) << ",\"max\":"
-               << num(m.max) << ",\"p50\":" << num(m.p50)
-               << ",\"p95\":" << num(m.p95) << ",\"p99\":"
-               << num(m.p99);
+               << formatNumber(m.sum) << ",\"mean\":" << formatNumber(m.mean)
+               << ",\"min\":" << formatNumber(m.min) << ",\"max\":"
+               << formatNumber(m.max) << ",\"p50\":" << formatNumber(m.p50)
+               << ",\"p95\":" << formatNumber(m.p95) << ",\"p99\":"
+               << formatNumber(m.p99);
             break;
         }
         os << '}';
@@ -232,14 +192,14 @@ renderProm(const Snapshot &snap)
             // emit only the explicit empty _sum/_count pair so a
             // scraper never ingests a fabricated "p99 = 0".
             if (m.count != 0) {
-                os << name << "{quantile=\"0.5\"} " << num(m.p50)
+                os << name << "{quantile=\"0.5\"} " << formatNumber(m.p50)
                    << '\n';
-                os << name << "{quantile=\"0.95\"} " << num(m.p95)
+                os << name << "{quantile=\"0.95\"} " << formatNumber(m.p95)
                    << '\n';
-                os << name << "{quantile=\"0.99\"} " << num(m.p99)
+                os << name << "{quantile=\"0.99\"} " << formatNumber(m.p99)
                    << '\n';
             }
-            os << name << "_sum " << num(m.sum) << '\n';
+            os << name << "_sum " << formatNumber(m.sum) << '\n';
             os << name << "_count " << m.count << '\n';
             break;
         }
@@ -285,7 +245,7 @@ BenchReportGuard::~BenchReportGuard()
         return;
     }
     os << "{\"bench\":\"" << jsonEscape(name_)
-       << "\",\"wall_seconds\":" << num(wall.count())
+       << "\",\"wall_seconds\":" << formatNumber(wall.count())
        << ",\"snapshot\":" << renderJson(snap) << "}\n";
 }
 

@@ -58,6 +58,12 @@ enum class ExportFormat
 /** Parse "text" / "json" / "prom"; InvalidArgument otherwise. */
 StatusOr<ExportFormat> parseExportFormat(const std::string &name);
 
+/**
+ * The exporters' compact number: 12 significant digits, and 0 for
+ * inf or nan, which JSON cannot carry.
+ */
+std::string formatNumber(double v);
+
 /** Aligned human-readable metrics + span tree. */
 std::string renderText(const Snapshot &snap);
 

@@ -13,7 +13,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/strutil.hh"
 #include "obs/benchdiff.hh"
+#include "obs/export.hh"
 
 namespace dlw
 {
@@ -31,50 +33,6 @@ tsMicros(std::uint64_t ts_ns)
     std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03" PRIu64,
                   ts_ns / 1000, ts_ns % 1000);
     return buf;
-}
-
-/** Compact finite numeric form (counter values). */
-std::string
-num(double v)
-{
-    if (!(v == v) || v > 1e308 || v < -1e308)
-        v = 0.0;
-    std::ostringstream os;
-    os.precision(12);
-    os << v;
-    return os.str();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** One output row: a paired X event or a raw B/E/i/C event. */
@@ -99,7 +57,7 @@ renderOne(std::ostringstream &os, const OutEvent &e, int pid)
     if (e.phase == 'i')
         os << ",\"s\":\"t\"";
     if (e.phase == 'C')
-        os << ",\"args\":{\"value\":" << num(e.value) << '}';
+        os << ",\"args\":{\"value\":" << formatNumber(e.value) << '}';
     os << '}';
 }
 
@@ -218,7 +176,7 @@ renderJson(std::ostringstream &os, const JsonValue &v)
         os << (v.boolean ? "true" : "false");
         break;
       case JsonValue::Type::kNumber:
-        os << num(v.number);
+        os << formatNumber(v.number);
         break;
       case JsonValue::Type::kString:
         os << '"' << jsonEscape(v.str) << '"';
@@ -307,14 +265,16 @@ reprojectChromeTraceEvents(const std::string &chrome_json,
 }
 
 Status
-writeChromeTrace(const std::string &path, const TimelineSnapshot &snap)
+writeChromeTrace(const std::string &path, const TimelineSnapshot &snap,
+                 const std::string &extra_events_json)
 {
     std::ofstream os(path);
     if (!os) {
         return Status::ioError("cannot write timeline trace to '" +
                                path + "'");
     }
-    os << renderChromeTrace(snap);
+    os << renderChromeTrace(snap, static_cast<int>(::getpid()),
+                            extra_events_json);
     if (!os)
         return Status::ioError("short write on '" + path + "'");
     return Status();

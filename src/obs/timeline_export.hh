@@ -73,9 +73,13 @@ std::string renderChromeTrace(const TimelineSnapshot &snap, int pid,
 StatusOr<std::string> reprojectChromeTraceEvents(
     const std::string &chrome_json, double offset_us);
 
-/** Render a snapshot to `path`; IO errors surface as Status. */
+/**
+ * Render a snapshot, plus any extra event fragment (see above), to
+ * `path`; IO errors surface as Status.
+ */
 Status writeChromeTrace(const std::string &path,
-                        const TimelineSnapshot &snap);
+                        const TimelineSnapshot &snap,
+                        const std::string &extra_events_json = {});
 
 /**
  * Write the raw event stream (unpaired B/E, i, C) of every ring to

@@ -70,16 +70,6 @@ LifetimeTrace::utilizations() const
     return out;
 }
 
-std::vector<double>
-LifetimeTrace::readFractions() const
-{
-    std::vector<double> out;
-    out.reserve(records_.size());
-    for (const LifetimeRecord &r : records_)
-        out.push_back(r.readFraction());
-    return out;
-}
-
 double
 LifetimeTrace::fractionWithSaturatedRun(std::uint64_t hours) const
 {

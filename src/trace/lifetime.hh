@@ -108,9 +108,6 @@ class LifetimeTrace
     /** Family name. */
     const std::string &family() const { return family_; }
 
-    /** Set the family name. */
-    void setFamily(std::string f) { family_ = std::move(f); }
-
     /** Add one drive's record. */
     void append(LifetimeRecord rec);
 
@@ -145,9 +142,6 @@ class LifetimeTrace
 
     /** Utilization of every drive, in record order. */
     std::vector<double> utilizations() const;
-
-    /** Lifetime read fraction of every drive. */
-    std::vector<double> readFractions() const;
 
     /**
      * Fraction of drives whose longest saturated run reached at

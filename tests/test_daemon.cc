@@ -31,6 +31,7 @@
 #include "daemon/server.hh"
 #include "daemon/session.hh"
 #include "net/buffer.hh"
+#include "net/client.hh"
 #include "net/http.hh"
 #include "net/timer.hh"
 #include "net/wire.hh"
@@ -321,11 +322,29 @@ TEST(StreamHello, TraceIdField)
 
 TEST(StreamHello, AckCarriesServerTimestamp)
 {
-    // The plain ack is unchanged; the timestamped overload appends
-    // the server clock so clients can align the two timelines.
-    EXPECT_EQ(net::renderStreamAck("s-1"), "DLWS1 ok s-1\n");
+    // The ack appends the server clock so clients can align the two
+    // timelines.
     EXPECT_EQ(net::renderStreamAck("s-1", 12345),
               "DLWS1 ok s-1 12345\n");
+}
+
+TEST(StreamHello, IdTokenRule)
+{
+    EXPECT_TRUE(net::isIdToken("a"));
+    EXPECT_TRUE(net::isIdToken("Acme-9.x_y"));
+    EXPECT_TRUE(net::isIdToken(std::string(64, 'x')));
+    EXPECT_FALSE(net::isIdToken(""));
+    EXPECT_FALSE(net::isIdToken(std::string(65, 'x')));
+    for (const char *bad : {"a/b", "../x", "a\"b", "a b", "a\\b", "\xc3\xa9"})
+        EXPECT_FALSE(net::isIdToken(bad)) << bad;
+
+    // The hello says which half of the rule a tenant broke.
+    net::StreamHello h;
+    EXPECT_EQ(net::parseStreamHello("DLWS1 csv " + std::string(65, 't'), h)
+                  .message(),
+              "bad tenant id length");
+    EXPECT_EQ(net::parseStreamHello("DLWS1 csv a/b", h).message(),
+              "bad tenant id (want [A-Za-z0-9._-])");
 }
 
 // ---------------------------------------------------------------------------
@@ -1076,13 +1095,16 @@ class ServerFixture
     Status run_status_;
 };
 
+/** The raw response (status line, head and body) to one GET. */
 std::string
 httpGet(std::uint16_t port, const std::string &target)
 {
-    TestClient c(port);
-    EXPECT_TRUE(c.connected());
-    c.send("GET " + target + " HTTP/1.1\r\nConnection: close\r\n\r\n");
-    return c.recvAll();
+    net::Endpoint to;
+    to.port = port;
+    to.io_timeout_ms = 10000;
+    StatusOr<std::string> r = net::httpGet(to, target);
+    EXPECT_TRUE(r.ok()) << r.status().toString();
+    return r.ok() ? r.value() : std::string();
 }
 
 /** Session id from a "DLWS1 ok <id> <ts>" ack (first token only). */
@@ -1139,6 +1161,86 @@ TEST(ServerIntegration, CsvSessionEndToEnd)
     const std::size_t nbytes = static_cast<std::size_t>(
         std::stoul(head.substr(std::strlen("DLWR1 ok "))));
     EXPECT_EQ(c.recvBytes(nbytes), expected);
+}
+
+TEST(NetClient, StreamSessionMatchesBatchForCsvAndBin)
+{
+    const std::string path = writeTemp(csvTrace(300), ".csv");
+    const std::string expected = characterizeFile(path);
+    std::remove(path.c_str());
+
+    ServerFixture f(daemon::ServerConfig{});
+    net::Endpoint to;
+    to.port = f.port();
+    to.io_timeout_ms = 10000;
+    net::StreamHello hello;
+    hello.tenant = "cli";
+    std::string acked;
+    std::istringstream csv(csvTrace(300));
+    StatusOr<net::StreamReply> r = net::streamSession(
+        to, hello, csv,
+        [&](const net::StreamReply &ack) { acked = ack.session_id; });
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    EXPECT_EQ(r.value().report, expected);
+    EXPECT_EQ(r.value().session_id, acked);
+    EXPECT_EQ(acked.rfind("cli-", 0), 0u) << acked;
+    EXPECT_NE(r.value().server_ack_ns, 0u);
+
+    // The client frames a bin payload; the report is the same bytes.
+    hello.format = net::StreamFormat::kBin;
+    const std::string bin = binTrace(300);
+    r = net::streamSession(to, hello, std::string_view(bin));
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    EXPECT_EQ(r.value().report, expected);
+}
+
+TEST(NetClient, FailuresCarryTheirRetryClass)
+{
+    net::Endpoint to;
+    to.io_timeout_ms = 10000;
+    net::StreamHello hello;
+    const std::string payload = csvTrace(10);
+    {
+        // Shed before admission: Unavailable, worth a retry.
+        daemon::ServerConfig cfg;
+        cfg.max_connections = 0;
+        ServerFixture f(cfg);
+        to.port = f.port();
+        StatusOr<net::StreamReply> r =
+            net::streamSession(to, hello, std::string_view(payload));
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+        EXPECT_EQ(r.status().message(), "server overloaded");
+    }
+    ServerFixture f(daemon::ServerConfig{});
+    to.port = f.port();
+
+    // The server rejecting the payload: FailedPrecondition, with the
+    // server's text.
+    StatusOr<net::StreamReply> r = net::streamSession(
+        to, hello, std::string_view("# not-a-trace,x\n"));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+        << r.status().toString();
+    EXPECT_FALSE(r.status().message().empty());
+
+    // HTTP: a 200 yields its body; anything else names the status.
+    StatusOr<std::string> health = net::httpGetBody(to, "/healthz");
+    ASSERT_TRUE(health.ok()) << health.status().toString();
+    EXPECT_EQ(health.value().rfind("{\"status\":\"ok\"", 0), 0u)
+        << health.value();
+    StatusOr<std::string> missing = net::httpGetBody(to, "/nope");
+    ASSERT_FALSE(missing.ok());
+    EXPECT_NE(missing.status().message().find("404"), std::string::npos)
+        << missing.status().toString();
+
+    // Nobody listening: a connection-level Unavailable.
+    f.stop();
+    r = net::streamSession(to, hello, std::string_view(payload));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(r.status().message().rfind("connect 127.0.0.1:", 0), 0u)
+        << r.status().toString();
 }
 
 TEST(ServerIntegration, QosOnReportsStayByteIdentical)
@@ -1665,6 +1767,42 @@ TEST(SessionCheckpoint, FileRoundTripAndRejection)
     EXPECT_TRUE(daemon::listCheckpointFiles("/no/such/dir").empty());
 }
 
+TEST(SessionCheckpoint, RestoreRejectsIdsNoHelloCouldCarry)
+{
+    struct Case
+    {
+        const char *id;
+        const char *tenant;
+        const char *trace;
+    };
+    const Case bad[] = {
+        {"../escape", "a\"b", ""}, // a path and a JSON breaker
+        {"../escape", "t", ""},    // id is not <tenant>-<digits>
+        {"t-1x", "t", ""},
+        {"u-1", "t", ""},
+        {"t-", "t", ""},
+        {"t-1", "", ""},
+        {"t-1", "t", "a/b"}, // trace id outside [A-Za-z0-9._-]
+    };
+    for (const Case &c : bad) {
+        daemon::Session s(c.id, c.tenant, net::StreamFormat::kCsv,
+                          qos::WorkClass::kInteractive, c.trace);
+        const std::string blob = sessionBlob(s);
+        BinDec dec(blob.data(), blob.size());
+        EXPECT_EQ(daemon::Session::restore(dec), nullptr)
+            << c.id << " / " << c.tenant << " / " << c.trace;
+    }
+    daemon::Session good("t.x-12", "t.x", net::StreamFormat::kCsv,
+                         qos::WorkClass::kBulk, "req-1");
+    const std::string blob = sessionBlob(good);
+    BinDec dec(blob.data(), blob.size());
+    const std::shared_ptr<daemon::Session> back =
+        daemon::Session::restore(dec);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->id(), "t.x-12");
+    EXPECT_EQ(back->traceId(), "req-1");
+}
+
 TEST(SessionCheckpoint, PreTagVersionRejectedNotDefaultTagged)
 {
     const std::string dir = ::testing::TempDir() + "dlw_ckpt_v2_" +
@@ -1887,6 +2025,55 @@ TEST(ServerIntegration, StateDirSurvivesRestart)
         ASSERT_NE(ack.find("DLWS1 ok "), std::string::npos) << ack;
         EXPECT_NE(ackSessionId(ack), session_id);
     }
+}
+
+TEST(ServerIntegration, GarbledCheckpointStaysInsideTheStateDir)
+{
+    // A blob naming id "../escape" and tenant a"b: restored as is, its
+    // checkpoint would land beside the state dir and its tenant would
+    // break the /v1/sessions JSON.
+    const std::string base = ::testing::TempDir() + "dlw_garbled_" +
+                             std::to_string(::getpid());
+    const std::string dir = base + "/state";
+    ::mkdir(base.c_str(), 0755);
+    ::mkdir(dir.c_str(), 0755);
+    {
+        daemon::Session evil("../escape", "a\"b", net::StreamFormat::kCsv);
+        std::string blob = daemon::kCheckpointMagic;
+        BinEnc enc(blob);
+        enc.u32(daemon::kCheckpointVersion);
+        evil.saveState(enc);
+        std::ofstream os(dir + "/evil.ckpt", std::ios::binary);
+        os << blob;
+    }
+    const StatusOr<std::shared_ptr<daemon::Session>> loaded =
+        daemon::loadSessionCheckpoint(dir + "/evil.ckpt");
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptData);
+
+    daemon::ServerConfig cfg;
+    cfg.state_dir = dir;
+    cfg.checkpoint_interval_ms = 10;
+    {
+        ServerFixture f(cfg);
+        const std::string list = httpGet(f.port(), "/v1/sessions");
+        const std::size_t split = list.find("\r\n\r\n");
+        ASSERT_NE(split, std::string::npos) << list;
+        EXPECT_TRUE(obs::parseJson(list.substr(split + 4)).ok()) << list;
+        EXPECT_EQ(list.find("escape"), std::string::npos) << list;
+        const std::string stats = httpGet(f.port(), "/v1/stats");
+        EXPECT_TRUE(
+            obs::parseJson(stats.substr(stats.find("\r\n\r\n") + 4))
+                .ok())
+            << stats;
+        // Let a few checkpoint sweeps run; the graceful stop then
+        // checkpoints every session once more.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    struct stat st;
+    EXPECT_NE(::stat((base + "/escape.ckpt").c_str(), &st), 0);
+    // A garbled blob is dropped, not left to trip the next start.
+    EXPECT_NE(::stat((dir + "/evil.ckpt").c_str(), &st), 0);
 }
 
 TEST(ServerIntegration, DrainCompletesInFlightSession)

@@ -187,5 +187,16 @@ TEST(Ticks, SecondsRoundTrip)
     EXPECT_DOUBLE_EQ(ticksToSeconds(kHour), 3600.0);
 }
 
+TEST(JsonEscape, ShortEscapesAndControlBytes)
+{
+    EXPECT_EQ(jsonEscape("plain-id_1.2"), "plain-id_1.2");
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape("\n\r\t"), "\\n\\r\\t");
+    EXPECT_EQ(jsonEscape(std::string("\x01\x1f\0", 3)),
+              "\\u0001\\u001f\\u0000");
+    // DEL and UTF-8 bytes pass through untouched.
+    EXPECT_EQ(jsonEscape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");
+}
+
 } // anonymous namespace
 } // namespace dlw
