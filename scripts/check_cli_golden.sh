@@ -7,7 +7,9 @@
 # WORKDIR/out/<case>.  The run fails when any case exits nonzero,
 # when the set of cases differs from the golden file's, or when any
 # stdout hashes differently.  run-report's span and seconds-histogram
-# timings are masked before hashing; nothing else is.
+# timings and its core.kernel.isa gauge (the SIMD kernel table this
+# host picked: avx2, sse2 or scalar) are masked before hashing;
+# nothing else is.
 #
 # Beside the hashes, the script holds the byte-identity contracts
 # that compare two runs of the current build:
@@ -72,7 +74,8 @@ run() {
     cases="$cases $name"
 }
 
-# run_masked CASE ARGS...: like run, with timings masked.
+# run_masked CASE ARGS...: like run, with timings and the kernel ISA
+# masked.
 run_masked() {
     name="$1"
     shift
@@ -80,6 +83,7 @@ run_masked() {
         fail "$name: dlwtool $* exited $?"
     sed -e 's/total [^ ]* s  mean [^ ]* s$/total _ s  mean _ s/' \
         -e 's/samples, mean [^ ]* s, .*  \[/samples, _ s  [/' \
+        -e 's/^\(  core\.kernel\.isa  *\)[0-9][0-9]* isa/\1_ isa/' \
         "out/$name.raw" > "out/$name"
     cases="$cases $name"
 }
