@@ -118,23 +118,8 @@ Server::routeHttp(const net::HttpRequest &req, bool &keep_alive)
         os << "[";
         const char *sep = "";
         for (const auto &kv : sessions_) {
-            os << sep;
+            os << sep << kv.second->summaryJson();
             sep = ",";
-            os << "{\"session\":\"" << jsonEscape(kv.first)
-               << "\",\"tenant\":\"" << jsonEscape(kv.second->tenant())
-               << "\",\"class\":\""
-               << qos::workClassName(kv.second->klass())
-               << "\",\"state\":\""
-               << sessionStateName(kv.second->state()) << "\"";
-            if (!kv.second->traceId().empty())
-                os << ",\"trace\":\"" << jsonEscape(kv.second->traceId())
-                   << "\"";
-            char rate[32];
-            std::snprintf(rate, sizeof(rate), "%.1f",
-                          kv.second->recordsPerS());
-            os << ",\"started_at_ms\":" << kv.second->startedAtMs()
-               << ",\"duration_ms\":" << kv.second->durationMs()
-               << ",\"records_per_s\":" << rate << "}";
         }
         os << "]\n";
         return net::renderHttpResponse(200, "OK", "application/json",
@@ -186,13 +171,17 @@ Server::statsJson() const
                                     : 0.0);
     os << ",\"fold_p95_us\":" << buf;
     os << ",\"stages\":{";
-    const char *sep = "";
-    for (std::size_t i = 0; i < kSessionStageCount; ++i) {
-        const SessionStage st = static_cast<SessionStage>(i);
+    static const SessionStage kStages[] = {
+        SessionStage::kRead, SessionStage::kDecode,
+        SessionStage::kAdmit, SessionStage::kFold,
+        SessionStage::kMerge};
+    bool first = true;
+    for (SessionStage st : kStages) {
         const stats::LogHistogram h =
             sessionStageHistogram(st).merged();
-        os << sep;
-        sep = ",";
+        if (!first)
+            os << ',';
+        first = false;
         os << '"' << sessionStageName(st) << "\":{\"count\":"
            << h.total();
         std::snprintf(buf, sizeof(buf),
@@ -215,10 +204,11 @@ Server::statsJson() const
         agg.second += kv.second->records();
     }
     os << ",\"tenants\":[";
-    sep = "";
+    first = true;
     for (const auto &kv : tenants) {
-        os << sep;
-        sep = ",";
+        if (!first)
+            os << ',';
+        first = false;
         const std::size_t slash = kv.first.find('/');
         os << "{\"tenant\":\"" << jsonEscape(kv.first.substr(0, slash))
            << "\",\"class\":\"" << kv.first.substr(slash + 1)
@@ -237,10 +227,11 @@ Server::statsJson() const
            << ",\"background\":"
            << rk_->limitPerSec(qos::WorkClass::kBackground) << '}';
         os << ",\"tags\":[";
-        sep = "";
+        first = true;
         for (const qos::Ratekeeper::TagStat &t : rk_->tagStats()) {
-            os << sep;
-            sep = ",";
+            if (!first)
+                os << ',';
+            first = false;
             os << "{\"tenant\":\"" << jsonEscape(qos::tenantName(t.tenant))
                << "\",\"class\":\"" << qos::workClassName(t.klass)
                << "\",\"rate_per_s\":" << t.rate_per_sec

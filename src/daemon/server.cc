@@ -56,8 +56,11 @@ Server::start()
     registerDaemonMetrics();
     // Force-register the stage histograms so /metrics and /v1/stats
     // carry the schema before the first streamed batch.
-    for (std::size_t st = 0; st < kSessionStageCount; ++st)
-        sessionStageHistogram(static_cast<SessionStage>(st));
+    sessionStageHistogram(SessionStage::kRead);
+    sessionStageHistogram(SessionStage::kDecode);
+    sessionStageHistogram(SessionStage::kAdmit);
+    sessionStageHistogram(SessionStage::kFold);
+    sessionStageHistogram(SessionStage::kMerge);
 
     started_ns_ = nowNs();
     started_wall_ms_ = wallNowMs();
@@ -187,12 +190,20 @@ Server::run()
                 continue;
             const std::uint64_t token = it->second;
             const std::uint32_t mask = events[i].events;
-            // On HUP/ERR the read path sees the EOF/reset and settles
-            // the connection; pending bytes still drain first.
-            const bool hup = (mask & (EPOLLHUP | EPOLLERR)) != 0;
-            if ((hup || (mask & EPOLLIN)) && conns_.count(token) != 0)
-                connReadable(*conns_[token]);
-            if (!hup && (mask & EPOLLOUT) && conns_.count(token) != 0)
+            if (mask & (EPOLLHUP | EPOLLERR)) {
+                // The read path sees the EOF/reset and settles the
+                // connection; pending bytes still drain first.
+                auto ct = conns_.find(token);
+                if (ct != conns_.end())
+                    connReadable(*ct->second);
+                continue;
+            }
+            if (mask & EPOLLIN) {
+                auto ct = conns_.find(token);
+                if (ct != conns_.end())
+                    connReadable(*ct->second);
+            }
+            if ((mask & EPOLLOUT) && conns_.count(token) != 0)
                 connWritable(*conns_[token]);
         }
 
@@ -273,10 +284,13 @@ Server::expireDeadlines(std::uint64_t now_ns)
         // Stale entry for a deadline that has since been pushed out
         // (or disarmed): re-arm the wheel at the live deadline.
         std::uint64_t next = UINT64_MAX;
-        for (std::uint64_t d : {c.read_deadline_ns, c.write_deadline_ns,
-                                c.throttle_deadline_ns})
-            if (d != 0)
-                next = std::min(next, d);
+        if (c.read_deadline_ns != 0)
+            next = c.read_deadline_ns;
+        if (c.write_deadline_ns != 0 && c.write_deadline_ns < next)
+            next = c.write_deadline_ns;
+        if (c.throttle_deadline_ns != 0 &&
+            c.throttle_deadline_ns < next)
+            next = c.throttle_deadline_ns;
         if (next != UINT64_MAX)
             wheel_.schedule(token, next);
     }
@@ -400,6 +414,8 @@ Server::evictRead(Conn &c)
     case ReadDeadline::kNone:
         return; // raced a disarm; nothing to evict
     }
+    c.read_kind = ReadDeadline::kNone;
+    c.read_deadline_ns = 0;
     if (c.state == ConnState::kStream) {
         failSession(c, "timeout: no payload bytes before the idle"
                        " deadline",
@@ -465,10 +481,14 @@ Server::restoreState()
         ckpt_stamp_[s->id()] = {s->records(), s->state()};
         daemonMetrics().ckpt_restored.add();
         obs::emitInstant("daemon.ckpt");
-        // Restored ids are "<tenant>-<n>"; keep new ids unique.
-        std::uint64_t n = 0;
-        if (tryParseUint(s->id().substr(s->id().rfind('-') + 1), n))
-            next_session_ = std::max(next_session_, n + 1);
+        // Session ids are "<tenant>-<n>"; keep new ids unique.
+        const std::size_t dash = s->id().rfind('-');
+        if (dash != std::string::npos) {
+            std::uint64_t n = 0;
+            if (tryParseUint(s->id().substr(dash + 1), n) &&
+                n >= next_session_)
+                next_session_ = n + 1;
+        }
     }
     return Status();
 }

@@ -165,20 +165,15 @@ std::uint64_t
 Session::durationMs() const
 {
     std::lock_guard<std::mutex> lock(mu_);
+    return durationMsLocked();
+}
+
+std::uint64_t
+Session::durationMsLocked() const
+{
     if (final_duration_ms_ != 0 || state_ != SessionState::kStreaming)
         return final_duration_ms_;
     return (nowNs() - started_ns_) / 1000000;
-}
-
-double
-Session::recordsPerS() const
-{
-    const std::uint64_t recs = records();
-    const std::uint64_t ms = durationMs();
-    if (recs == 0 || ms == 0)
-        return 0.0;
-    return static_cast<double>(recs) * 1000.0 /
-           static_cast<double>(ms);
 }
 
 Status
@@ -278,29 +273,23 @@ Session::finalReportText()
     return text;
 }
 
-std::string
-Session::reportJson() const
+void
+Session::writeSummary(std::ostream &os, bool with_error) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::ostringstream os;
     os << "{\"session\":\"" << jsonEscape(id_) << "\",\"tenant\":\""
        << jsonEscape(tenant_) << "\",\"class\":\""
        << qos::workClassName(tag_.klass) << "\",\"state\":\""
        << sessionStateName(state_) << "\"";
     if (!trace_id_.empty())
         os << ",\"trace\":\"" << jsonEscape(trace_id_) << "\"";
-    if (!error_.empty())
+    if (with_error && !error_.empty())
         os << ",\"error\":\"" << jsonEscape(error_) << "\"";
     std::uint64_t recs = 0;
     if (live_ != nullptr)
         recs = live_->requests();
     else if (!final_char_json_.empty())
         recs = final_records_;
-    const std::uint64_t dur_ms =
-        (final_duration_ms_ != 0 ||
-         state_ != SessionState::kStreaming)
-        ? final_duration_ms_
-        : (nowNs() - started_ns_) / 1000000;
+    const std::uint64_t dur_ms = durationMsLocked();
     os << ",\"started_at_ms\":" << started_at_ms_
        << ",\"duration_ms\":" << dur_ms << ",\"records_per_s\":";
     char rate[32];
@@ -310,6 +299,24 @@ Session::reportJson() const
                       : static_cast<double>(recs) * 1000.0 /
                             static_cast<double>(dur_ms));
     os << rate;
+}
+
+std::string
+Session::summaryJson() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::ostringstream os;
+    writeSummary(os, false);
+    os << '}';
+    return os.str();
+}
+
+std::string
+Session::reportJson() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::ostringstream os;
+    writeSummary(os, true);
     os << ",\"stages\":{";
     bool first_stage = true;
     for (std::size_t i = 0; i < kSessionStageCount; ++i) {

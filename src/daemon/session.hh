@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -148,9 +149,6 @@ class Session
      */
     std::uint64_t durationMs() const;
 
-    /** Any thread: records/s over durationMs (0 while empty). */
-    double recordsPerS() const;
-
     /** Workload class the session negotiated. */
     qos::WorkClass klass() const { return tag_.klass; }
 
@@ -195,6 +193,14 @@ class Session
      */
     std::string reportJson() const;
 
+    /**
+     * Any thread: the session's summary object for `GET
+     * /v1/sessions` — id, tenant, class, state, trace, start,
+     * duration and records/s.  reportJson() opens with the same
+     * fields, rendered by the same code under the same lock.
+     */
+    std::string summaryJson() const;
+
     /** Any thread: current lifecycle state. */
     SessionState state() const;
 
@@ -236,6 +242,16 @@ class Session
 
     /** (Re)intern the per-trace timeline names from trace_id_. */
     void internTraceNames();
+
+    /** durationMs() with mu_ held. */
+    std::uint64_t durationMsLocked() const;
+
+    /**
+     * With mu_ held: the summary fields, from the opening brace to
+     * records_per_s (no closing brace); `with_error` adds the abort
+     * reason after the trace id, as the report carries it.
+     */
+    void writeSummary(std::ostream &os, bool with_error) const;
 
     const std::string id_;
     const std::string tenant_;

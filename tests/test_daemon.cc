@@ -1688,6 +1688,36 @@ TEST(SessionCheckpoint, TraceAndLatencySurviveRestore)
     EXPECT_EQ(r->startedAtMs(), s.startedAtMs());
 }
 
+TEST(SessionCheckpoint, SummaryOpensTheReportBeforeAndAfterRestore)
+{
+    daemon::Session s("acme-8", "acme", net::StreamFormat::kCsv,
+                      qos::WorkClass::kBulk, "req-8");
+    net::ByteQueue q;
+    q.append(csvTrace(80));
+    ASSERT_TRUE(s.consume(q).ok());
+    ASSERT_TRUE(s.finishInput(q).ok());
+    s.finalReportText();
+
+    // /v1/sessions lists the same summary fields the report opens
+    // with, for a folded session and for its restored twin alike.
+    const std::string blob = sessionBlob(s);
+    BinDec dec(blob);
+    std::shared_ptr<daemon::Session> r = daemon::Session::restore(dec);
+    ASSERT_NE(r, nullptr);
+    for (const daemon::Session *x : {&s, r.get()}) {
+        std::string summary = x->summaryJson();
+        ASSERT_FALSE(summary.empty());
+        EXPECT_EQ(summary.back(), '}');
+        summary.pop_back();
+        EXPECT_EQ(x->reportJson().compare(0, summary.size(), summary), 0)
+            << summary << "\n" << x->reportJson();
+        EXPECT_EQ(summary.find("\"records_per_s\":0.0"),
+                  std::string::npos)
+            << summary;
+    }
+    EXPECT_EQ(r->summaryJson(), s.summaryJson());
+}
+
 TEST(SessionCheckpoint, TruncatedSessionBlobRejected)
 {
     daemon::Session s("t-9", "t", net::StreamFormat::kCsv);
