@@ -29,17 +29,19 @@ DiskGeometry::DiskGeometry(std::vector<Zone> zones, std::uint32_t rpm)
     capacity_ = expect;
 }
 
-DiskGeometry
-DiskGeometry::makeEnterprise(std::uint32_t capacity_gib)
+namespace
+{
+
+/**
+ * Four zones, outer-to-inner, holding 30/27/23/20 % of the blocks of
+ * a `capacity_gib` drive with `spt` sectors per track each.
+ */
+std::vector<Zone>
+fourZones(std::uint32_t capacity_gib, const std::uint32_t (&spt)[4])
 {
     dlw_assert(capacity_gib >= 1, "capacity must be at least 1 GiB");
     const Lba total =
         static_cast<Lba>(capacity_gib) * (1ULL << 30) / kBlockBytes;
-
-    // Four zones, outer-to-inner, with track capacities descending
-    // roughly 1.6:1 as on real zoned drives.  A 15k enterprise drive
-    // of this era sustains ~125 MB/s outer, ~78 MB/s inner.
-    const std::uint32_t spt[4] = {1000, 880, 760, 630};
     const double share[4] = {0.30, 0.27, 0.23, 0.20};
 
     std::vector<Zone> zones;
@@ -55,33 +57,26 @@ DiskGeometry::makeEnterprise(std::uint32_t capacity_gib)
         zones.push_back(z);
         at = z.end;
     }
-    return DiskGeometry(std::move(zones), 15000);
+    return zones;
+}
+
+} // namespace
+
+DiskGeometry
+DiskGeometry::makeEnterprise(std::uint32_t capacity_gib)
+{
+    // Track capacities descend roughly 1.6:1 as on real zoned
+    // drives.  A 15k enterprise drive of this era sustains
+    // ~125 MB/s outer, ~78 MB/s inner.
+    return DiskGeometry(fourZones(capacity_gib, {1000, 880, 760, 630}),
+                        15000);
 }
 
 DiskGeometry
 DiskGeometry::makeNearline(std::uint32_t capacity_gib)
 {
-    dlw_assert(capacity_gib >= 1, "capacity must be at least 1 GiB");
-    const Lba total =
-        static_cast<Lba>(capacity_gib) * (1ULL << 30) / kBlockBytes;
-
-    const std::uint32_t spt[4] = {1400, 1220, 1050, 900};
-    const double share[4] = {0.30, 0.27, 0.23, 0.20};
-
-    std::vector<Zone> zones;
-    Lba at = 0;
-    for (int i = 0; i < 4; ++i) {
-        Zone z;
-        z.start = at;
-        Lba len = i == 3
-            ? total - at
-            : static_cast<Lba>(share[i] * static_cast<double>(total));
-        z.end = at + len;
-        z.sectors_per_track = spt[i];
-        zones.push_back(z);
-        at = z.end;
-    }
-    return DiskGeometry(std::move(zones), 7200);
+    return DiskGeometry(fourZones(capacity_gib, {1400, 1220, 1050, 900}),
+                        7200);
 }
 
 const Zone &

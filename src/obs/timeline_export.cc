@@ -370,15 +370,9 @@ putValue(char *buf, double v)
     }
     if (v > 9e18)
         v = 9e18;
-    const std::uint64_t scaled =
-        static_cast<std::uint64_t>(v * 1000.0 + 0.5);
-    n += putU64(buf + n, scaled / 1000);
-    buf[n++] = '.';
-    const std::uint64_t frac = scaled % 1000;
-    buf[n++] = static_cast<char>('0' + frac / 100);
-    buf[n++] = static_cast<char>('0' + frac / 10 % 10);
-    buf[n++] = static_cast<char>('0' + frac % 10);
-    return n;
+    // Thousandths print like nanoseconds as micros.
+    return n + putMicros(buf + n,
+                         static_cast<std::uint64_t>(v * 1000.0 + 0.5));
 }
 
 std::size_t

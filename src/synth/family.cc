@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "trace/aggregate.hh"
 
 namespace dlw
 {
@@ -210,21 +211,7 @@ FamilyModel::generateLifetime(const DriveProfile &profile,
         trace::HourBucket b;
         synthHour(profile, static_cast<Tick>(h) * kHour, rng, rate,
                   session_left, b);
-        rec.reads += b.reads;
-        rec.writes += b.writes;
-        rec.read_blocks += b.read_blocks;
-        rec.write_blocks += b.write_blocks;
-        rec.busy += b.busy;
-        rec.peak_hour_requests =
-            std::max(rec.peak_hour_requests, b.total());
-        if (b.utilization() >= saturated_threshold) {
-            ++rec.saturated_hours;
-            ++run;
-            rec.longest_saturated_run =
-                std::max(rec.longest_saturated_run, run);
-        } else {
-            run = 0;
-        }
+        trace::foldHour(rec, b, saturated_threshold, run);
     }
     return rec;
 }

@@ -52,6 +52,26 @@ msToHour(const MsTrace &ms, const std::vector<BusyInterval> &busy)
     return out;
 }
 
+void
+foldHour(LifetimeRecord &rec, const HourBucket &b,
+         double saturated_threshold, std::uint64_t &run)
+{
+    rec.reads += b.reads;
+    rec.writes += b.writes;
+    rec.read_blocks += b.read_blocks;
+    rec.write_blocks += b.write_blocks;
+    rec.busy += b.busy;
+    rec.peak_hour_requests = std::max(rec.peak_hour_requests, b.total());
+    if (b.utilization() >= saturated_threshold) {
+        ++rec.saturated_hours;
+        ++run;
+        rec.longest_saturated_run =
+            std::max(rec.longest_saturated_run, run);
+    } else {
+        run = 0;
+    }
+}
+
 LifetimeRecord
 hourToLifetime(const HourTrace &hour, double saturated_threshold)
 {
@@ -60,37 +80,15 @@ hourToLifetime(const HourTrace &hour, double saturated_threshold)
     rec.power_on = static_cast<Tick>(hour.hours()) * kHour;
 
     std::uint64_t run = 0;
-    for (const HourBucket &b : hour.buckets()) {
-        rec.reads += b.reads;
-        rec.writes += b.writes;
-        rec.read_blocks += b.read_blocks;
-        rec.write_blocks += b.write_blocks;
-        rec.busy += b.busy;
-        rec.peak_hour_requests =
-            std::max(rec.peak_hour_requests, b.total());
-        if (b.utilization() >= saturated_threshold) {
-            ++rec.saturated_hours;
-            ++run;
-            rec.longest_saturated_run =
-                std::max(rec.longest_saturated_run, run);
-        } else {
-            run = 0;
-        }
-    }
+    for (const HourBucket &b : hour.buckets())
+        foldHour(rec, b, saturated_threshold, run);
     return rec;
 }
 
 bool
 consistentMsHour(const MsTrace &ms, const HourTrace &hour)
 {
-    std::uint64_t reads = 0, writes = 0, rblocks = 0, wblocks = 0;
-    for (const HourBucket &b : hour.buckets()) {
-        reads += b.reads;
-        writes += b.writes;
-        rblocks += b.read_blocks;
-        wblocks += b.write_blocks;
-    }
-
+    const LifetimeRecord sums = hourToLifetime(hour);
     std::uint64_t ms_reads = 0, ms_writes = 0;
     std::uint64_t ms_rblocks = 0, ms_wblocks = 0;
     for (const Request &r : ms.requests()) {
@@ -103,26 +101,19 @@ consistentMsHour(const MsTrace &ms, const HourTrace &hour)
         }
     }
 
-    return reads == ms_reads && writes == ms_writes &&
-           rblocks == ms_rblocks && wblocks == ms_wblocks;
+    return sums.reads == ms_reads && sums.writes == ms_writes &&
+           sums.read_blocks == ms_rblocks &&
+           sums.write_blocks == ms_wblocks;
 }
 
 bool
 consistentHourLifetime(const HourTrace &hour, const LifetimeRecord &life)
 {
-    std::uint64_t reads = 0, writes = 0, rblocks = 0, wblocks = 0;
-    Tick busy = 0;
-    for (const HourBucket &b : hour.buckets()) {
-        reads += b.reads;
-        writes += b.writes;
-        rblocks += b.read_blocks;
-        wblocks += b.write_blocks;
-        busy += b.busy;
-    }
-    return reads == life.reads && writes == life.writes &&
-           rblocks == life.read_blocks && wblocks == life.write_blocks &&
-           busy == life.busy &&
-           life.power_on == static_cast<Tick>(hour.hours()) * kHour;
+    const LifetimeRecord sums = hourToLifetime(hour);
+    return sums.reads == life.reads && sums.writes == life.writes &&
+           sums.read_blocks == life.read_blocks &&
+           sums.write_blocks == life.write_blocks &&
+           sums.busy == life.busy && sums.power_on == life.power_on;
 }
 
 } // namespace trace

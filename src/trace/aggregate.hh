@@ -45,6 +45,14 @@ HourTrace msToHour(const MsTrace &ms,
                    const std::vector<BusyInterval> &busy = {});
 
 /**
+ * Fold one hour into a lifetime record: the volume sums, the peak
+ * hour, and the saturated-hour count and longest run.  `run` is the
+ * current saturated run, carried from one hour to the next.
+ */
+void foldHour(LifetimeRecord &rec, const HourBucket &b,
+              double saturated_threshold, std::uint64_t &run);
+
+/**
  * Collapse an hour trace into one lifetime record.
  *
  * @param hour                Source hour trace.

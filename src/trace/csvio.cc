@@ -2,11 +2,9 @@
 
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "common/fault.hh"
 #include "common/strutil.hh"
-#include "obs/span.hh"
 #include "trace/gate.hh"
 #include "trace/source.hh"
 #include "trace/stream.hh"
@@ -19,20 +17,6 @@ namespace trace
 namespace
 {
 
-Status
-openIn(const std::string &path, std::ifstream &is)
-{
-    obs::ScopedSpan span("ingest.open");
-    if (FAULT_POINT("trace.open")) {
-        return Status::ioError("injected fault at trace.open on '" +
-                               path + "'");
-    }
-    is.open(path);
-    if (!is)
-        return Status::ioError("cannot open '" + path + "' for reading");
-    return Status();
-}
-
 std::ofstream
 openOut(const std::string &path)
 {
@@ -44,12 +28,55 @@ openOut(const std::string &path)
     return os;
 }
 
-std::string
-atLine(std::size_t lineno, const std::string &what)
+/**
+ * The record loop of the hour and lifetime readers, after their
+ * first (format) line.  The column-header line must follow; then
+ * every non-empty line passes the trace.read.record fault point,
+ * must split into `fields` fields, and goes to `parse(f, why,
+ * clamped)`, which fills the caller's record and on a bad one sets
+ * `why` (and `clamped` when it repaired the record instead).  A good
+ * or repaired record goes to `keep()`; the gate counts everything.
+ */
+template <typename Parse, typename Keep>
+Status
+readRecords(std::istream &is, Gate &gate, std::size_t fields,
+            Parse parse, Keep keep)
 {
-    std::ostringstream os;
-    os << "line " << lineno << ": " << what;
-    return os.str();
+    std::string line;
+    if (!std::getline(is, line))
+        return Status::truncated("truncated CSV: missing column header");
+
+    std::size_t lineno = 2;
+    while (std::getline(is, line)) {
+        ++lineno;
+        std::string t = trim(line);
+        if (t.empty())
+            continue;
+        std::string why;
+        bool was_clamped = false;
+        if (FAULT_POINT("trace.read.record")) {
+            why = "injected fault at trace.read.record";
+        } else {
+            const std::vector<std::string> f = split(t, ',');
+            if (f.size() != fields)
+                why = "expected " + std::to_string(fields) + " fields";
+            else
+                parse(f, why, was_clamped);
+        }
+        if (!why.empty()) {
+            Status s = gate.corrupt(atLine(lineno, why));
+            if (!s.ok())
+                return s;
+            if (!was_clamped) {
+                gate.skip();
+                continue;
+            }
+            gate.clamped();
+        }
+        keep();
+        gate.accept(line.size() + 1);
+    }
+    return Status();
 }
 
 } // anonymous namespace
@@ -143,58 +170,30 @@ readHourCsv(std::istream &is, const IngestOptions &opts,
                                         trim(line) + "'"));
     }
     HourTrace trace(head[1], start);
-    if (!std::getline(is, line)) {
-        return fail(
-            Status::truncated("truncated CSV: missing column header"));
-    }
-
-    std::size_t lineno = 2;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string t = trim(line);
-        if (t.empty())
-            continue;
-        const std::size_t record_bytes = line.size() + 1;
-
-        std::string why;
-        bool was_clamped = false;
-        std::uint64_t h = 0;
-        HourBucket b;
-        if (FAULT_POINT("trace.read.record")) {
-            why = atLine(lineno, "injected fault at trace.read.record");
-        } else {
-            auto f = split(t, ',');
-            if (f.size() != 6) {
-                why = atLine(lineno, "expected 6 fields");
-            } else if (!tryParseUint(f[0], h) ||
-                       !tryParseUint(f[1], b.reads) ||
-                       !tryParseUint(f[2], b.writes) ||
-                       !tryParseUint(f[3], b.read_blocks) ||
-                       !tryParseUint(f[4], b.write_blocks) ||
-                       !tryParseInt(f[5], b.busy)) {
-                why = atLine(lineno, "malformed field");
-            } else if (b.busy < 0 || b.busy > kHour) {
-                if (gate.clampMode()) {
-                    b.busy = b.busy < 0 ? 0 : kHour;
-                    was_clamped = true;
-                }
-                why = atLine(lineno, "busy time outside [0, 1h]");
+    std::uint64_t h = 0;
+    HourBucket b;
+    const auto parse = [&](const std::vector<std::string> &f,
+                           std::string &why, bool &clamped) {
+        b = HourBucket{};
+        if (!tryParseUint(f[0], h) || !tryParseUint(f[1], b.reads) ||
+            !tryParseUint(f[2], b.writes) ||
+            !tryParseUint(f[3], b.read_blocks) ||
+            !tryParseUint(f[4], b.write_blocks) ||
+            !tryParseInt(f[5], b.busy)) {
+            why = "malformed field";
+        } else if (b.busy < 0 || b.busy > kHour) {
+            if (gate.clampMode()) {
+                b.busy = b.busy < 0 ? 0 : kHour;
+                clamped = true;
             }
+            why = "busy time outside [0, 1h]";
         }
-
-        if (!why.empty()) {
-            Status s = gate.corrupt(why);
-            if (!s.ok())
-                return fail(std::move(s));
-            if (!was_clamped) {
-                gate.skip();
-                continue;
-            }
-            gate.clamped();
-        }
+    };
+    Status s = readRecords(is, gate, 6, parse, [&] {
         trace.bucketFor(static_cast<std::size_t>(h)) = b;
-        gate.accept(record_bytes);
-    }
+    });
+    if (!s.ok())
+        return fail(std::move(s));
     if (stats)
         *stats = gate.st;
     return trace;
@@ -205,7 +204,7 @@ readHourCsv(const std::string &path, const IngestOptions &opts,
             IngestStats *stats)
 {
     std::ifstream is;
-    Status s = openIn(path, is);
+    Status s = openTraceFile(path, is);
     if (!s.ok())
         return s;
     StatusOr<HourTrace> r = readHourCsv(is, opts, stats);
@@ -272,77 +271,46 @@ readLifetimeCsv(std::istream &is, const IngestOptions &opts,
                                         trim(line) + "'"));
     }
     LifetimeTrace trace(head[1]);
-    if (!std::getline(is, line)) {
-        return fail(
-            Status::truncated("truncated CSV: missing column header"));
-    }
-
-    std::size_t lineno = 2;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string t = trim(line);
-        if (t.empty())
-            continue;
-        const std::size_t record_bytes = line.size() + 1;
-
-        std::string why;
-        bool was_clamped = false;
-        LifetimeRecord r;
-        if (FAULT_POINT("trace.read.record")) {
-            why = atLine(lineno, "injected fault at trace.read.record");
-        } else {
-            auto f = split(t, ',');
-            if (f.size() != 10) {
-                why = atLine(lineno, "expected 10 fields");
-            } else if (!tryParseInt(f[1], r.power_on) ||
-                       !tryParseInt(f[2], r.busy) ||
-                       !tryParseUint(f[3], r.reads) ||
-                       !tryParseUint(f[4], r.writes) ||
-                       !tryParseUint(f[5], r.read_blocks) ||
-                       !tryParseUint(f[6], r.write_blocks) ||
-                       !tryParseUint(f[7], r.peak_hour_requests) ||
-                       !tryParseUint(f[8], r.saturated_hours) ||
-                       !tryParseUint(f[9], r.longest_saturated_run)) {
-                why = atLine(lineno, "malformed field");
-            } else {
-                r.drive_id = trim(f[0]);
-                // Domain repairs exist only under the clamp policy;
-                // the other policies pass domain issues through to
-                // validate(), as the seed reader did.
-                if (gate.clampMode()) {
-                    if (r.power_on < 0) {
-                        r.power_on = 0;
-                        was_clamped = true;
-                    }
-                    if (r.busy < 0 || r.busy > r.power_on) {
-                        r.busy = r.busy < 0 ? 0 : r.power_on;
-                        was_clamped = true;
-                    }
-                    if (r.longest_saturated_run > r.saturated_hours) {
-                        r.longest_saturated_run = r.saturated_hours;
-                        was_clamped = true;
-                    }
-                    if (was_clamped) {
-                        why = atLine(lineno,
-                                     "counters outside their domain");
-                    }
-                }
-            }
+    LifetimeRecord r;
+    const auto parse = [&](const std::vector<std::string> &f,
+                           std::string &why, bool &clamped) {
+        r = LifetimeRecord{};
+        if (!tryParseInt(f[1], r.power_on) || !tryParseInt(f[2], r.busy) ||
+            !tryParseUint(f[3], r.reads) ||
+            !tryParseUint(f[4], r.writes) ||
+            !tryParseUint(f[5], r.read_blocks) ||
+            !tryParseUint(f[6], r.write_blocks) ||
+            !tryParseUint(f[7], r.peak_hour_requests) ||
+            !tryParseUint(f[8], r.saturated_hours) ||
+            !tryParseUint(f[9], r.longest_saturated_run)) {
+            why = "malformed field";
+            return;
         }
-
-        if (!why.empty()) {
-            Status s = gate.corrupt(why);
-            if (!s.ok())
-                return fail(std::move(s));
-            if (!was_clamped) {
-                gate.skip();
-                continue;
-            }
-            gate.clamped();
+        r.drive_id = trim(f[0]);
+        // Domain repairs exist only under the clamp policy; the
+        // other policies pass domain issues through to validate(),
+        // as the seed reader did.
+        if (!gate.clampMode())
+            return;
+        if (r.power_on < 0) {
+            r.power_on = 0;
+            clamped = true;
         }
-        trace.append(std::move(r));
-        gate.accept(record_bytes);
-    }
+        if (r.busy < 0 || r.busy > r.power_on) {
+            r.busy = r.busy < 0 ? 0 : r.power_on;
+            clamped = true;
+        }
+        if (r.longest_saturated_run > r.saturated_hours) {
+            r.longest_saturated_run = r.saturated_hours;
+            clamped = true;
+        }
+        if (clamped)
+            why = "counters outside their domain";
+    };
+    Status s = readRecords(is, gate, 10, parse,
+                           [&] { trace.append(std::move(r)); });
+    if (!s.ok())
+        return fail(std::move(s));
     if (stats)
         *stats = gate.st;
     return trace;
@@ -353,7 +321,7 @@ readLifetimeCsv(const std::string &path, const IngestOptions &opts,
                 IngestStats *stats)
 {
     std::ifstream is;
-    Status s = openIn(path, is);
+    Status s = openTraceFile(path, is);
     if (!s.ok())
         return s;
     StatusOr<LifetimeTrace> r = readLifetimeCsv(is, opts, stats);

@@ -10,8 +10,11 @@
 #ifndef DLW_TRACE_GATE_HH
 #define DLW_TRACE_GATE_HH
 
+#include <cstddef>
+#include <iosfwd>
 #include <string>
 
+#include "common/status.hh"
 #include "trace/ingest.hh"
 
 namespace dlw
@@ -60,6 +63,17 @@ struct Gate
             st.bytes_recovered += input_bytes;
     }
 };
+
+/**
+ * Open a trace file for reading, timed as the ingest.open span and
+ * failable through the trace.open fault point; IoError when the file
+ * cannot be opened.
+ */
+Status openTraceFile(const std::string &path, std::ifstream &is,
+                     bool binary = false);
+
+/** `line <lineno>: <what>`, a text record's failure message. */
+std::string atLine(std::size_t lineno, const std::string &what);
 
 } // namespace trace
 } // namespace dlw

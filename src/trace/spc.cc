@@ -6,7 +6,7 @@
 
 #include "common/fault.hh"
 #include "common/strutil.hh"
-#include "obs/span.hh"
+#include "trace/gate.hh"
 
 namespace dlw
 {
@@ -138,18 +138,9 @@ readSpc(const std::string &path, const std::string &drive_id,
         const IngestOptions &opts, IngestStats *stats, int asu)
 {
     std::ifstream is;
-    {
-        obs::ScopedSpan span("ingest.open");
-        if (FAULT_POINT("trace.open")) {
-            return Status::ioError(
-                "injected fault at trace.open on '" + path + "'");
-        }
-        is.open(path);
-    }
-    if (!is) {
-        return Status::ioError("cannot open '" + path +
-                               "' for reading");
-    }
+    Status s = openTraceFile(path, is);
+    if (!s.ok())
+        return s;
     StatusOr<MsTrace> r = readSpc(is, drive_id, opts, stats, asu);
     if (!r.ok()) {
         Status e = r.status();

@@ -20,11 +20,8 @@ namespace dlw
 namespace trace
 {
 
-namespace
-{
-
 Status
-openIn(const std::string &path, std::ifstream &is, bool binary)
+openTraceFile(const std::string &path, std::ifstream &is, bool binary)
 {
     obs::ScopedSpan span("ingest.open");
     if (FAULT_POINT("trace.open")) {
@@ -40,6 +37,17 @@ openIn(const std::string &path, std::ifstream &is, bool binary)
     return Status();
 }
 
+std::string
+atLine(std::size_t lineno, const std::string &what)
+{
+    std::ostringstream os;
+    os << "line " << lineno << ": " << what;
+    return os.str();
+}
+
+namespace
+{
+
 /** `<what> '<field>'`, a record parse's failure text. */
 std::string
 quoted(std::string_view what, std::string_view field)
@@ -49,14 +57,6 @@ quoted(std::string_view what, std::string_view field)
     s += field;
     s += '\'';
     return s;
-}
-
-std::string
-atLine(std::size_t lineno, const std::string &what)
-{
-    std::ostringstream os;
-    os << "line " << lineno << ": " << what;
-    return os.str();
 }
 
 /**
@@ -446,7 +446,7 @@ openFromPath(const std::string &path, const IngestOptions &opts,
              bool binary)
 {
     auto owned = std::make_unique<std::ifstream>();
-    Status s = openIn(path, *owned, binary);
+    Status s = openTraceFile(path, *owned, binary);
     if (!s.ok())
         return s;
     std::istream &is = *owned;
