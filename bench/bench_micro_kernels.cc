@@ -18,10 +18,9 @@
  *
  *  2. The pre-existing google-benchmark suite (workload synthesis
  *     per drive class, Rng draws, drive servicing, binary trace I/O,
- *     estimators) plus per-ISA kernel benchmarks.  Adaptive
- *     iteration counts make gbench numbers non-deterministic, which
- *     is why this part runs after the guard above has been destroyed
- *     and is not snapshot-gated.
+ *     estimators).  Adaptive iteration counts make gbench numbers
+ *     non-deterministic, which is why this part runs after the guard
+ *     above has been destroyed and is not snapshot-gated.
  *     `--kernels-only` skips it (what CI runs).
  */
 
@@ -277,8 +276,7 @@ runKernelPhase()
     std::vector<double> acf_out(kAcfLags);
 
     std::vector<KernelRow> rows;
-    for (simd::Isa isa :
-         {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+    for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
         if (!simd::supported(isa))
             continue;
         rows.push_back(timeIsa(isa, lin_xs, log_xs, ticks, gap_xs,
@@ -578,74 +576,6 @@ BM_FamilyHourSynthesis(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FamilyHourSynthesis);
-
-/** Per-ISA gbench view of the hottest kernels (arg = Isa). */
-void
-BM_KernelBinLinear(benchmark::State &state)
-{
-    const auto isa = static_cast<simd::Isa>(state.range(0));
-    if (!simd::supported(isa)) {
-        state.SkipWithError("isa not dispatchable");
-        return;
-    }
-    simd::force(isa);
-    const std::vector<double> xs = uniformSamples(kBatch, -5.0, 110.0);
-    std::vector<std::int32_t> idx(kBatch);
-    for (auto _ : state) {
-        simd::ops().bin_linear(xs.data(), kBatch, 0.0, 100.0,
-                               64 / 100.0, 64, idx.data());
-        benchmark::DoNotOptimize(idx.data());
-    }
-    simd::force(simd::bestSupported());
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_KernelBinLinear)->Arg(0)->Arg(1)->Arg(2);
-
-void
-BM_KernelCountSorted(benchmark::State &state)
-{
-    const auto isa = static_cast<simd::Isa>(state.range(0));
-    if (!simd::supported(isa)) {
-        state.SkipWithError("isa not dispatchable");
-        return;
-    }
-    simd::force(isa);
-    const std::vector<Tick> ticks = burstyTicks(kBatch);
-    const auto nbins = static_cast<std::size_t>(
-        (ticks.back() / (10 * kMsec)) + 1);
-    std::vector<double> bins(nbins, 0.0);
-    for (auto _ : state) {
-        simd::ops().count_sorted(ticks.data(), kBatch, 0, 10 * kMsec,
-                                 bins.data(), bins.size());
-        benchmark::DoNotOptimize(bins.data());
-    }
-    simd::force(simd::bestSupported());
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_KernelCountSorted)->Arg(0)->Arg(1)->Arg(2);
-
-void
-BM_KernelWelford(benchmark::State &state)
-{
-    const auto isa = static_cast<simd::Isa>(state.range(0));
-    if (!simd::supported(isa)) {
-        state.SkipWithError("isa not dispatchable");
-        return;
-    }
-    simd::force(isa);
-    const std::vector<double> xs = uniformSamples(kBatch, 0.0, 1e9);
-    simd::SummaryLanes lanes;
-    for (auto _ : state) {
-        simd::ops().welford_add(lanes, xs.data(), kBatch);
-        benchmark::DoNotOptimize(&lanes);
-    }
-    simd::force(simd::bestSupported());
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_KernelWelford)->Arg(0)->Arg(1)->Arg(2);
 
 } // anonymous namespace
 

@@ -8,8 +8,8 @@
 # when the set of cases differs from the golden file's, or when any
 # stdout hashes differently.  run-report's span and seconds-histogram
 # timings and its core.kernel.isa gauge (the SIMD kernel table this
-# host picked: avx2, sse2 or scalar) are masked before hashing;
-# nothing else is.
+# host picked: avx2 or scalar) are masked before hashing; nothing
+# else is.
 #
 # Beside the hashes, the script holds the byte-identity contracts
 # that compare two runs of the current build:
@@ -20,6 +20,8 @@
 #     and --drive nearline, and ten repeated runs of a 20-minute
 #     trace whose burstiness finish fans out to helper threads;
 #   - fleet at --batch 1 and 63;
+#   - analyze and fleet --threads 4 with --trace-out, whose Chrome
+#     trace files must hold complete (X) duration events;
 #   - a serve + stream round trip, csv and bin, against
 #     characterize on the same file.
 #
@@ -166,6 +168,28 @@ run fleet-degraded fleet --preset mixed --drives 16 --threads 1 \
     --fault fleet.shard:mod=5 --retries 1 > d8.txt 2>/dev/null ||
     fail "degraded fleet --threads 8"
 same out/fleet-degraded d8.txt "degraded fleet --threads 1/8"
+
+# --- --trace-out leaves stdout alone and writes complete spans ------
+
+"$tool" analyze --in id.csv --trace-out trace_analyze.json > t.txt \
+    2>/dev/null || fail "analyze --trace-out"
+same out/analyze-csv t.txt "analyze --trace-out"
+"$tool" fleet --preset mixed --drives 16 --threads 4 --minutes 0.5 \
+    --trace-out trace_fleet.json > t.txt 2>/dev/null ||
+    fail "fleet --trace-out"
+same out/fleet-threads4 t.txt "fleet --threads 4 --trace-out"
+python3 - trace_analyze.json trace_fleet.json <<'PY' ||
+import json, sys
+for path in sys.argv[1:]:
+    events = json.load(open(path))["traceEvents"]
+    assert events, path
+    for e in events:
+        assert {"ph", "name", "pid", "tid"} <= e.keys(), e
+    complete = [e for e in events
+                if e["ph"] == "X" and "ts" in e and "dur" in e]
+    assert complete, f"{path}: no complete duration events"
+PY
+    fail "--trace-out files lack complete (X) duration events"
 
 # --- analyze does not depend on thread scheduling -------------------
 

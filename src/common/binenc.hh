@@ -195,7 +195,7 @@ class BinDec
     f64vec()
     {
         const std::uint64_t n = u64();
-        if (failed_ || n * 8 > remaining()) {
+        if (failed_ || n > remaining() / 8) {
             failed_ = true;
             return {};
         }

@@ -178,7 +178,7 @@ BurstinessAccumulator::loadState(BinDec &dec)
     base_bin_ = dec.i64();
     const std::uint64_t n_scales = dec.u64();
     if (!dec.ok() || base_bin_ <= 0 ||
-        n_scales * 8 > dec.remaining())
+        n_scales > dec.remaining() / 8)
         return false;
     scales_.resize(static_cast<std::size_t>(n_scales));
     for (std::size_t &s : scales_)

@@ -462,7 +462,7 @@ StreamDecoder::loadState(BinDec &dec)
     records_ = dec.u64();
     const std::uint64_t n_pending = dec.u64();
     // 21 bytes per serialized request: bound before allocating.
-    if (!dec.ok() || n_pending * 21 > dec.remaining())
+    if (!dec.ok() || n_pending > dec.remaining() / 21)
         return false;
     pending_.clear();
     pending_head_ = 0;

@@ -6,7 +6,7 @@
  * per-element expression tree a vector kernel reproduces lives in
  * exactly one place, and the vector code mirrors it operation for
  * operation (no FMA contraction — the kernel sources never enable
- * -mfma — and no reassociation).  The SSE2/AVX2 kernels call these
+ * -mfma — and no reassociation).  The AVX2 kernels call these
  * same helpers for heads, tails and slow lanes, so a "vector" result
  * is always a mix of the one scalar definition and its element-wise
  * IEEE equivalents.
@@ -115,12 +115,7 @@ acfLagFrom(const double *d, std::size_t n, std::size_t k,
 /** The scalar reference table (always built, ground truth). */
 extern const KernelOps kScalarOps;
 
-#if defined(__SSE2__)
-/** SSE2 table (x86-64 baseline; built whenever the target has SSE2). */
-extern const KernelOps kSse2Ops;
-#endif
-
-#if defined(DLW_SIMD_HAVE_AVX2)
+#if defined(DLW_HAVE_AVX2)
 /** AVX2 table (built when the toolchain takes -mavx2 and the build
  *  did not pass -DDLW_DISABLE_AVX2=ON; dispatched only when the CPU
  *  reports AVX2). */

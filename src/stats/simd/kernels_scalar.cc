@@ -3,7 +3,8 @@
  * Scalar reference kernels: the ground truth every vector table must
  * reproduce bit for bit.  These loops are intentionally written as
  * the obvious per-element code — they define the semantics, and they
- * are what runs under DLW_SIMD=scalar and on non-x86 targets.
+ * are what runs on CPUs without AVX2, in -DDLW_DISABLE_AVX2=ON builds
+ * and on non-x86 targets.
  */
 
 #include "stats/simd/kernels.hh"

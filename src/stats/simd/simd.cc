@@ -3,21 +3,18 @@
  * Kernel-table dispatch and the SummaryLanes fold.
  *
  * The active table is published through one atomic pointer: hot
- * paths pay a single acquire load per batch, and tests (or the
- * DLW_SIMD override) can repoint it at any table because every
- * table computes identical bits — swapping mid-stream is safe by
- * the bit-identity contract.
+ * paths pay a single acquire load per batch, and tests can repoint
+ * it at either table because both compute identical bits — swapping
+ * mid-stream is safe by the bit-identity contract.
  */
 
 #include "stats/simd/simd.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 
 #include "common/binenc.hh"
-#include "common/logging.hh"
 #include "stats/simd/kernels.hh"
 #include "stats/summary.hh"
 
@@ -33,64 +30,24 @@ namespace
 
 std::atomic<const KernelOps *> g_ops{nullptr};
 std::atomic<int> g_isa{static_cast<int>(Isa::kScalar)};
-std::once_flag g_env_once;
-
-const KernelOps *
-tableFor(Isa isa)
-{
-    switch (isa) {
-      case Isa::kScalar:
-        return &detail::kScalarOps;
-      case Isa::kSse2:
-#if defined(__SSE2__)
-        return &detail::kSse2Ops;
-#else
-        return &detail::kScalarOps;
-#endif
-      case Isa::kAvx2:
-#if defined(DLW_SIMD_HAVE_AVX2)
-        return &detail::kAvx2Ops;
-#elif defined(__SSE2__)
-        return &detail::kSse2Ops;
-#else
-        return &detail::kScalarOps;
-#endif
-    }
-    return &detail::kScalarOps;
-}
+std::once_flag g_init_once;
 
 } // anonymous namespace
 
 bool
 supported(Isa isa)
 {
-    switch (isa) {
-      case Isa::kScalar:
-        return true;
-      case Isa::kSse2:
-#if defined(__SSE2__)
-        return true;
-#else
-        return false;
-#endif
-      case Isa::kAvx2:
-#if defined(DLW_SIMD_HAVE_AVX2)
+#if defined(DLW_HAVE_AVX2)
+    if (isa == Isa::kAvx2)
         return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
 #endif
-    }
-    return false;
+    return isa == Isa::kScalar;
 }
 
 Isa
 bestSupported()
 {
-    if (supported(Isa::kAvx2))
-        return Isa::kAvx2;
-    if (supported(Isa::kSse2))
-        return Isa::kSse2;
-    return Isa::kScalar;
+    return supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
 }
 
 Isa
@@ -103,70 +60,21 @@ activeIsa()
 const char *
 isaName(Isa isa)
 {
-    switch (isa) {
-      case Isa::kScalar:
-        return "scalar";
-      case Isa::kSse2:
-        return "sse2";
-      case Isa::kAvx2:
-        return "avx2";
-    }
-    return "unknown";
-}
-
-bool
-parseChoice(std::string_view s, Isa &out, bool &is_auto)
-{
-    is_auto = false;
-    if (s == "auto") {
-        is_auto = true;
-        return true;
-    }
-    if (s == "scalar") {
-        out = Isa::kScalar;
-        return true;
-    }
-    if (s == "sse2") {
-        out = Isa::kSse2;
-        return true;
-    }
-    if (s == "avx2") {
-        out = Isa::kAvx2;
-        return true;
-    }
-    return false;
+    return isa == Isa::kAvx2 ? "avx2" : "scalar";
 }
 
 void
 force(Isa isa)
 {
-    if (!supported(isa)) {
-        const Isa best = bestSupported();
-        dlw_warn("DLW_SIMD: ", isaName(isa),
-                 " is not available on this build/CPU; using ",
-                 isaName(best));
-        isa = best;
-    }
+    if (!supported(isa))
+        isa = Isa::kScalar;
+    const KernelOps *table = &detail::kScalarOps;
+#if defined(DLW_HAVE_AVX2)
+    if (isa == Isa::kAvx2)
+        table = &detail::kAvx2Ops;
+#endif
     g_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
-    g_ops.store(tableFor(isa), std::memory_order_release);
-}
-
-void
-configureFromEnv()
-{
-    const char *env = std::getenv("DLW_SIMD");
-    Isa choice = bestSupported();
-    if (env != nullptr && *env != '\0') {
-        Isa parsed = Isa::kScalar;
-        bool is_auto = false;
-        if (!parseChoice(env, parsed, is_auto)) {
-            dlw_warn("DLW_SIMD: unknown value '", env,
-                     "' (want scalar|sse2|avx2|auto); using auto");
-        } else if (!is_auto) {
-            choice = parsed;
-        }
-    }
-    force(choice);
+    g_ops.store(table, std::memory_order_release);
 }
 
 const KernelOps &
@@ -175,7 +83,7 @@ ops()
     const KernelOps *t = g_ops.load(std::memory_order_acquire);
     if (t != nullptr)
         return *t;
-    std::call_once(g_env_once, configureFromEnv);
+    std::call_once(g_init_once, [] { force(bestSupported()); });
     return *g_ops.load(std::memory_order_acquire);
 }
 

@@ -7,9 +7,9 @@
  * the interarrival-gap moment fold, totals — all reduce to tight
  * loops over one dense column of the SoA trace::RequestBatch; the
  * autocorrelation's lagged sums are one more such loop over a
- * binned series.  This layer lifts those loops into per-ISA kernels
- * (scalar reference, SSE2, AVX2) selected once at startup by CPUID,
- * overridable with DLW_SIMD=scalar|sse2|avx2|auto.
+ * binned series.  This layer lifts those loops into two kernel
+ * tables, the scalar reference and AVX2; the AVX2 table runs when
+ * CPUID reports AVX2, the scalar one everywhere else.
  *
  * The contract that makes dispatch safe everywhere byte-identity is
  * promised (thread counts, batch sizes, daemon checkpoints): every
@@ -37,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 #include "common/types.hh"
 
@@ -59,7 +58,6 @@ namespace simd
 enum class Isa : int
 {
     kScalar = 0, ///< portable reference path (ground truth)
-    kSse2 = 1,   ///< x86-64 baseline vectors (2 doubles / 2 ticks)
     kAvx2 = 2,   ///< 256-bit vectors (4 doubles / 4 ticks)
 };
 
@@ -230,37 +228,24 @@ struct KernelOps
 /** True when this build + CPU can dispatch the given ISA. */
 bool supported(Isa isa);
 
-/** The widest supported ISA (what "auto" resolves to). */
+/** AVX2 when supported(), else scalar: what ops() starts on. */
 Isa bestSupported();
 
 /** The ISA the active kernel table was built for. */
 Isa activeIsa();
 
-/** "scalar" / "sse2" / "avx2". */
+/** "scalar" / "avx2". */
 const char *isaName(Isa isa);
 
 /**
- * Parse a DLW_SIMD value.  Returns false on an unknown token;
- * "auto" sets is_auto and leaves out untouched.
- */
-bool parseChoice(std::string_view s, Isa &out, bool &is_auto);
-
-/**
- * Select the kernel table.  An unsupported request clamps to the
- * best supported ISA (with a warning) rather than failing: the
- * override is a tuning knob, not a correctness switch, precisely
- * because every table computes identical bits.
+ * Select the kernel table; an unsupported request falls back to
+ * scalar.  This is the seam the identity tests and the kernel bench
+ * use to run the scalar reference on an AVX2 host; swapping tables
+ * mid-stream is safe because every table computes identical bits.
  */
 void force(Isa isa);
 
-/**
- * Apply the DLW_SIMD environment override (scalar|sse2|avx2|auto).
- * Unset or "auto" selects bestSupported().  Called lazily by ops(),
- * so processes that never touch the env get auto dispatch.
- */
-void configureFromEnv();
-
-/** The active kernel table (initializes from DLW_SIMD on first use). */
+/** The active kernel table (bestSupported() until force()). */
 const KernelOps &ops();
 
 } // namespace simd

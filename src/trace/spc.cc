@@ -2,7 +2,7 @@
 
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string>
 
 #include "common/fault.hh"
 #include "common/strutil.hh"
@@ -17,9 +17,9 @@ StatusOr<MsTrace>
 readSpc(std::istream &is, const std::string &drive_id,
         const IngestOptions &opts, IngestStats *stats, int asu)
 {
-    IngestStats st;
-    IngestMetricsScope obs_scope(st);
-    const bool clamp = opts.policy == RecordPolicy::kBestEffortClamp;
+    Gate gate{opts, {}};
+    IngestMetricsScope obs_scope(gate.st);
+    const bool clamp = gate.clampMode();
     MsTrace trace(drive_id, 0, 0);
     std::string line;
     std::size_t lineno = 0;
@@ -37,9 +37,7 @@ readSpc(std::istream &is, const std::string &drive_id,
         Request r;
         bool filtered = false;
         auto at = [&](const std::string &what) {
-            std::ostringstream os;
-            os << "SPC line " << lineno << ": " << what;
-            return os.str();
+            return "SPC line " + std::to_string(lineno) + ": " + what;
         };
 
         if (FAULT_POINT("trace.read.record")) {
@@ -106,30 +104,27 @@ readSpc(std::istream &is, const std::string &drive_id,
         if (filtered)
             continue;
         if (!why.empty()) {
-            st.noteError(why, opts.max_error_samples);
-            if (opts.policy == RecordPolicy::kAbort) {
+            Status s = gate.corrupt(why);
+            if (!s.ok()) {
                 if (stats)
-                    *stats = st;
-                return Status::corruptData(why);
+                    *stats = gate.st;
+                return s;
             }
             if (!was_clamped) {
-                ++st.records_skipped;
+                gate.skip();
                 continue;
             }
-            ++st.records_clamped;
+            gate.clamped();
         }
         last = std::max(last, r.arrival);
         trace.append(r);
-        ++st.records_read;
-        st.bytes_read += record_bytes;
-        if (st.errors != 0)
-            st.bytes_recovered += record_bytes;
+        gate.accept(record_bytes);
     }
 
     trace.setWindow(0, trace.empty() ? 0 : last + 1);
     trace.sortByArrival();
     if (stats)
-        *stats = st;
+        *stats = gate.st;
     return trace;
 }
 

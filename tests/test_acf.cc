@@ -126,8 +126,7 @@ TEST(Acf, BitIdenticalToPerLagLoopOnBModelSeries)
                                  counts.begin() + 720'000);
 
     const std::vector<double> want = perLagAutocorrelation(xs, 200);
-    for (simd::Isa isa :
-         {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+    for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
         if (!simd::supported(isa))
             continue;
         simd::force(isa);

@@ -26,6 +26,7 @@
 
 #include "common/binenc.hh"
 #include "common/fault.hh"
+#include "core/burstiness.hh"
 #include "core/live.hh"
 #include "daemon/checkpoint.hh"
 #include "daemon/server.hh"
@@ -760,10 +761,33 @@ TEST(BinDec, PoisonedLengthRejectedBeforeAllocation)
 
     std::string blob2;
     BinEnc enc2(blob2);
-    enc2.u64(UINT64_MAX / 4); // n * 8 would overflow naive math
+    enc2.u64(UINT64_MAX / 4); // n * 8 wraps to 2^64 - 8
     BinDec dec2(blob2);
     EXPECT_TRUE(dec2.f64vec().empty());
     EXPECT_FALSE(dec2.ok());
+
+    std::string blob3;
+    BinEnc enc3(blob3);
+    enc3.u64(std::uint64_t{1} << 61); // n * 8 wraps to 0
+    blob3 += "xx";
+    BinDec dec3(blob3);
+    EXPECT_TRUE(dec3.f64vec().empty());
+    EXPECT_FALSE(dec3.ok());
+}
+
+TEST(BurstinessCheckpoint, WrappingScaleCountRejected)
+{
+    core::BurstinessAccumulator acc;
+    std::string blob;
+    BinEnc enc(blob);
+    acc.saveState(enc);
+    // The scale count follows the 8-byte base bin; 2^61 scales of 8
+    // bytes each wrap to 0 bytes.
+    const std::uint64_t wraps = std::uint64_t{1} << 61;
+    std::memcpy(&blob[8], &wraps, sizeof wraps);
+    core::BurstinessAccumulator back;
+    BinDec dec(blob);
+    EXPECT_FALSE(back.loadState(dec));
 }
 
 // ---------------------------------------------------------------------------
@@ -2104,6 +2128,63 @@ TEST(ServerIntegration, GarbledCheckpointStaysInsideTheStateDir)
     EXPECT_NE(::stat((base + "/escape.ckpt").c_str(), &st), 0);
     // A garbled blob is dropped, not left to trip the next start.
     EXPECT_NE(::stat((dir + "/evil.ckpt").c_str(), &st), 0);
+}
+
+/**
+ * A pending-request count whose 21-byte records wrap to 5 bytes:
+ * (2^64 + 5) / 21.
+ */
+constexpr std::uint64_t kPendingWrapsTo5 = 878416384462359601ULL;
+
+/** A fresh decoder's state with its trailing pending count set. */
+std::string
+freshDecoderBlob(std::uint64_t n_pending)
+{
+    net::StreamDecoder dec(net::StreamFormat::kCsv, net::kMaxFrameBytes);
+    std::string blob;
+    BinEnc enc(blob);
+    dec.saveState(enc);
+    std::memcpy(&blob[blob.size() - 8], &n_pending, sizeof n_pending);
+    return blob;
+}
+
+TEST(ServerIntegration, CheckpointWithWrappingLengthIsDropped)
+{
+    // A session blob whose decoder claims kPendingWrapsTo5 pending
+    // requests, more than the session tail's bytes can hold: like any
+    // garbled blob it must fail the load and be dropped, never throw
+    // out of the restore and stop the daemon's start.
+    const std::string dir = ::testing::TempDir() + "dlw_wrap_" +
+                            std::to_string(::getpid());
+    ::mkdir(dir.c_str(), 0755);
+    const std::string path = daemon::checkpointPath(dir, "t-1");
+    {
+        daemon::Session s("t-1", "t", net::StreamFormat::kCsv);
+        std::string blob = daemon::kCheckpointMagic;
+        BinEnc enc(blob);
+        enc.u32(daemon::kCheckpointVersion);
+        s.saveState(enc);
+        const std::string fresh = freshDecoderBlob(0);
+        const std::size_t at = blob.find(fresh);
+        ASSERT_NE(at, std::string::npos);
+        blob.replace(at, fresh.size(), freshDecoderBlob(kPendingWrapsTo5));
+        std::ofstream os(path, std::ios::binary);
+        os << blob;
+    }
+    const StatusOr<std::shared_ptr<daemon::Session>> loaded =
+        daemon::loadSessionCheckpoint(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptData);
+
+    daemon::ServerConfig cfg;
+    cfg.state_dir = dir;
+    {
+        ServerFixture f(cfg);
+        const std::string list = httpGet(f.port(), "/v1/sessions");
+        EXPECT_EQ(list.find("\"t-1\""), std::string::npos) << list;
+    }
+    struct stat st;
+    EXPECT_NE(::stat(path.c_str(), &st), 0);
 }
 
 TEST(ServerIntegration, DrainCompletesInFlightSession)

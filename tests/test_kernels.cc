@@ -3,9 +3,9 @@
  * Bit-identity of the SIMD characterization kernels.
  *
  * Every test runs the same input through the scalar reference table
- * and every other table this build + CPU supports, and demands the
- * results be identical to the last bit — that is the contract that
- * makes DLW_SIMD a pure tuning knob.  Inputs are chosen to be
+ * and the AVX2 table when this build + CPU supports it, and demands
+ * the results be identical to the last bit — that is the contract
+ * that lets dispatch follow CPUID.  Inputs are chosen to be
  * adversarial: denormals, exact bin edges, tail batches of every
  * length below two vector widths, empty batches, duplicate ticks,
  * and unsorted arrivals.
@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -23,8 +22,10 @@
 
 #include "common/binenc.hh"
 #include "core/burstiness.hh"
+#include "core/characterize.hh"
 #include "core/pass.hh"
 #include "core/rwmix.hh"
+#include "disk/drive.hh"
 #include "stats/histogram.hh"
 #include "stats/simd/kernels.hh"
 #include "stats/simd/simd.hh"
@@ -47,7 +48,7 @@ std::vector<Isa>
 supportedIsas()
 {
     std::vector<Isa> out;
-    for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
         if (supported(isa))
             out.push_back(isa);
     }
@@ -546,37 +547,16 @@ TEST(AcfLagsKernel, ScalarIsThePerLagSum)
     }
 }
 
-TEST(Dispatch, EnvOverrideSelectsScalar)
-{
-    IsaGuard guard;
-    ASSERT_EQ(setenv("DLW_SIMD", "scalar", 1), 0);
-    configureFromEnv();
-    EXPECT_EQ(activeIsa(), Isa::kScalar);
-    EXPECT_EQ(&ops(), &detail::kScalarOps);
-
-    ASSERT_EQ(setenv("DLW_SIMD", "auto", 1), 0);
-    configureFromEnv();
-    EXPECT_EQ(activeIsa(), bestSupported());
-
-    // Unknown values warn and fall back to auto.
-    ASSERT_EQ(setenv("DLW_SIMD", "bogus", 1), 0);
-    configureFromEnv();
-    EXPECT_EQ(activeIsa(), bestSupported());
-    ASSERT_EQ(unsetenv("DLW_SIMD"), 0);
-}
-
 TEST(Dispatch, ForceClampsUnsupported)
 {
     IsaGuard guard;
-    for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
         force(isa);
-        if (supported(isa))
-            EXPECT_EQ(activeIsa(), isa);
-        else
-            EXPECT_EQ(activeIsa(), bestSupported());
+        EXPECT_EQ(activeIsa(), supported(isa) ? isa : Isa::kScalar);
     }
+    force(Isa::kScalar);
+    EXPECT_EQ(&ops(), &detail::kScalarOps);
     EXPECT_EQ(isaName(Isa::kScalar), std::string("scalar"));
-    EXPECT_EQ(isaName(Isa::kSse2), std::string("sse2"));
     EXPECT_EQ(isaName(Isa::kAvx2), std::string("avx2"));
 }
 
@@ -608,6 +588,7 @@ TEST(AccumulatorIdentity, FullReportsMatchAcrossIsas)
         core::RwDynamics rw;
         std::size_t totals_n = 0;
         std::uint64_t totals_bytes = 0;
+        core::DriveCharacterization drive;
     };
     std::vector<Result> results;
     for (Isa isa : supportedIsas()) {
@@ -627,6 +608,14 @@ TEST(AccumulatorIdentity, FullReportsMatchAcrossIsas)
         r.rw = rw.report();
         r.totals_n = totals.count();
         r.totals_bytes = totals.totalBytes();
+        // What analyze prints: the drive, the fused fold, Hurst and
+        // the ACF lag sums, all under this table.
+        disk::DiskDrive drive(disk::DriveConfig::makeEnterprise());
+        trace::MsTraceSource drive_src(tr);
+        StatusOr<core::DriveCharacterization> c =
+            core::serviceAndCharacterize(drive, drive_src);
+        ASSERT_TRUE(c.ok()) << c.status().toString();
+        r.drive = std::move(c).value();
         results.push_back(std::move(r));
     }
     ASSERT_FALSE(results.empty());
@@ -647,6 +636,15 @@ TEST(AccumulatorIdentity, FullReportsMatchAcrossIsas)
                   got.rw.read_fraction_series);
         EXPECT_EQ(ref.totals_n, got.totals_n);
         EXPECT_EQ(ref.totals_bytes, got.totals_bytes);
+        EXPECT_EQ(ref.drive.render(), got.drive.render());
+        ASSERT_TRUE(ref.drive.ms_burstiness && got.drive.ms_burstiness);
+        const core::BurstinessReport &rb = *ref.drive.ms_burstiness;
+        const core::BurstinessReport &gb = *got.drive.ms_burstiness;
+        ASSERT_FALSE(rb.acf.empty());
+        EXPECT_EQ(rawBits(rb.acf), rawBits(gb.acf));
+        EXPECT_EQ(rb.decorrelation_lag, gb.decorrelation_lag);
+        EXPECT_EQ(rawBits({rb.hurst_var.h, rb.hurst_rs.h}),
+                  rawBits({gb.hurst_var.h, gb.hurst_rs.h}));
     }
 }
 
