@@ -231,6 +231,47 @@ TEST(Spc, RejectsBadSize)
               std::string::npos);
 }
 
+TEST(Spc, CorruptLinesFollowThePolicy)
+{
+    const std::string input = "0,0,4096,r,0.001\n"  // good, 17 bytes
+                              "0,8,100,w,0.002\n"   // clamp: 512 B
+                              "0,16,4096,x,0.003\n" // bad opcode
+                              "0,24,4096,w,-0.5\n"  // clamp: t = 0
+                              "abc\n"               // too few fields
+                              "0,32,512,r,0.004\n"; // good
+    const std::string first_error =
+        "SPC line 2: size not a positive multiple of 512";
+    struct Case
+    {
+        RecordPolicy policy;
+        std::uint64_t read, skipped, clamped;
+    };
+    for (const Case &c : {Case{RecordPolicy::kSkipAndCount, 2, 4, 0},
+                          Case{RecordPolicy::kBestEffortClamp, 4, 2, 2}}) {
+        std::stringstream ss(input);
+        IngestOptions opts;
+        opts.policy = c.policy;
+        IngestStats st;
+        StatusOr<MsTrace> r = readSpc(ss, "d", opts, &st);
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        EXPECT_EQ(r.value().size(), c.read);
+        EXPECT_EQ(st.records_read, c.read);
+        EXPECT_EQ(st.records_skipped, c.skipped);
+        EXPECT_EQ(st.records_clamped, c.clamped);
+        EXPECT_EQ(st.errors, 4u);
+        ASSERT_FALSE(st.error_samples.empty());
+        EXPECT_EQ(st.error_samples.front(), first_error);
+        EXPECT_EQ(st.bytes_recovered, st.bytes_read - 17);
+    }
+    std::stringstream ss(input);
+    IngestStats st;
+    StatusOr<MsTrace> r = readSpc(ss, "d", IngestOptions{}, &st);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().message(), first_error);
+    EXPECT_EQ(st.records_read, 1u);
+    EXPECT_EQ(st.errors, 1u);
+}
+
 TEST(Spc, RoundTripThroughWriter)
 {
     MsTrace a = sampleMs();
