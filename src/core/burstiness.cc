@@ -183,7 +183,10 @@ BurstinessAccumulator::loadState(BinDec &dec)
     scales_.resize(static_cast<std::size_t>(n_scales));
     for (std::size_t &s : scales_)
         s = static_cast<std::size_t>(dec.u64());
-    if (!counts_.loadState(dec) || !gaps_.loadState(dec))
+    // An aggregation factor of 0 would stop finish() on its assert.
+    if (std::find(scales_.begin(), scales_.end(), std::size_t{0}) !=
+            scales_.end() ||
+        !counts_.loadState(dec) || !gaps_.loadState(dec))
         return false;
     prev_arrival_ = dec.i64();
     have_prev_ = dec.u8() != 0;

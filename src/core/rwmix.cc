@@ -158,6 +158,12 @@ RwMixAccumulator::loadState(BinDec &dec)
     d_.bin_width = bin_width;
     if (!reads_.loadState(dec) || !all_.loadState(dec))
         return false;
+    // begin() lays both series out alike, and finish() reads them bin
+    // for bin: a blob whose series differ is garbled.
+    if (reads_.start() != all_.start() ||
+        reads_.binWidth() != bin_width || all_.binWidth() != bin_width ||
+        reads_.size() != all_.size())
+        return false;
     n_ = static_cast<std::size_t>(dec.u64());
     read_n_ = static_cast<std::size_t>(dec.u64());
     runs_ = static_cast<std::size_t>(dec.u64());

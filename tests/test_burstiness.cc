@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binenc.hh"
 #include "common/rng.hh"
 #include "core/burstiness.hh"
 #include "stats/acf.hh"
@@ -131,6 +132,33 @@ TEST(Burstiness, FannedOutFinishMatchesEachEstimator)
     EXPECT_EQ(rep.acf, stats::autocorrelation(v, 200));
     EXPECT_EQ(rep.decorrelation_lag,
               stats::decorrelationLag(rep.acf, 0.1));
+}
+
+TEST(Burstiness, LoadStateRejectsZeroScale)
+{
+    // An aggregation factor of 0 would stop finish() on its assert
+    // (in dlwd, at the first report of a restored session).
+    trace::MsStreamHeader meta;
+    meta.duration = 10 * kSec;
+    for (const std::vector<std::size_t> &scales :
+         {std::vector<std::size_t>{0}, std::vector<std::size_t>{1, 0, 4}}) {
+        BurstinessAccumulator acc(10 * kMsec, scales);
+        acc.begin(meta);
+        std::string blob;
+        BinEnc enc(blob);
+        acc.saveState(enc);
+        BinDec dec(blob);
+        BurstinessAccumulator back;
+        EXPECT_FALSE(back.loadState(dec)) << scales.size() << " scales";
+    }
+    BurstinessAccumulator acc(10 * kMsec, {1, 4});
+    acc.begin(meta);
+    std::string blob;
+    BinEnc enc(blob);
+    acc.saveState(enc);
+    BinDec dec(blob);
+    BurstinessAccumulator back;
+    EXPECT_TRUE(back.loadState(dec));
 }
 
 TEST(Burstiness, CustomScalesRespected)

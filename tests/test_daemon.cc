@@ -28,6 +28,8 @@
 #include "common/fault.hh"
 #include "core/burstiness.hh"
 #include "core/live.hh"
+#include "core/pass.hh"
+#include "core/rwmix.hh"
 #include "daemon/checkpoint.hh"
 #include "daemon/server.hh"
 #include "daemon/session.hh"
@@ -2185,6 +2187,133 @@ TEST(ServerIntegration, CheckpointWithWrappingLengthIsDropped)
     }
     struct stat st;
     EXPECT_NE(::stat(path.c_str(), &st), 0);
+}
+
+/** The header csvTrace(40) opens with: what a session sees first. */
+trace::MsStreamHeader
+csvTrace40Header()
+{
+    trace::MsStreamHeader meta;
+    meta.drive_id = "drv-a";
+    meta.start = 0;
+    meta.duration = 41 * 1000000;
+    return meta;
+}
+
+/**
+ * LiveCharacterization state for csvTrace(40)'s header and no
+ * request, with the burstiness or the rwmix part swapped for a blob
+ * that loads but that finish() cannot run on.
+ */
+std::string
+unfinishableLiveBlob(bool zero_scale)
+{
+    const trace::MsStreamHeader meta = csvTrace40Header();
+    std::string blob;
+    BinEnc enc(blob);
+    enc.str(meta.drive_id);
+    enc.i64(meta.start);
+    enc.i64(meta.duration);
+    core::BurstinessAccumulator b(10 * kMsec,
+                                  zero_scale ? std::vector<std::size_t>{1, 0}
+                                             : std::vector<std::size_t>{});
+    b.begin(meta);
+    b.saveState(enc);
+    if (zero_scale) {
+        core::RwMixAccumulator rw;
+        rw.begin(meta);
+        rw.saveState(enc);
+    } else {
+        // One total bin, no read bin.
+        enc.i64(kMinute);
+        stats::BinnedSeries(0, kMinute, 0).saveState(enc);
+        stats::BinnedSeries(0, kMinute, 1).saveState(enc);
+        for (int i = 0; i < 4; ++i)
+            enc.u64(0);
+        enc.u8(0);
+    }
+    core::TraceTotalsAccumulator t;
+    t.begin(meta);
+    t.saveState(enc);
+    enc.u64(0);
+    enc.i64(meta.start);
+    return blob;
+}
+
+/**
+ * A checkpoint of session t-1, mid-stream after csvTrace(40)'s header,
+ * whose live state is unfinishableLiveBlob(zero_scale).
+ */
+std::string
+unfinishableSessionBlob(bool zero_scale)
+{
+    daemon::Session s("t-1", "t", net::StreamFormat::kCsv);
+    const std::string payload = csvTrace(40);
+    net::ByteQueue q;
+    q.append(payload.substr(0, payload.find("\n0,") + 1));
+    EXPECT_TRUE(s.consume(q).ok());
+    const std::string blob = sessionBlob(s);
+
+    std::string fresh;
+    BinEnc enc(fresh);
+    core::LiveCharacterization(csvTrace40Header()).saveState(enc);
+    const std::size_t at = blob.find(fresh);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(blob.find(fresh, at + 1), std::string::npos);
+    if (at == std::string::npos)
+        return blob;
+    std::string bad = blob;
+    bad.replace(at, fresh.size(), unfinishableLiveBlob(zero_scale));
+    return bad;
+}
+
+TEST(SessionCheckpoint, RestoreRejectsLiveStateFinishCannotRun)
+{
+    for (bool zero_scale : {true, false}) {
+        const std::string live = unfinishableLiveBlob(zero_scale);
+        BinDec live_dec(live);
+        EXPECT_EQ(core::LiveCharacterization::restore(live_dec), nullptr)
+            << "zero_scale " << zero_scale;
+        const std::string blob = unfinishableSessionBlob(zero_scale);
+        BinDec dec(blob);
+        EXPECT_EQ(daemon::Session::restore(dec), nullptr)
+            << "zero_scale " << zero_scale;
+    }
+}
+
+TEST(ServerIntegration, UnfinishableCheckpointIsDropped)
+{
+    // A mid-stream session is restored with its live state, and its
+    // first report runs a finish on a copy of it: a blob that loads
+    // but that finish() cannot run on must be dropped at the restore,
+    // not take the daemon down at that report.
+    for (bool zero_scale : {true, false}) {
+        const std::string dir = ::testing::TempDir() + "dlw_unfinishable_" +
+                                std::to_string(::getpid()) +
+                                (zero_scale ? "_scale" : "_rwmix");
+        ::mkdir(dir.c_str(), 0755);
+        const std::string path = daemon::checkpointPath(dir, "t-1");
+        {
+            std::string blob = daemon::kCheckpointMagic;
+            BinEnc enc(blob);
+            enc.u32(daemon::kCheckpointVersion);
+            blob += unfinishableSessionBlob(zero_scale);
+            std::ofstream os(path, std::ios::binary);
+            os << blob;
+        }
+        daemon::ServerConfig cfg;
+        cfg.state_dir = dir;
+        {
+            ServerFixture f(cfg);
+            const std::string report =
+                httpGet(f.port(), "/v1/sessions/t-1/report");
+            EXPECT_NE(report.find("404"), std::string::npos) << report;
+            const std::string health = httpGet(f.port(), "/healthz");
+            EXPECT_NE(health.find("200 OK"), std::string::npos) << health;
+        }
+        struct stat st;
+        EXPECT_NE(::stat(path.c_str(), &st), 0);
+    }
 }
 
 TEST(ServerIntegration, DrainCompletesInFlightSession)

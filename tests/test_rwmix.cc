@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binenc.hh"
 #include "common/rng.hh"
 #include "core/rwmix.hh"
+#include "stats/timeseries.hh"
 #include "synth/workload.hh"
 
 namespace dlw
@@ -142,6 +144,64 @@ TEST(RwMix, PersistenceRaisesRunLength)
     RwDynamics persist = analyzeRwDynamics(mk(0.85), kSec);
     EXPECT_GT(persist.mean_run_length, indep.mean_run_length * 2.0);
     EXPECT_GT(persist.write_bursts, indep.write_bursts);
+}
+
+/** An RwMixAccumulator blob with the given read and total series. */
+std::string
+rwMixBlob(const stats::BinnedSeries &reads, const stats::BinnedSeries &all)
+{
+    std::string blob;
+    BinEnc enc(blob);
+    enc.i64(kMinute);
+    reads.saveState(enc);
+    all.saveState(enc);
+    for (int i = 0; i < 4; ++i)
+        enc.u64(0);
+    enc.u8(0);
+    return blob;
+}
+
+TEST(RwMix, CheckpointRoundTrip)
+{
+    trace::MsStreamHeader meta;
+    meta.start = 5 * kSec;
+    meta.duration = 3 * kMinute;
+    RwMixAccumulator acc;
+    acc.begin(meta);
+    std::string blob;
+    BinEnc enc(blob);
+    acc.saveState(enc);
+    BinDec dec(blob);
+    RwMixAccumulator back;
+    ASSERT_TRUE(back.loadState(dec));
+    back.finish();
+    EXPECT_EQ(back.report().read_fraction_series.size(), 3u);
+}
+
+TEST(RwMix, LoadStateRejectsMismatchedSeries)
+{
+    // finish() reads both series bin for bin: a read series shorter
+    // than the total series would stop it on BinnedSeries::at's bound
+    // (in dlwd, at the first report of a restored session).
+    const stats::BinnedSeries all(0, kMinute, 3);
+    const stats::BinnedSeries bad[] = {
+        stats::BinnedSeries(0, kMinute, 2),
+        stats::BinnedSeries(0, kMinute, 4),
+        stats::BinnedSeries(kSec, kMinute, 3),
+        stats::BinnedSeries(0, kSec, 3),
+    };
+    for (const stats::BinnedSeries &reads : bad) {
+        const std::string blob = rwMixBlob(reads, all);
+        BinDec dec(blob);
+        RwMixAccumulator acc;
+        EXPECT_FALSE(acc.loadState(dec))
+            << reads.size() << " bins from " << reads.start() << " by "
+            << reads.binWidth();
+    }
+    const std::string good = rwMixBlob(all, all);
+    BinDec dec(good);
+    RwMixAccumulator acc;
+    EXPECT_TRUE(acc.loadState(dec));
 }
 
 } // anonymous namespace
