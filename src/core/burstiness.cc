@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 
 #include "common/binenc.hh"
 #include "common/logging.hh"
@@ -35,22 +36,6 @@ defaultScales()
     return {1, 4, 16, 64, 256, 1024, 4096, 16384, 65536};
 }
 
-/**
- * Series length (in bins) from which analyzeCounts() runs the two
- * Hurst estimators and the ACF on helper threads beside the IDC.
- *
- * Measured on an idle 4-vCPU KVM guest (GCC 12, RelWithDebInfo), the
- * fan-out has the shorter wall time at every length tried (2^10 bins
- * and up), but its thread starts and joins cost about 150 us of CPU:
- * +145 % over the serial finish at 2^10 bins, +18 % at 2^13, +3 % at
- * 2^16 (7.4 ms serial, 2.2 ms fanned out).  The crossover is taken
- * where that CPU falls to a few per cent, because the shorter series
- * come from callers that already keep the cores busy: dlwd's 1-minute
- * sessions (6 000 bins at 10 ms), fleet shards and bench_streaming's
- * 5-minute traces (30 000 bins).
- */
-constexpr std::size_t kFanOutBins = std::size_t{1} << 16;
-
 BurstinessReport
 analyzeCounts(const stats::BinnedSeries &counts,
               std::vector<std::size_t> scales)
@@ -62,12 +47,20 @@ analyzeCounts(const stats::BinnedSeries &counts,
     rep.base_bin = counts.binWidth();
     rep.peak_to_mean = counts.peakToMean();
 
-    // Four pure functions of the same series, each writing its own
-    // fields of the report, so running them at once changes no bit.
+    // Pure functions of the same series, each writing its own fields
+    // of the report, so running them at once changes no bit.  The IDC
+    // curve and the variance-time estimate share one WindowFold pass.
     const std::vector<double> &v = counts.values();
-    auto hurst_var = [&rep, &v] {
+    auto variance_time = [&rep, &counts, &v, &scales] {
+        stats::WindowFold fold;
+        const stats::IdcScalesPlan idc(fold, counts, scales);
+        std::optional<stats::VarianceTimePlan> var;
         if (v.size() >= 32)
-            rep.hurst_var = stats::hurstAggregatedVariance(v);
+            var.emplace(fold, v.size());
+        fold.run(v);
+        rep.idc = idc.curve(fold);
+        if (var)
+            rep.hurst_var = var->estimate(fold);
     };
     auto hurst_rs = [&rep, &v] {
         if (v.size() >= 64)
@@ -81,20 +74,16 @@ analyzeCounts(const stats::BinnedSeries &counts,
         }
     };
     if (v.size() < kFanOutBins) {
-        rep.idc = stats::idcAcrossScales(counts, scales);
-        hurst_var();
+        variance_time();
         hurst_rs();
         acf();
         return rep;
     }
-    std::future<void> helpers[] = {
-        std::async(std::launch::async, hurst_var),
-        std::async(std::launch::async, hurst_rs),
-        std::async(std::launch::async, acf),
-    };
-    rep.idc = stats::idcAcrossScales(counts, scales);
-    for (std::future<void> &h : helpers)
-        h.get();
+    // The ACF costs about what the other two do together.
+    std::future<void> helper = std::async(std::launch::async, acf);
+    variance_time();
+    hurst_rs();
+    helper.get();
     return rep;
 }
 

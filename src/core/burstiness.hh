@@ -13,6 +13,7 @@
 #ifndef DLW_CORE_BURSTINESS_HH
 #define DLW_CORE_BURSTINESS_HH
 
+#include <cstddef>
 #include <vector>
 
 #include "core/pass.hh"
@@ -26,6 +27,25 @@ namespace dlw
 {
 namespace core
 {
+
+/**
+ * Series length (in bins) from which the burstiness finish runs the
+ * count ACF on a helper thread beside the variance-time pass (IDC
+ * curve and aggregated variance) and the R/S estimate.  The two sides
+ * cost about the same, so with a core free the helper can cut the
+ * finish's wall time about in half.  It costs its start and join: a
+ * scratch timer put that at 1 to 2 % of the finish's CPU from 2^15
+ * bins up and 5 to 8 % at 2^13 to 2^14 (GCC 12, RelWithDebInfo, on a
+ * 4-vCPU KVM guest whose CPU quota left no second core free, so there
+ * the helper shortened nothing; the serial finish took 2.7 ms at 2^16
+ * bins and 30 ms at 720 000).  The shorter series come from callers
+ * that already keep the cores busy: dlwd's 1-minute sessions (6 000
+ * bins at 10 ms), fleet shards and bench_streaming's 5-minute traces
+ * (30 000 bins).  scripts/check_cli_golden.sh repeats `analyze` on a
+ * 120 000-bin trace to check the fanned-out finish, so the threshold
+ * must stay at or below that.
+ */
+constexpr std::size_t kFanOutBins = std::size_t{1} << 16;
 
 /**
  * Bundled burstiness verdict for one counts series.

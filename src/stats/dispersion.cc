@@ -1,7 +1,6 @@
 #include "stats/dispersion.hh"
 
 #include "common/logging.hh"
-#include "stats/summary.hh"
 
 namespace dlw
 {
@@ -13,11 +12,11 @@ namespace
 
 /** Var/Mean of the values folded into `s` (0 when the mean is 0). */
 double
-idcOf(const Summary &s)
+idcOf(const MeanM2 &s)
 {
-    if (s.count() == 0 || s.mean() == 0.0)
+    if (s.n == 0.0 || s.mean == 0.0)
         return 0.0;
-    return s.sampleVariance() / s.mean();
+    return s.sampleVariance() / s.mean;
 }
 
 } // anonymous namespace
@@ -25,10 +24,39 @@ idcOf(const Summary &s)
 double
 indexOfDispersion(const std::vector<double> &counts)
 {
-    Summary s;
+    MeanM2 s;
     for (double c : counts)
         s.add(c);
     return idcOf(s);
+}
+
+IdcScalesPlan::IdcScalesPlan(WindowFold &fold, const BinnedSeries &base,
+                             const std::vector<std::size_t> &factors,
+                             std::size_t min_windows)
+{
+    points_.reserve(factors.size());
+    for (std::size_t f : factors) {
+        dlw_assert(f >= 1, "aggregation factor must be >= 1");
+        // Whole windows only: a trailing partial window covers less
+        // time than the rest and would masquerade as huge variance.
+        const std::size_t windows = base.size() / f;
+        if (windows < min_windows)
+            continue;
+        IdcPoint p;
+        p.window = base.binWidth() * static_cast<Tick>(f);
+        p.windows = windows;
+        points_.push_back(p);
+        chains_.push_back(fold.sums(f));
+    }
+}
+
+std::vector<IdcPoint>
+IdcScalesPlan::curve(const WindowFold &fold) const
+{
+    std::vector<IdcPoint> out = points_;
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i].idc = idcOf(fold[chains_[i]]);
+    return out;
 }
 
 std::vector<IdcPoint>
@@ -36,38 +64,10 @@ idcAcrossScales(const BinnedSeries &base,
                 const std::vector<std::size_t> &factors,
                 std::size_t min_windows)
 {
-    // Reads the base values in place: at f > 1 each window is summed
-    // exactly as BinnedSeries::aggregate() sums it, so no scale
-    // copies the series.
-    const std::vector<double> &v = base.values();
-    std::vector<IdcPoint> out;
-    out.reserve(factors.size());
-    for (std::size_t f : factors) {
-        dlw_assert(f >= 1, "aggregation factor must be >= 1");
-        // Whole windows only: a trailing partial window covers less
-        // time than the rest and would masquerade as huge variance.
-        const std::size_t windows = v.size() / f;
-        if (windows < min_windows)
-            continue;
-        Summary s;
-        if (f == 1) {
-            for (std::size_t i = 0; i < windows; ++i)
-                s.add(v[i]);
-        } else {
-            for (std::size_t i = 0; i < windows * f; i += f) {
-                double sum = 0.0;
-                for (std::size_t j = i; j < i + f; ++j)
-                    sum += v[j];
-                s.add(sum);
-            }
-        }
-        IdcPoint p;
-        p.window = base.binWidth() * static_cast<Tick>(f);
-        p.idc = idcOf(s);
-        p.windows = windows;
-        out.push_back(p);
-    }
-    return out;
+    WindowFold fold;
+    const IdcScalesPlan plan(fold, base, factors, min_windows);
+    fold.run(base.values());
+    return plan.curve(fold);
 }
 
 } // namespace stats

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "stats/timeseries.hh"
+#include "stats/windowfold.hh"
 
 namespace dlw
 {
@@ -57,6 +58,28 @@ double indexOfDispersion(const std::vector<double> &counts);
 std::vector<IdcPoint> idcAcrossScales(const BinnedSeries &base,
                                       const std::vector<std::size_t> &factors,
                                       std::size_t min_windows = 8);
+
+/**
+ * idcAcrossScales() on a shared WindowFold, so the pass that folds
+ * its window sums can feed other estimators too: the constructor
+ * asks the fold for one sum chain per usable factor, and curve()
+ * reads them after fold.run() over base's values.
+ */
+class IdcScalesPlan
+{
+  public:
+    /** Same parameters as idcAcrossScales(). */
+    IdcScalesPlan(WindowFold &fold, const BinnedSeries &base,
+                  const std::vector<std::size_t> &factors,
+                  std::size_t min_windows = 8);
+
+    /** The curve, once fold has run. */
+    std::vector<IdcPoint> curve(const WindowFold &fold) const;
+
+  private:
+    std::vector<IdcPoint> points_;
+    std::vector<std::size_t> chains_;
+};
 
 } // namespace stats
 } // namespace dlw

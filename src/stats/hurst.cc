@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "stats/summary.hh"
+#include "stats/simd/simd.hh"
 
 namespace dlw
 {
@@ -40,75 +40,34 @@ geometricFactors(std::size_t lo, std::size_t hi, std::size_t points)
     return out;
 }
 
-/** Sample variance of an m-aggregated-and-normalized series. */
-double
-aggregatedVariance(const std::vector<double> &xs, std::size_t m)
-{
-    Summary s;
-    const std::size_t blocks = xs.size() / m;
-    for (std::size_t b = 0; b < blocks; ++b) {
-        double acc = 0.0;
-        for (std::size_t j = 0; j < m; ++j)
-            acc += xs[b * m + j];
-        s.add(acc / static_cast<double>(m));
-    }
-    return s.sampleVariance();
-}
-
-/** Mean rescaled range over non-overlapping blocks of size n. */
-double
-meanRescaledRange(const std::vector<double> &xs, std::size_t n)
-{
-    const std::size_t blocks = xs.size() / n;
-    double total = 0.0;
-    std::size_t used = 0;
-    for (std::size_t b = 0; b < blocks; ++b) {
-        const double *block = xs.data() + b * n;
-        double mean = 0.0;
-        for (std::size_t j = 0; j < n; ++j)
-            mean += block[j];
-        mean /= static_cast<double>(n);
-
-        double cum = 0.0;
-        double lo = 0.0, hi = 0.0;
-        double ss = 0.0;
-        for (std::size_t j = 0; j < n; ++j) {
-            const double d = block[j] - mean;
-            cum += d;
-            lo = std::min(lo, cum);
-            hi = std::max(hi, cum);
-            ss += d * d;
-        }
-        const double s = std::sqrt(ss / static_cast<double>(n));
-        if (s > 0.0) {
-            total += (hi - lo) / s;
-            ++used;
-        }
-    }
-    return used ? total / static_cast<double>(used) : 0.0;
-}
-
 } // anonymous namespace
 
-HurstEstimate
-hurstAggregatedVariance(const std::vector<double> &xs,
-                        std::size_t min_factor, std::size_t max_factor,
-                        std::size_t points)
+VarianceTimePlan::VarianceTimePlan(WindowFold &fold, std::size_t n,
+                                   std::size_t min_factor,
+                                   std::size_t max_factor,
+                                   std::size_t points)
 {
-    dlw_assert(xs.size() >= 32,
-               "aggregated-variance Hurst needs >= 32 samples");
+    dlw_assert(n >= 32, "aggregated-variance Hurst needs >= 32 samples");
     if (max_factor == 0)
-        max_factor = xs.size() / 8;
-    max_factor = std::min(max_factor, xs.size() / 8);
+        max_factor = n / 8;
+    max_factor = std::min(max_factor, n / 8);
     if (max_factor < min_factor)
         max_factor = min_factor;
+    factors_ = geometricFactors(min_factor, max_factor, points);
+    for (std::size_t m : factors_)
+        chains_.push_back(fold.means(m));
+}
 
+HurstEstimate
+VarianceTimePlan::estimate(const WindowFold &fold) const
+{
     HurstEstimate est;
-    for (std::size_t m : geometricFactors(min_factor, max_factor, points)) {
-        double var = aggregatedVariance(xs, m);
+    for (std::size_t i = 0; i < factors_.size(); ++i) {
+        const double var = fold[chains_[i]].sampleVariance();
         if (var <= 0.0)
             continue;
-        est.log_scale.push_back(std::log10(static_cast<double>(m)));
+        est.log_scale.push_back(
+            std::log10(static_cast<double>(factors_[i])));
         est.log_value.push_back(std::log10(var));
     }
     if (est.log_scale.size() < 2)
@@ -123,6 +82,18 @@ hurstAggregatedVariance(const std::vector<double> &xs,
 }
 
 HurstEstimate
+hurstAggregatedVariance(const std::vector<double> &xs,
+                        std::size_t min_factor, std::size_t max_factor,
+                        std::size_t points)
+{
+    WindowFold fold;
+    const VarianceTimePlan plan(fold, xs.size(), min_factor, max_factor,
+                                points);
+    fold.run(xs);
+    return plan.estimate(fold);
+}
+
+HurstEstimate
 hurstRescaledRange(const std::vector<double> &xs, std::size_t points)
 {
     dlw_assert(xs.size() >= 64, "R/S Hurst needs >= 64 samples");
@@ -131,7 +102,8 @@ hurstRescaledRange(const std::vector<double> &xs, std::size_t points)
     const std::size_t lo = 8;
     const std::size_t hi = xs.size() / 4;
     for (std::size_t n : geometricFactors(lo, hi, points)) {
-        double rs = meanRescaledRange(xs, n);
+        const double rs = simd::ops().rescaled_range(xs.data(), n,
+                                                     xs.size() / n);
         if (rs <= 0.0)
             continue;
         est.log_scale.push_back(std::log10(static_cast<double>(n)));

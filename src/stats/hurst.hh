@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "stats/regression.hh"
+#include "stats/windowfold.hh"
 
 namespace dlw
 {
@@ -54,6 +55,28 @@ HurstEstimate hurstAggregatedVariance(const std::vector<double> &xs,
                                       std::size_t min_factor = 1,
                                       std::size_t max_factor = 0,
                                       std::size_t points = 12);
+
+/**
+ * hurstAggregatedVariance() on a shared WindowFold, so the pass that
+ * folds its window means can feed other estimators too: the
+ * constructor asks the fold for one mean chain per factor, and
+ * estimate() reads them after fold.run() over the n-sample series.
+ */
+class VarianceTimePlan
+{
+  public:
+    /** Same parameters as hurstAggregatedVariance(); n >= 32. */
+    VarianceTimePlan(WindowFold &fold, std::size_t n,
+                     std::size_t min_factor = 1,
+                     std::size_t max_factor = 0, std::size_t points = 12);
+
+    /** The estimate, once fold has run. */
+    HurstEstimate estimate(const WindowFold &fold) const;
+
+  private:
+    std::vector<std::size_t> factors_;
+    std::vector<std::size_t> chains_;
+};
 
 /**
  * Rescaled-range (R/S) Hurst estimator.

@@ -112,6 +112,26 @@ acfLagFrom(const double *d, std::size_t n, std::size_t k,
     return c;
 }
 
+/**
+ * Add one R/S block to KernelOps::rescaled_range's total, in block
+ * order: the reference tree every table ends each block with.
+ */
+inline void
+rsFold(double range, double s, double &total, std::size_t &used)
+{
+    if (s > 0.0) {
+        total += range / s;
+        ++used;
+    }
+}
+
+/** KernelOps::rescaled_range's result from its total. */
+inline double
+rsMean(double total, std::size_t used)
+{
+    return used ? total / static_cast<double>(used) : 0.0;
+}
+
 /** The scalar reference table (always built, ground truth). */
 extern const KernelOps kScalarOps;
 

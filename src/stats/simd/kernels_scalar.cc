@@ -9,6 +9,8 @@
 
 #include "stats/simd/kernels.hh"
 
+#include <algorithm>
+
 namespace dlw
 {
 namespace stats
@@ -119,12 +121,69 @@ acfLagsScalar(const double *d, std::size_t n, std::size_t k,
         acc[j] = acfLagFrom(d, n, k + j, 0, 0.0);
 }
 
+/**
+ * L consecutive R/S blocks from b, side by side: each lane is one
+ * block's own serial chains, so walking them in lockstep changes no
+ * bit and keeps L independent add chains in flight.  The lane loops
+ * are unrolled so the lanes' state stays in registers; two lanes fit
+ * them, four spill.
+ */
+template <std::size_t L>
+void
+rsLanes(const double *b, std::size_t n, double &total,
+        std::size_t &used)
+{
+    const double *x[L];
+    double mean[L];
+    for (std::size_t l = 0; l < L; ++l) {
+        x[l] = b + l * n;
+        mean[l] = 0.0;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+#pragma GCC unroll 2
+        for (std::size_t l = 0; l < L; ++l)
+            mean[l] += x[l][j];
+    }
+    double cum[L], lo[L], hi[L], ss[L];
+    for (std::size_t l = 0; l < L; ++l) {
+        mean[l] /= static_cast<double>(n);
+        cum[l] = lo[l] = hi[l] = ss[l] = 0.0;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+#pragma GCC unroll 2
+        for (std::size_t l = 0; l < L; ++l) {
+            const double d = x[l][j] - mean[l];
+            cum[l] += d;
+            lo[l] = std::min(lo[l], cum[l]);
+            hi[l] = std::max(hi[l], cum[l]);
+            ss[l] += d * d;
+        }
+    }
+    for (std::size_t l = 0; l < L; ++l)
+        rsFold(hi[l] - lo[l], std::sqrt(ss[l] / static_cast<double>(n)),
+               total, used);
+}
+
+double
+rescaledRangeScalar(const double *x, std::size_t n, std::size_t blocks)
+{
+    double total = 0.0;
+    std::size_t used = 0;
+    std::size_t b = 0;
+    for (; b + 2 <= blocks; b += 2)
+        rsLanes<2>(x + b * n, n, total, used);
+    for (; b < blocks; ++b)
+        rsLanes<1>(x + b * n, n, total, used);
+    return rsMean(total, used);
+}
+
 } // anonymous namespace
 
 const KernelOps kScalarOps = {
     binLinearScalar,    binLogScalar,  countSortedScalar,
     countSortedIfScalar, gapsI64Scalar, welfordAddScalar,
     countEqU8Scalar,    sumU32Scalar,  acfLagsScalar,
+    rescaledRangeScalar,
 };
 
 } // namespace detail

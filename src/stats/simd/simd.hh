@@ -223,6 +223,21 @@ struct KernelOps
      */
     void (*acf_lags)(const double *d, std::size_t n, std::size_t k,
                      std::size_t lags, double *acc);
+
+    /**
+     * Mean rescaled range of `blocks` consecutive n-value blocks of
+     * x (n >= 1).  Per block: mean = (0.0 + x0 + ... ) / n; one walk
+     * of the deviations d = x - mean keeps the running sum's range
+     * hi - lo (both from 0.0) and ss = 0.0 + d * d + ..., every one
+     * a serial ascending chain; a block with s = sqrt(ss / n) > 0
+     * adds (hi - lo) / s to a total, in block order.  Returns
+     * total / used, 0 when no block has s > 0.  Blocks are
+     * independent chains, so every table walks several side by side
+     * (one per lane), each with its own operations in order, and the
+     * tables stay bit-identical.
+     */
+    double (*rescaled_range)(const double *x, std::size_t n,
+                             std::size_t blocks);
 };
 
 /** True when this build + CPU can dispatch the given ISA. */

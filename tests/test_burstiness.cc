@@ -109,10 +109,10 @@ TEST(Burstiness, CountSeriesPathMatchesTracePath)
 
 TEST(Burstiness, FannedOutFinishMatchesEachEstimator)
 {
-    // 2^17 bins take the fan-out: every field must still be exactly
+    // Twice the fan-out threshold: every field must still be exactly
     // what the estimator gives when called on its own.
     Rng rng(8);
-    stats::BinnedSeries counts(0, 10 * kMsec, std::size_t{1} << 17);
+    stats::BinnedSeries counts(0, 10 * kMsec, 2 * kFanOutBins);
     for (std::size_t i = 0; i < counts.size(); ++i)
         counts.at(i) = static_cast<double>(rng.poisson(2.0));
     const std::vector<std::size_t> scales = {1, 4, 16, 64, 256};
@@ -132,6 +132,14 @@ TEST(Burstiness, FannedOutFinishMatchesEachEstimator)
     EXPECT_EQ(rep.acf, stats::autocorrelation(v, 200));
     EXPECT_EQ(rep.decorrelation_lag,
               stats::decorrelationLag(rep.acf, 0.1));
+}
+
+TEST(Burstiness, CliCorpusCoversTheFanOut)
+{
+    // scripts/check_cli_golden.sh checks that repeated `analyze` runs
+    // of a 20-minute trace agree: 120 000 bins of 10 ms, which must
+    // take the fanned-out finish for that check to cover it.
+    EXPECT_LE(kFanOutBins, std::size_t{120000});
 }
 
 TEST(Burstiness, LoadStateRejectsZeroScale)

@@ -521,7 +521,9 @@ TEST(AcfLagsKernel, BitIdenticalAcrossIsas)
              {acfSamples(n), std::vector<double>(n, 7.25)}) {
             for (std::size_t max_lag :
                  {std::size_t{1}, std::size_t{15}, std::size_t{16},
-                  std::size_t{17}, std::size_t{200}, n - 1}) {
+                  std::size_t{17}, std::size_t{31}, std::size_t{32},
+                  std::size_t{33}, std::size_t{48}, std::size_t{200},
+                  n - 1}) {
                 if (max_lag > n - 1)
                     continue;
                 // Lags 1..max_lag, as autocorrelation asks, and a
@@ -544,6 +546,94 @@ TEST(AcfLagsKernel, ScalarIsThePerLagSum)
         for (std::size_t t = 0; t + k < d.size(); ++t)
             ck += d[t] * d[t + k];
         EXPECT_EQ(rawBits({ck}), rawBits({got[k - 1]})) << "lag " << k;
+    }
+}
+
+/**
+ * Blocks for the R/S kernel: acfSamples' adversarial mix, with -0.0
+ * entries and, from `constant_from` on, a constant tail whose blocks
+ * have s == 0 and are skipped.
+ */
+std::vector<double>
+rsSamples(std::size_t n, std::size_t constant_from)
+{
+    std::vector<double> xs = acfSamples(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i >= constant_from)
+            xs[i] = 3.5;
+        else if (i % 9 == 4)
+            xs[i] = -0.0;
+    }
+    return xs;
+}
+
+/** The per-block R/S loop KernelOps::rescaled_range stands for. */
+double
+rsReference(const std::vector<double> &xs, std::size_t n,
+            std::size_t blocks)
+{
+    double total = 0.0;
+    std::size_t used = 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+        const double *block = xs.data() + b * n;
+        double mean = 0.0;
+        for (std::size_t j = 0; j < n; ++j)
+            mean += block[j];
+        mean /= static_cast<double>(n);
+        double cum = 0.0, lo = 0.0, hi = 0.0, ss = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+            const double d = block[j] - mean;
+            cum += d;
+            lo = std::min(lo, cum);
+            hi = std::max(hi, cum);
+            ss += d * d;
+        }
+        const double s = std::sqrt(ss / static_cast<double>(n));
+        if (s > 0.0) {
+            total += (hi - lo) / s;
+            ++used;
+        }
+    }
+    return used ? total / static_cast<double>(used) : 0.0;
+}
+
+TEST(RescaledRangeKernel, ScalarIsTheBlockLoop)
+{
+    for (std::size_t n : {1, 2, 3, 5, 8, 13}) {
+        for (std::size_t blocks = 0; blocks <= 11; ++blocks) {
+            const std::vector<double> xs =
+                rsSamples(n * blocks, n * blocks / 2);
+            EXPECT_EQ(rawBits({rsReference(xs, n, blocks)}),
+                      rawBits({detail::kScalarOps.rescaled_range(
+                          xs.data(), n, blocks)}))
+                << "n=" << n << " blocks=" << blocks;
+        }
+    }
+}
+
+TEST(RescaledRangeKernel, BitIdenticalAcrossIsas)
+{
+    // Block lengths around the vector tables' four-element steps and
+    // block counts around their lane groups, plus a long block.
+    for (std::size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 1001}) {
+        for (std::size_t blocks = 0; blocks <= 19; ++blocks) {
+            const std::size_t len = n * blocks + n / 2;
+            for (std::size_t constant_from : {len, len / 3}) {
+                const std::vector<double> xs = rsSamples(len, constant_from);
+                const double ref = detail::kScalarOps.rescaled_range(
+                    xs.data(), n, blocks);
+                for (Isa isa : supportedIsas()) {
+                    IsaGuard guard;
+                    force(isa);
+                    EXPECT_EQ(rawBits({ref}),
+                              rawBits({ops().rescaled_range(xs.data(), n,
+                                                            blocks)}))
+                        << "isa=" << isaName(isa) << " n=" << n
+                        << " blocks=" << blocks
+                        << " constant_from=" << constant_from;
+                }
+            }
+        }
     }
 }
 
