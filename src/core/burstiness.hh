@@ -36,7 +36,7 @@ namespace core
  * finish's wall time about in half.  It costs its start and join: a
  * scratch timer put that at 1 to 2 % of the finish's CPU from 2^15
  * bins up and 5 to 8 % at 2^13 to 2^14 (GCC 12, RelWithDebInfo, on a
- * 4-vCPU KVM guest whose CPU quota left no second core free, so there
+ * 4-vCPU KVM guest whose other tenants kept its cores busy, so there
  * the helper shortened nothing; the serial finish took 2.7 ms at 2^16
  * bins and 30 ms at 720 000).  The shorter series come from callers
  * that already keep the cores busy: dlwd's 1-minute sessions (6 000
