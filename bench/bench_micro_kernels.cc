@@ -28,6 +28,7 @@
 
 #include "obs/export.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -229,8 +230,9 @@ timeIsa(simd::Isa isa, const std::vector<double> &lin_xs,
         kReps);
     row.acf = secsPerCall(
         [&] {
-            k.acf_lags(acf_xs.data(), kAcfSeries, 1, kAcfLags,
-                       acf_out.data());
+            std::fill(acf_out.begin(), acf_out.end(), 0.0);
+            k.acf_lags(acf_xs.data(), kAcfSeries, kAcfSeries, 1,
+                       kAcfLags, acf_out.data());
             benchmark::DoNotOptimize(acf_out.data());
         },
         kAcfReps);

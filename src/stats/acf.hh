@@ -19,6 +19,15 @@ namespace stats
 {
 
 /**
+ * Bins autocorrelation() centers at a time.  It never holds a
+ * window-long centered copy of its series, only one scratch window
+ * of this many bins plus max_lag: each chunk of the series is
+ * centered into it together with the max_lag bins that follow, and
+ * every lag's sum carries on from chunk to chunk.
+ */
+constexpr std::size_t kAcfChunkBins = std::size_t{1} << 14;
+
+/**
  * Sample autocorrelation function.
  *
  * @param xs       Series values (length >= 2).

@@ -15,6 +15,7 @@
 #ifndef DLW_STATS_SIMD_KERNELS_HH
 #define DLW_STATS_SIMD_KERNELS_HH
 
+#include <algorithm>
 #include <cmath>
 
 #include "stats/simd/simd.hh"
@@ -99,15 +100,24 @@ welfordOne(SummaryLanes &s, std::uint32_t lane, double x)
 }
 
 /**
- * Continue lag k's cross-product chain from t0: the reference tree
- * of KernelOps::acf_lags, one serial ascending-t sum.  From t0 = 0
- * and c = 0.0 it is the whole lag.
+ * End of lag k's t range in one KernelOps::acf_lags call over a
+ * window of n values: min(t_end, n - k), 0 when k >= n.
+ */
+inline std::size_t
+acfLagEnd(std::size_t n, std::size_t t_end, std::size_t k)
+{
+    return k < n ? std::min(t_end, n - k) : 0;
+}
+
+/**
+ * Continue lag k's cross-product chain c over t in [t0, t1): the
+ * reference tree of KernelOps::acf_lags, one serial ascending-t sum.
  */
 inline double
-acfLagFrom(const double *d, std::size_t n, std::size_t k,
-           std::size_t t0, double c)
+acfLagRange(const double *d, std::size_t t0, std::size_t t1,
+            std::size_t k, double c)
 {
-    for (std::size_t t = t0; t + k < n; ++t)
+    for (std::size_t t = t0; t < t1; ++t)
         c += d[t] * d[t + k];
     return c;
 }

@@ -392,23 +392,23 @@ sumU32Avx2(const std::uint32_t *v, std::size_t n)
 
 /**
  * Lags [k0, k0 + 4 * kVecs) side by side, lane j of vector v on lag
- * k0 + 4v + j: over the t range every one of them covers, then each
- * lag's own tail in scalar code, in order.  Each vector is an
- * independent add chain, which is what lifts the loop off the add
- * latency the one-lag loop waits on; eight keep both vector adders
- * busy through that latency.
+ * k0 + 4v + j, each lane continuing its lag's incoming chain: over
+ * the t range every one of them covers, then each lag's own tail in
+ * scalar code, in order.  Each vector is an independent add chain,
+ * which is what lifts the loop off the add latency the one-lag loop
+ * waits on; eight keep both vector adders busy through that latency.
  */
 template <std::size_t kVecs>
 void
-acfBlockAvx2(const double *d, std::size_t n, std::size_t k0,
-             double *acc)
+acfBlockAvx2(const double *d, std::size_t n, std::size_t t_end,
+             std::size_t k0, double *acc)
 {
     constexpr std::size_t kLags = 4 * kVecs;
-    const std::size_t common = n - (k0 + kLags - 1);
+    const std::size_t common = acfLagEnd(n, t_end, k0 + kLags - 1);
     const double *y = d + k0;
     __m256d a[kVecs];
     for (std::size_t v = 0; v < kVecs; ++v)
-        a[v] = _mm256_setzero_pd();
+        a[v] = _mm256_loadu_pd(acc + 4 * v);
     for (std::size_t t = 0; t < common; ++t) {
         const __m256d x = _mm256_broadcast_sd(d + t);
         // Fully unrolled, so the accumulators stay in registers
@@ -423,22 +423,24 @@ acfBlockAvx2(const double *d, std::size_t n, std::size_t k0,
     for (std::size_t v = 0; v < kVecs; ++v)
         _mm256_storeu_pd(acc + 4 * v, a[v]);
     for (std::size_t j = 0; j < kLags; ++j)
-        acc[j] = acfLagFrom(d, n, k0 + j, common, acc[j]);
+        acc[j] = acfLagRange(d, common, acfLagEnd(n, t_end, k0 + j),
+                             k0 + j, acc[j]);
 }
 
 void
-acfLagsAvx2(const double *d, std::size_t n, std::size_t k,
-            std::size_t lags, double *acc)
+acfLagsAvx2(const double *d, std::size_t n, std::size_t t_end,
+            std::size_t k, std::size_t lags, double *acc)
 {
     std::size_t j = 0;
     for (; j + 32 <= lags; j += 32)
-        acfBlockAvx2<8>(d, n, k + j, acc + j);
+        acfBlockAvx2<8>(d, n, t_end, k + j, acc + j);
     for (; j + 16 <= lags; j += 16)
-        acfBlockAvx2<4>(d, n, k + j, acc + j);
+        acfBlockAvx2<4>(d, n, t_end, k + j, acc + j);
     for (; j + 4 <= lags; j += 4)
-        acfBlockAvx2<1>(d, n, k + j, acc + j);
+        acfBlockAvx2<1>(d, n, t_end, k + j, acc + j);
     for (; j < lags; ++j)
-        acc[j] = acfLagFrom(d, n, k + j, 0, 0.0);
+        acc[j] = acfLagRange(d, 0, acfLagEnd(n, t_end, k + j), k + j,
+                             acc[j]);
 }
 
 /**

@@ -113,12 +113,43 @@ sumU32Scalar(const std::uint32_t *v, std::size_t n)
     return s;
 }
 
+/**
+ * Four lags side by side: each is still its own ascending-t chain,
+ * so walking them in lockstep changes no bit, and four independent
+ * add chains lift the loop off the add latency one chain waits on.
+ * The block runs over the t range its last (longest) lag covers,
+ * then each lag finishes its own tail in order.
+ */
 void
-acfLagsScalar(const double *d, std::size_t n, std::size_t k,
-              std::size_t lags, double *acc)
+acfLagsScalar(const double *d, std::size_t n, std::size_t t_end,
+              std::size_t k, std::size_t lags, double *acc)
 {
-    for (std::size_t j = 0; j < lags; ++j)
-        acc[j] = acfLagFrom(d, n, k + j, 0, 0.0);
+    std::size_t j = 0;
+    for (; j + 4 <= lags; j += 4) {
+        const std::size_t k0 = k + j;
+        const std::size_t common = acfLagEnd(n, t_end, k0 + 3);
+        const double *y = d + k0;
+        double a0 = acc[j], a1 = acc[j + 1], a2 = acc[j + 2],
+               a3 = acc[j + 3];
+        for (std::size_t t = 0; t < common; ++t) {
+            const double x = d[t];
+            a0 += x * y[t];
+            a1 += x * y[t + 1];
+            a2 += x * y[t + 2];
+            a3 += x * y[t + 3];
+        }
+        acc[j] = a0;
+        acc[j + 1] = a1;
+        acc[j + 2] = a2;
+        acc[j + 3] = a3;
+        for (std::size_t i = 0; i < 4; ++i)
+            acc[j + i] = acfLagRange(d, common,
+                                     acfLagEnd(n, t_end, k0 + i),
+                                     k0 + i, acc[j + i]);
+    }
+    for (; j < lags; ++j)
+        acc[j] = acfLagRange(d, 0, acfLagEnd(n, t_end, k + j), k + j,
+                             acc[j]);
 }
 
 /**

@@ -213,16 +213,21 @@ struct KernelOps
     std::uint64_t (*sum_u32)(const std::uint32_t *v, std::size_t n);
 
     /**
-     * Lagged cross products of a centered series for a block of
-     * lags: acc[j] = sum of d[t] * d[t + k + j] over
-     * t = 0 .. n - k - j - 1, for j < lags (needs k + lags <= n).
-     * Each lag is one serial add chain from 0.0 in ascending t — the
-     * per-lag loop of stats::autocorrelation — so the vector tables
-     * run several lags side by side, finish each lag's tail in the
-     * same order, and stay bit-identical.
+     * Lagged cross products of a centered series, carried from call
+     * to call: for each j < lags, acc[j] += d[t] * d[t + k + j] for
+     * t = 0 .. min(t_end, n - k - j) - 1 (no term once k + j >= n),
+     * one serial add chain in ascending t that continues from the
+     * incoming acc[j].  stats::autocorrelation centers its series
+     * one chunk at a time into a scratch window d (the chunk's t_end
+     * bins and the max_lag bins after them) and calls this once per
+     * chunk, so each lag's chain runs over the whole series in t
+     * order, exactly the chain one call over the whole centered
+     * series would run from acc[j] = 0.0.  The vector tables run
+     * several lags side by side, finish each lag's tail in the same
+     * order, and stay bit-identical.
      */
-    void (*acf_lags)(const double *d, std::size_t n, std::size_t k,
-                     std::size_t lags, double *acc);
+    void (*acf_lags)(const double *d, std::size_t n, std::size_t t_end,
+                     std::size_t k, std::size_t lags, double *acc);
 
     /**
      * Mean rescaled range of `blocks` consecutive n-value blocks of

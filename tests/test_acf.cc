@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/rng.hh"
 #include "stats/acf.hh"
@@ -137,6 +138,83 @@ TEST(Acf, BitIdenticalToPerLagLoopOnBModelSeries)
             << "isa=" << simd::isaName(isa);
     }
     simd::force(simd::bestSupported());
+}
+
+/** Every table's autocorrelation() against the per-lag loop. */
+void
+expectAcfMatchesPerLagLoop(const std::vector<double> &xs,
+                           std::size_t max_lag, const char *what)
+{
+    const std::vector<double> want = perLagAutocorrelation(xs, max_lag);
+    for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+        if (!simd::supported(isa))
+            continue;
+        simd::force(isa);
+        const std::vector<double> got = autocorrelation(xs, max_lag);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(double)))
+            << what << " n=" << xs.size() << " max_lag=" << max_lag
+            << " isa=" << simd::isaName(isa);
+    }
+    simd::force(simd::bestSupported());
+}
+
+/** Bursty counts, a constant, and non-integers with -0.0 and subnormals. */
+std::vector<std::vector<double>>
+chunkSeries(std::size_t n)
+{
+    Rng rng(n);
+    std::vector<double> counts(n), mixed(n);
+    for (std::size_t t = 0; t < n; ++t) {
+        counts[t] = static_cast<double>(
+            rng.uniformInt(0, 4) == 0 ? rng.uniformInt(0, 399)
+                                      : rng.uniformInt(0, 5));
+        switch (rng.uniformInt(0, 7)) {
+          case 0:
+            mixed[t] = -0.0;
+            break;
+          case 1:
+            mixed[t] = std::numeric_limits<double>::denorm_min() *
+                       static_cast<double>(rng.uniformInt(0, 8));
+            break;
+          case 2:
+            mixed[t] = -std::numeric_limits<double>::min() / 3.0;
+            break;
+          default:
+            mixed[t] = rng.uniform(-2.5, 7.0);
+            break;
+        }
+    }
+    return {counts, std::vector<double>(n, 3.0), mixed};
+}
+
+TEST(Acf, ChunkBoundariesMatchTheWholeSeriesLoop)
+{
+    // autocorrelation() centers kAcfChunkBins at a time plus max_lag
+    // bins of overlap: lengths on every side of one chunk and of one
+    // chunk plus the overlap.
+    constexpr std::size_t kChunk = kAcfChunkBins;
+    constexpr std::size_t kLag = 200;
+    for (std::size_t n :
+         {kChunk - 1, kChunk, kChunk + 1, kChunk + kLag - 1,
+          kChunk + kLag, kChunk + kLag + 1}) {
+        const char *what[] = {"counts", "constant", "mixed"};
+        const std::vector<std::vector<double>> series = chunkSeries(n);
+        for (std::size_t i = 0; i < series.size(); ++i)
+            expectAcfMatchesPerLagLoop(series[i], kLag, what[i]);
+    }
+}
+
+TEST(Acf, MaxLagBeyondOneChunk)
+{
+    // The overlap is longer than the chunk it follows.
+    const std::size_t n = kAcfChunkBins + 40;
+    const char *what[] = {"counts", "constant", "mixed"};
+    const std::vector<std::vector<double>> series = chunkSeries(n);
+    for (std::size_t i = 0; i < series.size(); ++i)
+        expectAcfMatchesPerLagLoop(series[i], kAcfChunkBins + 1,
+                                   what[i]);
 }
 
 TEST(DecorrelationLag, FindsFirstDrop)

@@ -492,23 +492,32 @@ acfSamples(std::size_t n)
     return xs;
 }
 
-/** acf_lags over lags [k, max_lag] on every table, against scalar. */
+/**
+ * acf_lags over lags [k, max_lag] and t < t_end on every table,
+ * continuing nonzero incoming chains, against scalar.
+ */
 void
 expectAcfLagsMatchScalar(const std::vector<double> &d,
-                         std::size_t max_lag, std::size_t k)
+                         std::size_t max_lag, std::size_t k,
+                         std::size_t t_end)
 {
     const std::size_t n = d.size();
     const std::size_t lags = max_lag + 1 - k;
-    std::vector<double> ref(lags, 42.0);
-    detail::kScalarOps.acf_lags(d.data(), n, k, lags, ref.data());
+    std::vector<double> in(lags);
+    for (std::size_t j = 0; j < lags; ++j)
+        in[j] = 0.375 * static_cast<double>(j) - 3.0;
+    std::vector<double> ref = in;
+    detail::kScalarOps.acf_lags(d.data(), n, t_end, k, lags,
+                                ref.data());
     for (Isa isa : supportedIsas()) {
         IsaGuard guard;
         force(isa);
-        std::vector<double> got(lags, -42.0);
-        ops().acf_lags(d.data(), n, k, lags, got.data());
+        std::vector<double> got = in;
+        ops().acf_lags(d.data(), n, t_end, k, lags, got.data());
         EXPECT_EQ(rawBits(ref), rawBits(got))
             << "isa=" << isaName(isa) << " n=" << n
-            << " max_lag=" << max_lag << " k=" << k;
+            << " max_lag=" << max_lag << " k=" << k
+            << " t_end=" << t_end;
     }
 }
 
@@ -519,17 +528,21 @@ TEST(AcfLagsKernel, BitIdenticalAcrossIsas)
         // A constant series is the c0 == 0 case of autocorrelation.
         for (const std::vector<double> &d :
              {acfSamples(n), std::vector<double>(n, 7.25)}) {
+            // Lags up to n + 5 reach past the window: those chains
+            // take no term.
             for (std::size_t max_lag :
                  {std::size_t{1}, std::size_t{15}, std::size_t{16},
                   std::size_t{17}, std::size_t{31}, std::size_t{32},
                   std::size_t{33}, std::size_t{48}, std::size_t{200},
-                  n - 1}) {
-                if (max_lag > n - 1)
-                    continue;
-                // Lags 1..max_lag, as autocorrelation asks, and a
-                // block starting at lag 0.
-                expectAcfLagsMatchScalar(d, max_lag, 1);
-                expectAcfLagsMatchScalar(d, max_lag, 0);
+                  n - 1, n + 5}) {
+                // The whole window, as the last chunk runs it, and a
+                // chunk that stops short of it.
+                for (std::size_t t_end : {n, n / 2 + 1}) {
+                    // Lags 1..max_lag, as autocorrelation asks, and
+                    // a block starting at lag 0.
+                    expectAcfLagsMatchScalar(d, max_lag, 1, t_end);
+                    expectAcfLagsMatchScalar(d, max_lag, 0, t_end);
+                }
             }
         }
     }
@@ -538,14 +551,35 @@ TEST(AcfLagsKernel, BitIdenticalAcrossIsas)
 TEST(AcfLagsKernel, ScalarIsThePerLagSum)
 {
     const std::vector<double> d = acfSamples(61);
-    std::vector<double> got(60);
-    detail::kScalarOps.acf_lags(d.data(), d.size(), 1, got.size(),
-                                got.data());
+    std::vector<double> got(60, 0.0);
+    detail::kScalarOps.acf_lags(d.data(), d.size(), d.size(), 1,
+                                got.size(), got.data());
     for (std::size_t k = 1; k <= got.size(); ++k) {
         double ck = 0.0;
         for (std::size_t t = 0; t + k < d.size(); ++t)
             ck += d[t] * d[t + k];
         EXPECT_EQ(rawBits({ck}), rawBits({got[k - 1]})) << "lag " << k;
+    }
+}
+
+TEST(AcfLagsKernel, ChunksCarryEachLagsChain)
+{
+    // Two calls over [0, 40) and [40, 61) of windows that start at
+    // t = 0 and t = 40 continue every lag's chain: the same bits as
+    // one call over the whole series.
+    const std::vector<double> d = acfSamples(61);
+    for (Isa isa : supportedIsas()) {
+        IsaGuard guard;
+        force(isa);
+        std::vector<double> whole(60, 0.0), chunked(60, 0.0);
+        ops().acf_lags(d.data(), d.size(), d.size(), 1, whole.size(),
+                       whole.data());
+        ops().acf_lags(d.data(), d.size(), 40, 1, chunked.size(),
+                       chunked.data());
+        ops().acf_lags(d.data() + 40, d.size() - 40, d.size() - 40, 1,
+                       chunked.size(), chunked.data());
+        EXPECT_EQ(rawBits(whole), rawBits(chunked))
+            << "isa=" << isaName(isa);
     }
 }
 
