@@ -138,21 +138,19 @@ addBusyProfile(DriveCharacterization &c, const disk::ServiceLog &log)
  * `responses` is left permuted.
  */
 void
-addResponses(DriveCharacterization &c, std::vector<Tick> &responses)
+addResponses(DriveCharacterization &c, disk::ResponseTicks &responses)
 {
     c.mean_response_ms =
-        disk::meanResponse(responses) / static_cast<double>(kMsec);
-    if (!responses.empty()) {
+        responses.mean() / static_cast<double>(kMsec);
+    if (responses.size() > 0) {
         c.p95_response_ms =
-            static_cast<double>(
-                disk::selectResponseQuantile(responses, 0.95)) /
+            static_cast<double>(responses.selectQuantile(0.95)) /
             static_cast<double>(kMsec);
         // p99 sits in the upper partition p95's selection left.
         const std::size_t idx95 =
             disk::responseQuantileIndex(responses.size(), 0.95);
         c.p99_response_ms =
-            static_cast<double>(disk::selectResponseQuantile(
-                responses, 0.99, idx95)) /
+            static_cast<double>(responses.selectQuantile(0.99, idx95)) /
             static_cast<double>(kMsec);
     }
 }
@@ -206,7 +204,7 @@ serviceAndCharacterize(disk::DiskDrive &drive, trace::RequestSource &src,
     obs::ScopedSpan span("characterize");
     DriveCharacterization tail;
     addBusyProfile(tail, log);
-    addResponses(tail, responses.ticks);
+    addResponses(tail, responses);
     ahead.join();
     // The producer's fold and the service log fill disjoint fields.
     c.util_1s = std::move(tail.util_1s);
@@ -224,7 +222,7 @@ void
 addServiceLog(DriveCharacterization &c, const disk::ServiceLog &log)
 {
     addBusyProfile(c, log);
-    std::vector<Tick> responses = log.responseTimes();
+    disk::ResponseTicks responses = log.responseTimes();
     addResponses(c, responses);
 }
 

@@ -1,6 +1,9 @@
 #include "disk/drive.hh"
 
 #include <algorithm>
+#include <compare>
+#include <cstddef>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.hh"
@@ -46,17 +49,6 @@ ServiceLog::utilization() const
     return static_cast<double>(busyTime()) / static_cast<double>(span);
 }
 
-double
-meanResponse(const std::vector<Tick> &responses)
-{
-    if (responses.empty())
-        return 0.0;
-    double s = 0.0;
-    for (const Tick r : responses)
-        s += static_cast<double>(r);
-    return s / static_cast<double>(responses.size());
-}
-
 std::size_t
 responseQuantileIndex(std::size_t n, double q)
 {
@@ -67,39 +59,133 @@ responseQuantileIndex(std::size_t n, double q)
         n - 1);
 }
 
-Tick
-selectResponseQuantile(std::vector<Tick> &responses, double q,
-                       std::size_t first)
+namespace
 {
-    const std::size_t idx = responseQuantileIndex(responses.size(), q);
-    dlw_assert(idx >= first, "quantile below the selected partition");
-    // Selection puts the element a full sort would hold at idx there.
-    std::nth_element(responses.begin() + first, responses.begin() + idx,
-                     responses.end());
-    return responses[idx];
+
+/**
+ * Random access to the ticks of a ResponseTicks through its chunk
+ * table, so std::nth_element selects in the chunks in place.
+ */
+class ChunkIter
+{
+  public:
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = Tick;
+    using difference_type = std::ptrdiff_t;
+    using pointer = Tick *;
+    using reference = Tick &;
+
+    ChunkIter() = default;
+    ChunkIter(std::unique_ptr<Tick[]> *chunks, difference_type i)
+        : chunks_(chunks), i_(i)
+    {
+    }
+
+    reference operator*() const { return (*this)[0]; }
+
+    reference
+    operator[](difference_type d) const
+    {
+        const auto i = static_cast<std::size_t>(i_ + d);
+        return chunks_[i >> ResponseTicks::kChunkShift]
+                      [i & (ResponseTicks::kChunkTicks - 1)];
+    }
+
+    ChunkIter &operator++() { return *this += 1; }
+    ChunkIter &operator--() { return *this -= 1; }
+    ChunkIter operator++(int) { return std::exchange(*this, *this + 1); }
+    ChunkIter operator--(int) { return std::exchange(*this, *this - 1); }
+
+    ChunkIter &
+    operator+=(difference_type d)
+    {
+        i_ += d;
+        return *this;
+    }
+
+    ChunkIter &operator-=(difference_type d) { return *this += -d; }
+
+    friend ChunkIter operator+(ChunkIter it, difference_type d)
+    {
+        return it += d;
+    }
+    friend ChunkIter operator+(difference_type d, ChunkIter it)
+    {
+        return it += d;
+    }
+    friend ChunkIter operator-(ChunkIter it, difference_type d)
+    {
+        return it -= d;
+    }
+    friend difference_type operator-(const ChunkIter &a,
+                                     const ChunkIter &b)
+    {
+        return a.i_ - b.i_;
+    }
+    friend bool operator==(const ChunkIter &a, const ChunkIter &b)
+    {
+        return a.i_ == b.i_;
+    }
+    friend auto operator<=>(const ChunkIter &a, const ChunkIter &b)
+    {
+        return a.i_ <=> b.i_;
+    }
+
+  private:
+    std::unique_ptr<Tick[]> *chunks_ = nullptr;
+    difference_type i_ = 0;
+};
+
+} // anonymous namespace
+
+double
+ResponseTicks::mean() const
+{
+    if (n_ == 0)
+        return 0.0;
+    double s = 0.0;
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+        const Tick *chunk = chunks_[c].get();
+        const std::size_t len =
+            std::min(kChunkTicks, n_ - c * kChunkTicks);
+        for (std::size_t i = 0; i < len; ++i)
+            s += static_cast<double>(chunk[i]);
+    }
+    return s / static_cast<double>(n_);
 }
 
-std::vector<Tick>
+Tick
+ResponseTicks::selectQuantile(double q, std::size_t first)
+{
+    const std::size_t idx = responseQuantileIndex(n_, q);
+    dlw_assert(idx >= first, "quantile below the selected partition");
+    // Selection puts the element a full sort would hold at idx there.
+    const ChunkIter begin(chunks_.data(), 0);
+    std::nth_element(begin + static_cast<std::ptrdiff_t>(first),
+                     begin + static_cast<std::ptrdiff_t>(idx),
+                     begin + static_cast<std::ptrdiff_t>(n_));
+    return (*this)[idx];
+}
+
+ResponseTicks
 ServiceLog::responseTimes() const
 {
-    std::vector<Tick> rs;
-    rs.reserve(completions.size());
+    ResponseTicks rs;
     for (const Completion &c : completions)
-        rs.push_back(c.response());
+        rs.onCompletion(c);
     return rs;
 }
 
 double
 ServiceLog::meanResponse() const
 {
-    return disk::meanResponse(responseTimes());
+    return responseTimes().mean();
 }
 
 Tick
 ServiceLog::responseQuantile(double q) const
 {
-    std::vector<Tick> rs = responseTimes();
-    return selectResponseQuantile(rs, q);
+    return responseTimes().selectQuantile(q);
 }
 
 std::vector<Tick>

@@ -15,6 +15,7 @@
 #define DLW_DISK_DRIVE_HH
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "disk/cache.hh"
@@ -97,48 +98,86 @@ class CompletionSink
 };
 
 /**
- * Mean of response times, summed in the order given (0 when empty).
- * ServiceLog::meanResponse() and `analyze` both sum here, in
- * completion order, so their doubles are bit-identical.
- */
-double meanResponse(const std::vector<Tick> &responses);
-
-/**
  * Index a full sort of n response times holds quantile q in [0, 1]
  * at: min(size_t(q (n-1) + 0.5), n-1).  n must be positive.
  */
 std::size_t responseQuantileIndex(std::size_t n, double q);
 
 /**
- * Response time at quantile q in [0, 1] (exact): the element a full
- * sort would hold at responseQuantileIndex(n, q), found by selection.
- * Permutes `responses`, which must not be empty; an order statistic
- * does not depend on the permutation it starts from, so successive
- * quantiles may select in the same vector.
- *
- * Selection runs in [first, n) only.  A caller that has just
- * selected a lower quantile at index i may pass first = i: that
- * selection left no element from i on smaller than one before it.
- * q's index must not be below `first`.
- */
-Tick selectResponseQuantile(std::vector<Tick> &responses, double q,
-                            std::size_t first = 0);
-
-/**
  * A CompletionSink that keeps each request's response time (one Tick,
  * 8 B) in completion order and nothing else: the whole per-request
  * residency of a characterized run.
+ *
+ * The ticks live in fixed chunks of kChunkTicks, allocated as the log
+ * grows and never moved or copied, so growing the log never holds it
+ * twice, as a doubling vector's regrowth does.  mean() and
+ * selectQuantile() work in the chunks in place; the log is never
+ * gathered into one contiguous array.
  */
 class ResponseTicks final : public CompletionSink
 {
   public:
+    /** log2 of the ticks per chunk. */
+    static constexpr unsigned kChunkShift = 13;
+    /** Ticks per chunk (64 KiB of them). */
+    static constexpr std::size_t kChunkTicks = std::size_t{1}
+                                               << kChunkShift;
+
     void
     onCompletion(const Completion &c) override
     {
-        ticks.push_back(c.response());
+        add(c.response());
     }
 
-    std::vector<Tick> ticks;
+    /** Append one response time. */
+    void
+    add(Tick r)
+    {
+        const std::size_t at = n_ & (kChunkTicks - 1);
+        if (at == 0)
+            chunks_.push_back(
+                std::make_unique_for_overwrite<Tick[]>(kChunkTicks));
+        chunks_.back()[at] = r;
+        ++n_;
+    }
+
+    /** Response times kept. */
+    std::size_t size() const { return n_; }
+
+    /**
+     * Response time i: in completion order until selectQuantile()
+     * permutes the log.
+     */
+    Tick
+    operator[](std::size_t i) const
+    {
+        return chunks_[i >> kChunkShift][i & (kChunkTicks - 1)];
+    }
+
+    /**
+     * Mean response time, summed in completion order (0 when empty),
+     * so call it before selectQuantile().  ServiceLog::meanResponse()
+     * and `analyze` both sum here, so their doubles are bit-identical.
+     */
+    double mean() const;
+
+    /**
+     * Response time at quantile q in [0, 1] (exact): the element a
+     * full sort would hold at responseQuantileIndex(size(), q), found
+     * by selection.  Permutes the log, which must not be empty; an
+     * order statistic does not depend on the permutation it starts
+     * from, so successive quantiles may select in the same log.
+     *
+     * Selection runs in [first, size()) only.  A caller that has just
+     * selected a lower quantile at index i may pass first = i: that
+     * selection left no element from i on smaller than one before it.
+     * q's index must not be below `first`.
+     */
+    Tick selectQuantile(double q, std::size_t first = 0);
+
+  private:
+    std::vector<std::unique_ptr<Tick[]>> chunks_;
+    std::size_t n_ = 0;
 };
 
 /**
@@ -172,7 +211,7 @@ struct ServiceLog
     double utilization() const;
 
     /** Response time of every completion, in completion order. */
-    std::vector<Tick> responseTimes() const;
+    ResponseTicks responseTimes() const;
 
     /** Mean response time over all completions (0 when empty). */
     double meanResponse() const;

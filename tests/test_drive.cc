@@ -314,6 +314,26 @@ TEST(Drive, ResponseQuantilesOrdered)
     EXPECT_LE(log.responseQuantile(0.9), log.responseQuantile(0.99));
 }
 
+/** A response log holding `rs` in order. */
+ResponseTicks
+ticksOf(const std::vector<Tick> &rs)
+{
+    ResponseTicks out;
+    for (const Tick r : rs)
+        out.add(r);
+    return out;
+}
+
+/** The log's ticks in its current order. */
+std::vector<Tick>
+ticksIn(const ResponseTicks &log)
+{
+    std::vector<Tick> out;
+    for (std::size_t i = 0; i < log.size(); ++i)
+        out.push_back(log[i]);
+    return out;
+}
+
 TEST(Drive, ResponseTicksSinkKeepsOnlyResponseTimes)
 {
     Rng rng(7);
@@ -328,56 +348,95 @@ TEST(Drive, ResponseTicksSinkKeepsOnlyResponseTimes)
     const ServiceLog log = drive.service(src, &sink, 7);
     EXPECT_TRUE(log.completions.empty());
     EXPECT_EQ(log.busy, ref.busy);
-    EXPECT_EQ(sink.ticks, ref.responseTimes());
+    std::vector<Tick> want;
+    for (const Completion &c : ref.completions)
+        want.push_back(c.response());
+    EXPECT_EQ(ticksIn(sink), want);
 
     // The mean sums in completion order either way: equal bits.
-    EXPECT_EQ(meanResponse(sink.ticks), ref.meanResponse());
-    // Successive selections in one vector find the order statistics
+    EXPECT_EQ(sink.mean(), ref.meanResponse());
+    // Successive selections in one log find the order statistics
     // the log's copy-per-call quantiles find.
     for (const double q : {0.95, 0.99, 0.0, 0.5, 1.0})
-        EXPECT_EQ(selectResponseQuantile(sink.ticks, q),
-                  ref.responseQuantile(q))
+        EXPECT_EQ(sink.selectQuantile(q), ref.responseQuantile(q))
             << q;
 }
 
 TEST(Drive, ResponseQuantileIndexRounds)
 {
     // Index min(size_t(q (n - 1) + 0.5), n - 1) of the sorted ticks.
-    std::vector<Tick> rs = {50, 10, 40, 20, 30};
-    EXPECT_EQ(selectResponseQuantile(rs, 0.0), 10);
-    EXPECT_EQ(selectResponseQuantile(rs, 0.12), 10); // 0.48 -> 0
-    EXPECT_EQ(selectResponseQuantile(rs, 0.125), 20); // 0.5 -> 1
-    EXPECT_EQ(selectResponseQuantile(rs, 0.95), 50);  // 4.3 -> 4
-    EXPECT_EQ(selectResponseQuantile(rs, 1.0), 50);
-    EXPECT_DOUBLE_EQ(meanResponse({}), 0.0);
+    ResponseTicks rs = ticksOf({50, 10, 40, 20, 30});
+    EXPECT_EQ(rs.selectQuantile(0.0), 10);
+    EXPECT_EQ(rs.selectQuantile(0.12), 10); // 0.48 -> 0
+    EXPECT_EQ(rs.selectQuantile(0.125), 20); // 0.5 -> 1
+    EXPECT_EQ(rs.selectQuantile(0.95), 50);  // 4.3 -> 4
+    EXPECT_EQ(rs.selectQuantile(1.0), 50);
+    EXPECT_DOUBLE_EQ(ResponseTicks().mean(), 0.0);
 }
 
 TEST(Drive, UpperQuantileSelectsInsideTheLowerOnesPartition)
 {
     Rng rng(17);
     for (std::size_t n : {1u, 2u, 20u, 101u, 5000u}) {
-        std::vector<Tick> rs(n);
-        for (Tick &r : rs)
+        std::vector<Tick> ticks(n);
+        for (Tick &r : ticks)
             r = rng.uniformInt(0, 40); // many ties
-        std::vector<Tick> sorted = rs;
+        ResponseTicks rs = ticksOf(ticks);
+        std::vector<Tick> sorted = ticks;
         std::sort(sorted.begin(), sorted.end());
-        const Tick p95 = selectResponseQuantile(rs, 0.95);
+        const Tick p95 = rs.selectQuantile(0.95);
         const std::size_t idx95 = responseQuantileIndex(n, 0.95);
         EXPECT_EQ(p95, sorted[idx95]);
-        EXPECT_EQ(selectResponseQuantile(rs, 0.99, idx95),
+        EXPECT_EQ(rs.selectQuantile(0.99, idx95),
                   sorted[responseQuantileIndex(n, 0.99)])
             << n;
     }
 }
 
+TEST(Drive, ResponseLogAcrossChunkBoundaries)
+{
+    // Mean, p95 and p99 as `analyze` takes them from the chunked log
+    // (p99 inside p95's upper partition), against one contiguous
+    // vector summed in order and selected with nth_element.
+    constexpr std::size_t kChunk = ResponseTicks::kChunkTicks;
+    Rng rng(29);
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, kChunk - 1,
+                          kChunk, kChunk + 1, 3 * kChunk + 5}) {
+        std::vector<Tick> ref(n);
+        for (Tick &r : ref)
+            r = rng.uniformInt(0, 1 << 20) *
+                (rng.uniformInt(0, 7) == 0 ? 97 : 1); // ties and a long tail
+        ResponseTicks log = ticksOf(ref);
+        ASSERT_EQ(log.size(), n);
+        EXPECT_EQ(ticksIn(log), ref) << n;
+
+        double sum = 0.0;
+        for (const Tick r : ref)
+            sum += static_cast<double>(r);
+        const double mean = n ? sum / static_cast<double>(n) : 0.0;
+        EXPECT_EQ(log.mean(), mean) << n;
+        if (n == 0)
+            continue;
+
+        const std::size_t i95 = responseQuantileIndex(n, 0.95);
+        const std::size_t i99 = responseQuantileIndex(n, 0.99);
+        std::nth_element(ref.begin(), ref.begin() + i95, ref.end());
+        const Tick p95 = ref[i95];
+        std::nth_element(ref.begin() + i95, ref.begin() + i99,
+                         ref.end());
+        EXPECT_EQ(log.selectQuantile(0.95), p95) << n;
+        EXPECT_EQ(log.selectQuantile(0.99, i95), ref[i99]) << n;
+    }
+}
+
 TEST(DriveDeathTest, ResponseQuantileNeedsTicks)
 {
-    std::vector<Tick> none;
-    EXPECT_DEATH(selectResponseQuantile(none, 0.5), "empty");
-    std::vector<Tick> one = {1};
-    EXPECT_DEATH(selectResponseQuantile(one, 1.5), "out of range");
-    std::vector<Tick> three = {3, 1, 2};
-    EXPECT_DEATH(selectResponseQuantile(three, 0.0, 1),
+    ResponseTicks none;
+    EXPECT_DEATH(none.selectQuantile(0.5), "empty");
+    ResponseTicks one = ticksOf({1});
+    EXPECT_DEATH(one.selectQuantile(1.5), "out of range");
+    ResponseTicks three = ticksOf({3, 1, 2});
+    EXPECT_DEATH(three.selectQuantile(0.0, 1),
                  "below the selected partition");
 }
 
