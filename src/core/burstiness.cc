@@ -38,10 +38,10 @@ defaultScales()
 
 BurstinessReport
 analyzeCounts(const stats::BinnedSeries &counts,
-              std::vector<std::size_t> scales)
+              const std::vector<std::size_t> &given)
 {
-    if (scales.empty())
-        scales = defaultScales();
+    const std::vector<std::size_t> scales =
+        given.empty() ? defaultScales() : given;
 
     BurstinessReport rep;
     rep.base_bin = counts.binWidth();
@@ -141,11 +141,18 @@ BurstinessAccumulator::observe(const trace::RequestBatch &batch)
     have_prev_ = true;
 }
 
+BurstinessReport
+BurstinessAccumulator::current() const
+{
+    BurstinessReport rep = analyzeCounts(counts_, scales_);
+    rep.interarrival_cv = gaps_.combined().cv();
+    return rep;
+}
+
 void
 BurstinessAccumulator::finish()
 {
-    rep_ = analyzeCounts(counts_, std::move(scales_));
-    rep_.interarrival_cv = gaps_.combined().cv();
+    rep_ = current();
 }
 
 void
@@ -198,7 +205,7 @@ BurstinessReport
 analyzeCountSeries(const stats::BinnedSeries &counts,
                    std::vector<std::size_t> scales)
 {
-    return analyzeCounts(counts, std::move(scales));
+    return analyzeCounts(counts, scales);
 }
 
 } // namespace core

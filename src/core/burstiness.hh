@@ -106,6 +106,12 @@ class BurstinessAccumulator : public TraceAccumulator
     /** The report (valid after finish()). */
     const BurstinessReport &report() const { return rep_; }
 
+    /**
+     * The report over the batches observed so far, computed from the
+     * live state in place; finish() stores exactly this.
+     */
+    BurstinessReport current() const;
+
     /** Append the pre-finish accumulator state (bit-exact). */
     void saveState(BinEnc &enc) const;
 

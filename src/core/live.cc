@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "common/strutil.hh"
 
@@ -86,30 +87,25 @@ LiveCharacterization::observe(const trace::RequestBatch &batch)
 }
 
 DriveCharacterization
-LiveCharacterization::assemble(const BurstinessAccumulator &b,
-                               const RwMixAccumulator &rw,
-                               const TraceTotalsAccumulator &t) const
+LiveCharacterization::assemble(BurstinessReport b, RwDynamics rw) const
 {
     DriveCharacterization c;
     c.drive_id = meta_.drive_id;
-    c.ms_burstiness = b.report();
-    c.ms_rw = rw.report();
-    c.arrival_rate = t.arrivalRate();
-    c.read_fraction = t.readFraction();
+    c.ms_burstiness = std::move(b);
+    c.ms_rw = std::move(rw);
+    c.arrival_rate = totals_.arrivalRate();
+    c.read_fraction = totals_.readFraction();
     return c;
 }
 
 DriveCharacterization
 LiveCharacterization::snapshot() const
 {
-    // Copies absorb the finish(); the live accumulators never see it.
-    BurstinessAccumulator b = burstiness_;
-    RwMixAccumulator rw = rwmix_;
-    TraceTotalsAccumulator t = totals_;
-    b.finish();
-    rw.finish();
-    t.finish();
-    return assemble(b, rw, t);
+    if (finished_)
+        return assemble(burstiness_.report(), rwmix_.report());
+    // Each report is a const function of its accumulator's state:
+    // read in place, the live state is neither copied nor touched.
+    return assemble(burstiness_.current(), rwmix_.current());
 }
 
 void
@@ -154,7 +150,7 @@ LiveCharacterization::finish()
         rwmix_.finish();
         totals_.finish();
     }
-    return assemble(burstiness_, rwmix_, totals_);
+    return snapshot();
 }
 
 std::string

@@ -8,10 +8,11 @@
  * session cannot hand over control like that — batches arrive
  * whenever the network delivers them, and a live report may be
  * wanted at any instant in between.  LiveCharacterization inverts
- * the pass: the caller pushes batches as they materialize, and the
- * trace-derived accumulators (burstiness, read/write dynamics,
- * totals) are *copied* to produce a mid-stream snapshot — finish()
- * runs on the copy, so the live state keeps accumulating untouched.
+ * the pass: the caller pushes batches as they materialize, and a
+ * mid-stream snapshot computes each trace-derived report
+ * (burstiness, read/write dynamics, totals) from the live
+ * accumulators in place — the same function finish() stores — so
+ * the live state is neither copied nor disturbed.
  *
  * The one place the trace-derived subset of DriveCharacterization is
  * assembled: dlwd sessions, `dlwtool characterize` and `dlwtool
@@ -74,9 +75,9 @@ class LiveCharacterization
 
     /**
      * Characterize the stream as seen so far without perturbing the
-     * live state: the accumulators are copied and the copies are
-     * finished.  Valid at any point, including before the first
-     * batch and after finish().
+     * live state: the bytes finish() would give if the stream ended
+     * here, computed from the accumulators in place.  Valid at any
+     * point, including before the first batch and after finish().
      */
     DriveCharacterization snapshot() const;
 
@@ -87,10 +88,8 @@ class LiveCharacterization
     DriveCharacterization finish();
 
     /**
-     * Append the full pre-finish state — stream header plus every
-     * accumulator, bit-exact — for a crash-safe checkpoint.  Must
-     * not be called after finish() (the burstiness scales are
-     * consumed there).
+     * Append the full accumulator state — stream header plus every
+     * accumulator, bit-exact — for a crash-safe checkpoint.
      */
     void saveState(BinEnc &enc) const;
 
@@ -104,10 +103,8 @@ class LiveCharacterization
     static std::unique_ptr<LiveCharacterization> restore(BinDec &dec);
 
   private:
-    DriveCharacterization assemble(const BurstinessAccumulator &b,
-                                   const RwMixAccumulator &rw,
-                                   const TraceTotalsAccumulator &t)
-        const;
+    DriveCharacterization assemble(BurstinessReport b,
+                                   RwDynamics rw) const;
 
     trace::MsStreamHeader meta_;
     BurstinessAccumulator burstiness_;

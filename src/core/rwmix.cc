@@ -42,10 +42,10 @@ finishSeriesStats(RwDynamics &d)
 } // anonymous namespace
 
 RwMixAccumulator::RwMixAccumulator(Tick bin_width)
-    : reads_(0, bin_width, 0), all_(0, bin_width, 0)
+    : bin_width_(bin_width), reads_(0, bin_width, 0),
+      all_(0, bin_width, 0)
 {
     dlw_assert(bin_width > 0, "bin width must be positive");
-    d_.bin_width = bin_width;
 }
 
 void
@@ -53,7 +53,7 @@ RwMixAccumulator::begin(const trace::MsStreamHeader &meta)
 {
     // Pre-size exactly like MsTrace::binCounts().
     const Tick duration = meta.duration;
-    const Tick w = d_.bin_width;
+    const Tick w = bin_width_;
     auto bins = static_cast<std::size_t>(
         duration > 0 ? (duration + w - 1) / w : 0);
     reads_ = stats::BinnedSeries(meta.start, w, bins);
@@ -95,10 +95,10 @@ RwMixAccumulator::observe(const trace::RequestBatch &batch)
             if (run_len_ > 0) {
                 ++runs_;
                 if (!prev_read_) {
-                    d_.longest_write_run =
-                        std::max(d_.longest_write_run, run_len_);
+                    longest_write_run_ =
+                        std::max(longest_write_run_, run_len_);
                     if (run_len_ >= 8)
-                        ++d_.write_bursts;
+                        ++write_bursts_;
                 }
             }
             prev_read_ = is_read;
@@ -107,39 +107,50 @@ RwMixAccumulator::observe(const trace::RequestBatch &batch)
     }
 }
 
-void
-RwMixAccumulator::finish()
+RwDynamics
+RwMixAccumulator::current() const
 {
-    d_.read_fraction =
+    RwDynamics d;
+    d.bin_width = bin_width_;
+    d.longest_write_run = longest_write_run_;
+    d.write_bursts = write_bursts_;
+    d.read_fraction =
         n_ > 0 ? static_cast<double>(read_n_) /
                      static_cast<double>(n_)
                : 0.0;
 
-    d_.read_fraction_series.reserve(all_.size());
+    d.read_fraction_series.reserve(all_.size());
     for (std::size_t i = 0; i < all_.size(); ++i) {
         const double total = all_.at(i);
-        d_.read_fraction_series.push_back(
+        d.read_fraction_series.push_back(
             total > 0.0 ? reads_.at(i) / total : -1.0);
     }
-    finishSeriesStats(d_);
+    finishSeriesStats(d);
 
+    // The open run closes at the end of the stream.
     if (n_ > 0) {
-        ++runs_;
         if (!prev_read_) {
-            d_.longest_write_run =
-                std::max(d_.longest_write_run, run_len_);
+            d.longest_write_run =
+                std::max(d.longest_write_run, run_len_);
             if (run_len_ >= 8)
-                ++d_.write_bursts;
+                ++d.write_bursts;
         }
-        d_.mean_run_length = static_cast<double>(n_) /
-                             static_cast<double>(runs_);
+        d.mean_run_length = static_cast<double>(n_) /
+                            static_cast<double>(runs_ + 1);
     }
+    return d;
+}
+
+void
+RwMixAccumulator::finish()
+{
+    d_ = current();
 }
 
 void
 RwMixAccumulator::saveState(BinEnc &enc) const
 {
-    enc.i64(d_.bin_width);
+    enc.i64(bin_width_);
     reads_.saveState(enc);
     all_.saveState(enc);
     enc.u64(n_);
@@ -155,7 +166,7 @@ RwMixAccumulator::loadState(BinDec &dec)
     const Tick bin_width = dec.i64();
     if (!dec.ok() || bin_width <= 0)
         return false;
-    d_.bin_width = bin_width;
+    bin_width_ = bin_width;
     if (!reads_.loadState(dec) || !all_.loadState(dec))
         return false;
     // begin() lays both series out alike, and finish() reads them bin

@@ -70,6 +70,12 @@ class RwMixAccumulator : public TraceAccumulator
     /** The report (valid after finish()). */
     const RwDynamics &report() const { return d_; }
 
+    /**
+     * The report over the batches observed so far, computed from the
+     * live state in place; finish() stores exactly this.
+     */
+    RwDynamics current() const;
+
     /** Append the pre-finish accumulator state (bit-exact). */
     void saveState(BinEnc &enc) const;
 
@@ -77,13 +83,18 @@ class RwMixAccumulator : public TraceAccumulator
     bool loadState(BinDec &dec);
 
   private:
+    Tick bin_width_;
     stats::BinnedSeries reads_;
     stats::BinnedSeries all_;
     std::size_t n_ = 0;
     std::size_t read_n_ = 0;
+    /** Direction runs closed so far (the open one excluded). */
     std::size_t runs_ = 0;
     std::size_t run_len_ = 0;
     bool prev_read_ = false;
+    /** Over the closed write runs. */
+    std::size_t longest_write_run_ = 0;
+    std::size_t write_bursts_ = 0;
     RwDynamics d_;
 };
 

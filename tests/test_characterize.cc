@@ -9,11 +9,13 @@
 #include <chrono>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hh"
 #include "core/characterize.hh"
+#include "core/live.hh"
 #include "core/prefetch.hh"
 #include "synth/family.hh"
 #include "synth/workload.hh"
@@ -166,6 +168,57 @@ validRequests(std::size_t n)
         reqs.push_back(r);
     }
     return reqs;
+}
+
+/** Fold requests [from, to) of `tr` into `live`, 97 at a time. */
+void
+feed(LiveCharacterization &live, const trace::MsTrace &tr,
+     std::size_t from, std::size_t to)
+{
+    trace::RequestBatch batch(97);
+    for (std::size_t i = from; i < to; ++i) {
+        batch.append(tr.requests()[i]);
+        if (batch.full() || i + 1 == to) {
+            ASSERT_TRUE(live.observe(batch).ok());
+            batch.clear();
+        }
+    }
+}
+
+/** Both renderings a snapshot reaches users through. */
+std::string
+bytesOf(const DriveCharacterization &c)
+{
+    return c.render() + renderCharacterizationJson(c);
+}
+
+TEST(LiveCharacterization, SnapshotsMatchTheFinishOfEachPrefix)
+{
+    // A mixed read/write stream, so write runs stay open and close
+    // across the snapshot points.
+    Rng rng(23);
+    synth::Workload w = synth::Workload::makeOltp(1 << 22, 40.0);
+    const trace::MsTrace tr = w.generate(rng, "live", 0, 3 * kMinute);
+    const std::size_t n = tr.size();
+    ASSERT_GT(n, 3000u);
+    const trace::MsStreamHeader meta{tr.driveId(), tr.start(),
+                                     tr.duration()};
+
+    LiveCharacterization live(meta);
+    std::size_t at = 0;
+    for (std::size_t point : {std::size_t{0}, std::size_t{1}, n / 3,
+                              n / 2 + 13, n - 1, n}) {
+        feed(live, tr, at, point);
+        at = point;
+        LiveCharacterization prefix(meta);
+        feed(prefix, tr, 0, point);
+        EXPECT_EQ(bytesOf(live.snapshot()), bytesOf(prefix.finish()))
+            << "after " << point << " of " << n;
+    }
+    const std::string last = bytesOf(live.snapshot());
+    EXPECT_EQ(bytesOf(live.finish()), last);
+    EXPECT_EQ(bytesOf(live.snapshot()), last);
+    EXPECT_EQ(bytesOf(live.finish()), last);
 }
 
 TEST(ServiceAndCharacterize, MatchesServiceThenCharacterizeMs)
