@@ -572,6 +572,7 @@ Server::acceptReady()
         fd_to_token_[fd] = c->token;
         Conn &ref = *c;
         conns_[ref.token] = std::move(c);
+        open_conns_.store(conns_.size(), std::memory_order_relaxed);
         armRead(ref, ReadDeadline::kFirstByte);
     }
 }
@@ -965,6 +966,7 @@ Server::closeConn(std::uint64_t token)
     netMetrics().active.add(-1);
     netMetrics().closed.add();
     conns_.erase(it);
+    open_conns_.store(conns_.size(), std::memory_order_relaxed);
 }
 
 void

@@ -142,8 +142,16 @@ class Server
      */
     void requestStop();
 
-    /** Connections currently open (loop thread only). */
-    std::size_t activeConnections() const { return conns_.size(); }
+    /**
+     * Connections currently open.  Any thread may poll it: it reads
+     * a count the loop thread keeps beside every insert into and
+     * erase from its connection table.
+     */
+    std::size_t
+    activeConnections() const
+    {
+        return open_conns_.load(std::memory_order_relaxed);
+    }
 
   private:
     enum class ConnState
@@ -251,6 +259,8 @@ class Server
     int wake_fd_ = -1; ///< eventfd: fold completions + stop requests
 
     std::map<std::uint64_t, std::unique_ptr<Conn>> conns_;
+    /** conns_.size(), for activeConnections() off the loop thread. */
+    std::atomic<std::size_t> open_conns_{0};
     std::map<int, std::uint64_t> fd_to_token_;
     std::uint64_t next_token_ = 1;
     std::uint64_t next_session_ = 1;
