@@ -157,6 +157,8 @@ RwMixAccumulator::saveState(BinEnc &enc) const
     enc.u64(read_n_);
     enc.u64(runs_);
     enc.u64(run_len_);
+    enc.u64(longest_write_run_);
+    enc.u64(write_bursts_);
     enc.u8(prev_read_ ? 1 : 0);
 }
 
@@ -179,6 +181,8 @@ RwMixAccumulator::loadState(BinDec &dec)
     read_n_ = static_cast<std::size_t>(dec.u64());
     runs_ = static_cast<std::size_t>(dec.u64());
     run_len_ = static_cast<std::size_t>(dec.u64());
+    longest_write_run_ = static_cast<std::size_t>(dec.u64());
+    write_bursts_ = static_cast<std::size_t>(dec.u64());
     prev_read_ = dec.u8() != 0;
     return dec.ok();
 }

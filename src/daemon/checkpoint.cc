@@ -92,11 +92,12 @@ loadSessionCheckpoint(const std::string &path)
         return Status::truncated("truncated checkpoint header");
     if (version < kCheckpointVersion) {
         // A silent default here would resurrect the session in the
-        // wrong QoS lane (pre-v3) or strip its trace identity and
-        // latency account (pre-v4); the operator must re-stream.
+        // wrong QoS lane (pre-v3), strip its trace identity and
+        // latency account (pre-v4) or misread its gap lanes and
+        // write runs (pre-v5); the operator must re-stream.
         return Status::failedPrecondition(
             "checkpoint version " + std::to_string(version) +
-            " predates the trace/latency session tail (want " +
+            " predates this daemon's session layout (want " +
             std::to_string(kCheckpointVersion) +
             "); refusing to restore a degraded session");
     }

@@ -46,8 +46,12 @@ inline constexpr const char *kCheckpointMagic = "DLWCKPT1";
  * v4: the session blob gained a tail — trace id, wall-clock start,
  * frozen duration, and per-stage latency stats — so a restored
  * session keeps its trace identity and latency attribution.
+ * v5: the burstiness gap lanes keep only count, mean and m2 (the
+ * higher moments and extrema nothing read are gone), and the
+ * read/write mix state gained the closed write runs' longest run
+ * and burst count, which a restored session used to forget.
  */
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /** `<dir>/<id>.ckpt`. */
 std::string checkpointPath(const std::string &dir,
@@ -66,8 +70,8 @@ Status saveSessionCheckpoint(const std::string &dir, const Session &s);
  *         truncated/garbled.  A version older than current is
  *         rejected with an explicit FailedPrecondition — restoring
  *         it would silently default-tag the session's QoS class
- *         (pre-v3) or strip its trace identity and latency account
- *         (pre-v4).
+ *         (pre-v3), strip its trace identity and latency account
+ *         (pre-v4) or misread its gap lanes and write runs (pre-v5).
  */
 StatusOr<std::shared_ptr<Session>>
 loadSessionCheckpoint(const std::string &path);

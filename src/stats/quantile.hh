@@ -3,9 +3,9 @@
  * P-square (P²) streaming quantile estimator.
  *
  * Tracks a single quantile in O(1) memory without retaining samples
- * (Jain & Chlamtac, CACM 1985).  Lifetime traces span months of
- * activity, so the family analysis uses P² markers where an exact
- * Ecdf would be wasteful.
+ * (Jain & Chlamtac, CACM 1985), for streams too long to keep whole,
+ * where an exact Ecdf would be wasteful.  No analysis calls it yet:
+ * only its unit tests do.
  */
 
 #ifndef DLW_STATS_QUANTILE_HH

@@ -19,6 +19,7 @@
 #include <cmath>
 
 #include "stats/simd/simd.hh"
+#include "stats/summary.hh"
 
 namespace dlw
 {
@@ -71,32 +72,17 @@ binLogOne(double x, double lo, double hi, double log_lo,
 }
 
 /**
- * One Welford update of lane `lane`, the reference tree.  Mirrors
- * Summary::add exactly, with the lane count carried as a double.
- * min/max use the (a < b ? a : b) form so the vector min/max
- * instructions (which have exactly that non-NaN semantics) match.
+ * One Welford update of lane `lane`, the reference tree: MeanM2::add
+ * on the lane's count, mean and m2.
  */
 inline void
 welfordOne(SummaryLanes &s, std::uint32_t lane, double x)
 {
-    const double n1 = s.n[lane];
-    const double nn = n1 + 1.0;
-    s.n[lane] = nn;
-    const double delta = x - s.mean[lane];
-    const double delta_n = delta / nn;
-    const double delta_n2 = delta_n * delta_n;
-    const double term1 = delta * delta_n * n1;
-
-    s.mean[lane] += delta_n;
-    s.m4[lane] += term1 * delta_n2 * (nn * nn - 3.0 * nn + 3.0) +
-                  6.0 * delta_n2 * s.m2[lane] -
-                  4.0 * delta_n * s.m3[lane];
-    s.m3[lane] += term1 * delta_n * (nn - 2.0) -
-                  3.0 * delta_n * s.m2[lane];
-    s.m2[lane] += term1;
-
-    s.mn[lane] = x < s.mn[lane] ? x : s.mn[lane];
-    s.mx[lane] = x > s.mx[lane] ? x : s.mx[lane];
+    MeanM2 m{s.n[lane], s.mean[lane], s.m2[lane]};
+    m.add(x);
+    s.n[lane] = m.n;
+    s.mean[lane] = m.mean;
+    s.m2[lane] = m.m2;
 }
 
 /**

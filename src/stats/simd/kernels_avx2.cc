@@ -297,64 +297,26 @@ welfordAddAvx2(SummaryLanes &s, const double *x, std::size_t n)
 
     if (i + kSummaryLanes <= n) {
         const __m256d one = _mm256_set1_pd(1.0);
-        const __m256d two = _mm256_set1_pd(2.0);
-        const __m256d three = _mm256_set1_pd(3.0);
-        const __m256d four = _mm256_set1_pd(4.0);
-        const __m256d six = _mm256_set1_pd(6.0);
 
         __m256d vn = _mm256_load_pd(s.n);
         __m256d mean = _mm256_load_pd(s.mean);
         __m256d m2 = _mm256_load_pd(s.m2);
-        __m256d m3 = _mm256_load_pd(s.m3);
-        __m256d m4 = _mm256_load_pd(s.m4);
-        __m256d mn = _mm256_load_pd(s.mn);
-        __m256d mx = _mm256_load_pd(s.mx);
 
+        // MeanM2::add, one lane per element, in its order.
         for (; i + kSummaryLanes <= n; i += kSummaryLanes) {
             const __m256d vx = _mm256_loadu_pd(x + i);
             const __m256d n1 = vn;
-            const __m256d nn = _mm256_add_pd(n1, one);
-
+            vn = _mm256_add_pd(n1, one);
             const __m256d delta = _mm256_sub_pd(vx, mean);
-            const __m256d delta_n = _mm256_div_pd(delta, nn);
-            const __m256d delta_n2 = _mm256_mul_pd(delta_n, delta_n);
-            const __m256d term1 =
-                _mm256_mul_pd(_mm256_mul_pd(delta, delta_n), n1);
-
+            const __m256d delta_n = _mm256_div_pd(delta, vn);
             mean = _mm256_add_pd(mean, delta_n);
-            // K = nn*nn - 3*nn + 3, associated like the scalar tree.
-            const __m256d k4 = _mm256_add_pd(
-                _mm256_sub_pd(_mm256_mul_pd(nn, nn),
-                              _mm256_mul_pd(three, nn)),
-                three);
-            const __m256d a4 =
-                _mm256_mul_pd(_mm256_mul_pd(term1, delta_n2), k4);
-            const __m256d b4 =
-                _mm256_mul_pd(_mm256_mul_pd(six, delta_n2), m2);
-            const __m256d c4 =
-                _mm256_mul_pd(_mm256_mul_pd(four, delta_n), m3);
-            m4 = _mm256_add_pd(
-                m4, _mm256_sub_pd(_mm256_add_pd(a4, b4), c4));
-            const __m256d a3 =
-                _mm256_mul_pd(_mm256_mul_pd(term1, delta_n),
-                              _mm256_sub_pd(nn, two));
-            const __m256d c3 =
-                _mm256_mul_pd(_mm256_mul_pd(three, delta_n), m2);
-            m3 = _mm256_add_pd(m3, _mm256_sub_pd(a3, c3));
-            m2 = _mm256_add_pd(m2, term1);
-
-            vn = nn;
-            mn = _mm256_min_pd(vx, mn);
-            mx = _mm256_max_pd(vx, mx);
+            m2 = _mm256_add_pd(
+                m2, _mm256_mul_pd(_mm256_mul_pd(delta, delta_n), n1));
         }
 
         _mm256_store_pd(s.n, vn);
         _mm256_store_pd(s.mean, mean);
         _mm256_store_pd(s.m2, m2);
-        _mm256_store_pd(s.m3, m3);
-        _mm256_store_pd(s.m4, m4);
-        _mm256_store_pd(s.mn, mn);
-        _mm256_store_pd(s.mx, mx);
     }
 
     for (; i < n; ++i) {

@@ -11,6 +11,7 @@
 #include "stats/simd/simd.hh"
 
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <mutex>
 
@@ -94,10 +95,6 @@ SummaryLanes::clear()
         n[i] = 0.0;
         mean[i] = 0.0;
         m2[i] = 0.0;
-        m3[i] = 0.0;
-        m4[i] = 0.0;
-        mn[i] = std::numeric_limits<double>::infinity();
-        mx[i] = -std::numeric_limits<double>::infinity();
     }
     next = 0;
 }
@@ -131,9 +128,10 @@ SummaryLanes::combined() const
     for (std::size_t i = 0; i < kSummaryLanes; ++i) {
         if (n[i] == 0.0)
             continue;
-        out.merge(Summary::fromRaw(static_cast<std::uint64_t>(n[i]),
-                                   mean[i], m2[i], m3[i], m4[i],
-                                   mn[i], mx[i]));
+        out.merge(Summary::fromRaw(
+            static_cast<std::uint64_t>(n[i]), mean[i], m2[i],
+            std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity()));
     }
     return out;
 }
@@ -145,10 +143,6 @@ SummaryLanes::saveState(BinEnc &enc) const
         enc.f64(n[i]);
         enc.f64(mean[i]);
         enc.f64(m2[i]);
-        enc.f64(m3[i]);
-        enc.f64(m4[i]);
-        enc.f64(mn[i]);
-        enc.f64(mx[i]);
     }
     enc.u8(static_cast<std::uint8_t>(next));
 }
@@ -156,17 +150,18 @@ SummaryLanes::saveState(BinEnc &enc) const
 bool
 SummaryLanes::loadState(BinDec &dec)
 {
+    bool counts_ok = true;
     for (std::size_t i = 0; i < kSummaryLanes; ++i) {
         n[i] = dec.f64();
         mean[i] = dec.f64();
         m2[i] = dec.f64();
-        m3[i] = dec.f64();
-        m4[i] = dec.f64();
-        mn[i] = dec.f64();
-        mx[i] = dec.f64();
+        // combined() converts the count to an integer: that is
+        // undefined for a NaN, a negative or a too-large double.
+        counts_ok = counts_ok && n[i] >= 0.0 && n[i] < 0x1p53 &&
+                    n[i] == std::floor(n[i]);
     }
     const std::uint8_t cursor = dec.u8();
-    if (!dec.ok() || cursor >= kSummaryLanes)
+    if (!dec.ok() || !counts_ok || cursor >= kSummaryLanes)
         return false;
     next = cursor;
     return true;

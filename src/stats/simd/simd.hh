@@ -74,12 +74,13 @@ constexpr std::size_t kSummaryLanes = 4;
  *
  * Element j of the observation stream (counted from the first add
  * ever, across batches) lands in lane j % 4; each lane runs the
- * plain Welford/Chan update, and combined() merges the four lanes in
- * fixed order through Summary::merge.  Because lane membership
- * depends only on the global element index, the result is invariant
- * to batch chunking — and because the per-element update tree is
- * identical in the scalar and SIMD kernels, it is invariant to the
- * dispatched ISA as well.
+ * plain Welford update (MeanM2::add), and combined() merges the four
+ * lanes in fixed order through Summary::merge.  The lanes keep the
+ * count, mean and m2 only: their one reader is the interarrival CV.
+ * Because lane membership depends only on the global element index,
+ * the result is invariant to batch chunking — and because the
+ * per-element update tree is identical in the scalar and SIMD
+ * kernels, it is invariant to the dispatched ISA as well.
  *
  * The lane state is public plain-old-data so the per-ISA kernels can
  * load it straight into vector registers.
@@ -101,13 +102,19 @@ class SummaryLanes
     /** Observations folded so far, over all lanes. */
     std::uint64_t count() const;
 
-    /** Merge the lanes (fixed order) into one Summary. */
+    /**
+     * Merge the lanes (fixed order) into one Summary.  The lanes keep
+     * no extrema, so its min() and max() read +inf and -inf.
+     */
     Summary combined() const;
 
     /** Append the full lane state (bit-exact). */
     void saveState(BinEnc &enc) const;
 
-    /** Restore state written by saveState(); false on a bad blob. */
+    /**
+     * Restore state written by saveState(); false on a bad blob,
+     * including a lane count that is not a whole number below 2^53.
+     */
     bool loadState(BinDec &dec);
 
     // Raw lane state.  Counts are whole numbers carried as doubles
@@ -116,10 +123,6 @@ class SummaryLanes
     alignas(32) double n[kSummaryLanes];
     alignas(32) double mean[kSummaryLanes];
     alignas(32) double m2[kSummaryLanes];
-    alignas(32) double m3[kSummaryLanes];
-    alignas(32) double m4[kSummaryLanes];
-    alignas(32) double mn[kSummaryLanes];
-    alignas(32) double mx[kSummaryLanes];
     /** Lane the next observation lands in (0..3). */
     std::uint32_t next;
 };
@@ -198,9 +201,8 @@ struct KernelOps
                      double *out);
 
     /**
-     * Fold n observations into the 4-lane Welford tree.  Inputs must
-     * be non-NaN (gaps and counts always are); denormals and
-     * infinities are fine.
+     * Fold n observations into the 4-lane Welford tree (gaps and
+     * counts; denormals are fine).
      */
     void (*welford_add)(SummaryLanes &lanes, const double *x,
                         std::size_t n);

@@ -3,23 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/binenc.hh"
-
 namespace dlw
 {
 namespace stats
 {
 
 Summary
-Summary::fromRaw(std::uint64_t n, double mean, double m2, double m3,
-                 double m4, double min, double max)
+Summary::fromRaw(std::uint64_t n, double mean, double m2, double min,
+                 double max)
 {
     Summary s;
-    s.n_ = n;
-    s.mean_ = mean;
-    s.m2_ = m2;
-    s.m3_ = m3;
-    s.m4_ = m4;
+    s.m_ = {static_cast<double>(n), mean, m2};
     s.min_ = min;
     s.max_ = max;
     return s;
@@ -28,20 +22,7 @@ Summary::fromRaw(std::uint64_t n, double mean, double m2, double m3,
 void
 Summary::add(double x)
 {
-    const double n1 = static_cast<double>(n_);
-    ++n_;
-    const double n = static_cast<double>(n_);
-    const double delta = x - mean_;
-    const double delta_n = delta / n;
-    const double delta_n2 = delta_n * delta_n;
-    const double term1 = delta * delta_n * n1;
-
-    mean_ += delta_n;
-    m4_ += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) +
-           6.0 * delta_n2 * m2_ - 4.0 * delta_n * m3_;
-    m3_ += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2_;
-    m2_ += term1;
-
+    m_.add(x);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
 }
@@ -49,36 +30,21 @@ Summary::add(double x)
 void
 Summary::merge(const Summary &other)
 {
-    if (other.n_ == 0)
+    if (other.m_.n == 0.0)
         return;
-    if (n_ == 0) {
+    if (m_.n == 0.0) {
         *this = other;
         return;
     }
 
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
+    const double na = m_.n;
+    const double nb = other.m_.n;
     const double nx = na + nb;
-    const double delta = other.mean_ - mean_;
-    const double delta2 = delta * delta;
-    const double delta3 = delta2 * delta;
-    const double delta4 = delta2 * delta2;
+    const double delta = other.m_.mean - m_.mean;
 
-    const double m2x = m2_ + other.m2_ + delta2 * na * nb / nx;
-    const double m3x = m3_ + other.m3_ +
-        delta3 * na * nb * (na - nb) / (nx * nx) +
-        3.0 * delta * (na * other.m2_ - nb * m2_) / nx;
-    const double m4x = m4_ + other.m4_ +
-        delta4 * na * nb * (na * na - na * nb + nb * nb) / (nx * nx * nx) +
-        6.0 * delta2 *
-            (na * na * other.m2_ + nb * nb * m2_) / (nx * nx) +
-        4.0 * delta * (na * other.m3_ - nb * m3_) / nx;
-
-    mean_ = (na * mean_ + nb * other.mean_) / nx;
-    m2_ = m2x;
-    m3_ = m3x;
-    m4_ = m4x;
-    n_ += other.n_;
+    m_.m2 = m_.m2 + other.m_.m2 + delta * delta * na * nb / nx;
+    m_.mean = (na * m_.mean + nb * other.m_.mean) / nx;
+    m_.n = nx;
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
 }
@@ -92,17 +58,9 @@ Summary::clear()
 double
 Summary::variance() const
 {
-    if (n_ < 1)
+    if (m_.n < 1.0)
         return 0.0;
-    return m2_ / static_cast<double>(n_);
-}
-
-double
-Summary::sampleVariance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
+    return m_.m2 / m_.n;
 }
 
 double
@@ -114,52 +72,9 @@ Summary::stddev() const
 double
 Summary::cv() const
 {
-    if (n_ == 0 || mean_ == 0.0)
+    if (m_.n == 0.0 || m_.mean == 0.0)
         return 0.0;
-    return stddev() / std::fabs(mean_);
-}
-
-double
-Summary::skewness() const
-{
-    if (n_ < 2 || m2_ <= 0.0)
-        return 0.0;
-    const double n = static_cast<double>(n_);
-    return std::sqrt(n) * m3_ / std::pow(m2_, 1.5);
-}
-
-double
-Summary::excessKurtosis() const
-{
-    if (n_ < 2 || m2_ <= 0.0)
-        return 0.0;
-    const double n = static_cast<double>(n_);
-    return n * m4_ / (m2_ * m2_) - 3.0;
-}
-
-void
-Summary::saveState(BinEnc &enc) const
-{
-    enc.u64(n_);
-    enc.f64(mean_);
-    enc.f64(m2_);
-    enc.f64(m3_);
-    enc.f64(m4_);
-    enc.f64(min_);
-    enc.f64(max_);
-}
-
-bool
-Summary::loadState(BinDec &dec)
-{
-    n_ = dec.u64();
-    mean_ = dec.f64();
-    m2_ = dec.f64();
-    m3_ = dec.f64();
-    m4_ = dec.f64();
-    min_ = dec.f64();
-    max_ = dec.f64();
-    return dec.ok();
+    return stddev() / std::fabs(m_.mean);
 }
 
 } // namespace stats

@@ -14,7 +14,8 @@
  *
  * Every chain is bit-identical to the per-width loop it replaces:
  * each window sum is the serial ascending chain 0.0 + v[i] + ...,
- * and MeanM2 repeats Summary::add's expressions for the mean and m2.
+ * and each chain folds it through MeanM2::add, the step Summary::add
+ * runs.
  */
 
 #ifndef DLW_STATS_WINDOWFOLD_HH
@@ -23,44 +24,12 @@
 #include <cstddef>
 #include <vector>
 
+#include "stats/summary.hh"
+
 namespace dlw
 {
 namespace stats
 {
-
-/**
- * Summary::add's mean and m2 recurrence alone.  mean and
- * sampleVariance() equal those of a Summary fed the same values, bit
- * for bit; the m3, m4, min and max updates nothing here reads are
- * gone.  The count is a whole number carried as a double (exact
- * below 2^53 values), which is the value Summary converts its
- * integer count to.
- */
-struct MeanM2
-{
-    double n = 0.0;
-    double mean = 0.0;
-    double m2 = 0.0;
-
-    /** Fold one value: Summary::add's expressions, in its order. */
-    void
-    add(double x)
-    {
-        const double n1 = n;
-        n = n1 + 1.0;
-        const double delta = x - mean;
-        const double delta_n = delta / n;
-        mean += delta_n;
-        m2 += delta * delta_n * n1;
-    }
-
-    /** Sample variance (n - 1 in the denominator; 0 when n < 2). */
-    double
-    sampleVariance() const
-    {
-        return n < 2.0 ? 0.0 : m2 / (n - 1.0);
-    }
-};
 
 /**
  * Welford moments of a series' whole windows at several widths.

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1616,16 +1617,48 @@ sessionBlob(const daemon::Session &s)
     return blob;
 }
 
+/**
+ * csvTrace(n)'s records in 24-request cycles that open with a write
+ * run: 12 writes in the first quarter of the trace, 9 after it.
+ */
+std::string
+burstyCsvTrace(std::size_t n)
+{
+    std::string out = csvTrace(n);
+    std::size_t at = out.find("\n0,");
+    for (std::size_t i = 0; i < n; ++i) {
+        at = out.find('\n', at + 1) - 1;
+        out[at] = i % 24 < (i < n / 4 ? 12u : 9u) ? 'W' : 'R';
+        ++at;
+    }
+    return out;
+}
+
+/** The "records" and "characterization" tail of a reportJson(). */
+std::string
+characterizationJson(const daemon::Session &s)
+{
+    const std::string json = s.reportJson();
+    const std::size_t at = json.find("\"records\":");
+    return at == std::string::npos ? std::string() : json.substr(at);
+}
+
 TEST(SessionCheckpoint, MidStreamRestoreKeepsByteIdentity)
 {
     struct Case
     {
         net::StreamFormat format;
         std::string payload;
+        /** Bytes per consume() before the checkpoint. */
+        std::size_t step;
     };
+    // The bursty trace's first half holds more than one 4096-request
+    // batch, so write bursts close in the live fold before the
+    // checkpoint.
     const Case cases[] = {
-        {net::StreamFormat::kCsv, csvTrace(130)},
-        {net::StreamFormat::kBin, frame(binTrace(130), 53)},
+        {net::StreamFormat::kCsv, csvTrace(130), 7},
+        {net::StreamFormat::kBin, frame(binTrace(130), 53), 7},
+        {net::StreamFormat::kCsv, burstyCsvTrace(10000), 4096},
     };
     for (const Case &tc : cases) {
         // Control: one uninterrupted session.
@@ -1635,14 +1668,18 @@ TEST(SessionCheckpoint, MidStreamRestoreKeepsByteIdentity)
         ASSERT_TRUE(a.consume(aq).ok());
         ASSERT_TRUE(a.finishInput(aq).ok());
         const std::string expected = a.finalReportText();
+        const std::string expected_json = characterizationJson(a);
+        ASSERT_NE(expected_json.find("\"characterization\":{"),
+                  std::string::npos)
+            << expected_json;
 
         // Interrupted: feed half, checkpoint, restore, feed the rest.
         daemon::Session b("t-1", "t", tc.format);
         net::ByteQueue bq;
         const std::size_t half = tc.payload.size() / 2;
-        for (std::size_t off = 0; off < half; off += 7) {
+        for (std::size_t off = 0; off < half; off += tc.step) {
             bq.append(tc.payload.data() + off,
-                      std::min<std::size_t>(7, half - off));
+                      std::min(tc.step, half - off));
             ASSERT_TRUE(b.consume(bq).ok());
         }
         const std::string blob = sessionBlob(b);
@@ -1661,6 +1698,7 @@ TEST(SessionCheckpoint, MidStreamRestoreKeepsByteIdentity)
         ASSERT_TRUE(r->consume(rq).ok());
         ASSERT_TRUE(r->finishInput(rq).ok());
         EXPECT_EQ(r->finalReportText(), expected);
+        EXPECT_EQ(characterizationJson(*r), expected_json);
     }
 }
 
@@ -1868,25 +1906,43 @@ TEST(SessionCheckpoint, PreTagVersionRejectedNotDefaultTagged)
     // Forge a v2-era blob: header says version 2 and the session
     // body predates the class byte.  The loader must refuse with an
     // explicit status — silently restoring it would default-tag a
-    // session whose class the client never negotiated.
-    std::string blob = daemon::kCheckpointMagic;
-    BinEnc enc(blob);
-    enc.u32(2);
-    enc.str("t-1"); // id
-    enc.str("t");   // tenant (v2 layout: format byte comes next)
-    const std::string path = daemon::checkpointPath(dir, "t-1");
+    // session whose class the client never negotiated.  A v4 blob
+    // (a current session under the old header) is refused alike:
+    // its gap lanes and write runs are laid out differently.
+    std::string v2_body;
     {
-        std::ofstream os(path, std::ios::binary);
-        os << blob;
+        BinEnc enc(v2_body);
+        enc.str("t-1"); // id
+        enc.str("t");   // tenant (v2 layout: format byte comes next)
     }
+    daemon::Session s("t-1", "t", net::StreamFormat::kCsv);
+    net::ByteQueue q;
+    q.append(csvTrace(25));
+    ASSERT_TRUE(s.consume(q).ok());
+    const std::pair<std::uint32_t, std::string> olds[] = {
+        {2, v2_body},
+        {4, sessionBlob(s)},
+    };
+    const std::string path = daemon::checkpointPath(dir, "t-1");
+    for (const auto &[version, body] : olds) {
+        std::string blob = daemon::kCheckpointMagic;
+        BinEnc enc(blob);
+        enc.u32(version);
+        blob += body;
+        {
+            std::ofstream os(path, std::ios::binary);
+            os << blob;
+        }
 
-    const auto old = daemon::loadSessionCheckpoint(path);
-    ASSERT_FALSE(old.ok());
-    EXPECT_EQ(old.status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_NE(old.status().message().find(
-                  "predates the trace/latency session tail"),
-              std::string::npos)
-        << old.status().toString();
+        const auto old = daemon::loadSessionCheckpoint(path);
+        ASSERT_FALSE(old.ok()) << "v" << version;
+        EXPECT_EQ(old.status().code(), StatusCode::kFailedPrecondition)
+            << "v" << version;
+        EXPECT_NE(old.status().message().find(
+                      "predates this daemon's session layout"),
+                  std::string::npos)
+            << old.status().toString();
+    }
 
     daemon::removeSessionCheckpoint(dir, "t-1");
 }
@@ -2228,7 +2284,7 @@ unfinishableLiveBlob(bool zero_scale)
         enc.i64(kMinute);
         stats::BinnedSeries(0, kMinute, 0).saveState(enc);
         stats::BinnedSeries(0, kMinute, 1).saveState(enc);
-        for (int i = 0; i < 4; ++i)
+        for (int i = 0; i < 6; ++i)
             enc.u64(0);
         enc.u8(0);
     }

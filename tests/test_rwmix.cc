@@ -10,6 +10,7 @@
 #include "core/rwmix.hh"
 #include "stats/timeseries.hh"
 #include "synth/workload.hh"
+#include "trace/batch.hh"
 
 namespace dlw
 {
@@ -155,7 +156,7 @@ rwMixBlob(const stats::BinnedSeries &reads, const stats::BinnedSeries &all)
     enc.i64(kMinute);
     reads.saveState(enc);
     all.saveState(enc);
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < 6; ++i)
         enc.u64(0);
     enc.u8(0);
     return blob;
@@ -176,6 +177,54 @@ TEST(RwMix, CheckpointRoundTrip)
     ASSERT_TRUE(back.loadState(dec));
     back.finish();
     EXPECT_EQ(back.report().read_fraction_series.size(), 3u);
+}
+
+/** The requests of patternTrace(pattern) in [from, to) as one batch. */
+trace::RequestBatch
+patternBatch(const trace::MsTrace &tr, std::size_t from, std::size_t to)
+{
+    trace::RequestBatch b(to - from);
+    for (std::size_t i = from; i < to; ++i)
+        b.append(tr.requests()[i]);
+    return b;
+}
+
+TEST(RwMix, RestoreKeepsClosedWriteRuns)
+{
+    // Two write bursts (9 and 12 writes) close before the checkpoint
+    // and a 3-write run stays open across it; the restored fold must
+    // report what the uninterrupted one does.
+    const std::string pattern = "RWWWWWWWWWRRWWWWWWWWWWWWRWWWWWRRWR";
+    const std::size_t cut = 28;
+    const trace::MsTrace tr = patternTrace(pattern);
+    trace::MsStreamHeader meta;
+    meta.start = tr.start();
+    meta.duration = tr.duration();
+
+    RwMixAccumulator whole(kSec);
+    whole.begin(meta);
+    whole.observe(patternBatch(tr, 0, pattern.size()));
+    whole.finish();
+    ASSERT_EQ(whole.report().longest_write_run, 12u);
+    ASSERT_EQ(whole.report().write_bursts, 2u);
+
+    RwMixAccumulator first(kSec);
+    first.begin(meta);
+    first.observe(patternBatch(tr, 0, cut));
+    std::string blob;
+    BinEnc enc(blob);
+    first.saveState(enc);
+    BinDec dec(blob);
+    RwMixAccumulator back;
+    ASSERT_TRUE(back.loadState(dec));
+    back.observe(patternBatch(tr, cut, pattern.size()));
+    back.finish();
+    const RwDynamics &got = back.report();
+    EXPECT_EQ(got.longest_write_run, whole.report().longest_write_run);
+    EXPECT_EQ(got.write_bursts, whole.report().write_bursts);
+    EXPECT_EQ(got.mean_run_length, whole.report().mean_run_length);
+    EXPECT_EQ(got.read_fraction_series,
+              whole.report().read_fraction_series);
 }
 
 TEST(RwMix, LoadStateRejectsMismatchedSeries)

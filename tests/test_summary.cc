@@ -24,7 +24,6 @@ TEST(Summary, EmptyIsZero)
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     EXPECT_DOUBLE_EQ(s.variance(), 0.0);
     EXPECT_DOUBLE_EQ(s.cv(), 0.0);
-    EXPECT_DOUBLE_EQ(s.skewness(), 0.0);
 }
 
 TEST(Summary, KnownSmallSample)
@@ -60,24 +59,6 @@ TEST(Summary, SingleValueDegenerate)
     EXPECT_DOUBLE_EQ(s.sampleVariance(), 0.0);
 }
 
-TEST(Summary, SkewnessSigns)
-{
-    Summary right;
-    for (double v : {1.0, 1.0, 1.0, 1.0, 10.0})
-        right.add(v);
-    EXPECT_GT(right.skewness(), 0.5);
-
-    Summary left;
-    for (double v : {10.0, 10.0, 10.0, 10.0, 1.0})
-        left.add(v);
-    EXPECT_LT(left.skewness(), -0.5);
-
-    Summary sym;
-    for (double v : {-2.0, -1.0, 0.0, 1.0, 2.0})
-        sym.add(v);
-    EXPECT_NEAR(sym.skewness(), 0.0, 1e-12);
-}
-
 TEST(Summary, NormalSampleMoments)
 {
     Rng rng(1);
@@ -86,18 +67,14 @@ TEST(Summary, NormalSampleMoments)
         s.add(rng.normal(10.0, 2.0));
     EXPECT_NEAR(s.mean(), 10.0, 0.05);
     EXPECT_NEAR(s.stddev(), 2.0, 0.05);
-    EXPECT_NEAR(s.skewness(), 0.0, 0.05);
-    EXPECT_NEAR(s.excessKurtosis(), 0.0, 0.1);
 }
 
-TEST(Summary, ExponentialSkewAndKurtosis)
+TEST(Summary, ExponentialCvNearOne)
 {
     Rng rng(2);
     Summary s;
     for (int i = 0; i < 400000; ++i)
         s.add(rng.exponential(1.0));
-    EXPECT_NEAR(s.skewness(), 2.0, 0.15);
-    EXPECT_NEAR(s.excessKurtosis(), 6.0, 1.0);
     EXPECT_NEAR(s.cv(), 1.0, 0.02);
 }
 
@@ -114,8 +91,6 @@ TEST(Summary, MergeMatchesSequential)
     EXPECT_EQ(a.count(), all.count());
     EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
     EXPECT_NEAR(a.variance(), all.variance(), 1e-7);
-    EXPECT_NEAR(a.skewness(), all.skewness(), 1e-7);
-    EXPECT_NEAR(a.excessKurtosis(), all.excessKurtosis(), 1e-6);
     EXPECT_DOUBLE_EQ(a.min(), all.min());
     EXPECT_DOUBLE_EQ(a.max(), all.max());
 }
