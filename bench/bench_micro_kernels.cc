@@ -6,15 +6,15 @@
  *
  *  1. A deterministic SIMD-kernel phase (runs first, under its own
  *     BenchReportGuard) that times the dispatched characterization
- *     kernels — histogram binning, IDC window counting, the Welford
- *     gap fold — against the scalar reference on 4096-request
+ *     kernels — IDC window counting, the Welford gap fold, gaps and
+ *     totals — against the scalar reference on 4096-request
  *     batches, and the autocorrelation's lag sums on a fixed binned
  *     series, prints the speedup table, and snapshots BENCH_kernels
  *     .json for the bench-diff CI gate.  The phase does fixed work,
  *     so every counter in the snapshot is reproducible to the digit.
  *     When the AVX2 table is dispatchable, the phase *enforces* the
- *     >= 2x speedup floor on linear-histogram binning, IDC counting
- *     and the ACF lag sums by exiting nonzero below it.
+ *     >= 2x speedup floor on IDC counting and the ACF lag sums by
+ *     exiting nonzero below it.
  *
  *  2. The pre-existing google-benchmark suite (workload synthesis
  *     per drive class, Rng draws, drive servicing, binary trace I/O,
@@ -41,7 +41,6 @@
 #include "core/pass.hh"
 #include "core/rwmix.hh"
 #include "obs/metrics.hh"
-#include "stats/histogram.hh"
 #include "stats/hurst.hh"
 #include "stats/simd/kernels.hh"
 #include "stats/simd/simd.hh"
@@ -151,8 +150,6 @@ secsPerCall(F &&f, int reps)
 struct KernelRow
 {
     simd::Isa isa;
-    double bin_linear = 0.0;
-    double bin_log = 0.0;
     double count_sorted = 0.0;
     double welford = 0.0;
     double gaps = 0.0;
@@ -165,38 +162,19 @@ struct KernelRow
  * caller so the loops measure kernel work, not allocation.
  */
 KernelRow
-timeIsa(simd::Isa isa, const std::vector<double> &lin_xs,
-        const std::vector<double> &log_xs,
-        const std::vector<Tick> &ticks,
+timeIsa(simd::Isa isa, const std::vector<Tick> &ticks,
         const std::vector<double> &gap_xs,
         const std::vector<std::uint8_t> &dirs,
         const std::vector<std::uint32_t> &blocks,
-        const std::vector<double> &acf_xs,
-        std::vector<std::int32_t> &idx, std::vector<double> &bins,
+        const std::vector<double> &acf_xs, std::vector<double> &bins,
         std::vector<double> &gaps_out, std::vector<double> &acf_out)
 {
     simd::force(isa);
     const simd::KernelOps &k = simd::ops();
     constexpr int kReps = 2000;
-    const double log_lo = -3.0;
-    const double inv_log_width = 8.0; // bins per decade
 
     KernelRow row;
     row.isa = isa;
-    row.bin_linear = secsPerCall(
-        [&] {
-            k.bin_linear(lin_xs.data(), kBatch, 0.0, 100.0,
-                         64 / 100.0, 64, idx.data());
-            benchmark::DoNotOptimize(idx.data());
-        },
-        kReps);
-    row.bin_log = secsPerCall(
-        [&] {
-            k.bin_log(log_xs.data(), kBatch, 1e-3, 1e4, log_lo,
-                      inv_log_width, 56, idx.data());
-            benchmark::DoNotOptimize(idx.data());
-        },
-        kReps);
     row.count_sorted = secsPerCall(
         [&] {
             // Bins stay integral and far below 2^53 for the whole
@@ -242,17 +220,12 @@ timeIsa(simd::Isa isa, const std::vector<double> &lin_xs,
 /**
  * Run the deterministic phase: per-ISA timings, speedup table,
  * snapshot metrics.  Returns nonzero when the AVX2 speedup floor
- * (>= 2x on linear binning, IDC counting and ACF lag sums) is
- * violated.
+ * (>= 2x on IDC counting and ACF lag sums) is violated.
  */
 int
 runKernelPhase()
 {
     // Inputs: one batch of everything, shared across ISAs.
-    const std::vector<double> lin_xs =
-        uniformSamples(kBatch, -5.0, 110.0);
-    const std::vector<double> log_xs =
-        uniformSamples(kBatch, 1e-4, 2e4);
     const std::vector<Tick> ticks = burstyTicks(kBatch);
     std::vector<double> gap_xs(kBatch);
     simd::detail::kScalarOps.gaps_i64(ticks.data(), kBatch, -1,
@@ -264,7 +237,6 @@ runKernelPhase()
         dirs[i] = static_cast<std::uint8_t>(rng.next() % 2);
         blocks[i] = 1 + static_cast<std::uint32_t>(rng.next() % 256);
     }
-    std::vector<std::int32_t> idx(kBatch);
     const auto nbins = static_cast<std::size_t>(
         (ticks.back() / (10 * kMsec)) + 1);
     std::vector<double> bins(nbins, 0.0);
@@ -281,9 +253,8 @@ runKernelPhase()
     for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
         if (!simd::supported(isa))
             continue;
-        rows.push_back(timeIsa(isa, lin_xs, log_xs, ticks, gap_xs,
-                               dirs, blocks, acf_xs, idx, bins,
-                               gaps_out, acf_out));
+        rows.push_back(timeIsa(isa, ticks, gap_xs, dirs, blocks,
+                               acf_xs, bins, gaps_out, acf_out));
     }
     simd::force(simd::bestSupported());
 
@@ -291,9 +262,8 @@ runKernelPhase()
     std::printf("SIMD kernel timings, %zu-request batches "
                 "(ns/element, best of 3; speedup vs scalar)\n",
                 kBatch);
-    std::printf("%-8s %-22s %-22s %-22s %-22s %-22s\n", "isa",
-                "bin_linear", "count_sorted(IDC)", "bin_log",
-                "welford", "acf_lags");
+    std::printf("%-8s %-22s %-22s %-22s\n", "isa",
+                "count_sorted(IDC)", "welford", "acf_lags");
     auto cell = [](double secs, double base) {
         char buf[32];
         std::snprintf(buf, sizeof buf, "%7.2f (%4.2fx)",
@@ -301,11 +271,9 @@ runKernelPhase()
         return std::string(buf);
     };
     for (const KernelRow &r : rows) {
-        std::printf("%-8s %-22s %-22s %-22s %-22s %-22s\n",
+        std::printf("%-8s %-22s %-22s %-22s\n",
                     simd::isaName(r.isa),
-                    cell(r.bin_linear, scalar.bin_linear).c_str(),
                     cell(r.count_sorted, scalar.count_sorted).c_str(),
-                    cell(r.bin_log, scalar.bin_log).c_str(),
                     cell(r.welford, scalar.welford).c_str(),
                     // ns per lag product, not per batch element
                     cell(r.acf * kBatch / (kAcfSeries * kAcfLags),
@@ -352,13 +320,10 @@ runKernelPhase()
                  "kernel-folded elements in the timed phase "
                  "(fixed work)")
         .add(static_cast<std::uint64_t>(rows.size()) *
-             ((5 * 2000 + 1000) * kBatch + kAcfReps * kAcfSeries));
+             ((3 * 2000 + 1000) * kBatch + kAcfReps * kAcfSeries));
 
     int rc = 0;
     const bool have_avx2 = simd::supported(simd::Isa::kAvx2);
-    obs::Gauge &lin_ok = obs::gauge(
-        "bench.kernels.avx2_binlinear_ge2x", "bool", "bench",
-        "1 when the AVX2 linear-binning kernel beat scalar by >= 2x");
     obs::Gauge &idc_ok = obs::gauge(
         "bench.kernels.avx2_idc_ge2x", "bool", "bench",
         "1 when the AVX2 IDC counting kernel beat scalar by >= 2x");
@@ -367,18 +332,16 @@ runKernelPhase()
         "1 when the AVX2 ACF lag-sum kernel beat scalar by >= 2x");
     if (have_avx2) {
         const KernelRow &avx2 = rows.back();
-        const double lin_speedup = scalar.bin_linear / avx2.bin_linear;
         const double idc_speedup =
             scalar.count_sorted / avx2.count_sorted;
         const double acf_speedup = scalar.acf / avx2.acf;
-        lin_ok.set(lin_speedup >= 2.0 ? 1 : 0);
         idc_ok.set(idc_speedup >= 2.0 ? 1 : 0);
         acf_ok.set(acf_speedup >= 2.0 ? 1 : 0);
-        if (lin_speedup < 2.0 || idc_speedup < 2.0) {
+        if (idc_speedup < 2.0) {
             std::fprintf(stderr,
                          "FAIL: AVX2 speedup floor (>= 2x) violated: "
-                         "bin_linear %.2fx, count_sorted %.2fx\n",
-                         lin_speedup, idc_speedup);
+                         "count_sorted %.2fx\n",
+                         idc_speedup);
             rc = 1;
         }
         if (acf_speedup < 2.0) {

@@ -7,20 +7,6 @@ namespace dlw
 namespace array
 {
 
-const char *
-raidLevelName(RaidLevel level)
-{
-    switch (level) {
-      case RaidLevel::Raid0:
-        return "RAID-0";
-      case RaidLevel::Raid1:
-        return "RAID-1";
-      case RaidLevel::Raid5:
-        return "RAID-5";
-    }
-    return "unknown";
-}
-
 RaidMapper::RaidMapper(const RaidConfig &config)
     : config_(config)
 {

@@ -38,9 +38,6 @@ enum class RaidLevel
     Raid5,
 };
 
-/** Human-readable level name. */
-const char *raidLevelName(RaidLevel level);
-
 /**
  * Array geometry.
  */

@@ -6,7 +6,6 @@
  * fatal()  -- the user asked for something impossible (bad config,
  *             malformed trace file); exits with status 1.
  * warn()   -- something questionable happened but execution continues.
- * inform() -- plain status output for the user.
  */
 
 #ifndef DLW_COMMON_LOGGING_HH
@@ -31,9 +30,6 @@ namespace detail
 
 /** Emit a warning to stderr. */
 void warnImpl(const char *file, int line, const std::string &msg);
-
-/** Emit an informational message to stderr. */
-void informImpl(const std::string &msg);
 
 /**
  * Fold a heterogeneous argument pack into one string via operator<<.
@@ -68,10 +64,6 @@ concat(Args &&...args)
 #define dlw_warn(...) \
     ::dlw::detail::warnImpl(__FILE__, __LINE__, \
                             ::dlw::detail::concat(__VA_ARGS__))
-
-/** Status message for the user. */
-#define dlw_inform(...) \
-    ::dlw::detail::informImpl(::dlw::detail::concat(__VA_ARGS__))
 
 /** panic() unless the given invariant holds. */
 #define dlw_assert(cond, ...) \

@@ -42,14 +42,12 @@ Options::shapeError(int argc, char *const *argv, int first)
 bool
 Options::has(const std::string &key) const
 {
-    used_[key] = true;
     return values_.count(key) > 0;
 }
 
 std::string
 Options::get(const std::string &key, const std::string &fallback) const
 {
-    used_[key] = true;
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
 }
@@ -57,7 +55,6 @@ Options::get(const std::string &key, const std::string &fallback) const
 double
 Options::getDouble(const std::string &key, double fallback) const
 {
-    used_[key] = true;
     auto it = values_.find(key);
     return it == values_.end() ? fallback
                                : parseDouble(it->second, key);
@@ -66,7 +63,6 @@ Options::getDouble(const std::string &key, double fallback) const
 std::int64_t
 Options::getInt(const std::string &key, std::int64_t fallback) const
 {
-    used_[key] = true;
     auto it = values_.find(key);
     return it == values_.end() ? fallback : parseInt(it->second, key);
 }
@@ -77,17 +73,6 @@ Options::keys() const
     std::vector<std::string> out;
     for (const auto &[key, value] : values_)
         out.push_back(key);
-    return out;
-}
-
-std::vector<std::string>
-Options::unusedKeys() const
-{
-    std::vector<std::string> out;
-    for (const auto &[key, value] : values_) {
-        if (!used_.count(key))
-            out.push_back(key);
-    }
     return out;
 }
 

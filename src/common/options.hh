@@ -2,7 +2,7 @@
  * @file
  * Minimal "--key value" command-line option parser used by the
  * tools.  Unknown keys are tolerated at parse time and surfaced via
- * unknownKeys() so a tool can reject typos explicitly.
+ * keys() so a tool can reject typos explicitly.
  */
 
 #ifndef DLW_COMMON_OPTIONS_HH
@@ -53,15 +53,11 @@ class Options
     std::int64_t getInt(const std::string &key,
                         std::int64_t fallback) const;
 
-    /** Keys supplied but never queried by any accessor. */
-    std::vector<std::string> unusedKeys() const;
-
     /** Every key supplied on the command line, sorted. */
     std::vector<std::string> keys() const;
 
   private:
     std::map<std::string, std::string> values_;
-    mutable std::map<std::string, bool> used_;
 };
 
 } // namespace dlw

@@ -13,8 +13,6 @@ statusCodeName(StatusCode code)
         return "Ok";
       case StatusCode::kInvalidArgument:
         return "InvalidArgument";
-      case StatusCode::kNotFound:
-        return "NotFound";
       case StatusCode::kCorruptData:
         return "CorruptData";
       case StatusCode::kTruncated:
@@ -42,12 +40,6 @@ Status
 Status::invalidArgument(std::string msg)
 {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
-}
-
-Status
-Status::notFound(std::string msg)
-{
-    return Status(StatusCode::kNotFound, std::move(msg));
 }
 
 Status

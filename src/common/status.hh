@@ -37,8 +37,6 @@ enum class StatusCode
     kOk = 0,
     /** Caller passed something unusable (bad policy name, bad spec). */
     kInvalidArgument,
-    /** A named resource (file, fault point) does not exist. */
-    kNotFound,
     /** Input data violates its format's invariants. */
     kCorruptData,
     /** Input ended before the format said it would. */
@@ -69,7 +67,6 @@ class Status
     Status(StatusCode code, std::string message);
 
     static Status invalidArgument(std::string msg);
-    static Status notFound(std::string msg);
     static Status corruptData(std::string msg);
     static Status truncated(std::string msg);
     static Status ioError(std::string msg);

@@ -129,14 +129,6 @@ formatDuration(std::int64_t ticks)
 }
 
 std::string
-padLeft(const std::string &s, std::size_t width)
-{
-    if (s.size() >= width)
-        return s;
-    return std::string(width - s.size(), ' ') + s;
-}
-
-std::string
 padRight(const std::string &s, std::size_t width)
 {
     if (s.size() >= width)
@@ -165,19 +157,6 @@ parseInt(std::string_view s, std::string_view what)
     std::int64_t v = 0;
     if (!tryParseInt(s, v)) {
         dlw_fatal("malformed integer '", trim(s), "' while parsing ",
-                  what);
-    }
-    return v;
-}
-
-std::uint64_t
-parseUint(std::string_view s, std::string_view what)
-{
-    if (trim(s).empty())
-        dlw_fatal("empty field while parsing ", what);
-    std::uint64_t v = 0;
-    if (!tryParseUint(s, v)) {
-        dlw_fatal("malformed unsigned '", trim(s), "' while parsing ",
                   what);
     }
     return v;

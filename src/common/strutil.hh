@@ -72,9 +72,6 @@ std::string formatBytes(double bytes);
  */
 std::string formatDuration(std::int64_t ticks);
 
-/** Left-pad to the given width with spaces. */
-std::string padLeft(const std::string &s, std::size_t width);
-
 /** Right-pad to the given width with spaces. */
 std::string padRight(const std::string &s, std::size_t width);
 
@@ -89,9 +86,6 @@ double parseDouble(std::string_view s, std::string_view what);
 
 /** Parse a signed 64-bit integer, failing loudly on malformed input. */
 std::int64_t parseInt(std::string_view s, std::string_view what);
-
-/** Parse an unsigned 64-bit integer, failing loudly on bad input. */
-std::uint64_t parseUint(std::string_view s, std::string_view what);
 
 /**
  * Non-fatal parses for ingestion paths that must survive corrupt

@@ -97,16 +97,18 @@ BurstinessAccumulator::BurstinessAccumulator(
     dlw_assert(base_bin > 0, "base bin must be positive");
 }
 
-void
+Status
 BurstinessAccumulator::begin(const trace::MsStreamHeader &meta)
 {
     // Pre-size the bins exactly like MsTrace::binCounts() does, so
     // the series layout (and thus every downstream figure) matches
     // the whole-trace path bit for bit.
-    const Tick duration = meta.duration;
-    auto bins = static_cast<std::size_t>(
-        duration > 0 ? (duration + base_bin_ - 1) / base_bin_ : 0);
-    counts_ = stats::BinnedSeries(meta.start, base_bin_, bins);
+    const StatusOr<std::size_t> bins =
+        stats::binsCovering(meta.start, meta.duration, base_bin_);
+    if (!bins.ok())
+        return bins.status();
+    counts_ = stats::BinnedSeries(meta.start, base_bin_, bins.value());
+    return Status();
 }
 
 void

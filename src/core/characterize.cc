@@ -46,14 +46,16 @@ coreMetrics()
  * LiveCharacterization first; a batch failing the order check ends
  * the stream with that InvalidArgument, and one holding a request
  * past `capacity` blocks ends it with CorruptData, unseen by the
- * consumer either way.
+ * consumer either way.  A header whose window cannot be binned ends
+ * the stream before its first batch.
  */
 class LiveTee final : public trace::RequestSource
 {
   public:
     explicit LiveTee(trace::RequestSource &src,
                      Lba capacity = std::numeric_limits<Lba>::max())
-        : src_(src), live_(src.header()), capacity_(capacity)
+        : src_(src), live_(src.header()), capacity_(capacity),
+          check_(live_.status())
     {
         notePassRun(LiveCharacterization::kAccumulators);
     }

@@ -56,17 +56,6 @@ IdlenessAnalysis::longestInterval() const
 }
 
 double
-IdlenessAnalysis::fractionOfIntervalsAtLeast(Tick t) const
-{
-    if (intervals_.empty())
-        return 0.0;
-    const auto it =
-        std::lower_bound(intervals_.begin(), intervals_.end(), t);
-    return static_cast<double>(intervals_.end() - it) /
-           static_cast<double>(intervals_.size());
-}
-
-double
 IdlenessAnalysis::idleMassAtLeast(Tick t) const
 {
     if (total_idle_ <= 0)

@@ -53,11 +53,6 @@ class IdlenessAnalysis
     Tick longestInterval() const;
 
     /**
-     * Fraction of idle intervals at least t long (by count).
-     */
-    double fractionOfIntervalsAtLeast(Tick t) const;
-
-    /**
      * Fraction of total idle *time* contained in intervals at least
      * t long — the usable-idleness measure.
      */

@@ -50,14 +50,21 @@ jsonField(std::ostringstream &os, bool &first, const char *key,
 LiveCharacterization::LiveCharacterization(trace::MsStreamHeader meta)
     : meta_(std::move(meta)), prev_(meta_.start)
 {
-    burstiness_.begin(meta_);
-    rwmix_.begin(meta_);
-    totals_.begin(meta_);
+    // Any accumulator that cannot bin the window refuses the stream.
+    // A window that bins ends inside the Tick range, so observe()
+    // may form meta_.start + meta_.duration.
+    status_ = burstiness_.begin(meta_);
+    if (status_.ok())
+        status_ = rwmix_.begin(meta_);
+    if (status_.ok())
+        status_ = totals_.begin(meta_);
 }
 
 Status
 LiveCharacterization::observe(const trace::RequestBatch &batch)
 {
+    if (!status_.ok())
+        return status_;
     const Tick end = meta_.start + meta_.duration;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Tick at = batch.arrival(i);
@@ -131,7 +138,7 @@ LiveCharacterization::restore(BinDec &dec)
     if (!dec.ok())
         return nullptr;
     auto live = std::make_unique<LiveCharacterization>(meta);
-    if (!live->burstiness_.loadState(dec) ||
+    if (!live->status_.ok() || !live->burstiness_.loadState(dec) ||
         !live->rwmix_.loadState(dec) || !live->totals_.loadState(dec))
         return nullptr;
     live->n_ = dec.u64();

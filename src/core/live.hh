@@ -45,11 +45,12 @@ namespace core
  * Push-driven characterization of one request stream, with
  * mid-stream snapshots.
  *
- * Usage: construct with the stream header, observe() every batch in
- * arrival order, snapshot() at will, finish() exactly once at
- * end-of-stream.  observe() validates the whole-trace invariants
- * incrementally (sorted arrivals, inside the window, nonzero sizes)
- * and returns InvalidArgument when the stream violates them.
+ * Usage: construct with the stream header, check status(), observe()
+ * every batch in arrival order, snapshot() at will, finish() exactly
+ * once at end-of-stream.  observe() validates the whole-trace
+ * invariants incrementally (sorted arrivals, inside the window,
+ * nonzero sizes) and returns InvalidArgument when the stream
+ * violates them.
  */
 class LiveCharacterization
 {
@@ -58,6 +59,13 @@ class LiveCharacterization
     static constexpr std::size_t kAccumulators = 3;
 
     explicit LiveCharacterization(trace::MsStreamHeader meta);
+
+    /**
+     * CorruptData when the header's window cannot be binned (see
+     * stats::binsCovering()); every observe() then returns it, and
+     * the accumulators stay empty.  OK otherwise.
+     */
+    const Status &status() const { return status_; }
 
     /** Stream metadata in force. */
     const trace::MsStreamHeader &meta() const { return meta_; }
@@ -107,6 +115,7 @@ class LiveCharacterization
                                    RwDynamics rw) const;
 
     trace::MsStreamHeader meta_;
+    Status status_;
     BurstinessAccumulator burstiness_;
     RwMixAccumulator rwmix_;
     TraceTotalsAccumulator totals_;

@@ -78,10 +78,11 @@ noteKernelSlowPath(std::size_t elems)
         static_cast<std::uint64_t>(elems));
 }
 
-void
+Status
 TraceTotalsAccumulator::begin(const trace::MsStreamHeader &meta)
 {
     duration_ = meta.duration;
+    return Status();
 }
 
 void
@@ -118,14 +119,6 @@ TraceTotalsAccumulator::arrivalRate() const
     return static_cast<double>(n_) / ticksToSeconds(duration_);
 }
 
-double
-TraceTotalsAccumulator::meanRequestBlocks() const
-{
-    if (n_ == 0)
-        return 0.0;
-    return static_cast<double>(blocks_) / static_cast<double>(n_);
-}
-
 void
 TraceTotalsAccumulator::saveState(BinEnc &enc) const
 {
@@ -155,8 +148,11 @@ CharacterizationPass::run(trace::RequestSource &src,
     notePassRun(accs_.size());
 
     const trace::MsStreamHeader meta = src.header();
-    for (TraceAccumulator *acc : accs_)
-        acc->begin(meta);
+    for (TraceAccumulator *acc : accs_) {
+        Status s = acc->begin(meta);
+        if (!s.ok())
+            return s;
+    }
 
     trace::RequestBatch batch(batch_requests);
     while (src.next(batch)) {

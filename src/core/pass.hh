@@ -59,11 +59,14 @@ class TraceAccumulator
 
     /**
      * Start of stream: window metadata is known, no batch seen yet.
-     * Implementations pre-size their bin layouts here.
+     * Implementations pre-size their bin layouts here, and return
+     * CorruptData for a window they cannot lay bins over (leaving
+     * the accumulator empty).
      */
-    virtual void begin(const trace::MsStreamHeader &meta)
+    virtual Status begin(const trace::MsStreamHeader &meta)
     {
         (void)meta;
+        return Status();
     }
 
     /** One batch, in arrival order. */
@@ -84,7 +87,7 @@ class TraceTotalsAccumulator : public TraceAccumulator
   public:
     const char *name() const override { return "totals"; }
 
-    void begin(const trace::MsStreamHeader &meta) override;
+    Status begin(const trace::MsStreamHeader &meta) override;
     void observe(const trace::RequestBatch &batch) override;
 
     /** Number of requests observed. */
@@ -101,9 +104,6 @@ class TraceTotalsAccumulator : public TraceAccumulator
 
     /** Total bytes moved (both directions). */
     std::uint64_t totalBytes() const { return bytes_; }
-
-    /** Mean request size in blocks (0 when empty). */
-    double meanRequestBlocks() const;
 
     /** Append the accumulator state. */
     void saveState(BinEnc &enc) const;

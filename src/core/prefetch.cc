@@ -99,7 +99,6 @@ PrefetchSource::fill(trace::RequestBatch &slot)
         if (!upstream_.next(*stage_))
             return false;
         slot.append(*stage_);
-        slot.setTag(stage_->tag());
     }
     return true;
 }

@@ -58,14 +58,6 @@ Table::print(std::ostream &os) const
         print_row(row);
 }
 
-std::string
-Table::toString() const
-{
-    std::ostringstream os;
-    print(os);
-    return os.str();
-}
-
 void
 printSeries(std::ostream &os, const std::string &figure,
             const std::string &series,

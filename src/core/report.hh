@@ -41,9 +41,6 @@ class Table
     /** Render with column alignment to a stream. */
     void print(std::ostream &os) const;
 
-    /** Render to a string. */
-    std::string toString() const;
-
   private:
     std::string title_;
     std::vector<std::string> headers_;

@@ -48,16 +48,17 @@ RwMixAccumulator::RwMixAccumulator(Tick bin_width)
     dlw_assert(bin_width > 0, "bin width must be positive");
 }
 
-void
+Status
 RwMixAccumulator::begin(const trace::MsStreamHeader &meta)
 {
     // Pre-size exactly like MsTrace::binCounts().
-    const Tick duration = meta.duration;
-    const Tick w = bin_width_;
-    auto bins = static_cast<std::size_t>(
-        duration > 0 ? (duration + w - 1) / w : 0);
-    reads_ = stats::BinnedSeries(meta.start, w, bins);
-    all_ = stats::BinnedSeries(meta.start, w, bins);
+    const StatusOr<std::size_t> bins =
+        stats::binsCovering(meta.start, meta.duration, bin_width_);
+    if (!bins.ok())
+        return bins.status();
+    reads_ = stats::BinnedSeries(meta.start, bin_width_, bins.value());
+    all_ = stats::BinnedSeries(meta.start, bin_width_, bins.value());
+    return Status();
 }
 
 void

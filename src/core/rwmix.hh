@@ -63,7 +63,7 @@ class RwMixAccumulator : public TraceAccumulator
 
     const char *name() const override { return "rwmix"; }
 
-    void begin(const trace::MsStreamHeader &meta) override;
+    Status begin(const trace::MsStreamHeader &meta) override;
     void observe(const trace::RequestBatch &batch) override;
     void finish() override;
 

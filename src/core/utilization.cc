@@ -81,16 +81,5 @@ utilizationProfile(const trace::HourTrace &trace)
     return profileFromSeries(std::move(v), kHour);
 }
 
-std::vector<UtilizationProfile>
-utilizationAcrossScales(const disk::ServiceLog &log,
-                        const std::vector<Tick> &widths)
-{
-    std::vector<UtilizationProfile> out;
-    out.reserve(widths.size());
-    for (Tick w : widths)
-        out.push_back(utilizationProfile(log, w));
-    return out;
-}
-
 } // namespace core
 } // namespace dlw

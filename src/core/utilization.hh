@@ -89,17 +89,6 @@ UtilizationProfile utilizationProfile(const disk::ServiceLog &log,
  */
 UtilizationProfile utilizationProfile(const trace::HourTrace &trace);
 
-/**
- * Utilization of the same activity measured at several widths —
- * the "different time-scales" view.  Means agree across scales by
- * construction; peaks grow as the window shrinks.
- *
- * @param log    Drive run to analyse.
- * @param widths Bin widths to evaluate.
- */
-std::vector<UtilizationProfile> utilizationAcrossScales(
-    const disk::ServiceLog &log, const std::vector<Tick> &widths);
-
 } // namespace core
 } // namespace dlw
 

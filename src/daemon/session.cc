@@ -131,7 +131,6 @@ Session::Session(std::string id, std::string tenant,
       trace_id_(std::move(trace_id)),
       decoder_(format, net::kMaxFrameBytes)
 {
-    batch_.setTag(tag_);
     started_at_ms_ = wallNowMs();
     started_ns_ = nowNs();
     internTraceNames();
@@ -490,8 +489,13 @@ Session::foldPending()
     if (live_ == nullptr) {
         if (!decoder_.headerReady())
             return Status();
-        live_ = std::make_unique<core::LiveCharacterization>(
+        // A header whose window cannot be binned aborts this session
+        // only; no live state is kept (or checkpointed) for it.
+        auto live = std::make_unique<core::LiveCharacterization>(
             decoder_.header());
+        if (!live->status().ok())
+            return live->status();
+        live_ = std::move(live);
     }
     while (decoder_.take(batch_)) {
         Status s = live_->observe(batch_);

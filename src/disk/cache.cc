@@ -105,16 +105,6 @@ DiskCache::popDestage()
 }
 
 void
-DiskCache::clear()
-{
-    std::fill(start_.begin(), start_.end(), 0);
-    std::fill(end_.begin(), end_.end(), 0);
-    std::fill(last_use_.begin(), last_use_.end(), 0);
-    dirty_.clear();
-    dirty_blocks_ = 0;
-}
-
-void
 DiskCache::invalidateOverlapping(Lba lba, BlockCount blocks)
 {
     const Lba end = lba + blocks;

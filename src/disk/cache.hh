@@ -101,9 +101,6 @@ class DiskCache
      */
     DirtyExtent popDestage();
 
-    /** Drop all cache state (e.g. on power cycle). */
-    void clear();
-
   private:
     void invalidateOverlapping(Lba lba, BlockCount blocks);
 

@@ -151,8 +151,7 @@ class Loop
             return;
         }
 
-        queue_.push_back(
-            QueuedRequest{r, next_index_++, qos::TagId{}});
+        queue_.push_back(QueuedRequest{r, next_index_++});
         if (!busy_)
             startNext(now);
     }

@@ -260,9 +260,6 @@ class BatchCursor
         return true;
     }
 
-    /** Tag of the batch the last next() was served from. */
-    const qos::TagId &tag() const { return batch_.tag(); }
-
   private:
     trace::RequestSource &src_;
     trace::RequestBatch batch_;
@@ -368,9 +365,6 @@ class Engine
         has_pending_ = cursor_.next(pending_);
         if (!has_pending_)
             return;
-        // Capture the tag with the request: the cursor may cross a
-        // batch boundary before this request reaches the queue.
-        pending_tag_ = cursor_.tag();
         // Incremental form of MsTrace::validate(): the stream never
         // exists as a whole, so the invariants are checked as it is
         // consumed.
@@ -387,7 +381,7 @@ class Engine
     onArrival(Tick now)
     {
         const std::size_t idx = next_index_++;
-        QueuedRequest qr{pending_, idx, pending_tag_};
+        QueuedRequest qr{pending_, idx};
         pullNext();
 
         // Foreground work defers background destaging.
@@ -519,7 +513,6 @@ class Engine
         c.finish = finish;
         c.read = qr.req.isRead();
         c.cache_hit = hit;
-        c.tag = qr.tag;
         if (sink_)
             sink_->onCompletion(c);
         else
@@ -560,7 +553,6 @@ class Engine
     ServiceLog log_;
     RequestQueue queue_;
     trace::Request pending_{};
-    qos::TagId pending_tag_;
     bool has_pending_ = false;
     std::size_t next_index_ = 0;
     Tick prev_arrival_ = 0;

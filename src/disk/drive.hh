@@ -68,8 +68,6 @@ struct Completion
     bool read = false;
     /** True when served from cache / write buffer. */
     bool cache_hit = false;
-    /** Tenant/class tag the request carried (via its batch). */
-    qos::TagId tag;
 
     /** Response time (queueing + service). */
     Tick response() const { return finish - arrival; }

@@ -146,24 +146,5 @@ DiskGeometry::transferTime(Lba lba, BlockCount blocks,
     return static_cast<Tick>(time + 0.5);
 }
 
-double
-DiskGeometry::bandwidthAt(Lba lba) const
-{
-    const Zone &z = zoneOf(lba);
-    const double bytes_per_rev =
-        static_cast<double>(z.sectors_per_track) * kBlockBytes;
-    return bytes_per_rev / ticksToSeconds(rotation_);
-}
-
-double
-DiskGeometry::peakBandwidth() const
-{
-    double best = 0.0;
-    for (const Zone &z : zones_) {
-        best = std::max(best, bandwidthAt(z.start));
-    }
-    return best;
-}
-
 } // namespace disk
 } // namespace dlw

@@ -119,14 +119,6 @@ class DiskGeometry
     Tick transferTime(Lba lba, BlockCount blocks,
                       std::size_t zone) const;
 
-    /**
-     * Sustained sequential bandwidth at an LBA, in bytes/second.
-     */
-    double bandwidthAt(Lba lba) const;
-
-    /** Peak sustained bandwidth (outermost zone), bytes/second. */
-    double peakBandwidth() const;
-
   private:
     std::vector<Zone> zones_;
     std::uint32_t rpm_;

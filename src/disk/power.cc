@@ -9,14 +9,6 @@ namespace dlw
 namespace disk
 {
 
-double
-PowerReport::meanPower(Tick window) const
-{
-    if (window <= 0)
-        return 0.0;
-    return total() / ticksToSeconds(window);
-}
-
 PowerReport
 evaluatePower(const ServiceLog &log, const PowerConfig &config)
 {

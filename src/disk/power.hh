@@ -63,9 +63,6 @@ struct PowerReport
     {
         return active_j + idle_j + standby_j + spinup_j;
     }
-
-    /** Mean power over the window, in watts. */
-    double meanPower(Tick window) const;
 };
 
 /**

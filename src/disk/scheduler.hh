@@ -14,7 +14,6 @@
 #include <deque>
 
 #include "disk/geometry.hh"
-#include "qos/tag.hh"
 #include "trace/record.hh"
 
 namespace dlw
@@ -38,8 +37,6 @@ struct QueuedRequest
 {
     trace::Request req;
     std::size_t index = 0;
-    /** Tenant/class tag of the batch the request arrived in. */
-    qos::TagId tag;
 };
 
 /**

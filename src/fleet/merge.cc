@@ -24,6 +24,10 @@ struct MergeMetrics
     obs::Counter &shard_merges = obs::counter("stats.shard_merges",
         "shards", "stats",
         "drive shards folded into a fleet aggregate (accumulate calls)");
+    // Nothing merges one aggregate into another (the fleet folds
+    // shards in drive order), so this reads 0.  It stays registered
+    // because run-report prints every metric and its output is
+    // pinned byte for byte.
     obs::Counter &aggregate_merges = obs::counter("stats.aggregate_merges", "merges", "stats",
         "aggregate-into-aggregate merges (hierarchical reduction)");
     obs::Counter &ordered_reductions = obs::counter("stats.ordered_reductions", "reductions", "stats",
@@ -68,29 +72,6 @@ FleetAggregate::accumulate(const DriveShard &shard)
         if (shard.longest_saturated_s >= kSaturatedRunEdges[i])
             ++saturated_counts[i];
     }
-}
-
-void
-FleetAggregate::merge(const FleetAggregate &other)
-{
-    mergeMetrics().aggregate_merges.add(1);
-    drives += other.drives;
-    requests += other.requests;
-    reads += other.reads;
-    cache_hits += other.cache_hits;
-
-    response_ms.merge(other.response_ms);
-    response_hist.merge(other.response_hist);
-    idle_hist.merge(other.idle_hist);
-
-    util.merge(other.util);
-    util_ecdf.merge(other.util_ecdf);
-    volume_ecdf.merge(other.volume_ecdf);
-
-    for (std::size_t i = 0; i < tier_counts.size(); ++i)
-        tier_counts[i] += other.tier_counts[i];
-    for (std::size_t i = 0; i < saturated_counts.size(); ++i)
-        saturated_counts[i] += other.saturated_counts[i];
 }
 
 double

@@ -79,7 +79,7 @@ struct DriveShard
 };
 
 /**
- * Fleet-level aggregate; associatively mergeable.
+ * Fleet-level aggregate, folded shard by shard in drive order.
  */
 struct FleetAggregate
 {
@@ -109,9 +109,6 @@ struct FleetAggregate
 
     /** Fold one drive shard into the aggregate. */
     void accumulate(const DriveShard &shard);
-
-    /** Fold another aggregate into this one. */
-    void merge(const FleetAggregate &other);
 
     /** Fleet-wide read fraction. */
     double readFraction() const;

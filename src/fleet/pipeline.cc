@@ -221,7 +221,6 @@ characterizeDrive(const FleetConfig &config, std::size_t index)
         obs::ScopedSpan stage("generate");
         return workload.openSource(rng, shard.drive_id, 0, config.window);
     }();
-    wsrc.setTag(config.tag);
     const std::size_t requests = wsrc.size();
     const disk::ServiceLog log = [&] {
         obs::ScopedSpan stage("service");

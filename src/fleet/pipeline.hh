@@ -23,6 +23,7 @@
 #include "common/status.hh"
 #include "common/types.hh"
 #include "fleet/merge.hh"
+#include "qos/tag.hh"
 #include "synth/workload.hh"
 #include "trace/batch.hh"
 
@@ -90,9 +91,8 @@ struct FleetConfig
     std::size_t batch_requests = trace::kDefaultBatchRequests;
     /**
      * Tenant/class tag the whole run executes under: every shard
-     * task lands in this tag's priority lane and every generated
-     * batch carries it.  Defaults to the single-tenant identity, so
-     * untagged runs are byte-identical to the pre-QoS pipeline.
+     * task lands in the priority lane of its class.  Defaults to the
+     * single-tenant identity; the tag never changes a report byte.
      */
     qos::TagId tag;
 };

@@ -61,12 +61,6 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
-{
-    submit(std::move(task), qos::WorkClass::kInteractive);
-}
-
-void
 ThreadPool::submit(std::function<void()> task, qos::WorkClass lane)
 {
     dlw_assert(task, "cannot submit an empty task");

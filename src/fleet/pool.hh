@@ -22,8 +22,7 @@
  * the lanes in priority order across ALL deques — it will steal a
  * remote interactive task before touching its own bulk backlog — so
  * interactive work preempts bulk at dispatch time without any task
- * ever being interrupted.  submit() without a lane lands in the
- * interactive lane, which is exactly the pre-QoS behaviour.
+ * ever being interrupted.
  */
 
 #ifndef DLW_FLEET_POOL_HH
@@ -66,21 +65,14 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /**
-     * Enqueue one task in the interactive (highest-priority) lane.
-     *
-     * Tasks are distributed round-robin across the worker deques.
-     * A task that throws does not poison the pool: the remaining
-     * tasks still run, and every exception is captured until the
-     * next wait().
-     */
-    void submit(std::function<void()> task);
-
-    /**
      * Enqueue one task in the lane of workload class `lane`.
      *
+     * Tasks are distributed round-robin across the worker deques.
      * Dispatch priority is strict: no worker starts a bulk task
      * while any interactive task is queued anywhere, and no
-     * background task while any bulk task is queued.
+     * background task while any bulk task is queued.  A task that
+     * throws does not poison the pool: the remaining tasks still
+     * run, and every exception is captured until the next wait().
      */
     void submit(std::function<void()> task, qos::WorkClass lane);
 

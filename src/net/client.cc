@@ -325,15 +325,13 @@ sendBytes(ClientConn &conn, bool bin, std::string_view bytes)
 }
 
 /**
- * One session.  `send_payload` sends every payload byte; `ack_first`
- * holds it back until the ack admits it, otherwise it follows the
- * hello at once.
+ * One session.  `send_payload` sends every payload byte once the ack
+ * has admitted the session.
  */
 StatusOr<StreamReply>
 runSession(const Endpoint &to, const StreamHello &hello,
            const std::function<Status(ClientConn &, bool)> &send_payload,
-           const std::function<void(const StreamReply &)> &on_ack,
-           bool ack_first)
+           const std::function<void(const StreamReply &)> &on_ack)
 {
     // Client-side spans for the end-to-end trace, named under the
     // session's trace id so a merged file groups both processes'
@@ -369,28 +367,22 @@ runSession(const Endpoint &to, const StreamHello &hello,
             conn.shutdownWrite();
         return st;
     };
-    Status sent = conn.sendAll(renderStreamHello(
+    Status s = conn.sendAll(renderStreamHello(
         hello.format, hello.tenant, hello.klass, hello.trace_id));
-    if (sent.ok() && !ack_first)
-        sent = payload();
-    // A refused hello closes the connection, which may fail a
-    // pipelined send: the ack, when it arrived, says why.
-    StreamReply reply;
-    Status s = readAck(conn, reply);
     if (!s.ok())
         return s;
-    if (!sent.ok())
-        return sent;
+    StreamReply reply;
+    s = readAck(conn, reply);
+    if (!s.ok())
+        return s;
     mark(tl_connect, false);
     if (on_ack)
         on_ack(reply);
-    if (ack_first) {
-        mark(tl_stream, true);
-        s = payload();
-        if (!s.ok())
-            return s;
-        mark(tl_stream, false);
-    }
+    mark(tl_stream, true);
+    s = payload();
+    if (!s.ok())
+        return s;
+    mark(tl_stream, false);
     mark(tl_report, true);
     s = readReport(conn, reply);
     if (!s.ok())
@@ -419,7 +411,7 @@ streamSession(const Endpoint &to, const StreamHello &hello,
         }
         return Status();
     };
-    return runSession(to, hello, send, on_ack, /*ack_first=*/true);
+    return runSession(to, hello, send, on_ack);
 }
 
 StatusOr<StreamReply>
@@ -429,7 +421,7 @@ streamSession(const Endpoint &to, const StreamHello &hello,
     const auto send = [payload](ClientConn &conn, bool bin) {
         return sendBytes(conn, bin, payload);
     };
-    return runSession(to, hello, send, {}, /*ack_first=*/false);
+    return runSession(to, hello, send, {});
 }
 
 } // namespace net

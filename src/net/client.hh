@@ -132,20 +132,7 @@ StatusOr<StreamReply> streamSession(
     const Endpoint &to, const StreamHello &hello, std::istream &payload,
     const std::function<void(const StreamReply &)> &on_ack = {});
 
-/**
- * streamSession() over an in-memory payload, sent right behind the
- * hello without waiting for the ack (the protocol allows it; the
- * caller loses nothing if the server refuses the bytes).
- *
- * This second send order exists only for one bench gate:
- * BENCH_daemon.json gates daemon.stage.decode_seconds.count and
- * daemon.stage.fold_seconds.count as work counters, but they count
- * Session::consume calls, i.e. the bursts the server's reads happen
- * to see, and an ack-first client moves them past bench-diff's
- * counter bound with no change in work.  Once those two rows stop
- * being gated as work, send ack-first here too and drop
- * runSession's ack_first flag.
- */
+/** streamSession() over an in-memory payload. */
 StatusOr<StreamReply> streamSession(const Endpoint &to,
                                     const StreamHello &hello,
                                     std::string_view payload);

@@ -334,6 +334,10 @@ StreamDecoder::decodeBinPayload()
             return Status::corruptData(
                 "negative duration in binary header");
         }
+        if (!trace::windowEndFits(start, duration)) {
+            return Status::corruptData(
+                "window end past the largest tick in binary header");
+        }
         header_.start = start;
         header_.duration = duration;
         expected_records_ = count;
@@ -462,7 +466,8 @@ StreamDecoder::loadState(BinDec &dec)
     records_ = dec.u64();
     const std::uint64_t n_pending = dec.u64();
     // 21 bytes per serialized request: bound before allocating.
-    if (!dec.ok() || n_pending > dec.remaining() / 21)
+    if (!dec.ok() || n_pending > dec.remaining() / 21 ||
+        !trace::windowEndFits(header_.start, header_.duration))
         return false;
     pending_.clear();
     pending_head_ = 0;

@@ -264,6 +264,18 @@ constexpr std::string_view kUngatedMetrics[] = {
 };
 
 /**
+ * Histograms whose count is not work.  The daemon's decode and fold
+ * stages record one sample per Session::consume call, i.e. per read
+ * burst the server happens to see, so their counts move with how the
+ * client's bytes were split in flight.  Their p95 stays gated: the
+ * fold p95 is the row that catches a slower fold.
+ */
+constexpr std::string_view kUngatedCounts[] = {
+    "daemon.stage.decode_seconds",
+    "daemon.stage.fold_seconds",
+};
+
+/**
  * Fewest observations a histogram needs in both runs before its p95
  * is gated.  Below it the p95 is in effect one of the slowest few
  * samples (a 16-shard fleet's p95 is its slowest shard) and a bench's
@@ -272,10 +284,11 @@ constexpr std::string_view kUngatedMetrics[] = {
  */
 constexpr std::uint64_t kMinGatedSamples = 32;
 
+template <std::size_t N>
 bool
-isUngated(const std::string &metric)
+listed(const std::string_view (&names)[N], const std::string &metric)
 {
-    for (std::string_view name : kUngatedMetrics) {
+    for (std::string_view name : names) {
         if (metric == name)
             return true;
     }
@@ -417,7 +430,7 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
         }
         const BenchSample &new_sample = it->second;
         const std::size_t first = result.entries.size();
-        bool ungated = isUngated(name);
+        bool ungated = listed(kUngatedMetrics, name);
         if (old_sample.type == MetricType::kHistogram) {
             ungated = ungated ||
                       old_sample.count < kMinGatedSamples ||
@@ -430,8 +443,10 @@ diffBenchReports(const BenchReport &older, const BenchReport &newer,
                 static_cast<double>(new_sample.count);
             count.delta_pct =
                 pctChange(count.old_value, count.new_value);
-            count.regressed = std::abs(count.delta_pct) >
-                              thresholds.counter_pct;
+            count.ungated = listed(kUngatedCounts, name);
+            count.regressed = !count.ungated &&
+                              std::abs(count.delta_pct) >
+                                  thresholds.counter_pct;
             result.entries.push_back(count);
 
             // A p95 over zero observations is meaningless; only

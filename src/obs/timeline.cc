@@ -115,22 +115,6 @@ timelineRingAt(std::size_t i)
 
 } // namespace detail
 
-const char *
-timelineEventKindName(TimelineEventKind kind)
-{
-    switch (kind) {
-      case TimelineEventKind::kBegin:
-        return "begin";
-      case TimelineEventKind::kEnd:
-        return "end";
-      case TimelineEventKind::kInstant:
-        return "instant";
-      case TimelineEventKind::kCounter:
-        return "counter";
-    }
-    return "unknown";
-}
-
 void
 enableTimeline(std::size_t events_per_thread)
 {

@@ -71,9 +71,6 @@ enum class TimelineEventKind : std::uint8_t
     kCounter, ///< counter-track sample ("C")
 };
 
-/** "begin" / "end" / "instant" / "counter". */
-const char *timelineEventKindName(TimelineEventKind kind);
-
 /**
  * One recorded event.  32 bytes; name points at a string literal or
  * an interned string, never owned.

@@ -65,28 +65,5 @@ decorrelationLag(const std::vector<double> &acf, double threshold)
     return acf.size();
 }
 
-Periodicity
-dominantPeriod(const std::vector<double> &xs, std::size_t min_lag,
-               std::size_t max_lag)
-{
-    dlw_assert(min_lag >= 2, "minimum period must be >= 2");
-    dlw_assert(max_lag > min_lag, "period range inverted");
-    dlw_assert(xs.size() > 2 * max_lag,
-               "series too short for the requested period range");
-
-    const std::vector<double> acf = autocorrelation(xs, max_lag);
-
-    Periodicity best;
-    for (std::size_t k = min_lag; k < max_lag; ++k) {
-        // A local peak that beats everything found so far.
-        if (acf[k] > acf[k - 1] && acf[k] >= acf[k + 1] &&
-            acf[k] > best.strength) {
-            best.period = k;
-            best.strength = acf[k];
-        }
-    }
-    return best;
-}
-
 } // namespace stats
 } // namespace dlw

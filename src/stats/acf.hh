@@ -49,31 +49,6 @@ std::vector<double> autocorrelation(const std::vector<double> &xs,
 std::size_t decorrelationLag(const std::vector<double> &acf,
                              double threshold);
 
-/**
- * A detected periodicity in a series.
- */
-struct Periodicity
-{
-    /** Lag of the dominant autocorrelation peak (0 = none found). */
-    std::size_t period = 0;
-    /** Autocorrelation value at that lag. */
-    double strength = 0.0;
-};
-
-/**
- * Detect the dominant period of a series by locating the highest
- * local autocorrelation peak in a lag range.  Applied to hourly
- * request counts this recovers the 24-hour diurnal cycle and, on a
- * longer range, the 168-hour weekly cycle.
- *
- * @param xs      Series values (length must exceed 2 * max_lag).
- * @param min_lag Smallest candidate period (>= 2).
- * @param max_lag Largest candidate period.
- * @return The dominant peak, or {0, 0} when no local peak exists.
- */
-Periodicity dominantPeriod(const std::vector<double> &xs,
-                           std::size_t min_lag, std::size_t max_lag);
-
 } // namespace stats
 } // namespace dlw
 

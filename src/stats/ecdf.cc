@@ -1,8 +1,6 @@
 #include "stats/ecdf.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 
 #include "common/logging.hh"
 
@@ -11,60 +9,11 @@ namespace dlw
 namespace stats
 {
 
-Ecdf::Ecdf(std::size_t cap, std::uint64_t seed)
-    : cap_(cap), rng_(seed)
-{
-    dlw_assert(cap > 0, "ecdf reservoir capacity must be positive");
-    data_.reserve(cap);
-}
-
 void
 Ecdf::add(double x)
 {
-    ++seen_;
-    if (cap_ == 0 || data_.size() < cap_) {
-        data_.push_back(x);
-        sorted_ = false;
-        return;
-    }
-    // Reservoir replacement keeps a uniform sample of everything seen.
-    auto j = static_cast<std::size_t>(
-        rng_.uniformInt(0, static_cast<std::int64_t>(seen_) - 1));
-    if (j < cap_) {
-        data_[j] = x;
-        sorted_ = false;
-    }
-}
-
-void
-Ecdf::addAll(const std::vector<double> &xs)
-{
-    for (double x : xs)
-        add(x);
-}
-
-void
-Ecdf::merge(const Ecdf &other)
-{
-    if (other.seen_ == 0)
-        return;
-    if (cap_ == 0) {
-        // Exact union of the retained samples.  Append in sorted
-        // order so the merged state is a function of the two sample
-        // *sets*, not of internal retention order.
-        std::vector<double> xs = other.sorted();
-        data_.insert(data_.end(), xs.begin(), xs.end());
-        sorted_ = false;
-        seen_ += other.seen_;
-        return;
-    }
-    // Capped: run the other side's retained samples through the
-    // reservoir, then account for the offers it had already
-    // discarded so count() still reports the true population size.
-    std::vector<double> xs = other.sorted();
-    for (double x : xs)
-        add(x);
-    seen_ += other.seen_ - xs.size();
+    data_.push_back(x);
+    sorted_ = false;
 }
 
 void
@@ -90,42 +39,6 @@ Ecdf::quantile(double q) const
     if (lo + 1 >= data_.size())
         return data_.back();
     return data_[lo] + frac * (data_[lo + 1] - data_[lo]);
-}
-
-double
-Ecdf::cdf(double x) const
-{
-    if (data_.empty())
-        return 0.0;
-    ensureSorted();
-    auto it = std::upper_bound(data_.begin(), data_.end(), x);
-    return static_cast<double>(it - data_.begin()) /
-           static_cast<double>(data_.size());
-}
-
-double
-Ecdf::min() const
-{
-    dlw_assert(!data_.empty(), "min of empty ecdf");
-    ensureSorted();
-    return data_.front();
-}
-
-double
-Ecdf::max() const
-{
-    dlw_assert(!data_.empty(), "max of empty ecdf");
-    ensureSorted();
-    return data_.back();
-}
-
-double
-Ecdf::mean() const
-{
-    if (data_.empty())
-        return 0.0;
-    return std::accumulate(data_.begin(), data_.end(), 0.0) /
-           static_cast<double>(data_.size());
 }
 
 std::vector<std::pair<double, double>>

@@ -2,11 +2,9 @@
  * @file
  * Exact empirical distribution function over a retained sample.
  *
- * Retains all samples (optionally reservoir-capped), sorts lazily,
- * and answers quantile / CDF / CCDF queries exactly.  This is the
- * reference implementation the streaming estimators are tested
- * against, and the tool of choice for the per-figure CDF plots where
- * sample counts are modest (10^5 - 10^7).
+ * Retains all samples, sorts lazily, and answers quantile and CDF
+ * curve queries exactly: the tool of choice for the per-figure CDF
+ * plots where sample counts are modest (10^5 - 10^7).
  */
 
 #ifndef DLW_STATS_ECDF_HH
@@ -16,58 +14,25 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.hh"
-
 namespace dlw
 {
 namespace stats
 {
 
 /**
- * Empirical CDF with optional reservoir sampling cap.
+ * Empirical CDF over every observation.
  */
 class Ecdf
 {
   public:
-    /** Unbounded: retain every sample. */
-    Ecdf() = default;
-
-    /**
-     * Bounded: retain at most cap samples by reservoir sampling.
-     *
-     * @param cap  Reservoir capacity (> 0).
-     * @param seed Seed for the reservoir's replacement draws.
-     */
-    Ecdf(std::size_t cap, std::uint64_t seed);
-
     /** Add one observation. */
     void add(double x);
 
-    /** Add a batch of observations. */
-    void addAll(const std::vector<double> &xs);
+    /** Number of observations. */
+    std::size_t count() const { return data_.size(); }
 
-    /**
-     * Fold another ECDF into this one.
-     *
-     * Uncapped ECDFs merge exactly: the result answers every query as
-     * if all samples had been added to one instance, regardless of
-     * how they were split (merging is associative up to sample
-     * order, which no query observes).  When this instance is capped,
-     * the other side's retained samples are offered to the reservoir
-     * in sorted order, which keeps the merge deterministic for a
-     * given reservoir state; the fleet merge layer exploits this by
-     * always reducing shards in drive order.
-     */
-    void merge(const Ecdf &other);
-
-    /** Number of observations offered (not capped). */
-    std::size_t count() const { return seen_; }
-
-    /** Number of samples actually retained. */
-    std::size_t retained() const { return data_.size(); }
-
-    /** True when no observation has been offered. */
-    bool empty() const { return seen_ == 0; }
+    /** True when no observation has been added. */
+    bool empty() const { return data_.empty(); }
 
     /**
      * Exact sample quantile (linear interpolation, type 7).
@@ -79,21 +44,6 @@ class Ecdf
     /** Median shorthand. */
     double median() const { return quantile(0.5); }
 
-    /** Fraction of samples <= x. */
-    double cdf(double x) const;
-
-    /** Fraction of samples > x. */
-    double ccdf(double x) const { return 1.0 - cdf(x); }
-
-    /** Smallest retained sample. */
-    double min() const;
-
-    /** Largest retained sample. */
-    double max() const;
-
-    /** Mean of retained samples. */
-    double mean() const;
-
     /**
      * Evaluate the CDF at n evenly spaced quantile points.
      *
@@ -103,7 +53,7 @@ class Ecdf
      */
     std::vector<std::pair<double, double>> curve(std::size_t n) const;
 
-    /** Sorted copy of the retained samples. */
+    /** Sorted copy of the samples. */
     std::vector<double> sorted() const;
 
   private:
@@ -111,9 +61,6 @@ class Ecdf
 
     mutable std::vector<double> data_;
     mutable bool sorted_ = true;
-    std::size_t seen_ = 0;
-    std::size_t cap_ = 0; // 0 = unbounded
-    Rng rng_;
 };
 
 } // namespace stats

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 
 namespace dlw
 {
@@ -69,50 +67,6 @@ FittedDist::aic() const
 {
     return 2.0 * static_cast<double>(params.size()) -
            2.0 * log_likelihood;
-}
-
-double
-FittedDist::mean() const
-{
-    switch (family) {
-      case DistFamily::Exponential:
-        return params[0];
-      case DistFamily::Pareto: {
-        const double alpha = params[0];
-        const double xm = params[1];
-        if (alpha <= 1.0)
-            return std::numeric_limits<double>::infinity();
-        return alpha * xm / (alpha - 1.0);
-      }
-      case DistFamily::Lognormal:
-        return std::exp(params[0] + params[1] * params[1] / 2.0);
-      case DistFamily::Weibull:
-        return params[1] * std::tgamma(1.0 + 1.0 / params[0]);
-    }
-    return 0.0;
-}
-
-std::string
-FittedDist::describe() const
-{
-    switch (family) {
-      case DistFamily::Exponential:
-        return std::string("exponential(mean=") +
-               formatDouble(params[0], 4) + ")";
-      case DistFamily::Pareto:
-        return std::string("pareto(alpha=") +
-               formatDouble(params[0], 4) + ", xm=" +
-               formatDouble(params[1], 4) + ")";
-      case DistFamily::Lognormal:
-        return std::string("lognormal(mu=") +
-               formatDouble(params[0], 4) + ", sigma=" +
-               formatDouble(params[1], 4) + ")";
-      case DistFamily::Weibull:
-        return std::string("weibull(k=") +
-               formatDouble(params[0], 4) + ", lambda=" +
-               formatDouble(params[1], 4) + ")";
-    }
-    return "unknown";
 }
 
 namespace

@@ -15,7 +15,6 @@
 #define DLW_STATS_FIT_HH
 
 #include <functional>
-#include <string>
 #include <vector>
 
 namespace dlw
@@ -65,12 +64,6 @@ struct FittedDist
      * one-parameter special case (exponential) on exponential data.
      */
     double aic() const;
-
-    /** Mean of the fitted distribution (inf for Pareto alpha<=1). */
-    double mean() const;
-
-    /** One-line description such as "lognormal(mu=..., sigma=...)". */
-    std::string describe() const;
 };
 
 /**

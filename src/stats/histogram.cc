@@ -2,168 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <limits>
 
 #include "common/logging.hh"
-#include "stats/simd/simd.hh"
 
 namespace dlw
 {
 namespace stats
 {
-
-namespace
-{
-
-/** Per-thread bin-index scratch shared by the addBatch paths. */
-std::vector<std::int32_t> &
-binScratch(std::size_t n)
-{
-    thread_local std::vector<std::int32_t> idx;
-    if (idx.size() < n)
-        idx.resize(n);
-    return idx;
-}
-
-} // namespace
-
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0.0)
-{
-    dlw_assert(hi > lo, "histogram range inverted");
-    dlw_assert(bins >= 1, "histogram needs at least one bin");
-    width_ = (hi - lo) / static_cast<double>(bins);
-    // The bin map multiplies by this precomputed reciprocal (one
-    // rounded constant shared by add(), addBatch() and the SIMD
-    // kernels) instead of dividing by width_: division is an order
-    // of magnitude more expensive and, being divider-bound on both
-    // the scalar and vector side, would cap the vector speedup.
-    inv_width_ = 1.0 / width_;
-}
-
-void
-LinearHistogram::add(double x)
-{
-    addWeighted(x, 1.0);
-}
-
-void
-LinearHistogram::addWeighted(double x, double weight)
-{
-    total_ += weight;
-    if (x < lo_) {
-        underflow_ += weight;
-        return;
-    }
-    if (x >= hi_) {
-        overflow_ += weight;
-        return;
-    }
-    auto idx = static_cast<std::size_t>((x - lo_) * inv_width_);
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1; // guard FP edge effects
-    counts_[idx] += weight;
-}
-
-void
-LinearHistogram::addBatch(const double *x, std::size_t n)
-{
-    if (n == 0)
-        return;
-    dlw_assert(counts_.size() <
-               static_cast<std::size_t>(
-                   std::numeric_limits<std::int32_t>::max()),
-               "histogram too large for batch binning");
-    std::vector<std::int32_t> &idx = binScratch(n);
-    simd::ops().bin_linear(x, n, lo_, hi_, inv_width_,
-                           static_cast<std::int32_t>(counts_.size()),
-                           idx.data());
-    // Scatter in element order so the accumulation order (and thus
-    // every rounding step) matches repeated add() calls exactly.
-    for (std::size_t i = 0; i < n; ++i) {
-        total_ += 1.0;
-        const std::int32_t b = idx[i];
-        if (b == simd::kBinUnderflow)
-            underflow_ += 1.0;
-        else if (b == simd::kBinOverflow)
-            overflow_ += 1.0;
-        else
-            counts_[static_cast<std::size_t>(b)] += 1.0;
-    }
-}
-
-void
-LinearHistogram::merge(const LinearHistogram &other)
-{
-    dlw_assert(counts_.size() == other.counts_.size() &&
-               lo_ == other.lo_ && hi_ == other.hi_,
-               "merging histograms with different layouts");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    total_ += other.total_;
-}
-
-double
-LinearHistogram::binWeight(std::size_t i) const
-{
-    dlw_assert(i < counts_.size(), "bin index out of range");
-    return counts_[i];
-}
-
-double
-LinearHistogram::binLower(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-LinearHistogram::binUpper(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double
-LinearHistogram::binMid(std::size_t i) const
-{
-    return lo_ + width_ * (static_cast<double>(i) + 0.5);
-}
-
-double
-LinearHistogram::quantile(double q) const
-{
-    dlw_assert(q >= 0.0 && q <= 1.0, "quantile out of range");
-    if (total_ <= 0.0)
-        return lo_;
-    double target = q * total_;
-    double acc = underflow_;
-    if (acc >= target && underflow_ > 0.0)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        if (acc + counts_[i] >= target) {
-            double frac = counts_[i] > 0.0
-                ? (target - acc) / counts_[i]
-                : 0.0;
-            return binLower(i) + frac * width_;
-        }
-        acc += counts_[i];
-    }
-    return hi_;
-}
-
-double
-LinearHistogram::approximateMean() const
-{
-    double in_range = total_ - underflow_ - overflow_;
-    if (in_range <= 0.0)
-        return 0.0;
-    double s = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        s += counts_[i] * binMid(i);
-    return s / in_range;
-}
 
 LogHistogram::LogHistogram(double lo, double hi,
                            std::size_t bins_per_decade)
@@ -173,8 +18,8 @@ LogHistogram::LogHistogram(double lo, double hi,
     dlw_assert(bins_per_decade >= 1, "log histogram resolution invalid");
     log_lo_ = std::log10(lo);
     log_width_ = 1.0 / static_cast<double>(bins_per_decade);
-    // Exact (bins_per_decade is a small integer), and the bin map
-    // multiplies by it for the same reason LinearHistogram does.
+    // Exact (bins_per_decade is a small integer); the bin map
+    // multiplies by it rather than dividing by log_width_.
     inv_log_width_ = static_cast<double>(bins_per_decade);
     double decades = std::log10(hi) - log_lo_;
     auto bins = static_cast<std::size_t>(
@@ -205,31 +50,6 @@ LogHistogram::addWeighted(double x, double weight)
     if (idx >= counts_.size())
         idx = counts_.size() - 1;
     counts_[idx] += weight;
-}
-
-void
-LogHistogram::addBatch(const double *x, std::size_t n)
-{
-    if (n == 0)
-        return;
-    dlw_assert(counts_.size() <
-               static_cast<std::size_t>(
-                   std::numeric_limits<std::int32_t>::max()),
-               "histogram too large for batch binning");
-    std::vector<std::int32_t> &idx = binScratch(n);
-    simd::ops().bin_log(x, n, lo_, hi_, log_lo_, inv_log_width_,
-                        static_cast<std::int32_t>(counts_.size()),
-                        idx.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        total_ += 1.0;
-        const std::int32_t b = idx[i];
-        if (b == simd::kBinUnderflow)
-            underflow_ += 1.0;
-        else if (b == simd::kBinOverflow)
-            overflow_ += 1.0;
-        else
-            counts_[static_cast<std::size_t>(b)] += 1.0;
-    }
 }
 
 void
@@ -266,13 +86,6 @@ LogHistogram::binUpper(std::size_t i) const
 }
 
 double
-LogHistogram::binMid(std::size_t i) const
-{
-    return std::pow(10.0, log_lo_ +
-                    log_width_ * (static_cast<double>(i) + 0.5));
-}
-
-double
 LogHistogram::quantile(double q) const
 {
     dlw_assert(q >= 0.0 && q <= 1.0, "quantile out of range");
@@ -294,21 +107,6 @@ LogHistogram::quantile(double q) const
         acc += counts_[i];
     }
     return hi_;
-}
-
-std::vector<std::pair<double, double>>
-LogHistogram::ccdf() const
-{
-    std::vector<std::pair<double, double>> out;
-    out.reserve(counts_.size());
-    if (total_ <= 0.0)
-        return out;
-    double above = total_ - underflow_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        out.emplace_back(binLower(i), above / total_);
-        above -= counts_[i];
-    }
-    return out;
 }
 
 } // namespace stats

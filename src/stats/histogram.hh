@@ -1,105 +1,22 @@
 /**
  * @file
- * Fixed-memory histograms for trace-scale data.
- *
- * Two flavours:
- *  - LinearHistogram: equal-width bins on [lo, hi), with underflow
- *    and overflow side bins.  Good for bounded quantities such as
- *    utilization fractions.
- *  - LogHistogram: log-spaced bins, the right tool for quantities
- *    spanning many orders of magnitude (interarrival times, idle
- *    intervals), which is most of what a disk trace contains.
- *
- * Both support quantile interpolation and merging (for per-drive to
- * family roll-ups).
+ * Log-spaced histogram for trace-scale data: the right tool for
+ * quantities spanning many orders of magnitude (interarrival times,
+ * idle intervals, response times), which is most of what a disk
+ * trace contains.  Supports quantile interpolation and merging (for
+ * per-drive to family roll-ups).
  */
 
 #ifndef DLW_STATS_HISTOGRAM_HH
 #define DLW_STATS_HISTOGRAM_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 namespace dlw
 {
 namespace stats
 {
-
-/**
- * Equal-width histogram with explicit under/overflow bins.
- */
-class LinearHistogram
-{
-  public:
-    /**
-     * @param lo    Inclusive lower edge of the first regular bin.
-     * @param hi    Exclusive upper edge of the last regular bin.
-     * @param bins  Number of regular bins (>= 1).
-     */
-    LinearHistogram(double lo, double hi, std::size_t bins);
-
-    /** Record one observation. */
-    void add(double x);
-
-    /**
-     * Record a batch of unit-weight observations through the
-     * dispatched SIMD binning kernel.  Bit-identical to calling
-     * add() per element, in order.
-     */
-    void addBatch(const double *x, std::size_t n);
-
-    /** Record an observation with a fractional weight. */
-    void addWeighted(double x, double weight);
-
-    /** Merge a histogram with identical bin layout. */
-    void merge(const LinearHistogram &other);
-
-    /** Total recorded weight including under/overflow. */
-    double total() const { return total_; }
-
-    /** Weight below the first regular bin. */
-    double underflow() const { return underflow_; }
-
-    /** Weight at or above the upper edge. */
-    double overflow() const { return overflow_; }
-
-    /** Number of regular bins. */
-    std::size_t binCount() const { return counts_.size(); }
-
-    /** Weight recorded in regular bin i. */
-    double binWeight(std::size_t i) const;
-
-    /** Inclusive lower edge of bin i. */
-    double binLower(std::size_t i) const;
-
-    /** Exclusive upper edge of bin i. */
-    double binUpper(std::size_t i) const;
-
-    /** Midpoint of bin i. */
-    double binMid(std::size_t i) const;
-
-    /**
-     * Interpolated quantile.
-     *
-     * @param q Quantile in [0, 1].
-     * @return Approximate value below which fraction q of the weight
-     *         lies; clamps into the regular range.
-     */
-    double quantile(double q) const;
-
-    /** Mean estimated from bin midpoints. */
-    double approximateMean() const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    double inv_width_; // reciprocal used by the bin map; see .cc
-    double total_ = 0.0;
-    double underflow_ = 0.0;
-    double overflow_ = 0.0;
-    std::vector<double> counts_;
-};
 
 /**
  * Log-spaced histogram covering [lo, hi) with a fixed number of bins
@@ -117,13 +34,6 @@ class LogHistogram
 
     /** Record one observation (values <= 0 count as underflow). */
     void add(double x);
-
-    /**
-     * Record a batch of unit-weight observations through the
-     * dispatched SIMD binning kernel.  Bit-identical to calling
-     * add() per element, in order.
-     */
-    void addBatch(const double *x, std::size_t n);
 
     /** Record an observation with fractional weight. */
     void addWeighted(double x, double weight);
@@ -152,19 +62,8 @@ class LogHistogram
     /** Exclusive upper edge of bin i. */
     double binUpper(std::size_t i) const;
 
-    /** Geometric midpoint of bin i. */
-    double binMid(std::size_t i) const;
-
     /** Interpolated quantile (log-linear within a bin). */
     double quantile(double q) const;
-
-    /**
-     * Complementary CDF evaluated at bin edges.
-     *
-     * @return Pairs (edge, P(X >= edge)) for each regular bin lower
-     *         edge, useful for plotting heavy tails.
-     */
-    std::vector<std::pair<double, double>> ccdf() const;
 
   private:
     double log_lo_;

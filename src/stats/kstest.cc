@@ -53,38 +53,5 @@ ksOneSample(const std::vector<double> &xs,
     return r;
 }
 
-KsResult
-ksTwoSample(const std::vector<double> &xs, const std::vector<double> &ys)
-{
-    dlw_assert(!xs.empty() && !ys.empty(), "K-S test needs data");
-    std::vector<double> a = xs;
-    std::vector<double> b = ys;
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-
-    const double na = static_cast<double>(a.size());
-    const double nb = static_cast<double>(b.size());
-    std::size_t i = 0, j = 0;
-    double d = 0.0;
-    while (i < a.size() && j < b.size()) {
-        const double x = std::min(a[i], b[j]);
-        while (i < a.size() && a[i] <= x)
-            ++i;
-        while (j < b.size() && b[j] <= x)
-            ++j;
-        const double fa = static_cast<double>(i) / na;
-        const double fb = static_cast<double>(j) / nb;
-        d = std::max(d, std::fabs(fa - fb));
-    }
-
-    KsResult r;
-    r.statistic = d;
-    r.effective_n = na * nb / (na + nb);
-    const double en = std::sqrt(r.effective_n);
-    const double t = (en + 0.12 + 0.11 / en) * d;
-    r.p_value = kolmogorovSurvival(t);
-    return r;
-}
-
 } // namespace stats
 } // namespace dlw

@@ -1,9 +1,7 @@
 /**
  * @file
- * Kolmogorov-Smirnov goodness-of-fit tests.
- *
- * One-sample (data vs a fitted CDF) and two-sample variants.  The
- * p-value uses the asymptotic Kolmogorov distribution, which is
+ * Kolmogorov-Smirnov goodness-of-fit test of data against a fitted
+ * CDF.  The p-value uses the asymptotic Kolmogorov distribution, which is
  * accurate for the sample sizes a trace analysis produces.
  */
 
@@ -40,16 +38,6 @@ struct KsResult
  */
 KsResult ksOneSample(const std::vector<double> &xs,
                      const std::function<double(double)> &cdf);
-
-/**
- * Two-sample K-S test.
- *
- * @param xs First sample.
- * @param ys Second sample.
- * @return Statistic and p-value.
- */
-KsResult ksTwoSample(const std::vector<double> &xs,
-                     const std::vector<double> &ys);
 
 /**
  * Asymptotic Kolmogorov distribution survival function.

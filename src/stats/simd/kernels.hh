@@ -16,7 +16,6 @@
 #define DLW_STATS_SIMD_KERNELS_HH
 
 #include <algorithm>
-#include <cmath>
 
 #include "stats/simd/simd.hh"
 #include "stats/summary.hh"
@@ -29,47 +28,6 @@ namespace simd
 {
 namespace detail
 {
-
-/**
- * One linear-histogram classification, the reference tree.
- *
- * The bin map multiplies by a precomputed reciprocal width instead
- * of dividing: a divide-based map is divider-throughput-bound on
- * both the scalar and the vector side, which caps the achievable
- * vector speedup at the ratio of the two divider throughputs (about
- * 2x on current x86 cores).  The multiply form is still one
- * correctly-rounded IEEE operation per element, so the vector
- * kernels remain bit-identical to this tree.
- */
-inline std::int32_t
-binLinearOne(double x, double lo, double hi, double inv_width,
-             std::int32_t bins)
-{
-    if (x < lo)
-        return kBinUnderflow;
-    if (x >= hi)
-        return kBinOverflow;
-    auto idx = static_cast<std::int32_t>((x - lo) * inv_width);
-    if (idx >= bins)
-        idx = bins - 1; // guard FP edge effects, like the histogram
-    return idx;
-}
-
-/** One log-histogram classification, the reference tree. */
-inline std::int32_t
-binLogOne(double x, double lo, double hi, double log_lo,
-          double inv_log_width, std::int32_t bins)
-{
-    if (!(x >= lo)) // also catches NaN and non-positive values
-        return kBinUnderflow;
-    if (x >= hi)
-        return kBinOverflow;
-    auto idx = static_cast<std::int32_t>(
-        (std::log10(x) - log_lo) * inv_log_width);
-    if (idx >= bins)
-        idx = bins - 1;
-    return idx;
-}
 
 /**
  * One Welford update of lane `lane`, the reference tree: MeanM2::add

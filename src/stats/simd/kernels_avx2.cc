@@ -65,115 +65,6 @@ ltMask64(__m256i a, __m256i b)
         _mm256_castsi256_pd(_mm256_sub_epi64(a, b)));
 }
 
-/** Narrow a 4x64-bit compare mask to a 4x32-bit one. */
-inline __m128i
-narrowMask64(__m256d mask)
-{
-    const __m256i pick =
-        _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-    return _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
-        _mm256_castpd_si256(mask), pick));
-}
-
-void
-binLinearAvx2(const double *x, std::size_t n, double lo, double hi,
-              double inv_width, std::int32_t bins, std::int32_t *idx)
-{
-    const __m256d vlo = _mm256_set1_pd(lo);
-    const __m256d vhi = _mm256_set1_pd(hi);
-    const __m256d vw = _mm256_set1_pd(inv_width);
-    // The sentinels ride along as the doubles -1.0 / -2.0: they are
-    // exact under the truncating convert, they survive the trailing
-    // integer clamp (both < bins - 1), and blending them in the FP
-    // domain keeps all selection work off the shuffle port.  Under
-    // and over are disjoint, so the blend order does not matter.
-    const __m256d vuf =
-        _mm256_set1_pd(static_cast<double>(kBinUnderflow));
-    const __m256d vof =
-        _mm256_set1_pd(static_cast<double>(kBinOverflow));
-    const __m128i vbm1 = _mm_set1_epi32(bins - 1);
-
-    std::size_t i = 0;
-    // Two independent 4-lane streams per iteration to keep every
-    // port busy back to back.
-    for (; i + 8 <= n; i += 8) {
-        const __m256d x0 = _mm256_loadu_pd(x + i);
-        const __m256d x1 = _mm256_loadu_pd(x + i + 4);
-        __m256d q0 = _mm256_mul_pd(_mm256_sub_pd(x0, vlo), vw);
-        __m256d q1 = _mm256_mul_pd(_mm256_sub_pd(x1, vlo), vw);
-        q0 = _mm256_blendv_pd(q0, vuf,
-                              _mm256_cmp_pd(x0, vlo, _CMP_LT_OQ));
-        q0 = _mm256_blendv_pd(q0, vof,
-                              _mm256_cmp_pd(x0, vhi, _CMP_GE_OQ));
-        q1 = _mm256_blendv_pd(q1, vuf,
-                              _mm256_cmp_pd(x1, vlo, _CMP_LT_OQ));
-        q1 = _mm256_blendv_pd(q1, vof,
-                              _mm256_cmp_pd(x1, vhi, _CMP_GE_OQ));
-        __m128i b0 = _mm256_cvttpd_epi32(q0);
-        __m128i b1 = _mm256_cvttpd_epi32(q1);
-        // Same trailing clamp as the scalar tree (this also preserves
-        // its INT_MIN result for quotients past the int32 range).
-        b0 = _mm_min_epi32(b0, vbm1);
-        b1 = _mm_min_epi32(b1, vbm1);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(idx + i), b0);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(idx + i + 4),
-                         b1);
-    }
-    for (; i + 4 <= n; i += 4) {
-        const __m256d vx = _mm256_loadu_pd(x + i);
-        __m256d q = _mm256_mul_pd(_mm256_sub_pd(vx, vlo), vw);
-        q = _mm256_blendv_pd(q, vuf,
-                             _mm256_cmp_pd(vx, vlo, _CMP_LT_OQ));
-        q = _mm256_blendv_pd(q, vof,
-                             _mm256_cmp_pd(vx, vhi, _CMP_GE_OQ));
-        __m128i bi = _mm256_cvttpd_epi32(q);
-        bi = _mm_min_epi32(bi, vbm1);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(idx + i), bi);
-    }
-    for (; i < n; ++i)
-        idx[i] = binLinearOne(x[i], lo, hi, inv_width, bins);
-}
-
-void
-binLogAvx2(const double *x, std::size_t n, double lo, double hi,
-           double log_lo, double inv_log_width, std::int32_t bins,
-           std::int32_t *idx)
-{
-    const __m256d vlo = _mm256_set1_pd(lo);
-    const __m256d vhi = _mm256_set1_pd(hi);
-    const __m256d vllo = _mm256_set1_pd(log_lo);
-    const __m256d vlw = _mm256_set1_pd(inv_log_width);
-    const __m128i vbm1 = _mm_set1_epi32(bins - 1);
-    const __m128i vuf = _mm_set1_epi32(kBinUnderflow);
-    const __m128i vof = _mm_set1_epi32(kBinOverflow);
-
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d vx = _mm256_loadu_pd(x + i);
-        // !(x >= lo), unordered so NaN lands in underflow.
-        const __m256d under = _mm256_cmp_pd(vx, vlo, _CMP_NGE_UQ);
-        const __m256d over = _mm256_cmp_pd(vx, vhi, _CMP_GE_OQ);
-        const int in_range =
-            ~(_mm256_movemask_pd(under) | _mm256_movemask_pd(over)) &
-            0xf;
-        // log10 stays scalar libm in every ISA (vector approximations
-        // are not bit-reproducible); only classify and bin map
-        // vectorize.
-        alignas(32) double lg[4];
-        for (int k = 0; k < 4; ++k)
-            lg[k] = (in_range & (1 << k)) ? std::log10(x[i + k]) : 0.0;
-        const __m256d q = _mm256_mul_pd(
-            _mm256_sub_pd(_mm256_load_pd(lg), vllo), vlw);
-        __m128i bi = _mm256_cvttpd_epi32(q);
-        bi = _mm_min_epi32(bi, vbm1);
-        bi = _mm_blendv_epi8(bi, vuf, narrowMask64(under));
-        bi = _mm_blendv_epi8(bi, vof, narrowMask64(over));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(idx + i), bi);
-    }
-    for (; i < n; ++i)
-        idx[i] = binLogOne(x[i], lo, hi, log_lo, inv_log_width, bins);
-}
-
 /**
  * Shared gallop: one past the end of the run starting at t[i] whose
  * ticks all fall inside [bin_lo, bin_hi).
@@ -497,10 +388,9 @@ rescaledRangeAvx2(const double *x, std::size_t n, std::size_t blocks)
 } // anonymous namespace
 
 const KernelOps kAvx2Ops = {
-    binLinearAvx2,    binLogAvx2,  countSortedAvx2,
-    countSortedIfAvx2, gapsI64Avx2, welfordAddAvx2,
-    countEqU8Avx2,    sumU32Avx2,  acfLagsAvx2,
-    rescaledRangeAvx2,
+    countSortedAvx2, countSortedIfAvx2, gapsI64Avx2,
+    welfordAddAvx2,  countEqU8Avx2,     sumU32Avx2,
+    acfLagsAvx2,     rescaledRangeAvx2,
 };
 
 } // namespace detail

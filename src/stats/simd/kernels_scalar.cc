@@ -10,6 +10,7 @@
 #include "stats/simd/kernels.hh"
 
 #include <algorithm>
+#include <cmath>
 
 namespace dlw
 {
@@ -21,24 +22,6 @@ namespace detail
 {
 namespace
 {
-
-void
-binLinearScalar(const double *x, std::size_t n, double lo, double hi,
-                double inv_width, std::int32_t bins,
-                std::int32_t *idx)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        idx[i] = binLinearOne(x[i], lo, hi, inv_width, bins);
-}
-
-void
-binLogScalar(const double *x, std::size_t n, double lo, double hi,
-             double log_lo, double inv_log_width, std::int32_t bins,
-             std::int32_t *idx)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        idx[i] = binLogOne(x[i], lo, hi, log_lo, inv_log_width, bins);
-}
 
 std::size_t
 countSortedScalar(const Tick *t, std::size_t n, Tick start,
@@ -211,10 +194,9 @@ rescaledRangeScalar(const double *x, std::size_t n, std::size_t blocks)
 } // anonymous namespace
 
 const KernelOps kScalarOps = {
-    binLinearScalar,    binLogScalar,  countSortedScalar,
-    countSortedIfScalar, gapsI64Scalar, welfordAddScalar,
-    countEqU8Scalar,    sumU32Scalar,  acfLagsScalar,
-    rescaledRangeScalar,
+    countSortedScalar, countSortedIfScalar, gapsI64Scalar,
+    welfordAddScalar,  countEqU8Scalar,     sumU32Scalar,
+    acfLagsScalar,     rescaledRangeScalar,
 };
 
 } // namespace detail

@@ -112,15 +112,6 @@ SummaryLanes::addBatch(const double *x, std::size_t n_obs)
     ops().welford_add(*this, x, n_obs);
 }
 
-std::uint64_t
-SummaryLanes::count() const
-{
-    double total = 0.0;
-    for (std::size_t i = 0; i < kSummaryLanes; ++i)
-        total += n[i];
-    return static_cast<std::uint64_t>(total);
-}
-
 Summary
 SummaryLanes::combined() const
 {

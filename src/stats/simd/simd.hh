@@ -3,11 +3,11 @@
  * Batch-at-a-time characterization kernels with runtime SIMD
  * dispatch.
  *
- * The hot accumulators — histogram binning, binned arrival counting,
- * the interarrival-gap moment fold, totals — all reduce to tight
- * loops over one dense column of the SoA trace::RequestBatch; the
- * autocorrelation's lagged sums are one more such loop over a
- * binned series.  This layer lifts those loops into two kernel
+ * The hot accumulators — binned arrival counting, the
+ * interarrival-gap moment fold, read counting, totals — all reduce
+ * to tight loops over one dense column of the SoA
+ * trace::RequestBatch; the autocorrelation's lagged sums and the
+ * R/S blocks are two more such loops over a binned series.  This layer lifts those loops into two kernel
  * tables, the scalar reference and AVX2; the AVX2 table runs when
  * CPUID reports AVX2, the scalar one everywhere else.
  *
@@ -16,7 +16,7 @@
  * kernel is bit-identical to the scalar reference on the same input.
  * That is achieved by construction, not by tolerance:
  *
- *  - classification and bin-index math use the exact scalar
+ *  - bin-index math and conversions use the exact scalar
  *    expression tree (subtract, IEEE divide, truncate), which SIMD
  *    lanes reproduce bit-for-bit because those operations are
  *    correctly rounded element-wise;
@@ -61,11 +61,6 @@ enum class Isa : int
     kAvx2 = 2,   ///< 256-bit vectors (4 doubles / 4 ticks)
 };
 
-/** bin index meaning "below the histogram range". */
-constexpr std::int32_t kBinUnderflow = -1;
-/** bin index meaning "at or above the histogram range". */
-constexpr std::int32_t kBinOverflow = -2;
-
 /** Number of independent Welford lanes in a SummaryLanes fold. */
 constexpr std::size_t kSummaryLanes = 4;
 
@@ -99,9 +94,6 @@ class SummaryLanes
     /** Add a batch through the dispatched kernel. */
     void addBatch(const double *x, std::size_t n);
 
-    /** Observations folded so far, over all lanes. */
-    std::uint64_t count() const;
-
     /**
      * Merge the lanes (fixed order) into one Summary.  The lanes keep
      * no extrema, so its min() and max() read +inf and -inf.
@@ -133,37 +125,6 @@ class SummaryLanes
  */
 struct KernelOps
 {
-    /**
-     * Classify n samples against an equal-width bin layout
-     * [lo, hi): idx[i] is the bin in [0, bins), or kBinUnderflow /
-     * kBinOverflow.  Indices are computed exactly like
-     * LinearHistogram::addWeighted — (x - lo) * inv_width with
-     * inv_width the histogram's precomputed reciprocal bin width,
-     * truncated, clamped to bins - 1 — so the scatter the caller
-     * performs lands every sample in the same bin the scalar
-     * histogram would have chosen.  (Multiplying by the reciprocal
-     * rather than dividing is what lets the vector kernels beat the
-     * scalar loop: a divide-based map is divider-bound on both
-     * sides.)  NaN samples are the caller's problem
-     * (LinearHistogram has never defined them).
-     */
-    void (*bin_linear)(const double *x, std::size_t n, double lo,
-                       double hi, double inv_width,
-                       std::int32_t bins, std::int32_t *idx);
-
-    /**
-     * Same contract for log-spaced bins: underflow is !(x >= lo)
-     * (catching NaN and non-positive samples exactly like
-     * LogHistogram), in-range indices are
-     * (log10(x) - log_lo) * inv_log_width truncated and clamped.
-     * log10 stays scalar libm in every ISA — vector log
-     * approximations are not bit-reproducible — so only the
-     * classification and bin map vectorize.
-     */
-    void (*bin_log)(const double *x, std::size_t n, double lo,
-                    double hi, double log_lo, double inv_log_width,
-                    std::int32_t bins, std::int32_t *idx);
-
     /**
      * Count arrival ticks into fixed-width bins:
      * bins[(t[i] - start) / width] += 1.0 for a prefix of the input.

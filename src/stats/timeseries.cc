@@ -1,6 +1,7 @@
 #include "stats/timeseries.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "common/binenc.hh"
 #include "common/logging.hh"
@@ -10,6 +11,27 @@ namespace dlw
 {
 namespace stats
 {
+
+StatusOr<std::size_t>
+binsCovering(Tick start, Tick duration, Tick bin_width)
+{
+    dlw_assert(bin_width > 0, "bin width must be positive");
+    if (duration < 0)
+        return Status::corruptData("negative observation window");
+    const Tick bins =
+        duration / bin_width + (duration % bin_width != 0 ? 1 : 0);
+    Tick span = 0;
+    Tick end = 0;
+    if (__builtin_mul_overflow(bins, bin_width, &span) ||
+        __builtin_add_overflow(start, span, &end)) {
+        return Status::corruptData(
+            "observation window of " + std::to_string(duration) +
+            " ns from tick " + std::to_string(start) +
+            " cannot be binned at " + std::to_string(bin_width) +
+            " ns: its last bin ends past the largest tick");
+    }
+    return static_cast<std::size_t>(bins);
+}
 
 BinnedSeries::BinnedSeries(Tick start, Tick bin_width, std::size_t bins)
     : start_(start), bin_width_(bin_width), values_(bins, 0.0)
@@ -35,12 +57,6 @@ Tick
 BinnedSeries::binStart(std::size_t i) const
 {
     return start_ + bin_width_ * static_cast<Tick>(i);
-}
-
-Tick
-BinnedSeries::end() const
-{
-    return start_ + bin_width_ * static_cast<Tick>(values_.size());
 }
 
 void
@@ -143,15 +159,6 @@ BinnedSeries::aggregate(std::size_t factor) const
     return out;
 }
 
-Summary
-BinnedSeries::summarize() const
-{
-    Summary s;
-    for (double v : values_)
-        s.add(v);
-    return s;
-}
-
 double
 BinnedSeries::total() const
 {
@@ -179,19 +186,6 @@ BinnedSeries::peakToMean() const
     if (mean == 0.0)
         return 0.0;
     return peak() / mean;
-}
-
-double
-BinnedSeries::fractionAbove(double threshold) const
-{
-    if (values_.empty())
-        return 0.0;
-    std::size_t n = 0;
-    for (double v : values_) {
-        if (v > threshold)
-            ++n;
-    }
-    return static_cast<double>(n) / static_cast<double>(values_.size());
 }
 
 void

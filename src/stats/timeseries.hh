@@ -16,8 +16,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/status.hh"
 #include "common/types.hh"
-#include "stats/summary.hh"
 
 namespace dlw
 {
@@ -27,6 +27,16 @@ class BinDec;
 
 namespace stats
 {
+
+/**
+ * Bins of width bin_width (> 0) that cover the window [start, start +
+ * duration): the ceiling of duration / bin_width, computed without
+ * overflow.  CorruptData when duration is negative or the last bin
+ * would end past the largest Tick: no series can be laid over such a
+ * window.
+ */
+StatusOr<std::size_t> binsCovering(Tick start, Tick duration,
+                                   Tick bin_width);
 
 /**
  * A value per fixed-width time bin, anchored at a start tick.
@@ -61,9 +71,6 @@ class BinnedSeries
 
     /** Left-edge tick of bin i. */
     Tick binStart(std::size_t i) const;
-
-    /** One past the right edge of the final bin. */
-    Tick end() const;
 
     /**
      * Add amount into the bin containing tick t, growing the series
@@ -111,9 +118,6 @@ class BinnedSeries
      */
     BinnedSeries aggregate(std::size_t factor) const;
 
-    /** Summary statistics over all bin values. */
-    Summary summarize() const;
-
     /** Raw bin values. */
     const std::vector<double> &values() const { return values_; }
 
@@ -131,9 +135,6 @@ class BinnedSeries
      * mean is zero).
      */
     double peakToMean() const;
-
-    /** Fraction of bins with value strictly above the threshold. */
-    double fractionAbove(double threshold) const;
 
     /** Append anchor, bin width and raw values (bit-exact). */
     void saveState(BinEnc &enc) const;

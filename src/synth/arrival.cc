@@ -1,7 +1,5 @@
 #include "synth/arrival.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace dlw
@@ -151,21 +149,6 @@ Tick
 ParetoRenewal::nextGap(Rng &rng)
 {
     return static_cast<Tick>(rng.pareto(shape_, scale_) + 0.5);
-}
-
-WeibullRenewal::WeibullRenewal(double shape, double rate)
-    : shape_(shape), rate_(rate)
-{
-    dlw_assert(shape > 0.0, "weibull shape must be positive");
-    dlw_assert(rate > 0.0, "rate must be positive");
-    const double mean_gap = static_cast<double>(kSec) / rate;
-    scale_ = mean_gap / std::tgamma(1.0 + 1.0 / shape);
-}
-
-Tick
-WeibullRenewal::nextGap(Rng &rng)
-{
-    return static_cast<Tick>(rng.weibull(shape_, scale_) + 0.5);
 }
 
 } // namespace synth

@@ -144,28 +144,6 @@ class ParetoRenewal : public ArrivalProcess
     double scale_; // ticks
 };
 
-/**
- * Renewal process with Weibull gaps (shape < 1 gives bursty,
- * long-tailed gaps; shape == 1 reduces to Poisson).
- */
-class WeibullRenewal : public ArrivalProcess
-{
-  public:
-    /**
-     * @param shape Weibull shape k (> 0).
-     * @param rate  Target mean arrival rate per second (> 0).
-     */
-    WeibullRenewal(double shape, double rate);
-
-    Tick nextGap(Rng &rng) override;
-    double meanRate() const override { return rate_; }
-
-  private:
-    double shape_;
-    double rate_;
-    double scale_; // ticks
-};
-
 } // namespace synth
 } // namespace dlw
 

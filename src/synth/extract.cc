@@ -79,10 +79,11 @@ ModelAccumulator::ModelAccumulator(Lba capacity)
     m_.capacity = capacity;
 }
 
-void
+Status
 ModelAccumulator::begin(const trace::MsStreamHeader &meta)
 {
     duration_ = meta.duration;
+    return Status();
 }
 
 void

@@ -28,28 +28,6 @@ FixedSize::meanBlocks() const
     return static_cast<double>(blocks_);
 }
 
-BimodalSize::BimodalSize(BlockCount small, BlockCount large,
-                         double small_prob)
-    : small_(small), large_(large), small_prob_(small_prob)
-{
-    dlw_assert(small >= 1 && large >= small, "bimodal sizes inverted");
-    dlw_assert(small_prob >= 0.0 && small_prob <= 1.0,
-               "bimodal probability out of range");
-}
-
-BlockCount
-BimodalSize::nextBlocks(Rng &rng)
-{
-    return rng.bernoulli(small_prob_) ? small_ : large_;
-}
-
-double
-BimodalSize::meanBlocks() const
-{
-    return small_prob_ * static_cast<double>(small_) +
-           (1.0 - small_prob_) * static_cast<double>(large_);
-}
-
 LognormalSize::LognormalSize(BlockCount median_blocks, double sigma,
                              BlockCount max_blocks)
     : sigma_(sigma), max_blocks_(max_blocks)

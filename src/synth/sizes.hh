@@ -4,8 +4,7 @@
  *
  * Enterprise disk traffic mixes small random accesses (database
  * pages, metadata) with large sequential transfers (backup, scans),
- * so beyond a fixed size the generator offers a bimodal mixture and
- * a lognormal body.
+ * so beyond a fixed size the generator offers a lognormal body.
  */
 
 #ifndef DLW_SYNTH_SIZES_HH
@@ -50,29 +49,6 @@ class FixedSize : public SizeModel
 
   private:
     BlockCount blocks_;
-};
-
-/**
- * Two-point mixture, e.g. 8-block (4 KiB) pages and 128-block
- * (64 KiB) streaming chunks.
- */
-class BimodalSize : public SizeModel
-{
-  public:
-    /**
-     * @param small        Size of the small mode (>= 1).
-     * @param large        Size of the large mode (>= small).
-     * @param small_prob   Probability of the small mode, in [0, 1].
-     */
-    BimodalSize(BlockCount small, BlockCount large, double small_prob);
-
-    BlockCount nextBlocks(Rng &rng) override;
-    double meanBlocks() const override;
-
-  private:
-    BlockCount small_;
-    BlockCount large_;
-    double small_prob_;
 };
 
 /**

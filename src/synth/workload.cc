@@ -39,13 +39,6 @@ Workload::setMix(double read_fraction, double persistence)
     persistence_ = persistence;
 }
 
-ArrivalProcess &
-Workload::arrival() const
-{
-    dlw_assert(arrival_, "workload has no arrival process");
-    return *arrival_;
-}
-
 trace::MsTrace
 Workload::generate(Rng &rng, const std::string &drive_id, Tick start,
                    Tick duration) const
@@ -108,7 +101,6 @@ bool
 WorkloadSource::next(trace::RequestBatch &batch)
 {
     batch.clear();
-    batch.setTag(tag_);
     while (!batch.full() && pos_ < arrivals_.size()) {
         const Tick at = arrivals_[pos_++];
         dlw_assert(at >= start_ && at < start_ + duration_,

@@ -61,9 +61,6 @@ class Workload
     /** Long-run read fraction. */
     double readFraction() const { return read_fraction_; }
 
-    /** The arrival process (must be installed). */
-    ArrivalProcess &arrival() const;
-
     /**
      * Generate a trace using the installed arrival process.
      *

@@ -45,7 +45,6 @@ void
 RequestBatch::swap(RequestBatch &other) noexcept
 {
     std::swap(capacity_, other.capacity_);
-    std::swap(tag_, other.tag_);
     arrivals_.swap(other.arrivals_);
     lbas_.swap(other.lbas_);
     blocks_.swap(other.blocks_);

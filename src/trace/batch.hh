@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "qos/tag.hh"
 #include "trace/record.hh"
 
 namespace dlw
@@ -138,22 +137,8 @@ class RequestBatch
     /** Payload bytes currently held across all columns. */
     std::size_t byteSize() const;
 
-    /**
-     * Tenant/class tag of every request in the batch.
-     *
-     * One tag per batch, not per request: a batch never mixes
-     * tenants because each source belongs to exactly one session.
-     * The tag survives clear() — a source stamps it once and the
-     * batch keeps it across refills.
-     */
-    const qos::TagId &tag() const { return tag_; }
-
-    /** Stamp the batch's tenant/class tag. */
-    void setTag(const qos::TagId &tag) { tag_ = tag; }
-
   private:
     std::size_t capacity_;
-    qos::TagId tag_;
     std::vector<Tick> arrivals_;
     std::vector<Lba> lbas_;
     std::vector<BlockCount> blocks_;

@@ -83,11 +83,5 @@ readMsBinary(std::istream &is)
     return readMsBinary(is, IngestOptions{}).valueOrThrow();
 }
 
-MsTrace
-readMsBinary(const std::string &path)
-{
-    return readMsBinary(path, IngestOptions{}).valueOrThrow();
-}
-
 } // namespace trace
 } // namespace dlw

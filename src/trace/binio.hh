@@ -60,9 +60,6 @@ StatusOr<MsTrace> readMsBinary(const std::string &path,
 /** Strict legacy read (kAbort; throws StatusError on corruption). */
 MsTrace readMsBinary(std::istream &is);
 
-/** Strict legacy read from a file (throws StatusError). */
-MsTrace readMsBinary(const std::string &path);
-
 } // namespace trace
 } // namespace dlw
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * CSV readers and writers for the three trace granularities.
+ * CSV reader and writer for ms traces, and the Lifetime trace writer.
  *
  * The CSV forms are the human-auditable interchange format; each file
  * starts with a `# dlw-<kind>-v1` header line followed by a column
- * header.  The Status-returning readers apply the caller's
+ * header.  The Status-returning ms readers apply the caller's
  * RecordPolicy to corrupt records (see trace/ingest.hh) and fill an
- * IngestStats; header corruption always fails.  The legacy
- * value-returning overloads keep the strict posture: they read under
- * RecordPolicy::kAbort and throw StatusError on any corruption.
+ * IngestStats; header corruption always fails.
+ * Hour and Lifetime traces are only ever synthesized in memory; no
+ * command reads them from a file.
  */
 
 #ifndef DLW_TRACE_CSVIO_HH
@@ -18,7 +18,6 @@
 #include <string>
 
 #include "common/status.hh"
-#include "trace/hourtrace.hh"
 #include "trace/ingest.hh"
 #include "trace/lifetime.hh"
 #include "trace/mstrace.hh"
@@ -51,56 +50,12 @@ StatusOr<MsTrace> readMsCsv(const std::string &path,
                             const IngestOptions &opts,
                             IngestStats *stats = nullptr);
 
-/** Strict legacy read (kAbort; throws StatusError on corruption). */
-MsTrace readMsCsv(std::istream &is);
-
-/** Strict legacy read from a file (throws StatusError). */
-MsTrace readMsCsv(const std::string &path);
-
-/** Write an hour trace as CSV to a stream (throws StatusError). */
-void writeHourCsv(std::ostream &os, const HourTrace &trace);
-
-/** Write an hour trace as CSV to a file path (throws StatusError). */
-void writeHourCsv(const std::string &path, const HourTrace &trace);
-
-/** Read an hour trace from a CSV stream under the given policy. */
-StatusOr<HourTrace> readHourCsv(std::istream &is,
-                                const IngestOptions &opts,
-                                IngestStats *stats = nullptr);
-
-/** Read an hour trace from a CSV file under the given policy. */
-StatusOr<HourTrace> readHourCsv(const std::string &path,
-                                const IngestOptions &opts,
-                                IngestStats *stats = nullptr);
-
-/** Strict legacy read (throws StatusError). */
-HourTrace readHourCsv(std::istream &is);
-
-/** Strict legacy read from a file (throws StatusError). */
-HourTrace readHourCsv(const std::string &path);
-
 /** Write a lifetime trace as CSV to a stream (throws StatusError). */
 void writeLifetimeCsv(std::ostream &os, const LifetimeTrace &trace);
 
 /** Write a lifetime trace as CSV to a file (throws StatusError). */
 void writeLifetimeCsv(const std::string &path,
                       const LifetimeTrace &trace);
-
-/** Read a lifetime trace from a CSV stream under the given policy. */
-StatusOr<LifetimeTrace> readLifetimeCsv(std::istream &is,
-                                        const IngestOptions &opts,
-                                        IngestStats *stats = nullptr);
-
-/** Read a lifetime trace from a CSV file under the given policy. */
-StatusOr<LifetimeTrace> readLifetimeCsv(const std::string &path,
-                                        const IngestOptions &opts,
-                                        IngestStats *stats = nullptr);
-
-/** Strict legacy read (throws StatusError). */
-LifetimeTrace readLifetimeCsv(std::istream &is);
-
-/** Strict legacy read from a file (throws StatusError). */
-LifetimeTrace readLifetimeCsv(const std::string &path);
 
 } // namespace trace
 } // namespace dlw

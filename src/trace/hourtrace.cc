@@ -36,36 +36,6 @@ HourTrace::bucketAt(Tick t)
     return bucketFor(static_cast<std::size_t>((t - start_) / kHour));
 }
 
-Status
-HourTrace::checkValid() const
-{
-    auto complain = [&](const std::string &msg) {
-        return Status::corruptData("hour trace '" + drive_id_ + "': " +
-                                   msg);
-    };
-
-    for (const HourBucket &b : buckets_) {
-        if (b.busy < 0 || b.busy > kHour)
-            return complain("busy time outside [0, 1h]");
-        if (b.reads == 0 && b.read_blocks != 0)
-            return complain("read blocks without read commands");
-        if (b.writes == 0 && b.write_blocks != 0)
-            return complain("write blocks without write commands");
-    }
-    return Status();
-}
-
-bool
-HourTrace::validate(bool fail_hard) const
-{
-    Status s = checkValid();
-    if (s.ok())
-        return true;
-    if (fail_hard)
-        throw StatusError(s);
-    return false;
-}
-
 std::uint64_t
 HourTrace::totalRequests() const
 {
@@ -145,24 +115,6 @@ HourTrace::requestSeries() const
     stats::BinnedSeries s(start_, kHour, buckets_.size());
     for (std::size_t i = 0; i < buckets_.size(); ++i)
         s.at(i) = static_cast<double>(buckets_[i].total());
-    return s;
-}
-
-stats::BinnedSeries
-HourTrace::utilizationSeries() const
-{
-    stats::BinnedSeries s(start_, kHour, buckets_.size());
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        s.at(i) = buckets_[i].utilization();
-    return s;
-}
-
-stats::BinnedSeries
-HourTrace::readFractionSeries() const
-{
-    stats::BinnedSeries s(start_, kHour, buckets_.size());
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        s.at(i) = buckets_[i].readFraction();
     return s;
 }
 

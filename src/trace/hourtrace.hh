@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.hh"
 #include "common/types.hh"
 #include "stats/timeseries.hh"
 
@@ -126,23 +125,6 @@ class HourTrace
     /** All buckets. */
     const std::vector<HourBucket> &buckets() const { return buckets_; }
 
-    /**
-     * Validate internal consistency (busy time within the hour,
-     * blocks consistent with command counts).
-     *
-     * @return Success, or a CorruptData status naming the first
-     *         violation.
-     */
-    Status checkValid() const;
-
-    /**
-     * Boolean wrapper around checkValid().
-     *
-     * @param fail_hard Throw StatusError on violation instead of
-     *                  returning false.
-     */
-    bool validate(bool fail_hard = false) const;
-
     /** Total commands over the whole log. */
     std::uint64_t totalRequests() const;
 
@@ -171,12 +153,6 @@ class HourTrace
 
     /** Requests-per-hour as a BinnedSeries (for burstiness math). */
     stats::BinnedSeries requestSeries() const;
-
-    /** Utilization-per-hour as a BinnedSeries in [0, 1]. */
-    stats::BinnedSeries utilizationSeries() const;
-
-    /** Read-fraction-per-hour as a BinnedSeries. */
-    stats::BinnedSeries readFractionSeries() const;
 
     /**
      * Average bucket over an hour-of-week grid (168 slots), the raw

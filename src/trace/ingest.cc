@@ -72,20 +72,6 @@ registerIngestMetrics()
     ingestMetrics();
 }
 
-const char *
-recordPolicyName(RecordPolicy policy)
-{
-    switch (policy) {
-      case RecordPolicy::kAbort:
-        return "abort";
-      case RecordPolicy::kSkipAndCount:
-        return "skip";
-      case RecordPolicy::kBestEffortClamp:
-        return "clamp";
-    }
-    return "unknown";
-}
-
 StatusOr<RecordPolicy>
 parseRecordPolicy(const std::string &name)
 {
@@ -105,22 +91,6 @@ IngestStats::noteError(std::string msg, std::size_t max_samples)
     ++errors;
     if (error_samples.size() < max_samples)
         error_samples.push_back(std::move(msg));
-}
-
-void
-IngestStats::merge(const IngestStats &other)
-{
-    records_read += other.records_read;
-    records_skipped += other.records_skipped;
-    records_clamped += other.records_clamped;
-    errors += other.errors;
-    bytes_read += other.bytes_read;
-    bytes_recovered += other.bytes_recovered;
-    for (const std::string &s : other.error_samples) {
-        if (error_samples.size() >= 4)
-            break;
-        error_samples.push_back(s);
-    }
 }
 
 std::string

@@ -44,9 +44,6 @@ enum class RecordPolicy
     kBestEffortClamp,
 };
 
-/** Human-readable policy name ("abort" / "skip" / "clamp"). */
-const char *recordPolicyName(RecordPolicy policy);
-
 /** Parse "abort" / "skip" / "clamp". */
 StatusOr<RecordPolicy> parseRecordPolicy(const std::string &name);
 
@@ -78,9 +75,6 @@ struct IngestStats
 
     /** Record one corrupt event (caps stored samples). */
     void noteError(std::string msg, std::size_t max_samples);
-
-    /** Fold another file's stats into this one. */
-    void merge(const IngestStats &other);
 
     /** One-line summary ("read 961, skipped 4, clamped 2, ..."). */
     std::string summary() const;

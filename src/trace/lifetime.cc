@@ -1,7 +1,5 @@
 #include "trace/lifetime.hh"
 
-#include "common/logging.hh"
-
 namespace dlw
 {
 namespace trace
@@ -16,13 +14,6 @@ void
 LifetimeTrace::append(LifetimeRecord rec)
 {
     records_.push_back(std::move(rec));
-}
-
-const LifetimeRecord &
-LifetimeTrace::at(std::size_t i) const
-{
-    dlw_assert(i < records_.size(), "record index out of range");
-    return records_[i];
 }
 
 Status
@@ -68,19 +59,6 @@ LifetimeTrace::utilizations() const
     for (const LifetimeRecord &r : records_)
         out.push_back(r.utilization());
     return out;
-}
-
-double
-LifetimeTrace::fractionWithSaturatedRun(std::uint64_t hours) const
-{
-    if (records_.empty())
-        return 0.0;
-    std::size_t n = 0;
-    for (const LifetimeRecord &r : records_) {
-        if (r.longest_saturated_run >= hours)
-            ++n;
-    }
-    return static_cast<double>(n) / static_cast<double>(records_.size());
 }
 
 } // namespace trace

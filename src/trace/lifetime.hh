@@ -117,9 +117,6 @@ class LifetimeTrace
     /** True when no drive has been recorded. */
     bool empty() const { return records_.empty(); }
 
-    /** Record i (bounds-checked). */
-    const LifetimeRecord &at(std::size_t i) const;
-
     /** All records. */
     const std::vector<LifetimeRecord> &records() const { return records_; }
 
@@ -142,12 +139,6 @@ class LifetimeTrace
 
     /** Utilization of every drive, in record order. */
     std::vector<double> utilizations() const;
-
-    /**
-     * Fraction of drives whose longest saturated run reached at
-     * least the given number of hours.
-     */
-    double fractionWithSaturatedRun(std::uint64_t hours) const;
 
   private:
     std::string family_;

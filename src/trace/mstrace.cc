@@ -86,12 +86,6 @@ MsTrace::readCount() const
                       [](const Request &r) { return r.isRead(); }));
 }
 
-std::size_t
-MsTrace::writeCount() const
-{
-    return reqs_.size() - readCount();
-}
-
 double
 MsTrace::readFraction() const
 {
@@ -147,31 +141,15 @@ MsTrace::interarrivals() const
 stats::BinnedSeries
 MsTrace::binCounts(Tick bin_width, Filter which) const
 {
-    auto bins = static_cast<std::size_t>(
-        duration_ > 0 ? (duration_ + bin_width - 1) / bin_width : 0);
-    stats::BinnedSeries series(start_, bin_width, bins);
+    const StatusOr<std::size_t> bins =
+        stats::binsCovering(start_, duration_, bin_width);
+    stats::BinnedSeries series(start_, bin_width, bins.value());
     for (const Request &r : reqs_) {
         if (which == Filter::Reads && !r.isRead())
             continue;
         if (which == Filter::Writes && !r.isWrite())
             continue;
         series.accumulateAt(r.arrival, 1.0);
-    }
-    return series;
-}
-
-stats::BinnedSeries
-MsTrace::binBytes(Tick bin_width, Filter which) const
-{
-    auto bins = static_cast<std::size_t>(
-        duration_ > 0 ? (duration_ + bin_width - 1) / bin_width : 0);
-    stats::BinnedSeries series(start_, bin_width, bins);
-    for (const Request &r : reqs_) {
-        if (which == Filter::Reads && !r.isRead())
-            continue;
-        if (which == Filter::Writes && !r.isWrite())
-            continue;
-        series.accumulateAt(r.arrival, static_cast<double>(r.bytes()));
     }
     return series;
 }

@@ -104,9 +104,6 @@ class MsTrace
     /** Count of read requests. */
     std::size_t readCount() const;
 
-    /** Count of write requests. */
-    std::size_t writeCount() const;
-
     /** Fraction of requests that are reads (0 when empty). */
     double readFraction() const;
 
@@ -136,10 +133,6 @@ class MsTrace
     enum class Filter { All, Reads, Writes };
     stats::BinnedSeries binCounts(Tick bin_width,
                                   Filter which = Filter::All) const;
-
-    /** Per-bin bytes moved. */
-    stats::BinnedSeries binBytes(Tick bin_width,
-                                 Filter which = Filter::All) const;
 
     /**
      * Fraction of sequential requests: request i is sequential when

@@ -70,7 +70,6 @@ bool
 MsTraceSource::next(RequestBatch &batch)
 {
     batch.clear();
-    batch.setTag(tag_);
     const std::vector<Request> &reqs = trace_.requests();
     if (pos_ >= reqs.size())
         return false;

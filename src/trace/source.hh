@@ -41,6 +41,18 @@ struct MsStreamHeader
 };
 
 /**
+ * True when duration >= 0 and the window's end, start + duration,
+ * fits a Tick.  Every decoder refuses a header that fails this.
+ */
+inline bool
+windowEndFits(Tick start, Tick duration)
+{
+    Tick end = 0;
+    return duration >= 0 &&
+           !__builtin_add_overflow(start, duration, &end);
+}
+
+/**
  * A pull-based stream of request batches in arrival order.
  */
 class RequestSource
@@ -77,20 +89,6 @@ class RequestSource
      * end-of-stream; the first unrecovered decode error otherwise.
      */
     virtual Status status() const { return Status(); }
-
-    /**
-     * Tenant/class tag stamped onto every delivered batch.
-     *
-     * Defaults to the single-tenant identity tag, which is how the
-     * pre-tenancy call sites stay byte-identical without changes.
-     */
-    const qos::TagId &tag() const { return tag_; }
-
-    /** Set the tag future batches will carry. */
-    void setTag(const qos::TagId &tag) { tag_ = tag; }
-
-  protected:
-    qos::TagId tag_;
 };
 
 /**

@@ -144,20 +144,6 @@ readSpc(const std::string &path, const std::string &drive_id,
     return r;
 }
 
-MsTrace
-readSpc(std::istream &is, const std::string &drive_id, int asu)
-{
-    return readSpc(is, drive_id, IngestOptions{}, nullptr, asu)
-        .valueOrThrow();
-}
-
-MsTrace
-readSpc(const std::string &path, const std::string &drive_id, int asu)
-{
-    return readSpc(path, drive_id, IngestOptions{}, nullptr, asu)
-        .valueOrThrow();
-}
-
 void
 writeSpc(std::ostream &os, const MsTrace &trace)
 {

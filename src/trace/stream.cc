@@ -216,7 +216,6 @@ class MsCsvSource final : public FileSource
     next(RequestBatch &batch) override
     {
         batch.clear();
-        batch.setTag(tag_);
         if (done_)
             return false;
 
@@ -285,7 +284,6 @@ class MsBinarySource final : public FileSource
     next(RequestBatch &batch) override
     {
         batch.clear();
-        batch.setTag(tag_);
         if (done_)
             return false;
 
@@ -436,6 +434,10 @@ makeBinarySource(std::unique_ptr<std::istream> owned,
         return Status::corruptData(
             "negative duration in binary header");
     }
+    if (!windowEndFits(start, duration)) {
+        return Status::corruptData(
+            "window end past the largest tick in binary header");
+    }
     return std::unique_ptr<FileSource>(
         new MsBinarySource(opts, std::move(drive_id), start, duration,
                            count, std::move(in)));
@@ -480,7 +482,8 @@ parseMsCsvHeaderLine(std::string_view line, MsStreamHeader &out)
     std::int64_t start = 0, duration = 0;
     if (head.size() != 4 || head[0] != "# dlw-ms-v1" ||
         !tryParseInt(head[2], start) ||
-        !tryParseInt(head[3], duration) || duration < 0) {
+        !tryParseInt(head[3], duration) ||
+        !windowEndFits(start, duration)) {
         return Status::corruptData("bad ms-trace header '" +
                                    trim(line) + "'");
     }

@@ -10,23 +10,6 @@ namespace trace
 {
 
 MsTrace
-slice(const MsTrace &tr, Tick from, Tick to)
-{
-    from = std::max(from, tr.start());
-    to = std::min(to, tr.end());
-    dlw_assert(to >= from, "slice window inverted");
-
-    MsTrace out(tr.driveId(), from, to - from);
-    for (const Request &r : tr.requests()) {
-        if (r.arrival >= to)
-            break;
-        if (r.arrival >= from)
-            out.append(r);
-    }
-    return out;
-}
-
-MsTrace
 merge(const std::vector<MsTrace> &parts)
 {
     dlw_assert(!parts.empty(), "merging zero traces");
@@ -51,38 +34,6 @@ merge(const std::vector<MsTrace> &parts)
     std::stable_sort(all.begin(), all.end(), ByArrival{});
     for (const Request &r : all)
         out.append(r);
-    return out;
-}
-
-MsTrace
-scaleRate(const MsTrace &tr, double factor)
-{
-    dlw_assert(factor > 0.0, "rate factor must be positive");
-    const auto scaled_duration = static_cast<Tick>(
-        static_cast<double>(tr.duration()) / factor + 0.5);
-    MsTrace out(tr.driveId(), tr.start(),
-                std::max<Tick>(scaled_duration, 1));
-    for (const Request &r : tr.requests()) {
-        Request s = r;
-        const double rel =
-            static_cast<double>(r.arrival - tr.start()) / factor;
-        s.arrival = tr.start() + static_cast<Tick>(rel + 0.5);
-        // Rounding may push the last arrival onto the window edge.
-        s.arrival = std::min(s.arrival, out.end() - 1);
-        out.append(s);
-    }
-    return out;
-}
-
-MsTrace
-shift(const MsTrace &tr, Tick offset)
-{
-    MsTrace out(tr.driveId(), tr.start() + offset, tr.duration());
-    for (const Request &r : tr.requests()) {
-        Request s = r;
-        s.arrival += offset;
-        out.append(s);
-    }
     return out;
 }
 

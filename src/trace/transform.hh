@@ -1,12 +1,8 @@
 /**
  * @file
- * Trace transformations: slicing, merging, and rate scaling.
- *
- * The workhorse utilities of trace-driven studies: cut a window out
- * of a long trace (the paper's Millisecond sets are windows cut from
- * longer collections), merge per-LUN streams into the drive-level
- * stream an array member sees, and replay a trace faster or slower
- * to explore utilization sensitivity.
+ * Trace merging: interleave several streams (per-LUN streams, or
+ * workloads consolidated onto one drive) into the one arrival-sorted
+ * stream the drive sees.
  */
 
 #ifndef DLW_TRACE_TRANSFORM_HH
@@ -22,16 +18,6 @@ namespace trace
 {
 
 /**
- * Cut the sub-trace with arrivals in [from, to).
- *
- * @param tr   Source trace (arrivals must be sorted).
- * @param from Window start (clamped to the source window).
- * @param to   Window end (exclusive; clamped likewise).
- * @return Trace whose observation window is exactly [from, to).
- */
-MsTrace slice(const MsTrace &tr, Tick from, Tick to);
-
-/**
  * Merge several traces into one arrival-sorted stream.
  *
  * The observation window is the union span of the inputs; the drive
@@ -40,21 +26,6 @@ MsTrace slice(const MsTrace &tr, Tick from, Tick to);
  * @param parts Input traces (at least one).
  */
 MsTrace merge(const std::vector<MsTrace> &parts);
-
-/**
- * Scale a trace's arrival rate by compressing or stretching time.
- *
- * @param tr     Source trace.
- * @param factor Rate multiplier (> 0): 2.0 halves every gap (twice
- *               the load), 0.5 doubles it.
- * @return Trace with arrivals (and window) rescaled around start().
- */
-MsTrace scaleRate(const MsTrace &tr, double factor);
-
-/**
- * Shift every arrival (and the window) by a constant offset.
- */
-MsTrace shift(const MsTrace &tr, Tick offset);
 
 } // namespace trace
 } // namespace dlw

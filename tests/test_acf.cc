@@ -235,52 +235,6 @@ TEST(AcfDeathTest, TooFewSamples)
     EXPECT_DEATH(autocorrelation(xs, 1), ">= 2");
 }
 
-TEST(DominantPeriod, RecoversSinusoidPeriod)
-{
-    Rng rng(7);
-    std::vector<double> xs;
-    for (int i = 0; i < 1000; ++i) {
-        xs.push_back(10.0 + 5.0 * std::sin(2.0 * M_PI * i / 24.0) +
-                     rng.normal(0.0, 1.0));
-    }
-    auto p = dominantPeriod(xs, 2, 100);
-    EXPECT_EQ(p.period, 24u);
-    EXPECT_GT(p.strength, 0.5);
-}
-
-TEST(DominantPeriod, WeeklyCycleAtLongerLags)
-{
-    Rng rng(8);
-    std::vector<double> xs;
-    for (int i = 0; i < 2000; ++i) {
-        double v = 10.0 + 4.0 * std::sin(2.0 * M_PI * i / 24.0);
-        if ((i / 24) % 7 >= 5)
-            v *= 0.3; // weekend damping
-        xs.push_back(v + rng.normal(0.0, 0.5));
-    }
-    // Restricting the search beyond a day finds the weekly beat.
-    auto p = dominantPeriod(xs, 48, 400);
-    EXPECT_EQ(p.period % 168, 0u);
-}
-
-TEST(DominantPeriod, NoiseHasNoStrongPeak)
-{
-    Rng rng(9);
-    std::vector<double> xs;
-    for (int i = 0; i < 2000; ++i)
-        xs.push_back(rng.normal(0.0, 1.0));
-    auto p = dominantPeriod(xs, 2, 200);
-    EXPECT_LT(p.strength, 0.1);
-}
-
-TEST(DominantPeriodDeathTest, BadRanges)
-{
-    std::vector<double> xs(100, 1.0);
-    EXPECT_DEATH(dominantPeriod(xs, 1, 10), ">= 2");
-    EXPECT_DEATH(dominantPeriod(xs, 10, 5), "inverted");
-    EXPECT_DEATH(dominantPeriod(xs, 2, 60), "too short");
-}
-
 } // anonymous namespace
 } // namespace stats
 } // namespace dlw

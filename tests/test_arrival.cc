@@ -33,8 +33,6 @@ makeProcess(const std::string &kind, double rate)
                                               3 * kSec, kSec);
     if (kind == "pareto")
         return std::make_unique<ParetoRenewal>(1.8, rate);
-    if (kind == "weibull")
-        return std::make_unique<WeibullRenewal>(0.5, rate);
     return nullptr;
 }
 
@@ -62,8 +60,7 @@ TEST_P(RateSweep, MeanRateMatchesDeclared)
 INSTANTIATE_TEST_SUITE_P(
     AllProcesses, RateSweep,
     ::testing::Combine(
-        ::testing::Values("poisson", "onoff", "mmpp", "pareto",
-                          "weibull"),
+        ::testing::Values("poisson", "onoff", "mmpp", "pareto"),
         ::testing::Values(5.0, 50.0)));
 
 double
@@ -86,10 +83,8 @@ TEST(Arrival, BurstyProcessesExceedPoissonCv)
 {
     OnOffArrivals onoff(400.0, 500 * kMsec, 1500 * kMsec);
     MmppArrivals mmpp(20.0, 500.0, 3 * kSec, kSec);
-    WeibullRenewal wb(0.4, 100.0);
     EXPECT_GT(gapCv(onoff, 2), 1.5);
     EXPECT_GT(gapCv(mmpp, 3), 1.3);
-    EXPECT_GT(gapCv(wb, 4), 1.5);
 }
 
 TEST(Arrival, GenerateStaysInWindow)

@@ -346,6 +346,48 @@ TEST(BenchDiff, HistogramGatedFromThirtyTwoSamplesInBothRuns)
                     .regressed);
 }
 
+/** A report carrying one daemon stage histogram. */
+BenchReport
+stageReport(const std::string &stage, std::uint64_t count, double p95)
+{
+    BenchReport r;
+    r.bench = "demo";
+    r.wall_seconds = 1.0;
+    BenchSample s;
+    s.type = MetricType::kHistogram;
+    s.count = count;
+    s.p95 = p95;
+    r.metrics[stage] = s;
+    return r;
+}
+
+TEST(BenchDiff, StageReadBurstCountsAreUngated)
+{
+    const BenchDiffThresholds th;
+    for (const char *stage : {"daemon.stage.decode_seconds",
+                              "daemon.stage.fold_seconds"}) {
+        // The count tracks read bursts, not requests: tripling it
+        // is reported but does not gate.
+        const BenchDiffResult d = diffBenchReports(
+            stageReport(stage, 100, 0.5), stageReport(stage, 300, 0.5),
+            th);
+        EXPECT_FALSE(d.regressed) << stage;
+        EXPECT_TRUE(entryFor(d, std::string(stage) + ".count").ungated);
+        // The p95 beside it stays gated.
+        const BenchDiffResult slow = diffBenchReports(
+            stageReport(stage, 100, 0.5), stageReport(stage, 300, 1.0),
+            th);
+        EXPECT_TRUE(entryFor(slow, std::string(stage) + ".p95").regressed)
+            << stage;
+    }
+    // Any other histogram's count is still work.
+    EXPECT_TRUE(diffBenchReports(
+                    stageReport("daemon.stage.merge_seconds", 100, 0.5),
+                    stageReport("daemon.stage.merge_seconds", 300, 0.5),
+                    th)
+                    .regressed);
+}
+
 } // anonymous namespace
 } // namespace obs
 } // namespace dlw

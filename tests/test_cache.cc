@@ -126,17 +126,6 @@ TEST(Cache, WriteElsewhereKeepsSegment)
     EXPECT_TRUE(c.readHit(0, 10));
 }
 
-TEST(Cache, ClearDropsEverything)
-{
-    DiskCache c(smallConfig());
-    c.installReadSegment(0, 50);
-    c.bufferWrite(100, 10);
-    c.clear();
-    EXPECT_FALSE(c.readHit(0, 10));
-    EXPECT_FALSE(c.dirty());
-    EXPECT_EQ(c.dirtyBlocks(), 0u);
-}
-
 TEST(CacheDeathTest, BufferOverflowAndEmptyDestage)
 {
     DiskCache c(smallConfig());
@@ -243,15 +232,6 @@ class OracleCache
         return e;
     }
 
-    void
-    clear()
-    {
-        for (Segment &s : segments_)
-            s.valid = false;
-        dirty_.clear();
-        dirty_blocks_ = 0;
-    }
-
   private:
     struct Segment
     {
@@ -344,8 +324,9 @@ runDifferential(std::uint32_t segments, std::uint64_t seed)
                 ASSERT_EQ(a.blocks, b.blocks) << at;
             }
         } else {
-            cache.clear();
-            oracle.clear();
+            // A power cycle: both caches start over empty.
+            cache = DiskCache(cfg);
+            oracle = OracleCache(cfg);
         }
         ASSERT_EQ(cache.dirtyBlocks(), oracle.dirtyBlocks()) << at;
         ASSERT_EQ(cache.dirtyExtents(), oracle.dirtyExtents()) << at;

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -451,23 +452,28 @@ TEST(StreamDecoderCsv, EofBeforeHeaderIsTruncated)
 // ---------------------------------------------------------------------------
 // Stream decoder, binary
 
+/** A DLWMS1 header announcing `count` records. */
+std::string
+binHeader(const std::string &id, std::int64_t start, std::int64_t duration,
+          std::uint64_t count)
+{
+    std::string out(trace::kMsBinaryMagic.begin(),
+                    trace::kMsBinaryMagic.end());
+    const std::uint32_t id_len = static_cast<std::uint32_t>(id.size());
+    out.append(reinterpret_cast<const char *>(&id_len), 4);
+    out += id;
+    out.append(reinterpret_cast<const char *>(&start), 8);
+    out.append(reinterpret_cast<const char *>(&duration), 8);
+    out.append(reinterpret_cast<const char *>(&count), 8);
+    return out;
+}
+
 /** The raw DLWMS1 byte stream matching csvTrace(n). */
 std::string
 binTrace(std::size_t n)
 {
-    std::string out(trace::kMsBinaryMagic.begin(),
-                    trace::kMsBinaryMagic.end());
-    const std::string id = "drv-a";
-    const std::uint32_t id_len = static_cast<std::uint32_t>(id.size());
-    out.append(reinterpret_cast<const char *>(&id_len), 4);
-    out += id;
-    const std::int64_t start = 0;
-    const std::int64_t duration =
-        static_cast<std::int64_t>((n + 1) * 1000000ull);
-    const std::uint64_t count = n;
-    out.append(reinterpret_cast<const char *>(&start), 8);
-    out.append(reinterpret_cast<const char *>(&duration), 8);
-    out.append(reinterpret_cast<const char *>(&count), 8);
+    std::string out = binHeader(
+        "drv-a", 0, static_cast<std::int64_t>((n + 1) * 1000000ull), n);
     for (std::size_t i = 0; i < n; ++i) {
         trace::MsRawRecord r{};
         r.arrival = static_cast<std::int64_t>(i * 1000000ull);
@@ -1586,6 +1592,57 @@ TEST(ServerIntegration, CorruptStreamGetsErrorResponse)
     EXPECT_NE(resp.find("DLWR1 error"), std::string::npos) << resp;
 }
 
+TEST(ServerIntegration, UnbinnableWindowFailsOnlyItsSession)
+{
+    // Windows whose bins or end overflow a tick: each must fail its
+    // own session with an error response, and the daemon must go on
+    // serving the next session.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    ServerFixture f(daemon::ServerConfig{});
+    struct Case
+    {
+        net::StreamFormat format;
+        std::string payload;
+    };
+    const std::string records = "arrival_ns,lba,blocks,op\n0,0,8,R\n";
+    const std::vector<Case> cases = {
+        {net::StreamFormat::kCsv,
+         "# dlw-ms-v1,x,0," + std::to_string(kMax) + "\n" + records},
+        {net::StreamFormat::kCsv,
+         "# dlw-ms-v1,x,1000," + std::to_string(kMax) + "\n" + records},
+        {net::StreamFormat::kBin, frame(binHeader("x", 0, kMax, 0), 64)},
+        {net::StreamFormat::kBin, frame(binHeader("x", 1000, kMax, 0), 64)},
+    };
+    for (const Case &k : cases) {
+        TestClient c(f.port());
+        ASSERT_TRUE(c.connected());
+        c.send(net::renderStreamHello(k.format, "acme"));
+        const std::string ack = c.recvLine();
+        ASSERT_NE(ack.find("DLWS1 ok acme-"), std::string::npos) << ack;
+        c.send(k.payload);
+        c.halfClose();
+        const std::string resp = c.recvLine();
+        EXPECT_NE(resp.find("DLWR1 error"), std::string::npos) << resp;
+    }
+
+    const std::string payload = csvTrace(300);
+    const std::string path = writeTemp(payload, ".csv");
+    const std::string expected = characterizeFile(path);
+    std::remove(path.c_str());
+    TestClient c(f.port());
+    ASSERT_TRUE(c.connected());
+    c.send(net::renderStreamHello(net::StreamFormat::kCsv, "acme"));
+    const std::string ack = c.recvLine();
+    ASSERT_NE(ack.find("DLWS1 ok acme-"), std::string::npos) << ack;
+    c.send(payload);
+    c.halfClose();
+    const std::string head = c.recvLine();
+    ASSERT_NE(head.find("DLWR1 ok "), std::string::npos) << head;
+    const std::size_t nbytes = static_cast<std::size_t>(
+        std::stoul(head.substr(std::strlen("DLWR1 ok "))));
+    EXPECT_EQ(c.recvBytes(nbytes), expected);
+}
+
 TEST(ServerIntegration, ShedsPastConnectionBudget)
 {
     obs::ScopedEnable metrics;
@@ -2298,10 +2355,10 @@ unfinishableLiveBlob(bool zero_scale)
 
 /**
  * A checkpoint of session t-1, mid-stream after csvTrace(40)'s header,
- * whose live state is unfinishableLiveBlob(zero_scale).
+ * whose live state is the `live` blob.
  */
 std::string
-unfinishableSessionBlob(bool zero_scale)
+sessionBlobWithLive(const std::string &live)
 {
     daemon::Session s("t-1", "t", net::StreamFormat::kCsv);
     const std::string payload = csvTrace(40);
@@ -2319,7 +2376,7 @@ unfinishableSessionBlob(bool zero_scale)
     if (at == std::string::npos)
         return blob;
     std::string bad = blob;
-    bad.replace(at, fresh.size(), unfinishableLiveBlob(zero_scale));
+    bad.replace(at, fresh.size(), live);
     return bad;
 }
 
@@ -2330,10 +2387,46 @@ TEST(SessionCheckpoint, RestoreRejectsLiveStateFinishCannotRun)
         BinDec live_dec(live);
         EXPECT_EQ(core::LiveCharacterization::restore(live_dec), nullptr)
             << "zero_scale " << zero_scale;
-        const std::string blob = unfinishableSessionBlob(zero_scale);
+        const std::string blob =
+            sessionBlobWithLive(unfinishableLiveBlob(zero_scale));
         BinDec dec(blob);
         EXPECT_EQ(daemon::Session::restore(dec), nullptr)
             << "zero_scale " << zero_scale;
+    }
+}
+
+TEST(SessionCheckpoint, RestoreRejectsUnbinnableWindow)
+{
+    // Live state whose window cannot be binned: restore used to size
+    // the bins from the blob's header and die on the overflowed count.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const trace::MsStreamHeader ok = csvTrace40Header();
+    std::string valid;
+    BinEnc venc(valid);
+    core::LiveCharacterization(ok).saveState(venc);
+    std::string ok_head;
+    BinEnc henc(ok_head);
+    henc.str(ok.drive_id);
+    henc.i64(ok.start);
+    henc.i64(ok.duration);
+    ASSERT_EQ(valid.compare(0, ok_head.size(), ok_head), 0);
+
+    const std::pair<std::int64_t, std::int64_t> windows[] = {
+        {0, kMax}, {1000, kMax}, {kMax, 1}, {0, -1}};
+    for (const auto &[start, duration] : windows) {
+        std::string live;
+        BinEnc enc(live);
+        enc.str(ok.drive_id);
+        enc.i64(start);
+        enc.i64(duration);
+        live += valid.substr(ok_head.size());
+        BinDec live_dec(live);
+        EXPECT_EQ(core::LiveCharacterization::restore(live_dec), nullptr)
+            << start << " + " << duration;
+        const std::string blob = sessionBlobWithLive(live);
+        BinDec dec(blob);
+        EXPECT_EQ(daemon::Session::restore(dec), nullptr)
+            << start << " + " << duration;
     }
 }
 
@@ -2353,7 +2446,7 @@ TEST(ServerIntegration, UnfinishableCheckpointIsDropped)
             std::string blob = daemon::kCheckpointMagic;
             BinEnc enc(blob);
             enc.u32(daemon::kCheckpointVersion);
-            blob += unfinishableSessionBlob(zero_scale);
+            blob += sessionBlobWithLive(unfinishableLiveBlob(zero_scale));
             std::ofstream os(path, std::ios::binary);
             os << blob;
         }

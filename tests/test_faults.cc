@@ -251,7 +251,7 @@ TEST(IngestPolicy, HeaderCorruptionNeverRecoverable)
          {RecordPolicy::kSkipAndCount, RecordPolicy::kBestEffortClamp}) {
         std::stringstream ss("garbage header\n1,2,3,R\n");
         auto r = trace::readMsCsv(ss, withPolicy(p));
-        EXPECT_FALSE(r.ok()) << trace::recordPolicyName(p);
+        EXPECT_FALSE(r.ok()) << "policy " << static_cast<int>(p);
     }
 }
 

@@ -48,7 +48,7 @@ TEST(ThreadPool, RunsEveryTask)
     ThreadPool pool(4);
     std::atomic<int> done{0};
     for (int i = 0; i < 100; ++i)
-        pool.submit([&done] { ++done; });
+        pool.submit([&done] { ++done; }, qos::WorkClass::kInteractive);
     pool.wait();
     EXPECT_EQ(done.load(), 100);
 }
@@ -68,11 +68,13 @@ TEST(ThreadPool, DrainsCleanlyOnTaskException)
     ThreadPool pool(2);
     std::atomic<int> done{0};
     for (int i = 0; i < 20; ++i) {
-        pool.submit([&done, i] {
-            if (i == 5)
-                throw std::runtime_error("task 5 failed");
-            ++done;
-        });
+        pool.submit(
+            [&done, i] {
+                if (i == 5)
+                    throw std::runtime_error("task 5 failed");
+                ++done;
+            },
+            qos::WorkClass::kInteractive);
     }
     EXPECT_THROW(pool.wait(), std::runtime_error);
     // Every other task still ran: the failure did not poison the
@@ -80,7 +82,7 @@ TEST(ThreadPool, DrainsCleanlyOnTaskException)
     EXPECT_EQ(done.load(), 19);
 
     // And the pool stays usable: the error does not stick.
-    pool.submit([&done] { ++done; });
+    pool.submit([&done] { ++done; }, qos::WorkClass::kInteractive);
     pool.wait();
     EXPECT_EQ(done.load(), 20);
 }
@@ -148,93 +150,6 @@ TEST(FleetMerge, LogHistogramMergeIsAssociative)
     EXPECT_DOUBLE_EQ(left.overflow(), right.overflow());
     for (std::size_t i = 0; i < left.binCount(); ++i)
         EXPECT_DOUBLE_EQ(left.binWeight(i), right.binWeight(i));
-}
-
-TEST(FleetMerge, LinearHistogramMergeIsAssociative)
-{
-    Rng rng(13);
-    stats::LinearHistogram a(0.0, 1.0, 50);
-    stats::LinearHistogram b(0.0, 1.0, 50);
-    stats::LinearHistogram c(0.0, 1.0, 50);
-    for (int i = 0; i < 2000; ++i) {
-        a.add(rng.uniform());
-        b.add(rng.uniform() * 1.2); // some overflow
-        c.add(rng.uniform() - 0.1); // some underflow
-    }
-
-    stats::LinearHistogram left = a;
-    left.merge(b);
-    left.merge(c);
-    stats::LinearHistogram bc = b;
-    bc.merge(c);
-    stats::LinearHistogram right = a;
-    right.merge(bc);
-
-    EXPECT_DOUBLE_EQ(left.total(), right.total());
-    for (std::size_t i = 0; i < left.binCount(); ++i)
-        EXPECT_DOUBLE_EQ(left.binWeight(i), right.binWeight(i));
-}
-
-TEST(FleetMerge, EcdfMergeIsAssociative)
-{
-    Rng rng(14);
-    stats::Ecdf a, b, c;
-    for (int i = 0; i < 500; ++i) {
-        a.add(rng.normal(0.0, 1.0));
-        b.add(rng.normal(3.0, 2.0));
-        c.add(rng.exponential(1.0));
-    }
-
-    stats::Ecdf left = a;
-    left.merge(b);
-    left.merge(c);
-    stats::Ecdf bc = b;
-    bc.merge(c);
-    stats::Ecdf right = a;
-    right.merge(bc);
-
-    EXPECT_EQ(left.count(), right.count());
-    // Sample *sets* are equal, so the sorted views match exactly.
-    EXPECT_EQ(left.sorted(), right.sorted());
-    EXPECT_DOUBLE_EQ(left.quantile(0.5), right.quantile(0.5));
-    EXPECT_DOUBLE_EQ(left.quantile(0.99), right.quantile(0.99));
-}
-
-TEST(FleetMerge, EcdfMergeMatchesSingleInstance)
-{
-    Rng rng(15);
-    stats::Ecdf whole, half_a, half_b;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.lognormal(0.0, 1.0);
-        whole.add(v);
-        (i % 2 ? half_a : half_b).add(v);
-    }
-    half_a.merge(half_b);
-    EXPECT_EQ(half_a.count(), whole.count());
-    EXPECT_EQ(half_a.sorted(), whole.sorted());
-}
-
-TEST(FleetMerge, AggregateMergeMatchesAccumulate)
-{
-    const FleetConfig cfg = smallFleet(1);
-    FleetResult r = runFleet(cfg);
-
-    // Split the shards 3/5 into two aggregates and merge: identical
-    // to the ordered reduction over all of them.
-    FleetAggregate front, back;
-    for (const DriveShard &s : r.shards)
-        (s.index < 3 ? front : back).accumulate(s);
-    front.merge(back);
-
-    EXPECT_EQ(front.drives, r.aggregate.drives);
-    EXPECT_EQ(front.requests, r.aggregate.requests);
-    EXPECT_EQ(front.reads, r.aggregate.reads);
-    EXPECT_DOUBLE_EQ(front.response_ms.mean(),
-                     r.aggregate.response_ms.mean());
-    EXPECT_DOUBLE_EQ(front.util.mean(), r.aggregate.util.mean());
-    EXPECT_EQ(front.util_ecdf.sorted(), r.aggregate.util_ecdf.sorted());
-    EXPECT_EQ(front.tier_counts, r.aggregate.tier_counts);
-    EXPECT_EQ(front.saturated_counts, r.aggregate.saturated_counts);
 }
 
 TEST(FleetMerge, ReduceOrderedIgnoresStorageOrder)

@@ -73,15 +73,6 @@ TEST(Geometry, TransferAcrossZoneBoundary)
     EXPECT_EQ(g.transferTime(900, 150), 20 * kMsec);
 }
 
-TEST(Geometry, BandwidthOuterFasterThanInner)
-{
-    DiskGeometry g = tinyGeometry();
-    EXPECT_GT(g.bandwidthAt(0), g.bandwidthAt(1200));
-    EXPECT_DOUBLE_EQ(g.peakBandwidth(), g.bandwidthAt(0));
-    // 100 blocks * 512 B per 10 ms = 5.12 MB/s.
-    EXPECT_NEAR(g.bandwidthAt(0), 100.0 * 512.0 / 0.01, 1.0);
-}
-
 TEST(Geometry, ZoneOfReturnsCorrectZone)
 {
     DiskGeometry g = tinyGeometry();
@@ -114,8 +105,12 @@ TEST(Geometry, EnterpriseFactorySane)
     EXPECT_EQ(g.capacityBlocks(),
               146ULL * (1ULL << 30) / kBlockBytes);
     EXPECT_EQ(g.zones().size(), 4u);
-    // ~125 MB/s outer for a 15k drive of the era.
-    EXPECT_NEAR(g.peakBandwidth() / 1e6, 128.0, 10.0);
+    // ~125 MB/s outer for a 15k drive of the era: one outer track
+    // per revolution.
+    const double outer_bytes_per_s =
+        static_cast<double>(g.zones().front().sectors_per_track) *
+        kBlockBytes / ticksToSeconds(g.rotationTime());
+    EXPECT_NEAR(outer_bytes_per_s / 1e6, 128.0, 10.0);
     EXPECT_GT(g.cylinders(), 50000u);
 }
 

@@ -99,7 +99,7 @@ TEST(HourTrace, LongestBusyRun)
     EXPECT_EQ(t.longestBusyRun(0.999), 0u);
 }
 
-TEST(HourTrace, SeriesViews)
+TEST(HourTrace, RequestSeries)
 {
     HourTrace t("d", 0);
     t.append(bucket(4, 4, kHour / 2));
@@ -108,11 +108,6 @@ TEST(HourTrace, SeriesViews)
     EXPECT_EQ(reqs.binWidth(), kHour);
     EXPECT_DOUBLE_EQ(reqs.at(0), 8.0);
     EXPECT_DOUBLE_EQ(reqs.at(1), 10.0);
-    auto util = t.utilizationSeries();
-    EXPECT_DOUBLE_EQ(util.at(0), 0.5);
-    auto rf = t.readFractionSeries();
-    EXPECT_DOUBLE_EQ(rf.at(0), 0.5);
-    EXPECT_DOUBLE_EQ(rf.at(1), 0.9);
 }
 
 TEST(HourTrace, HourOfWeekProfileAverages)
@@ -131,31 +126,6 @@ TEST(HourTrace, HourOfWeekProfileAverages)
     ASSERT_EQ(profile.size(), 168u);
     EXPECT_DOUBLE_EQ(profile[3], 20.0);
     EXPECT_DOUBLE_EQ(profile[4], 0.0);
-}
-
-TEST(HourTrace, ValidateCatchesBadBusy)
-{
-    HourTrace t("d", 0);
-    HourBucket bad;
-    bad.busy = kHour + 1;
-    t.append(bad);
-    EXPECT_FALSE(t.validate());
-}
-
-TEST(HourTrace, ValidateCatchesBlocksWithoutCommands)
-{
-    HourTrace t("d", 0);
-    HourBucket bad;
-    bad.read_blocks = 10;
-    t.append(bad);
-    EXPECT_FALSE(t.validate());
-}
-
-TEST(HourTrace, ValidateAcceptsGood)
-{
-    HourTrace t("d", 0);
-    t.append(bucket(5, 5, kHour / 10));
-    EXPECT_TRUE(t.validate());
 }
 
 } // anonymous namespace

@@ -56,17 +56,6 @@ TEST(Idleness, FullyBusyWindow)
     EXPECT_EQ(a.meanInterval(), 0);
 }
 
-TEST(Idleness, FractionOfIntervalsAtLeast)
-{
-    auto log = logWith(100, {{10, 20}, {22, 30}, {80, 90}});
-    // Gaps: 10, 2, 50, 10 -> sorted {2, 10, 10, 50}.
-    IdlenessAnalysis a(log);
-    EXPECT_DOUBLE_EQ(a.fractionOfIntervalsAtLeast(1), 1.0);
-    EXPECT_DOUBLE_EQ(a.fractionOfIntervalsAtLeast(10), 0.75);
-    EXPECT_DOUBLE_EQ(a.fractionOfIntervalsAtLeast(11), 0.25);
-    EXPECT_DOUBLE_EQ(a.fractionOfIntervalsAtLeast(51), 0.0);
-}
-
 TEST(Idleness, IdleMassWeightsByDuration)
 {
     auto log = logWith(100, {{10, 20}, {22, 30}, {80, 90}});

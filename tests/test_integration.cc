@@ -154,8 +154,9 @@ TEST(Integration, FamilyPipelineFindsStreamers)
     core::FamilyReport rep = core::analyzeFamily(lt);
     // Reproduce the abstract's population claims qualitatively.
     EXPECT_GT(rep.util_p90, rep.util_p10 * 3.0);
-    EXPECT_GT(lt.fractionWithSaturatedRun(3), 0.0);
-    EXPECT_LT(lt.fractionWithSaturatedRun(3), 0.5);
+    // saturated_run_ccdf[2]: drives with a run of at least 3 hours.
+    EXPECT_GT(rep.saturated_run_ccdf[2], 0.0);
+    EXPECT_LT(rep.saturated_run_ccdf[2], 0.5);
 }
 
 TEST(Integration, CacheAblationShiftsIdleStructure)

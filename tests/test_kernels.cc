@@ -26,7 +26,6 @@
 #include "core/pass.hh"
 #include "core/rwmix.hh"
 #include "disk/drive.hh"
-#include "stats/histogram.hh"
 #include "stats/simd/kernels.hh"
 #include "stats/simd/simd.hh"
 #include "stats/summary.hh"
@@ -82,91 +81,6 @@ struct Rng
         return lo + u * (hi - lo);
     }
 };
-
-/** Adversarial sample set for the binning kernels. */
-std::vector<double>
-binningSamples()
-{
-    std::vector<double> xs = {
-        // exact edges and off-by-one-ulp neighbours
-        0.0, 1.0, std::nextafter(1.0, 0.0), std::nextafter(1.0, 2.0),
-        10.0, std::nextafter(10.0, 0.0), 100.0,
-        // denormals and extremes
-        std::numeric_limits<double>::denorm_min(),
-        -std::numeric_limits<double>::denorm_min(),
-        std::numeric_limits<double>::min(),
-        std::numeric_limits<double>::max(),
-        std::numeric_limits<double>::infinity(),
-        -std::numeric_limits<double>::infinity(),
-        // out of range both ways
-        -5.0, -1e300, 1e300, 0.5, 99.999999,
-    };
-    Rng rng(0xb1bb1e5);
-    for (int i = 0; i < 400; ++i)
-        xs.push_back(rng.uniform(-2.0, 120.0));
-    return xs;
-}
-
-TEST(BinLinearKernel, MatchesScalarOnAllIsas)
-{
-    const std::vector<double> xs = binningSamples();
-    // Deliberately non-exact reciprocal, like most real bin layouts.
-    constexpr double lo = 1.0, hi = 100.0;
-    constexpr double inv_width = 33 / (100.0 - 1.0);
-    constexpr std::int32_t bins = 33;
-
-    // Every batch length up to two AVX2 widths exercises all tails.
-    for (std::size_t n = 0; n <= 16 && n <= xs.size(); ++n) {
-        for (std::size_t off = 0; off + n <= xs.size();
-             off += (n == 0 ? xs.size() + 1 : 7)) {
-            std::vector<std::int32_t> ref(n + 1, 42);
-            detail::kScalarOps.bin_linear(xs.data() + off, n, lo, hi,
-                                          inv_width, bins,
-                                          ref.data());
-            for (Isa isa : supportedIsas()) {
-                IsaGuard guard;
-                force(isa);
-                std::vector<std::int32_t> got(n + 1, 42);
-                ops().bin_linear(xs.data() + off, n, lo, hi,
-                                 inv_width, bins, got.data());
-                ASSERT_EQ(ref, got)
-                    << "isa=" << isaName(isa) << " n=" << n
-                    << " off=" << off;
-            }
-        }
-    }
-}
-
-TEST(BinLogKernel, MatchesScalarOnAllIsas)
-{
-    std::vector<double> xs = binningSamples();
-    xs.push_back(std::numeric_limits<double>::quiet_NaN());
-    xs.push_back(-0.0); // !(x >= lo) => underflow, like LogHistogram
-    constexpr double lo = 1e-3, hi = 1e4;
-    const double log_lo = std::log10(lo);
-    const double inv_log_width = 8.0; // bins per decade
-    constexpr std::int32_t bins = 56;
-
-    for (std::size_t n = 0; n <= 16 && n <= xs.size(); ++n) {
-        for (std::size_t off = 0; off + n <= xs.size();
-             off += (n == 0 ? xs.size() + 1 : 7)) {
-            std::vector<std::int32_t> ref(n + 1, 42);
-            detail::kScalarOps.bin_log(xs.data() + off, n, lo, hi,
-                                       log_lo, inv_log_width, bins,
-                                       ref.data());
-            for (Isa isa : supportedIsas()) {
-                IsaGuard guard;
-                force(isa);
-                std::vector<std::int32_t> got(n + 1, 42);
-                ops().bin_log(xs.data() + off, n, lo, hi, log_lo,
-                              inv_log_width, bins, got.data());
-                ASSERT_EQ(ref, got)
-                    << "isa=" << isaName(isa) << " n=" << n
-                    << " off=" << off;
-            }
-        }
-    }
-}
 
 /** Bursty sorted arrivals with duplicate ticks and long runs. */
 std::vector<Tick>
@@ -379,7 +293,7 @@ TEST(SummaryLanesState, SaveLoadRoundTrip)
     SummaryLanes b;
     ASSERT_TRUE(b.loadState(dec));
     ASSERT_TRUE(lanesBitEqual(a, b));
-    ASSERT_EQ(a.count(), b.count());
+    ASSERT_EQ(a.combined().count(), b.combined().count());
 
     // Truncated blob fails cleanly.
     BinDec short_dec(blob.data(), blob.size() - 1);
@@ -454,39 +368,6 @@ TEST(CountEqAndSumKernels, MatchScalar)
             ASSERT_EQ(ops().sum_u32(vals.data(), n), ref_sum)
                 << "isa=" << isaName(isa) << " n=" << n;
         }
-    }
-}
-
-TEST(HistogramBatch, IdenticalToSequentialAdds)
-{
-    const std::vector<double> xs = binningSamples();
-    for (Isa isa : supportedIsas()) {
-        IsaGuard guard;
-        force(isa);
-
-        LinearHistogram lin_ref(1.0, 100.0, 33);
-        for (double x : xs)
-            lin_ref.add(x);
-        LinearHistogram lin_got(1.0, 100.0, 33);
-        lin_got.addBatch(xs.data(), xs.size());
-        ASSERT_EQ(lin_ref.total(), lin_got.total());
-        ASSERT_EQ(lin_ref.underflow(), lin_got.underflow());
-        ASSERT_EQ(lin_ref.overflow(), lin_got.overflow());
-        for (std::size_t i = 0; i < lin_ref.binCount(); ++i)
-            ASSERT_EQ(lin_ref.binWeight(i), lin_got.binWeight(i))
-                << "isa=" << isaName(isa) << " bin=" << i;
-
-        LogHistogram log_ref(1e-3, 1e4, 8);
-        for (double x : xs)
-            log_ref.add(x);
-        LogHistogram log_got(1e-3, 1e4, 8);
-        log_got.addBatch(xs.data(), xs.size());
-        ASSERT_EQ(log_ref.total(), log_got.total());
-        ASSERT_EQ(log_ref.underflow(), log_got.underflow());
-        ASSERT_EQ(log_ref.overflow(), log_got.overflow());
-        for (std::size_t i = 0; i < log_ref.binCount(); ++i)
-            ASSERT_EQ(log_ref.binWeight(i), log_got.binWeight(i))
-                << "isa=" << isaName(isa) << " bin=" << i;
     }
 }
 

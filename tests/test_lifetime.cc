@@ -57,7 +57,7 @@ TEST(LifetimeTrace, AppendAndAccess)
     t.append(record("a", kHour, 0, 1, 1));
     t.append(record("b", kHour, kHour / 2, 2, 2));
     EXPECT_EQ(t.size(), 2u);
-    EXPECT_EQ(t.at(1).drive_id, "b");
+    EXPECT_EQ(t.records().at(1).drive_id, "b");
 }
 
 TEST(LifetimeTrace, Utilizations)
@@ -69,22 +69,6 @@ TEST(LifetimeTrace, Utilizations)
     ASSERT_EQ(us.size(), 2u);
     EXPECT_DOUBLE_EQ(us[0], 0.1);
     EXPECT_DOUBLE_EQ(us[1], 0.5);
-}
-
-TEST(LifetimeTrace, FractionWithSaturatedRun)
-{
-    LifetimeTrace t("FAM");
-    auto r1 = record("a", kHour, 0, 1, 1);
-    r1.saturated_hours = 10;
-    r1.longest_saturated_run = 6;
-    auto r2 = record("b", kHour, 0, 1, 1);
-    r2.saturated_hours = 2;
-    r2.longest_saturated_run = 2;
-    t.append(r1);
-    t.append(r2);
-    EXPECT_DOUBLE_EQ(t.fractionWithSaturatedRun(1), 1.0);
-    EXPECT_DOUBLE_EQ(t.fractionWithSaturatedRun(3), 0.5);
-    EXPECT_DOUBLE_EQ(t.fractionWithSaturatedRun(10), 0.0);
 }
 
 TEST(LifetimeTrace, ValidateCatchesBusyOverPowerOn)

@@ -55,7 +55,6 @@ TEST(MsTrace, MetadataAndCounts)
     tr.append(mk(400, 16, 8, Op::Read));
     EXPECT_EQ(tr.size(), 3u);
     EXPECT_EQ(tr.readCount(), 2u);
-    EXPECT_EQ(tr.writeCount(), 1u);
     EXPECT_NEAR(tr.readFraction(), 2.0 / 3.0, 1e-12);
     EXPECT_EQ(tr.totalBytes(), 3u * 8u * 512u);
     EXPECT_DOUBLE_EQ(tr.meanRequestBlocks(), 8.0);
@@ -157,16 +156,6 @@ TEST(MsTrace, BinCountsCoverWholeWindowEvenWhenEmpty)
     auto counts = tr.binCounts(10);
     EXPECT_EQ(counts.size(), 10u);
     EXPECT_DOUBLE_EQ(counts.total(), 0.0);
-}
-
-TEST(MsTrace, BinBytes)
-{
-    MsTrace tr("t", 0, 20);
-    tr.append(mk(5, 0, 4, Op::Read));
-    tr.append(mk(15, 0, 2, Op::Write));
-    auto bytes = tr.binBytes(10);
-    EXPECT_DOUBLE_EQ(bytes.at(0), 4.0 * 512);
-    EXPECT_DOUBLE_EQ(bytes.at(1), 2.0 * 512);
 }
 
 TEST(MsTrace, SequentialFraction)

@@ -50,15 +50,6 @@ TEST(Options, LastValueWins)
     EXPECT_EQ(o.get("k", ""), "b");
 }
 
-TEST(Options, UnusedKeysReported)
-{
-    Options o = parse({"--used", "1", "--typo", "2"});
-    (void)o.get("used", "");
-    auto unused = o.unusedKeys();
-    ASSERT_EQ(unused.size(), 1u);
-    EXPECT_EQ(unused[0], "typo");
-}
-
 TEST(OptionsDeathTest, MalformedInput)
 {
     EXPECT_EXIT(parse({"notanoption"}), ::testing::ExitedWithCode(1),

@@ -104,14 +104,6 @@ TEST(Power, ShortGapsBetweenBusyStayIdle)
     EXPECT_EQ(r.spindowns, 0u);
 }
 
-TEST(Power, MeanPowerOverWindow)
-{
-    auto log = logWith(10 * kSec, {{0, 10 * kSec}});
-    PowerReport r = evaluatePower(log, simpleConfig());
-    EXPECT_DOUBLE_EQ(r.meanPower(10 * kSec), 10.0);
-    EXPECT_DOUBLE_EQ(r.meanPower(0), 0.0);
-}
-
 TEST(Power, AggressiveTimeoutSavesEnergyButDelays)
 {
     // Bursts separated by 30 s gaps.

@@ -353,10 +353,12 @@ TEST(PriorityLanes, InteractiveDispatchesBeforeBulkBeforeBackground)
     std::mutex mu;
     std::condition_variable cv;
     bool release = false;
-    pool.submit([&] {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return release; });
-    });
+    pool.submit(
+        [&] {
+            std::unique_lock<std::mutex> lock(mu);
+            cv.wait(lock, [&] { return release; });
+        },
+        WorkClass::kInteractive);
     // Give the worker a moment to pick up the parking task.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 

@@ -179,12 +179,6 @@ TEST(RaidMapper, LogicalCapacities)
               4 * disk_cap);
 }
 
-TEST(RaidMapper, LevelNames)
-{
-    EXPECT_STREQ(raidLevelName(RaidLevel::Raid0), "RAID-0");
-    EXPECT_STREQ(raidLevelName(RaidLevel::Raid5), "RAID-5");
-}
-
 TEST(RaidMapperDeathTest, BadConfigs)
 {
     EXPECT_DEATH(RaidMapper(cfg(RaidLevel::Raid0, 1)),

@@ -21,7 +21,9 @@ TEST(Table, RendersAlignedColumns)
     Table t("demo", {"name", "value"});
     t.addRow({"alpha", "1"});
     t.addRow({"b", "22222"});
-    std::string s = t.toString();
+    std::ostringstream os;
+    t.print(os);
+    const std::string s = os.str();
     EXPECT_NE(s.find("== demo =="), std::string::npos);
     EXPECT_NE(s.find("name"), std::string::npos);
     EXPECT_NE(s.find("alpha"), std::string::npos);

@@ -30,7 +30,7 @@ reqAt(Lba lba, std::size_t index)
     r.lba = lba;
     r.blocks = 1;
     r.op = trace::Op::Read;
-    return QueuedRequest{r, index, qos::TagId{}};
+    return QueuedRequest{r, index};
 }
 
 TEST(Scheduler, FcfsAlwaysFront)

@@ -24,30 +24,6 @@ TEST(FixedSize, AlwaysSame)
     EXPECT_DOUBLE_EQ(s.meanBlocks(), 64.0);
 }
 
-TEST(BimodalSize, MixFollowsProbability)
-{
-    BimodalSize s(8, 128, 0.75);
-    Rng rng(2);
-    int small = 0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i) {
-        BlockCount b = s.nextBlocks(rng);
-        ASSERT_TRUE(b == 8u || b == 128u);
-        small += b == 8u ? 1 : 0;
-    }
-    EXPECT_NEAR(static_cast<double>(small) / n, 0.75, 0.01);
-    EXPECT_DOUBLE_EQ(s.meanBlocks(), 0.75 * 8 + 0.25 * 128);
-}
-
-TEST(BimodalSize, DegenerateProbabilities)
-{
-    Rng rng(3);
-    BimodalSize always_small(8, 128, 1.0);
-    BimodalSize always_large(8, 128, 0.0);
-    EXPECT_EQ(always_small.nextBlocks(rng), 8u);
-    EXPECT_EQ(always_large.nextBlocks(rng), 128u);
-}
-
 TEST(LognormalSize, MedianAndCap)
 {
     LognormalSize s(16, 1.0, 256);
@@ -73,8 +49,6 @@ TEST(LognormalSize, MeanReflectsSigma)
 TEST(SizesDeathTest, InvalidParameters)
 {
     EXPECT_DEATH(FixedSize(0), ">= 1");
-    EXPECT_DEATH(BimodalSize(10, 5, 0.5), "inverted");
-    EXPECT_DEATH(BimodalSize(1, 2, 1.5), "out of range");
     EXPECT_DEATH(LognormalSize(16, 0.0, 100), "positive");
     EXPECT_DEATH(LognormalSize(16, 1.0, 8), "cap below median");
 }

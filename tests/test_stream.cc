@@ -353,7 +353,7 @@ TEST(RawRecord, BadOpAndZeroBlocksUnderEveryPolicy)
         StatusOr<MsTrace> got =
             trace::drainMsSource(trace::openMsBinarySource(is, opts),
                                  nullptr);
-        const char *name = trace::recordPolicyName(policy);
+        const int name = static_cast<int>(policy);
         if (policy == trace::RecordPolicy::kAbort) {
             ASSERT_FALSE(got.ok()) << name;
             EXPECT_NE(got.status().message().find(
@@ -1222,7 +1222,7 @@ TEST(BlockDecode, CsvMatchesTheOracleAtEveryRefillOffset)
                     head + std::string(column, 'c') + "\n" + records;
                 ASSERT_TRUE(sameDecode(
                     want, decode(trace::openMsCsvSource, text, opts, 5)))
-                    << trace::recordPolicyName(policy)
+                    << "policy " << static_cast<int>(policy)
                     << ", refill at record byte " << at
                     << (final_newline ? "" : ", no final newline");
             }
@@ -1255,7 +1255,7 @@ TEST(BlockDecode, CsvMatchesTheOracleOnAMutatedCorpus)
                     decode(oracle::openCsv, text, opts, bs);
                 EXPECT_TRUE(sameDecode(
                     want, decode(trace::openMsCsvSource, text, opts, bs)))
-                    << trace::recordPolicyName(policy) << ", batch " << bs
+                    << "policy " << static_cast<int>(policy) << ", batch " << bs
                     << (final_newline ? "" : ", no final newline");
                 if (policy == trace::RecordPolicy::kSkipAndCount &&
                     bs == 4096) {
@@ -1304,7 +1304,7 @@ TEST(BlockDecode, FaultPointFiresOnTheSameRecords)
             }
             EXPECT_GT(want.stats.errors, 0u);
             EXPECT_TRUE(sameDecode(want, got))
-                << trace::recordPolicyName(policy);
+                << "policy " << static_cast<int>(policy);
         }
     }
 }
@@ -1350,7 +1350,7 @@ TEST(BlockDecode, BinaryMatchesTheOracleAtEveryTruncation)
             ASSERT_TRUE(sameDecode(
                 decode(oracle::openBinary, bytes, opts, 4),
                 decode(trace::openMsBinarySource, bytes, opts, 4)))
-                << trace::recordPolicyName(policy) << ", " << len
+                << "policy " << static_cast<int>(policy) << ", " << len
                 << " of " << small.size() << " bytes";
         }
         for (std::size_t len = cut_from; len <= large.size(); ++len) {
@@ -1358,7 +1358,7 @@ TEST(BlockDecode, BinaryMatchesTheOracleAtEveryTruncation)
             ASSERT_TRUE(sameDecode(
                 decode(oracle::openBinary, bytes, opts, 4096),
                 decode(trace::openMsBinarySource, bytes, opts, 4096)))
-                << trace::recordPolicyName(policy) << ", " << len
+                << "policy " << static_cast<int>(policy) << ", " << len
                 << " of " << large.size() << " bytes";
         }
     }

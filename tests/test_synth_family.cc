@@ -73,7 +73,12 @@ TEST(Family, HourTraceIsValidAndDiurnal)
     DriveProfile p = m.sampleProfile(3);
     trace::HourTrace t = m.generateHourTrace(p, 24 * 14);
     EXPECT_EQ(t.hours(), 24u * 14u);
-    EXPECT_TRUE(t.validate(true));
+    for (const trace::HourBucket &b : t.buckets()) {
+        EXPECT_GE(b.busy, 0);
+        EXPECT_LE(b.busy, kHour);
+        EXPECT_TRUE(b.reads > 0 || b.read_blocks == 0);
+        EXPECT_TRUE(b.writes > 0 || b.write_blocks == 0);
+    }
     EXPECT_GT(t.totalRequests(), 0u);
 }
 

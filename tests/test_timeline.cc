@@ -360,6 +360,22 @@ TEST(TimelineDump, RawStreamIsValidJson)
 // ---------------------------------------------------------------------------
 // Fleet thread-count invariance.
 
+const char *
+kindName(TimelineEventKind kind)
+{
+    switch (kind) {
+      case TimelineEventKind::kBegin:
+        return "begin";
+      case TimelineEventKind::kEnd:
+        return "end";
+      case TimelineEventKind::kInstant:
+        return "instant";
+      case TimelineEventKind::kCounter:
+        return "counter";
+    }
+    return "unknown";
+}
+
 /** Deterministic per-(name, kind) event counts for one thread count. */
 std::map<std::string, std::uint64_t>
 fleetTimelineCounts(std::size_t threads)
@@ -381,8 +397,7 @@ fleetTimelineCounts(std::size_t threads)
         // fleet.pool.steals metric.
         if (std::string(e.name) == "fleet.pool.steal")
             continue;
-        counts[std::string(e.name) + "/" +
-               timelineEventKindName(e.kind)]++;
+        counts[std::string(e.name) + "/" + kindName(e.kind)]++;
     }
     return counts;
 }

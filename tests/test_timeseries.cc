@@ -34,7 +34,7 @@ TEST(BinnedSeries, NonZeroStart)
     EXPECT_DOUBLE_EQ(s.at(0), 1.0);
     EXPECT_DOUBLE_EQ(s.at(1), 1.0);
     EXPECT_EQ(s.binStart(1), 110);
-    EXPECT_EQ(s.end(), 120);
+    EXPECT_EQ(s.binStart(s.size()), 120);
 }
 
 TEST(BinnedSeriesDeathTest, BeforeStartRejected)
@@ -114,30 +114,6 @@ TEST(BinnedSeries, PeakAndPeakToMean)
     s.at(3) = 0.0;
     EXPECT_DOUBLE_EQ(s.peak(), 6.0);
     EXPECT_DOUBLE_EQ(s.peakToMean(), 3.0);
-}
-
-TEST(BinnedSeries, FractionAbove)
-{
-    BinnedSeries s(0, 1, 4);
-    s.at(0) = 0.0;
-    s.at(1) = 0.5;
-    s.at(2) = 1.0;
-    s.at(3) = 2.0;
-    EXPECT_DOUBLE_EQ(s.fractionAbove(0.5), 0.5);
-    EXPECT_DOUBLE_EQ(s.fractionAbove(-1.0), 1.0);
-    EXPECT_DOUBLE_EQ(s.fractionAbove(0.0), 0.75);
-    EXPECT_DOUBLE_EQ(s.fractionAbove(2.0), 0.0);
-}
-
-TEST(BinnedSeries, SummarizeMatchesValues)
-{
-    BinnedSeries s(0, 1, 3);
-    s.at(0) = 1.0;
-    s.at(1) = 2.0;
-    s.at(2) = 3.0;
-    Summary sum = s.summarize();
-    EXPECT_EQ(sum.count(), 3u);
-    EXPECT_DOUBLE_EQ(sum.mean(), 2.0);
 }
 
 TEST(BinnedSeries, ExtendToZeroFills)

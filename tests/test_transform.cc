@@ -1,13 +1,10 @@
 /**
  * @file
- * Tests for trace/transform (slice, merge, scaleRate, shift).
+ * Tests for trace/transform (merge).
  */
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
-#include "disk/drive.hh"
-#include "synth/workload.hh"
 #include "trace/transform.hh"
 
 namespace dlw
@@ -35,32 +32,6 @@ sample()
     for (Tick t : {5, 20, 40, 60, 80, 99})
         tr.append(mk(t, static_cast<Lba>(t)));
     return tr;
-}
-
-TEST(Slice, CutsHalfOpenWindow)
-{
-    MsTrace out = slice(sample(), 20, 60);
-    EXPECT_EQ(out.start(), 20);
-    EXPECT_EQ(out.end(), 60);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out.at(0).arrival, 20);
-    EXPECT_EQ(out.at(1).arrival, 40);
-    EXPECT_TRUE(out.validate());
-}
-
-TEST(Slice, ClampsToSourceWindow)
-{
-    MsTrace out = slice(sample(), -50, 1000);
-    EXPECT_EQ(out.start(), 0);
-    EXPECT_EQ(out.end(), 100);
-    EXPECT_EQ(out.size(), 6u);
-}
-
-TEST(Slice, EmptyWindow)
-{
-    MsTrace out = slice(sample(), 21, 21);
-    EXPECT_EQ(out.size(), 0u);
-    EXPECT_EQ(out.duration(), 0);
 }
 
 TEST(Merge, InterleavesSorted)
@@ -93,65 +64,6 @@ TEST(Merge, SingleInputIsCopy)
 TEST(MergeDeathTest, EmptyInput)
 {
     EXPECT_DEATH(merge({}), "zero traces");
-}
-
-TEST(ScaleRate, DoublingRateHalvesGaps)
-{
-    MsTrace out = scaleRate(sample(), 2.0);
-    EXPECT_EQ(out.duration(), 50);
-    ASSERT_EQ(out.size(), 6u);
-    EXPECT_EQ(out.at(0).arrival, 3); // 5 / 2, rounded
-    EXPECT_EQ(out.at(1).arrival, 10);
-    EXPECT_EQ(out.at(5).arrival, 49); // clamped into window
-    EXPECT_TRUE(out.validate());
-    // Rate doubles.
-    MsTrace src = sample();
-    EXPECT_NEAR(out.arrivalRate(), 2.0 * src.arrivalRate(),
-                0.2 * src.arrivalRate());
-}
-
-TEST(ScaleRate, SlowingDownStretches)
-{
-    MsTrace out = scaleRate(sample(), 0.5);
-    EXPECT_EQ(out.duration(), 200);
-    EXPECT_EQ(out.at(1).arrival, 40);
-    EXPECT_TRUE(out.validate());
-}
-
-TEST(ScaleRate, UtilizationFollowsRate)
-{
-    Rng rng(3);
-    synth::Workload w = synth::Workload::makeOltp(1 << 22, 40.0);
-    MsTrace tr = w.generate(rng, "d", 0, 60 * kSec);
-    MsTrace fast = scaleRate(tr, 3.0);
-
-    disk::DriveConfig cfg = disk::DriveConfig::makeEnterprise();
-    disk::ServiceLog slow_log = disk::DiskDrive(cfg).service(tr);
-    disk::ServiceLog fast_log = disk::DiskDrive(cfg).service(fast);
-    EXPECT_GT(fast_log.utilization(), 2.0 * slow_log.utilization());
-}
-
-TEST(Shift, MovesWindowAndArrivals)
-{
-    MsTrace out = shift(sample(), 1000);
-    EXPECT_EQ(out.start(), 1000);
-    EXPECT_EQ(out.end(), 1100);
-    EXPECT_EQ(out.at(0).arrival, 1005);
-    EXPECT_TRUE(out.validate());
-}
-
-TEST(Shift, RoundTrips)
-{
-    MsTrace out = shift(shift(sample(), 500), -500);
-    MsTrace src = sample();
-    ASSERT_EQ(out.size(), src.size());
-    for (std::size_t i = 0; i < src.size(); ++i)
-        EXPECT_TRUE(out.at(i) == src.at(i));
-}
-
-TEST(SliceDeathTest, InvertedWindow)
-{
-    EXPECT_DEATH(slice(sample(), 60, 20), "inverted");
 }
 
 } // anonymous namespace

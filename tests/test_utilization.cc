@@ -40,13 +40,23 @@ TEST(Utilization, HandBuiltProfile)
     EXPECT_EQ(p.bin_width, kSec);
 }
 
+/** utilizationProfile() of one log at each width, in order. */
+std::vector<UtilizationProfile>
+profilesAt(const disk::ServiceLog &log, const std::vector<Tick> &widths)
+{
+    std::vector<UtilizationProfile> out;
+    for (Tick w : widths)
+        out.push_back(utilizationProfile(log, w));
+    return out;
+}
+
 TEST(Utilization, MeanInvariantAcrossScales)
 {
     auto log = logWith(100 * kSec,
                        {{3 * kSec, 17 * kSec},
                         {40 * kSec, 41 * kSec},
                         {80 * kSec, 99 * kSec}});
-    auto profiles = utilizationAcrossScales(
+    auto profiles = profilesAt(
         log, {100 * kMsec, kSec, 10 * kSec, 100 * kSec});
     ASSERT_EQ(profiles.size(), 4u);
     for (const auto &p : profiles)
@@ -57,7 +67,7 @@ TEST(Utilization, PeakGrowsAsWindowShrinks)
 {
     // One 1-second burst in 100 s: invisible at coarse scale.
     auto log = logWith(100 * kSec, {{50 * kSec, 51 * kSec}});
-    auto profiles = utilizationAcrossScales(
+    auto profiles = profilesAt(
         log, {100 * kMsec, 10 * kSec, 100 * kSec});
     EXPECT_NEAR(profiles[0].peak, 1.0, 1e-9);
     EXPECT_NEAR(profiles[1].peak, 0.1, 1e-9);

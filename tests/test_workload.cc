@@ -10,6 +10,7 @@
 #include "common/rng.hh"
 #include "disk/drive.hh"
 #include "synth/bmodel.hh"
+#include "stats/summary.hh"
 #include "synth/workload.hh"
 
 namespace dlw
