@@ -3,8 +3,9 @@
  * Streaming-pipeline tests: batch/source mechanics, streamed file
  * decoding against the whole-trace readers, chunking invariance of
  * the characterization pass (bit-identical results at every batch
- * size), the streamed drive-service path, and the block-buffered
- * file decoders against a copy of the getline decoders they replaced.
+ * size), the streamed drive-service path, observation windows at the
+ * Tick limits, and the block-buffered file decoders against a copy of
+ * the getline decoders they replaced.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,9 @@
 #include <array>
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -27,6 +30,7 @@
 #include "core/burstiness.hh"
 #include "core/characterize.hh"
 #include "core/footprint.hh"
+#include "core/live.hh"
 #include "core/pass.hh"
 #include "core/rwmix.hh"
 #include "disk/drive.hh"
@@ -643,6 +647,258 @@ TEST(Interarrivals, DegenerateTracesCharacterizeCleanly)
     const core::BurstinessReport rep0 = core::analyzeBurstiness(empty);
     EXPECT_EQ(rep0.interarrival_cv, 0.0);
 }
+
+// ---- Observation windows at the Tick limits ---------------------
+//
+// A decoder refuses a header whose window end, start + duration,
+// does not fit a Tick; a window that fits but whose last bin would
+// end past the largest Tick decodes, and every consumer that lays
+// bins over it refuses it with CorruptData instead of sizing a series
+// from an overflowed count.
+
+constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
+
+/** A header's window, and whether its end fits a Tick. */
+struct WindowCase
+{
+    const char *name;
+    Tick start;
+    Tick duration;
+    bool end_fits;
+};
+
+const WindowCase kDecodeWindows[] = {
+    {"LargestWindow", 0, kMaxTick, true},
+    {"EndsAtLargestTick", kMaxTick - 100, 100, true},
+    {"EndPastLargestTick", 1, kMaxTick, false},
+    {"LateStartLargestDuration", 1000, kMaxTick, false},
+    {"StartAtLargestTick", kMaxTick, 1, false},
+    {"NegativeDuration", 0, -1, false},
+};
+
+/** A CSV ms trace with `window` and no records. */
+std::string
+csvWindowTrace(const WindowCase &w)
+{
+    return "# dlw-ms-v1,w," + std::to_string(w.start) + "," +
+           std::to_string(w.duration) + "\narrival_ns,lba,blocks,op\n";
+}
+
+/** A DLWMS1 ms trace with `window` and no records. */
+std::string
+binWindowTrace(const WindowCase &w)
+{
+    std::string out(trace::kMsBinaryMagic.begin(),
+                    trace::kMsBinaryMagic.end());
+    const std::uint32_t id_len = 1;
+    const std::uint64_t count = 0;
+    out.append(reinterpret_cast<const char *>(&id_len), 4);
+    out += "w";
+    out.append(reinterpret_cast<const char *>(&w.start), 8);
+    out.append(reinterpret_cast<const char *>(&w.duration), 8);
+    out.append(reinterpret_cast<const char *>(&count), 8);
+    return out;
+}
+
+enum class Decoder
+{
+    CsvStream,
+    CsvWhole,
+    BinStream,
+    BinWhole,
+};
+
+const char *
+decoderName(Decoder d)
+{
+    switch (d) {
+      case Decoder::CsvStream:
+        return "CsvStream";
+      case Decoder::CsvWhole:
+        return "CsvWhole";
+      case Decoder::BinStream:
+        return "BinStream";
+      case Decoder::BinWhole:
+        return "BinWhole";
+    }
+    return "?";
+}
+
+/** Decode `w` with `d`: the window it delivers, or the refusal. */
+StatusOr<std::pair<Tick, Tick>>
+decodeWindow(Decoder d, const WindowCase &w)
+{
+    const bool csv = d == Decoder::CsvStream || d == Decoder::CsvWhole;
+    std::istringstream is(csv ? csvWindowTrace(w) : binWindowTrace(w));
+    const trace::IngestOptions opts;
+    if (d == Decoder::CsvStream || d == Decoder::BinStream) {
+        auto src = csv ? trace::openMsCsvSource(is, opts)
+                       : trace::openMsBinarySource(is, opts);
+        if (!src.ok())
+            return src.status();
+        return std::make_pair(src.value()->start(),
+                              src.value()->duration());
+    }
+    auto tr = csv ? trace::readMsCsv(is, opts)
+                  : trace::readMsBinary(is, opts);
+    if (!tr.ok())
+        return tr.status();
+    return std::make_pair(tr.value().start(), tr.value().duration());
+}
+
+class DecodeWindow
+    : public ::testing::TestWithParam<std::tuple<Decoder, WindowCase>>
+{
+};
+
+TEST_P(DecodeWindow, RefusesOnlyAnEndPastTheLargestTick)
+{
+    const auto [d, w] = GetParam();
+    const StatusOr<std::pair<Tick, Tick>> got = decodeWindow(d, w);
+    if (w.end_fits) {
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        EXPECT_EQ(got.value().first, w.start);
+        EXPECT_EQ(got.value().second, w.duration);
+    } else {
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), StatusCode::kCorruptData)
+            << got.status().message();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DecodersAndWindows, DecodeWindow,
+    ::testing::Combine(::testing::Values(Decoder::CsvStream,
+                                         Decoder::CsvWhole,
+                                         Decoder::BinStream,
+                                         Decoder::BinWhole),
+                       ::testing::ValuesIn(kDecodeWindows)),
+    [](const ::testing::TestParamInfo<DecodeWindow::ParamType> &p) {
+        return std::string(decoderName(std::get<0>(p.param))) + "_" +
+               std::get<1>(p.param).name;
+    });
+
+/** A window, and whether 10 ms and one-minute bins both fit it. */
+struct BinWindowCase
+{
+    const char *name;
+    Tick start;
+    Tick duration;
+    bool binnable;
+};
+
+/** Windows a decoder delivers: each one's end fits a Tick. */
+const BinWindowCase kDecodedBinWindows[] = {
+    {"LargestWindow", 0, kMaxTick, false},
+    {"LastBinPastLargestTick", kMaxTick - 5, 5, false},
+    {"MinuteBelowLargestTick", kMaxTick - 2 * kMinute, kMinute, true},
+};
+
+/**
+ * The decoded windows and one whose end overflows, which only a
+ * checkpoint's live state can carry to an accumulator.
+ */
+const BinWindowCase kStateBinWindows[] = {
+    kDecodedBinWindows[0],
+    kDecodedBinWindows[1],
+    kDecodedBinWindows[2],
+    {"EndPastLargestTick", 1000, kMaxTick, false},
+};
+
+enum class Consumer
+{
+    Burstiness,
+    RwMix,
+    Live,
+    CharacterizeTrace,
+    ServiceAndCharacterize,
+};
+
+const char *
+consumerName(Consumer c)
+{
+    switch (c) {
+      case Consumer::Burstiness:
+        return "Burstiness";
+      case Consumer::RwMix:
+        return "RwMix";
+      case Consumer::Live:
+        return "Live";
+      case Consumer::CharacterizeTrace:
+        return "CharacterizeTrace";
+      case Consumer::ServiceAndCharacterize:
+        return "ServiceAndCharacterize";
+    }
+    return "?";
+}
+
+/** The status `c` ends with over an empty stream on window `w`. */
+Status
+consumeWindow(Consumer c, const BinWindowCase &w)
+{
+    const trace::MsStreamHeader meta{"w", w.start, w.duration};
+    switch (c) {
+      case Consumer::Burstiness:
+        return core::BurstinessAccumulator().begin(meta);
+      case Consumer::RwMix:
+        return core::RwMixAccumulator().begin(meta);
+      case Consumer::Live:
+        return core::LiveCharacterization(meta).status();
+      case Consumer::CharacterizeTrace: {
+        const MsTrace tr("w", w.start, w.duration);
+        MsTraceSource src(tr);
+        return core::characterizeTrace(src).status();
+      }
+      case Consumer::ServiceAndCharacterize: {
+        const MsTrace tr("w", w.start, w.duration);
+        MsTraceSource src(tr);
+        disk::DiskDrive drive(disk::DriveConfig::makeEnterprise());
+        return core::serviceAndCharacterize(drive, src).status();
+      }
+    }
+    return Status::internal("unknown consumer");
+}
+
+class BinWindow
+    : public ::testing::TestWithParam<std::tuple<Consumer, BinWindowCase>>
+{
+};
+
+TEST_P(BinWindow, RefusesAWindowItCannotBin)
+{
+    const auto [c, w] = GetParam();
+    const Status s = consumeWindow(c, w);
+    if (w.binnable) {
+        EXPECT_TRUE(s.ok()) << s.message();
+    } else {
+        EXPECT_EQ(s.code(), StatusCode::kCorruptData) << s.message();
+    }
+}
+
+std::string
+binWindowName(const ::testing::TestParamInfo<BinWindow::ParamType> &p)
+{
+    return std::string(consumerName(std::get<0>(p.param))) + "_" +
+           std::get<1>(p.param).name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Accumulators, BinWindow,
+    ::testing::Combine(::testing::Values(Consumer::Burstiness,
+                                         Consumer::RwMix,
+                                         Consumer::Live),
+                       ::testing::ValuesIn(kStateBinWindows)),
+    binWindowName);
+
+// A RequestSource's window end fits a Tick (the drive model forms
+// it), so the source consumers see only decoded windows.
+INSTANTIATE_TEST_SUITE_P(
+    Sources, BinWindow,
+    ::testing::Combine(
+        ::testing::Values(Consumer::CharacterizeTrace,
+                          Consumer::ServiceAndCharacterize),
+        ::testing::ValuesIn(kDecodedBinWindows)),
+    binWindowName);
 
 // ---- Block decode against the getline oracle -------------------
 //

@@ -1,10 +1,17 @@
 /**
  * @file
- * Unit tests for stats/timeseries (BinnedSeries).
+ * Unit tests for stats/timeseries (BinnedSeries, binsCovering).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+
+#include "common/rng.hh"
 #include "stats/timeseries.hh"
 
 namespace dlw
@@ -127,6 +134,90 @@ TEST(BinnedSeries, ExtendToZeroFills)
 TEST(BinnedSeriesDeathTest, BadConstruction)
 {
     EXPECT_DEATH(BinnedSeries(0, 0), "positive");
+}
+
+// ---- binsCovering ----------------------------------------------
+
+constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
+
+/** One window, one bin width, and the bin count (none: refused). */
+struct CoverCase
+{
+    const char *name;
+    Tick start;
+    Tick duration;
+    Tick width;
+    std::optional<std::size_t> bins;
+};
+
+class BinsCovering : public ::testing::TestWithParam<CoverCase>
+{
+};
+
+TEST_P(BinsCovering, CountsOrRefuses)
+{
+    const CoverCase &c = GetParam();
+    const StatusOr<std::size_t> got =
+        binsCovering(c.start, c.duration, c.width);
+    if (c.bins) {
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        EXPECT_EQ(got.value(), *c.bins);
+    } else {
+        ASSERT_FALSE(got.ok()) << "bins " << got.value();
+        EXPECT_EQ(got.status().code(), StatusCode::kCorruptData);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, BinsCovering,
+    ::testing::Values(
+        CoverCase{"ExactMultiple", 0, 100, 10, 10},
+        CoverCase{"PartialLastBin", 0, 101, 10, 11},
+        CoverCase{"EmptyWindow", 0, 0, 10, 0},
+        CoverCase{"NarrowerThanABin", 0, 3, 10, 1},
+        CoverCase{"NonZeroStart", 1000, 95, 10, 10},
+        CoverCase{"NegativeStart", -500, 100, 10, 10},
+        CoverCase{"EndsAtLargestTick", kMaxTick - 100, 100, 10, 10},
+        CoverCase{"OneTickBinsToLargestTick", 0, kMaxTick, 1,
+                  static_cast<std::size_t>(kMaxTick)},
+        CoverCase{"OneBinAsWideAsTheRange", 0, 1, kMaxTick, 1},
+        CoverCase{"LastBinEndsPastLargestTick", kMaxTick - 95, 95, 10,
+                  std::nullopt},
+        CoverCase{"BinTimesCountOverflows", 0, kMaxTick, 1000000,
+                  std::nullopt},
+        CoverCase{"StartPlusSpanOverflows", 1, kMaxTick, 1,
+                  std::nullopt},
+        CoverCase{"WideBinPastLargestTick", 1, 1, kMaxTick,
+                  std::nullopt},
+        CoverCase{"NegativeDuration", 0, -1, 10, std::nullopt}),
+    [](const ::testing::TestParamInfo<CoverCase> &p) {
+        return std::string(p.param.name);
+    });
+
+TEST(BinsCoveringProperty, CeilingOfInRangeWindows)
+{
+    // Away from the Tick limits the count is the plain ceiling: the
+    // bins reach past the window's end by less than one bin.
+    Rng rng(31);
+    for (int i = 0; i < 10000; ++i) {
+        const Tick start = static_cast<Tick>(rng.uniform() * 1e15) -
+                           static_cast<Tick>(5e14);
+        const Tick duration = static_cast<Tick>(rng.uniform() * 1e15);
+        const Tick width = 1 + static_cast<Tick>(rng.uniform() * 1e9);
+        const StatusOr<std::size_t> got =
+            binsCovering(start, duration, width);
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        const Tick bins = static_cast<Tick>(got.value());
+        EXPECT_EQ(bins, (duration + width - 1) / width);
+        EXPECT_GE(bins * width, duration);
+        EXPECT_LT(bins * width, duration + width);
+    }
+}
+
+TEST(BinsCoveringDeathTest, RejectsNonPositiveWidth)
+{
+    EXPECT_DEATH(binsCovering(0, 10, 0), "positive");
+    EXPECT_DEATH(binsCovering(0, 10, -1), "positive");
 }
 
 } // anonymous namespace
