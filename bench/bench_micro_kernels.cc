@@ -6,8 +6,8 @@
  *
  *  1. A deterministic SIMD-kernel phase (runs first, under its own
  *     BenchReportGuard) that times the dispatched characterization
- *     kernels — IDC window counting, the Welford gap fold, gaps and
- *     totals — against the scalar reference on 4096-request
+ *     kernels — IDC window counting, the Welford gap fold and gaps
+ *     — against the scalar reference on 4096-request
  *     batches, and the autocorrelation's lag sums on a fixed binned
  *     series, prints the speedup table, and snapshots BENCH_kernels
  *     .json for the bench-diff CI gate.  The phase does fixed work,
@@ -153,7 +153,6 @@ struct KernelRow
     double count_sorted = 0.0;
     double welford = 0.0;
     double gaps = 0.0;
-    double reduce = 0.0;
     double acf = 0.0;
 };
 
@@ -164,8 +163,6 @@ struct KernelRow
 KernelRow
 timeIsa(simd::Isa isa, const std::vector<Tick> &ticks,
         const std::vector<double> &gap_xs,
-        const std::vector<std::uint8_t> &dirs,
-        const std::vector<std::uint32_t> &blocks,
         const std::vector<double> &acf_xs, std::vector<double> &bins,
         std::vector<double> &gaps_out, std::vector<double> &acf_out)
 {
@@ -198,14 +195,6 @@ timeIsa(simd::Isa isa, const std::vector<Tick> &ticks,
             benchmark::DoNotOptimize(gaps_out.data());
         },
         kReps);
-    row.reduce = secsPerCall(
-        [&] {
-            std::uint64_t r =
-                k.count_eq_u8(dirs.data(), kBatch, 0) +
-                k.sum_u32(blocks.data(), kBatch);
-            benchmark::DoNotOptimize(r);
-        },
-        kReps);
     row.acf = secsPerCall(
         [&] {
             std::fill(acf_out.begin(), acf_out.end(), 0.0);
@@ -230,13 +219,6 @@ runKernelPhase()
     std::vector<double> gap_xs(kBatch);
     simd::detail::kScalarOps.gaps_i64(ticks.data(), kBatch, -1,
                                       gap_xs.data());
-    std::vector<std::uint8_t> dirs(kBatch);
-    std::vector<std::uint32_t> blocks(kBatch);
-    XRng rng(0xb10c);
-    for (std::size_t i = 0; i < kBatch; ++i) {
-        dirs[i] = static_cast<std::uint8_t>(rng.next() % 2);
-        blocks[i] = 1 + static_cast<std::uint32_t>(rng.next() % 256);
-    }
     const auto nbins = static_cast<std::size_t>(
         (ticks.back() / (10 * kMsec)) + 1);
     std::vector<double> bins(nbins, 0.0);
@@ -253,8 +235,8 @@ runKernelPhase()
     for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
         if (!simd::supported(isa))
             continue;
-        rows.push_back(timeIsa(isa, ticks, gap_xs, dirs, blocks,
-                               acf_xs, bins, gaps_out, acf_out));
+        rows.push_back(timeIsa(isa, ticks, gap_xs, acf_xs, bins,
+                               gaps_out, acf_out));
     }
     simd::force(simd::bestSupported());
 
@@ -320,7 +302,7 @@ runKernelPhase()
                  "kernel-folded elements in the timed phase "
                  "(fixed work)")
         .add(static_cast<std::uint64_t>(rows.size()) *
-             ((3 * 2000 + 1000) * kBatch + kAcfReps * kAcfSeries));
+             ((2 * 2000 + 1000) * kBatch + kAcfReps * kAcfSeries));
 
     int rc = 0;
     const bool have_avx2 = simd::supported(simd::Isa::kAvx2);

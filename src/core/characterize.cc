@@ -112,27 +112,100 @@ class LiveTee final : public trace::RequestSource
 };
 
 /**
- * The busy-interval half of a service log's figures: utilization at
- * 1 s and 1 min, and the idle structure.  Counts one full
- * millisecond-scale characterization.
+ * The busy-interval half of a service log's figures, folded as each
+ * interval closes: utilization at 1 s and 1 min, and the idle
+ * structure.  addBusyProfile() replays a log's intervals through it;
+ * serviceAndCharacterize() feeds it from the drive, so no busy list
+ * is ever held.
  */
+class BusyProfileFold
+{
+  public:
+    /** Window as far as known before the run; it may still grow. */
+    BusyProfileFold(Tick window_start, Tick window_end)
+        : util_1s_(window_start, window_end, kSec),
+          util_1min_(window_start, window_end, kMinute),
+          idle_(window_start, kSec)
+    {
+    }
+
+    /** One closed busy interval, in time order. */
+    void
+    add(const trace::BusyInterval &iv)
+    {
+        util_1s_.add(iv);
+        util_1min_.add(iv);
+        idle_.add(iv);
+    }
+
+    /**
+     * Fill the busy half of `c` over the run's final window.  Counts
+     * one full millisecond-scale characterization.
+     */
+    void
+    finish(DriveCharacterization &c, Tick window_end)
+    {
+        coreMetrics().ms_runs.add(1);
+        {
+            obs::ScopedSpan stage("utilization");
+            c.util_1s = utilizationProfile(
+                std::move(util_1s_).utilization(window_end));
+            c.util_1min = utilizationProfile(
+                std::move(util_1min_).utilization(window_end));
+        }
+        {
+            obs::ScopedSpan stage("idleness");
+            const IdleFigures idle = idle_.finish(window_end);
+            c.idle_fraction = idle.fraction;
+            c.mean_idle_interval = idle.mean_interval;
+            c.idle_mass_1s = idle.mass_at_least;
+        }
+    }
+
+  private:
+    disk::BusyBins util_1s_;
+    disk::BusyBins util_1min_;
+    IdleFold idle_;
+};
+
+/** BusyProfileFold over a whole service log. */
 void
 addBusyProfile(DriveCharacterization &c, const disk::ServiceLog &log)
 {
-    coreMetrics().ms_runs.add(1);
-    {
-        obs::ScopedSpan stage("utilization");
-        c.util_1s = utilizationProfile(log, kSec);
-        c.util_1min = utilizationProfile(log, kMinute);
-    }
-    {
-        obs::ScopedSpan stage("idleness");
-        const IdleFigures idle = idleFigures(log, kSec);
-        c.idle_fraction = idle.fraction;
-        c.mean_idle_interval = idle.mean_interval;
-        c.idle_mass_1s = idle.mass_at_least;
-    }
+    BusyProfileFold fold(log.window_start, log.window_end);
+    for (const trace::BusyInterval &iv : log.busy)
+        fold.add(iv);
+    fold.finish(c, log.window_end);
 }
+
+/**
+ * What serviceAndCharacterize() keeps of a drive run: the response
+ * times, and the busy profile folded as each interval closes.
+ */
+class CharacterizingSink final : public disk::CompletionSink
+{
+  public:
+    explicit CharacterizingSink(const trace::RequestSource &src)
+        : busy(src.start(), src.end())
+    {
+    }
+
+    void
+    onCompletion(const disk::Completion &c) override
+    {
+        responses.add(c.response());
+    }
+
+    bool
+    onBusyInterval(const trace::BusyInterval &iv) override
+    {
+        busy.add(iv);
+        return true;
+    }
+
+    disk::ResponseTicks responses;
+    BusyProfileFold busy;
+};
 
 /**
  * The response half: mean, p95 and p99 of the response times, given
@@ -184,6 +257,10 @@ serviceAndCharacterize(disk::DiskDrive &drive, trace::RequestSource &src,
                        std::size_t batch_requests)
 {
     LiveTee tee(src, drive.config().geometry.capacityBlocks());
+    // A window the tee cannot bin ends the run before the sink sizes
+    // its bins to it.
+    if (!tee.status().ok())
+        return tee.status();
     DriveCharacterization c;
     // The tee runs on a producer thread a few slots ahead of the
     // drive, and finishes the fold while the drive works through the
@@ -192,21 +269,22 @@ serviceAndCharacterize(disk::DiskDrive &drive, trace::RequestSource &src,
         obs::ScopedSpan span("live-finish");
         c = tee.finish();
     });
-    // Only response times outlive the drive run: the completion log
-    // is never materialized.
-    disk::ResponseTicks responses;
+    // Only response times and the folded busy profile outlive the
+    // drive run: neither the completion log nor the busy intervals
+    // are materialized.
+    CharacterizingSink sink(tee);
     disk::ServiceLog log;
     try {
         obs::ScopedSpan stage("service");
-        log = drive.service(ahead, &responses, ahead.slotCapacity());
+        log = drive.service(ahead, &sink, ahead.slotCapacity());
     } catch (const StatusError &e) {
         // The drive surfaces the tee's failed status as a throw.
         return e.status();
     }
     obs::ScopedSpan span("characterize");
     DriveCharacterization tail;
-    addBusyProfile(tail, log);
-    addResponses(tail, responses);
+    sink.busy.finish(tail, log.window_end);
+    addResponses(tail, sink.responses);
     ahead.join();
     // The producer's fold and the service log fill disjoint fields.
     c.util_1s = std::move(tail.util_1s);

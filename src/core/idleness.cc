@@ -106,26 +106,21 @@ IdlenessAnalysis::massCurve(std::size_t points) const
 }
 
 IdleFigures
-idleFigures(const disk::ServiceLog &log, Tick t)
+IdleFold::finish(Tick window_end) const
 {
-    Tick total = 0;
-    Tick mass = 0;
-    std::size_t count = 0;
-    log.forEachIdleInterval([&](Tick gap) {
-        total += gap;
-        if (gap >= t)
-            mass += gap;
-        ++count;
-    });
+    IdleFold last = *this;
+    if (window_end > at_)
+        last.gap(window_end - at_);
     IdleFigures f;
-    const Tick window = log.window_end - log.window_start;
+    const Tick window = window_end - start_;
     if (window > 0)
-        f.fraction = static_cast<double>(total) / static_cast<double>(window);
-    if (count != 0)
-        f.mean_interval = total / static_cast<Tick>(count);
-    if (total > 0)
-        f.mass_at_least =
-            static_cast<double>(mass) / static_cast<double>(total);
+        f.fraction = static_cast<double>(last.total_) /
+                     static_cast<double>(window);
+    if (last.count_ != 0)
+        f.mean_interval = last.total_ / static_cast<Tick>(last.count_);
+    if (last.total_ > 0)
+        f.mass_at_least = static_cast<double>(last.mass_) /
+                          static_cast<double>(last.total_);
     return f;
 }
 

@@ -14,6 +14,7 @@
 #ifndef DLW_CORE_IDLENESS_HH
 #define DLW_CORE_IDLENESS_HH
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -92,12 +93,52 @@ struct IdleFigures
 };
 
 /**
- * IdleFigures of a service log, with `t` as the idle-mass threshold,
- * in one pass over its busy intervals.  They are integer sums and a
- * count, so unlike IdlenessAnalysis this needs no sorted copy of the
- * intervals, and the values are the same bits.
+ * IdleFigures folded from a drive's busy intervals as they close.
+ * They are integer sums and a count, so unlike IdlenessAnalysis this
+ * needs no sorted copy of the intervals, and the values are the same
+ * bits.
  */
-IdleFigures idleFigures(const disk::ServiceLog &log, Tick t);
+class IdleFold
+{
+  public:
+    /**
+     * @param window_start Start of the observation window.
+     * @param t            Idle-mass threshold.
+     */
+    IdleFold(Tick window_start, Tick t)
+        : start_(window_start), at_(window_start), t_(t)
+    {
+    }
+
+    /** One busy interval, after every interval added before it. */
+    void
+    add(const trace::BusyInterval &iv)
+    {
+        if (iv.first > at_)
+            gap(iv.first - at_);
+        at_ = std::max(at_, iv.second);
+    }
+
+    /** The figures over [window_start, window_end). */
+    IdleFigures finish(Tick window_end) const;
+
+  private:
+    void
+    gap(Tick g)
+    {
+        total_ += g;
+        if (g >= t_)
+            mass_ += g;
+        ++count_;
+    }
+
+    Tick start_;
+    Tick at_; ///< end of the busy time so far
+    Tick t_;
+    Tick total_ = 0;
+    Tick mass_ = 0;
+    std::size_t count_ = 0;
+};
 
 } // namespace core
 } // namespace dlw

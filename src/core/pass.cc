@@ -96,11 +96,6 @@ TraceTotalsAccumulator::observe(const trace::RequestBatch &batch)
     reads_ += static_cast<std::size_t>(k.count_eq_u8(
         reinterpret_cast<const std::uint8_t *>(batch.opsData()), sz,
         static_cast<std::uint8_t>(trace::Op::Read)));
-    // Integer sums are associative mod 2^64, so the vector
-    // reassociation is exact.
-    const std::uint64_t blocks = k.sum_u32(batch.blocksData(), sz);
-    blocks_ += blocks;
-    bytes_ += blocks * kBlockBytes;
 }
 
 double
@@ -124,8 +119,6 @@ TraceTotalsAccumulator::saveState(BinEnc &enc) const
 {
     enc.u64(n_);
     enc.u64(reads_);
-    enc.u64(bytes_);
-    enc.u64(blocks_);
     enc.i64(duration_);
 }
 
@@ -134,8 +127,6 @@ TraceTotalsAccumulator::loadState(BinDec &dec)
 {
     n_ = static_cast<std::size_t>(dec.u64());
     reads_ = static_cast<std::size_t>(dec.u64());
-    bytes_ = dec.u64();
-    blocks_ = dec.u64();
     duration_ = dec.i64();
     return dec.ok();
 }

@@ -102,9 +102,6 @@ class TraceTotalsAccumulator : public TraceAccumulator
     /** Mean arrival rate in requests per second (0 when empty). */
     double arrivalRate() const;
 
-    /** Total bytes moved (both directions). */
-    std::uint64_t totalBytes() const { return bytes_; }
-
     /** Append the accumulator state. */
     void saveState(BinEnc &enc) const;
 
@@ -114,8 +111,6 @@ class TraceTotalsAccumulator : public TraceAccumulator
   private:
     std::size_t n_ = 0;
     std::size_t reads_ = 0;
-    std::uint64_t bytes_ = 0;
-    std::uint64_t blocks_ = 0;
     Tick duration_ = 0;
 };
 

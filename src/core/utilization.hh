@@ -15,8 +15,7 @@
 #include <vector>
 
 #include "disk/drive.hh"
-#include "stats/ecdf.hh"
-#include "stats/summary.hh"
+#include "stats/timeseries.hh"
 #include "trace/hourtrace.hh"
 
 namespace dlw
@@ -48,34 +47,16 @@ struct UtilizationProfile
 };
 
 /**
- * Incremental utilization profile: feed one clamped per-bin sample at
- * a time (in bin order) and finish into the profile.  The streaming
- * drive pipeline emits bin samples as busy intervals close, so the
- * profile never needs the whole series twice; the series itself is
- * still recorded in the profile (O(bins), not O(requests)).
+ * The profile of a drive's per-bin utilization, as
+ * disk::BusyBins::utilization() gives it: bins clipped to [0, 1]
+ * against FP residue from interval splitting, then profiled.  The
+ * profile keeps the series.
  */
-class UtilizationAccumulator
-{
-  public:
-    /** @param bin_width Measurement window (> 0). */
-    explicit UtilizationAccumulator(Tick bin_width);
-
-    /** One per-bin utilization sample in [0, 1], in bin order. */
-    void observe(double u);
-
-    /** Derive the profile over everything observed so far. */
-    UtilizationProfile finish();
-
-  private:
-    UtilizationProfile p_;
-    stats::Ecdf ecdf_;
-    std::size_t idle_ = 0;
-    std::size_t saturated_ = 0;
-    double sum_ = 0.0;
-};
+UtilizationProfile utilizationProfile(stats::BinnedSeries utilization);
 
 /**
- * Compute a utilization profile from a drive service log.
+ * Compute a utilization profile from a drive service log: the
+ * profile of ServiceLog::utilizationSeries().
  *
  * @param log       Drive run to analyse.
  * @param bin_width Measurement window (> 0).

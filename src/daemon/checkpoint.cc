@@ -93,8 +93,9 @@ loadSessionCheckpoint(const std::string &path)
     if (version < kCheckpointVersion) {
         // A silent default here would resurrect the session in the
         // wrong QoS lane (pre-v3), strip its trace identity and
-        // latency account (pre-v4) or misread its gap lanes and
-        // write runs (pre-v5); the operator must re-stream.
+        // latency account (pre-v4), misread its gap lanes and write
+        // runs (pre-v5) or its trace totals (pre-v6); the operator
+        // must re-stream.
         return Status::failedPrecondition(
             "checkpoint version " + std::to_string(version) +
             " predates this daemon's session layout (want " +

@@ -50,8 +50,10 @@ inline constexpr const char *kCheckpointMagic = "DLWCKPT1";
  * higher moments and extrema nothing read are gone), and the
  * read/write mix state gained the closed write runs' longest run
  * and burst count, which a restored session used to forget.
+ * v6: the trace totals drop their byte and block sums, which no
+ * report read.
  */
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /** `<dir>/<id>.ckpt`. */
 std::string checkpointPath(const std::string &dir,
@@ -71,7 +73,8 @@ Status saveSessionCheckpoint(const std::string &dir, const Session &s);
  *         rejected with an explicit FailedPrecondition — restoring
  *         it would silently default-tag the session's QoS class
  *         (pre-v3), strip its trace identity and latency account
- *         (pre-v4) or misread its gap lanes and write runs (pre-v5).
+ *         (pre-v4), misread its gap lanes and write runs (pre-v5)
+ *         or its trace totals (pre-v6).
  */
 StatusOr<std::shared_ptr<Session>>
 loadSessionCheckpoint(const std::string &path);

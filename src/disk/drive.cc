@@ -59,27 +59,56 @@ responseQuantileIndex(std::size_t n, double q)
         n - 1);
 }
 
-namespace
+/**
+ * A tick of the log as an assignable value: selection moves full
+ * ticks between chunks, and a chunk that receives a tick of 2^32 or
+ * more gains its high words then.
+ */
+class ResponseTicks::Ref
 {
+  public:
+    Ref(Chunk &chunk, std::size_t i) : chunk_(&chunk), i_(i) {}
+    Ref(const Ref &) = default;
+
+    operator Tick() const { return chunk_->get(i_); }
+
+    Ref &
+    operator=(Tick t)
+    {
+        chunk_->set(i_, t);
+        return *this;
+    }
+
+    Ref &operator=(const Ref &o) { return *this = Tick(o); }
+
+    friend void
+    swap(Ref a, Ref b)
+    {
+        const Tick t = a;
+        a = Tick(b);
+        b = t;
+    }
+
+  private:
+    Chunk *chunk_;
+    std::size_t i_;
+};
 
 /**
- * Random access to the ticks of a ResponseTicks through its chunk
- * table, so std::nth_element selects in the chunks in place.
+ * Random access to the ticks through the chunk table, so
+ * std::nth_element selects in the chunks in place.
  */
-class ChunkIter
+class ResponseTicks::Iter
 {
   public:
     using iterator_category = std::random_access_iterator_tag;
     using value_type = Tick;
     using difference_type = std::ptrdiff_t;
-    using pointer = Tick *;
-    using reference = Tick &;
+    using pointer = void;
+    using reference = Ref;
 
-    ChunkIter() = default;
-    ChunkIter(std::unique_ptr<Tick[]> *chunks, difference_type i)
-        : chunks_(chunks), i_(i)
-    {
-    }
+    Iter() = default;
+    Iter(Chunk *chunks, difference_type i) : chunks_(chunks), i_(i) {}
 
     reference operator*() const { return (*this)[0]; }
 
@@ -87,56 +116,43 @@ class ChunkIter
     operator[](difference_type d) const
     {
         const auto i = static_cast<std::size_t>(i_ + d);
-        return chunks_[i >> ResponseTicks::kChunkShift]
-                      [i & (ResponseTicks::kChunkTicks - 1)];
+        return Ref(chunks_[i >> kChunkShift], i & (kChunkTicks - 1));
     }
 
-    ChunkIter &operator++() { return *this += 1; }
-    ChunkIter &operator--() { return *this -= 1; }
-    ChunkIter operator++(int) { return std::exchange(*this, *this + 1); }
-    ChunkIter operator--(int) { return std::exchange(*this, *this - 1); }
+    Iter &operator++() { return *this += 1; }
+    Iter &operator--() { return *this -= 1; }
+    Iter operator++(int) { return std::exchange(*this, *this + 1); }
+    Iter operator--(int) { return std::exchange(*this, *this - 1); }
 
-    ChunkIter &
+    Iter &
     operator+=(difference_type d)
     {
         i_ += d;
         return *this;
     }
 
-    ChunkIter &operator-=(difference_type d) { return *this += -d; }
+    Iter &operator-=(difference_type d) { return *this += -d; }
 
-    friend ChunkIter operator+(ChunkIter it, difference_type d)
-    {
-        return it += d;
-    }
-    friend ChunkIter operator+(difference_type d, ChunkIter it)
-    {
-        return it += d;
-    }
-    friend ChunkIter operator-(ChunkIter it, difference_type d)
-    {
-        return it -= d;
-    }
-    friend difference_type operator-(const ChunkIter &a,
-                                     const ChunkIter &b)
+    friend Iter operator+(Iter it, difference_type d) { return it += d; }
+    friend Iter operator+(difference_type d, Iter it) { return it += d; }
+    friend Iter operator-(Iter it, difference_type d) { return it -= d; }
+    friend difference_type operator-(const Iter &a, const Iter &b)
     {
         return a.i_ - b.i_;
     }
-    friend bool operator==(const ChunkIter &a, const ChunkIter &b)
+    friend bool operator==(const Iter &a, const Iter &b)
     {
         return a.i_ == b.i_;
     }
-    friend auto operator<=>(const ChunkIter &a, const ChunkIter &b)
+    friend auto operator<=>(const Iter &a, const Iter &b)
     {
         return a.i_ <=> b.i_;
     }
 
   private:
-    std::unique_ptr<Tick[]> *chunks_ = nullptr;
+    Chunk *chunks_ = nullptr;
     difference_type i_ = 0;
 };
-
-} // anonymous namespace
 
 double
 ResponseTicks::mean() const
@@ -145,11 +161,11 @@ ResponseTicks::mean() const
         return 0.0;
     double s = 0.0;
     for (std::size_t c = 0; c < chunks_.size(); ++c) {
-        const Tick *chunk = chunks_[c].get();
+        const Chunk &chunk = chunks_[c];
         const std::size_t len =
             std::min(kChunkTicks, n_ - c * kChunkTicks);
         for (std::size_t i = 0; i < len; ++i)
-            s += static_cast<double>(chunk[i]);
+            s += static_cast<double>(chunk.get(i));
     }
     return s / static_cast<double>(n_);
 }
@@ -160,7 +176,7 @@ ResponseTicks::selectQuantile(double q, std::size_t first)
     const std::size_t idx = responseQuantileIndex(n_, q);
     dlw_assert(idx >= first, "quantile below the selected partition");
     // Selection puts the element a full sort would hold at idx there.
-    const ChunkIter begin(chunks_.data(), 0);
+    const Iter begin(chunks_.data(), 0);
     std::nth_element(begin + static_cast<std::ptrdiff_t>(first),
                      begin + static_cast<std::ptrdiff_t>(idx),
                      begin + static_cast<std::ptrdiff_t>(n_));
@@ -196,26 +212,20 @@ ServiceLog::idleIntervals() const
     return gaps;
 }
 
-stats::BinnedSeries
-ServiceLog::busySeries(Tick bin_width) const
+BusyBins::BusyBins(Tick window_start, Tick window_end, Tick bin_width)
+    : busy_(window_start, bin_width)
 {
-    const Tick span = window_end - window_start;
-    auto bins = static_cast<std::size_t>(
-        span > 0 ? (span + bin_width - 1) / bin_width : 0);
-    stats::BinnedSeries s(window_start, bin_width, bins);
-    for (const trace::BusyInterval &iv : busy) {
-        s.accumulateInterval(iv.first, iv.second,
-                             static_cast<double>(iv.second - iv.first));
-    }
-    return s;
+    dlw_assert(bin_width > 0, "bin width must be positive");
+    if (window_end > window_start)
+        busy_.extendTo(window_end - 1);
 }
 
 stats::BinnedSeries
-ServiceLog::utilizationSeries(Tick bin_width) const
+BusyBins::utilization(Tick window_end) &&
 {
-    stats::BinnedSeries s = busySeries(bin_width);
-    std::vector<double> v = s.values();
-    const Tick span = window_end - window_start;
+    const Tick span = window_end - busy_.start();
+    const Tick bin_width = busy_.binWidth();
+    std::vector<double> v = std::move(busy_).values();
     if (v.size() > 1 && span % bin_width != 0) {
         // A trailing partial bin observes only a sliver of time and
         // would distort the distribution either way it is
@@ -226,8 +236,17 @@ ServiceLog::utilizationSeries(Tick bin_width) const
         v.size() == 1 ? std::min(bin_width, span) : bin_width;
     for (double &x : v)
         x /= static_cast<double>(std::max<Tick>(divisor, 1));
-    s.setValues(std::move(v));
-    return s;
+    busy_.setValues(std::move(v));
+    return std::move(busy_);
+}
+
+stats::BinnedSeries
+ServiceLog::utilizationSeries(Tick bin_width) const
+{
+    BusyBins bins(window_start, window_end, bin_width);
+    for (const trace::BusyInterval &iv : busy)
+        bins.add(iv);
+    return std::move(bins).utilization(window_end);
 }
 
 namespace
@@ -317,7 +336,7 @@ class Engine
         dlw_assert(queue_.empty(), "engine finished with queued work");
         dlw_assert(!cache_.dirty(), "engine finished with dirty data");
 
-        finalizeBusy();
+        closeBusy();
         log_.window_end = std::max(log_.window_end, last_busy_end_);
         return std::move(log_);
     }
@@ -525,22 +544,28 @@ class Engine
         if (to <= from)
             return;
         // Busy intervals are produced in time order; coalesce
-        // back-to-back operations as one interval.
-        if (!log_.busy.empty() && log_.busy.back().second >= from)
-            log_.busy.back().second = std::max(log_.busy.back().second, to);
-        else
-            log_.busy.emplace_back(from, to);
+        // back-to-back operations as one interval, and hand each one
+        // on only once an operation starts past its end.  So the
+        // intervals handed on are disjoint and sorted.
+        if (open_busy_ && busy_iv_.second >= from) {
+            busy_iv_.second = std::max(busy_iv_.second, to);
+        } else {
+            closeBusy();
+            busy_iv_ = {from, to};
+            open_busy_ = true;
+        }
         last_busy_end_ = std::max(last_busy_end_, to);
     }
 
+    /** Hand the open busy interval, if any, to the sink or the log. */
     void
-    finalizeBusy()
+    closeBusy()
     {
-        // addBusy keeps the list sorted and merged already; assert it.
-        for (std::size_t i = 1; i < log_.busy.size(); ++i) {
-            dlw_assert(log_.busy[i].first > log_.busy[i - 1].second,
-                       "busy intervals not disjoint");
-        }
+        if (!open_busy_)
+            return;
+        open_busy_ = false;
+        if (!sink_ || !sink_->onBusyInterval(busy_iv_))
+            log_.busy.push_back(busy_iv_);
     }
 
     const DriveConfig &config_;
@@ -558,6 +583,9 @@ class Engine
     Tick prev_arrival_ = 0;
     std::uint64_t head_cylinder_ = 0;
     bool busy_ = false;
+    /** The busy interval still open to coalescing, if open_busy_. */
+    trace::BusyInterval busy_iv_{};
+    bool open_busy_ = false;
     Tick last_busy_end_ = 0;
     Mech mech_ = Mech::None;
     Tick mech_at_ = 0;

@@ -24,12 +24,6 @@ struct MergeMetrics
     obs::Counter &shard_merges = obs::counter("stats.shard_merges",
         "shards", "stats",
         "drive shards folded into a fleet aggregate (accumulate calls)");
-    // Nothing merges one aggregate into another (the fleet folds
-    // shards in drive order), so this reads 0.  It stays registered
-    // because run-report prints every metric and its output is
-    // pinned byte for byte.
-    obs::Counter &aggregate_merges = obs::counter("stats.aggregate_merges", "merges", "stats",
-        "aggregate-into-aggregate merges (hierarchical reduction)");
     obs::Counter &ordered_reductions = obs::counter("stats.ordered_reductions", "reductions", "stats",
         "full index-ordered shard reductions performed");
 };

@@ -25,6 +25,14 @@ namespace stats
 class Ecdf
 {
   public:
+    Ecdf() = default;
+
+    /** An ECDF over every element of `sample`. */
+    explicit Ecdf(std::vector<double> sample)
+        : data_(std::move(sample)), sorted_(false)
+    {
+    }
+
     /** Add one observation. */
     void add(double x);
 

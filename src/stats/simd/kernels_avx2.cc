@@ -225,24 +225,6 @@ countEqU8Avx2(const std::uint8_t *v, std::size_t n, std::uint8_t want)
                         want);
 }
 
-std::uint64_t
-sumU32Avx2(const std::uint32_t *v, std::size_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128i q = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(v + i));
-        acc = _mm256_add_epi64(acc, _mm256_cvtepu32_epi64(q));
-    }
-    alignas(32) std::uint64_t parts[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(parts), acc);
-    std::uint64_t s = parts[0] + parts[1] + parts[2] + parts[3];
-    for (; i < n; ++i)
-        s += v[i];
-    return s;
-}
-
 /**
  * Lags [k0, k0 + 4 * kVecs) side by side, lane j of vector v on lag
  * k0 + 4v + j, each lane continuing its lag's incoming chain: over
@@ -389,8 +371,8 @@ rescaledRangeAvx2(const double *x, std::size_t n, std::size_t blocks)
 
 const KernelOps kAvx2Ops = {
     countSortedAvx2, countSortedIfAvx2, gapsI64Avx2,
-    welfordAddAvx2,  countEqU8Avx2,     sumU32Avx2,
-    acfLagsAvx2,     rescaledRangeAvx2,
+    welfordAddAvx2,  countEqU8Avx2,     acfLagsAvx2,
+    rescaledRangeAvx2,
 };
 
 } // namespace detail

@@ -87,15 +87,6 @@ countEqU8Scalar(const std::uint8_t *v, std::size_t n,
     return c;
 }
 
-std::uint64_t
-sumU32Scalar(const std::uint32_t *v, std::size_t n)
-{
-    std::uint64_t s = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        s += v[i];
-    return s;
-}
-
 /**
  * Four lags side by side: each is still its own ascending-t chain,
  * so walking them in lockstep changes no bit, and four independent
@@ -195,8 +186,8 @@ rescaledRangeScalar(const double *x, std::size_t n, std::size_t blocks)
 
 const KernelOps kScalarOps = {
     countSortedScalar, countSortedIfScalar, gapsI64Scalar,
-    welfordAddScalar,  countEqU8Scalar,     sumU32Scalar,
-    acfLagsScalar,     rescaledRangeScalar,
+    welfordAddScalar,  countEqU8Scalar,     acfLagsScalar,
+    rescaledRangeScalar,
 };
 
 } // namespace detail

@@ -4,7 +4,7 @@
  * dispatch.
  *
  * The hot accumulators — binned arrival counting, the
- * interarrival-gap moment fold, read counting, totals — all reduce
+ * interarrival-gap moment fold, read counting — all reduce
  * to tight loops over one dense column of the SoA
  * trace::RequestBatch; the autocorrelation's lagged sums and the
  * R/S blocks are two more such loops over a binned series.  This layer lifts those loops into two kernel
@@ -171,9 +171,6 @@ struct KernelOps
     /** Number of bytes equal to want (read counting over Op). */
     std::uint64_t (*count_eq_u8)(const std::uint8_t *v, std::size_t n,
                                  std::uint8_t want);
-
-    /** Sum of u32 values, accumulated mod 2^64 (block totals). */
-    std::uint64_t (*sum_u32)(const std::uint32_t *v, std::size_t n);
 
     /**
      * Lagged cross products of a centered series, carried from call

@@ -119,7 +119,10 @@ class BinnedSeries
     BinnedSeries aggregate(std::size_t factor) const;
 
     /** Raw bin values. */
-    const std::vector<double> &values() const { return values_; }
+    const std::vector<double> &values() const & { return values_; }
+
+    /** The raw bin values, moved out of an expiring series. */
+    std::vector<double> values() && { return std::move(values_); }
 
     /** Replace the raw values (size may change). */
     void setValues(std::vector<double> v) { values_ = std::move(v); }

@@ -12,13 +12,15 @@ namespace trace
 MsTrace::MsTrace(std::string drive_id, Tick start, Tick duration)
     : drive_id_(std::move(drive_id)), start_(start), duration_(duration)
 {
-    dlw_assert(duration >= 0, "negative trace duration");
+    dlw_assert(windowEndFits(start, duration),
+               "trace window negative or ending past the largest tick");
 }
 
 void
 MsTrace::setWindow(Tick start, Tick duration)
 {
-    dlw_assert(duration >= 0, "negative trace duration");
+    dlw_assert(windowEndFits(start, duration),
+               "trace window negative or ending past the largest tick");
     start_ = start;
     duration_ = duration;
 }

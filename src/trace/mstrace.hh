@@ -25,6 +25,19 @@ namespace trace
 {
 
 /**
+ * True when duration >= 0 and the window's end, start + duration,
+ * fits a Tick.  Every decoder refuses a header that fails this, and
+ * an MsTrace asserts it of its window.
+ */
+inline bool
+windowEndFits(Tick start, Tick duration)
+{
+    Tick end = 0;
+    return duration >= 0 &&
+           !__builtin_add_overflow(start, duration, &end);
+}
+
+/**
  * A per-request trace for one drive.
  */
 class MsTrace
@@ -35,7 +48,8 @@ class MsTrace
     /**
      * @param drive_id Identifier of the traced drive.
      * @param start    Tick of the start of the observation window.
-     * @param duration Length of the observation window in ticks.
+     * @param duration Length of the observation window in ticks;
+     *                 windowEndFits(start, duration) must hold.
      */
     MsTrace(std::string drive_id, Tick start, Tick duration);
 
@@ -51,7 +65,7 @@ class MsTrace
     /** End of the observation window. */
     Tick end() const { return start_ + duration_; }
 
-    /** Set the metadata fields. */
+    /** Set the metadata fields (the window as in the constructor). */
     void setDriveId(std::string id) { drive_id_ = std::move(id); }
     void setWindow(Tick start, Tick duration);
 

@@ -41,18 +41,6 @@ struct MsStreamHeader
 };
 
 /**
- * True when duration >= 0 and the window's end, start + duration,
- * fits a Tick.  Every decoder refuses a header that fails this.
- */
-inline bool
-windowEndFits(Tick start, Tick duration)
-{
-    Tick end = 0;
-    return duration >= 0 &&
-           !__builtin_add_overflow(start, duration, &end);
-}
-
-/**
  * A pull-based stream of request batches in arrival order.
  */
 class RequestSource

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,6 +21,7 @@
 #include "core/characterize.hh"
 #include "core/live.hh"
 #include "core/prefetch.hh"
+#include "stats/timeseries.hh"
 #include "synth/family.hh"
 #include "synth/workload.hh"
 #include "trace/aggregate.hh"
@@ -249,6 +254,348 @@ TEST(ServiceAndCharacterize, MatchesServiceThenCharacterizeMs)
                     << cache;
             }
         }
+    }
+}
+
+// ---- The busy profile folded as intervals close -------------------
+
+/** A drive run whose busy profile the fold must reproduce. */
+struct BusyRun
+{
+    disk::DriveConfig config;
+    trace::MsTrace trace;
+};
+
+/** A request at `at`, LBA spread over the drive. */
+trace::Request
+req(Tick at, std::size_t i, trace::Op op)
+{
+    trace::Request r;
+    r.arrival = at;
+    r.lba = (i * 7919 * 4099) % (1u << 26);
+    r.blocks = 8;
+    r.op = op;
+    return r;
+}
+
+BusyRun
+oltpRun(disk::DriveConfig cfg, Tick window, Tick busy_until, double rate)
+{
+    Rng rng(31);
+    const synth::Workload w = synth::Workload::makeOltp(
+        cfg.geometry.capacityBlocks(), rate);
+    trace::MsTrace tr = w.generate(rng, "busy", 0, busy_until);
+    tr.setWindow(0, window);
+    return {std::move(cfg), std::move(tr)};
+}
+
+/** Writes buffered at the window's end, destaged past it. */
+BusyRun
+lastIntervalPastTheWindow()
+{
+    trace::MsTrace tr("busy", 0, 10 * kSec);
+    for (std::size_t i = 0; i < 300; ++i)
+        tr.append(req(9900 * kMsec + static_cast<Tick>(i) * 300 * kUsec,
+                      i, trace::Op::Write));
+    return {disk::DriveConfig::makeEnterprise(), std::move(tr)};
+}
+
+/** Forty mechanical reads at one tick, served back to back. */
+BusyRun
+backToBack()
+{
+    disk::DriveConfig cfg = disk::DriveConfig::makeEnterprise();
+    cfg.cache.enabled = false;
+    trace::MsTrace tr("busy", 0, 5 * kSec);
+    tr.append(req(200 * kMsec, 999, trace::Op::Read));
+    for (std::size_t i = 0; i < 40; ++i)
+        tr.append(req(kSec, i, trace::Op::Read));
+    tr.append(req(4 * kSec, 998, trace::Op::Write));
+    return {std::move(cfg), std::move(tr)};
+}
+
+/** A read one tick before the window ends: served past it. */
+BusyRun
+endsBusy()
+{
+    BusyRun run = oltpRun(disk::DriveConfig::makeEnterprise(),
+                          150 * kSec, 150 * kSec, 40.0);
+    run.config.cache.enabled = false;
+    run.trace.append(req(150 * kSec - 1, 77, trace::Op::Read));
+    return run;
+}
+
+struct BusyCase
+{
+    const char *name;
+    BusyRun (*make)();
+};
+
+const BusyCase kBusyCases[] = {
+    {"LastIntervalPastTheWindow", lastIntervalPastTheWindow},
+    {"BackToBackCoalesces", backToBack},
+    {"CacheOff",
+     [] {
+         disk::DriveConfig cfg = disk::DriveConfig::makeEnterprise();
+         cfg.cache.enabled = false;
+         return oltpRun(std::move(cfg), 150 * kSec, 150 * kSec, 80.0);
+     }},
+    {"Nearline",
+     [] {
+         return oltpRun(disk::DriveConfig::makeNearline(), 150 * kSec,
+                        150 * kSec, 60.0);
+     }},
+    {"EndsBusy", endsBusy},
+    {"EndsIdle",
+     [] {
+         return oltpRun(disk::DriveConfig::makeEnterprise(), 150 * kSec,
+                        60 * kSec, 60.0);
+     }},
+};
+
+/**
+ * The busy half as the code before the fold computed it at the end of
+ * the run, kept as the reference: busy time binned over the final
+ * window in bins sized once up front, normalized, clipped and
+ * profiled inline, and the idle gaps of
+ * ServiceLog::forEachIdleInterval() summed.
+ */
+UtilizationProfile
+endOfRunProfile(const disk::ServiceLog &log, Tick bin_width)
+{
+    const Tick span = log.window_end - log.window_start;
+    stats::BinnedSeries busy(
+        log.window_start, bin_width,
+        span > 0 ? static_cast<std::size_t>((span + bin_width - 1) /
+                                            bin_width)
+                 : 0);
+    for (const trace::BusyInterval &iv : log.busy) {
+        busy.accumulateInterval(iv.first, iv.second,
+                                static_cast<double>(iv.second - iv.first));
+    }
+    std::vector<double> v = busy.values();
+    if (v.size() > 1 && span % bin_width != 0)
+        v.pop_back();
+    const Tick divisor =
+        v.size() == 1 ? std::min(bin_width, span) : bin_width;
+    for (double &x : v)
+        x /= static_cast<double>(std::max<Tick>(divisor, 1));
+    UtilizationProfile p;
+    p.bin_width = bin_width;
+    double sum = 0.0;
+    std::size_t idle = 0;
+    std::size_t saturated = 0;
+    for (double &x : v) {
+        x = std::clamp(x, 0.0, 1.0);
+        sum += x;
+        idle += x <= 0.0 ? 1 : 0;
+        saturated += x >= 0.9 ? 1 : 0;
+        p.peak = std::max(p.peak, x);
+    }
+    if (!v.empty()) {
+        const double n = static_cast<double>(v.size());
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        const auto quantile = [&sorted](double q) {
+            const double pos = q * static_cast<double>(sorted.size() - 1);
+            const auto lo = static_cast<std::size_t>(pos);
+            if (lo + 1 >= sorted.size())
+                return sorted.back();
+            return sorted[lo] + (pos - static_cast<double>(lo)) *
+                                    (sorted[lo + 1] - sorted[lo]);
+        };
+        p.mean = sum / n;
+        p.median = quantile(0.5);
+        p.p95 = quantile(0.95);
+        p.idle_fraction = static_cast<double>(idle) / n;
+        p.saturated_fraction = static_cast<double>(saturated) / n;
+    }
+    p.series = std::move(v);
+    return p;
+}
+
+DriveCharacterization
+endOfRunBusyHalf(const disk::ServiceLog &log)
+{
+    DriveCharacterization c;
+    c.util_1s = endOfRunProfile(log, kSec);
+    c.util_1min = endOfRunProfile(log, kMinute);
+    Tick total = 0;
+    Tick mass = 0;
+    Tick count = 0;
+    log.forEachIdleInterval([&](Tick gap) {
+        total += gap;
+        mass += gap >= kSec ? gap : 0;
+        ++count;
+    });
+    const Tick window = log.window_end - log.window_start;
+    c.idle_fraction = window > 0 ? static_cast<double>(total) /
+                                       static_cast<double>(window)
+                                 : 0.0;
+    c.mean_idle_interval = count ? total / count : 0;
+    c.idle_mass_1s = total > 0 ? static_cast<double>(mass) /
+                                     static_cast<double>(total)
+                               : 0.0;
+    return c;
+}
+
+/** Raw bits, so equal means bit for bit. */
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+std::vector<std::uint64_t>
+bitsOf(const std::vector<double> &xs)
+{
+    std::vector<std::uint64_t> out;
+    for (const double x : xs)
+        out.push_back(bitsOf(x));
+    return out;
+}
+
+void
+expectSameProfile(const std::optional<UtilizationProfile> &a,
+                  const std::optional<UtilizationProfile> &b,
+                  const char *what)
+{
+    ASSERT_TRUE(a && b) << what;
+    EXPECT_EQ(a->bin_width, b->bin_width) << what;
+    EXPECT_EQ(bitsOf(a->mean), bitsOf(b->mean)) << what;
+    EXPECT_EQ(bitsOf(a->peak), bitsOf(b->peak)) << what;
+    EXPECT_EQ(bitsOf(a->median), bitsOf(b->median)) << what;
+    EXPECT_EQ(bitsOf(a->p95), bitsOf(b->p95)) << what;
+    EXPECT_EQ(bitsOf(a->idle_fraction), bitsOf(b->idle_fraction)) << what;
+    EXPECT_EQ(bitsOf(a->saturated_fraction),
+              bitsOf(b->saturated_fraction))
+        << what;
+    EXPECT_EQ(bitsOf(a->series), bitsOf(b->series)) << what;
+}
+
+/** Utilization at 1 s and 1 min and the idle figures, bit for bit. */
+void
+expectSameBusyHalf(const DriveCharacterization &a,
+                   const DriveCharacterization &b)
+{
+    expectSameProfile(a.util_1s, b.util_1s, "util_1s");
+    expectSameProfile(a.util_1min, b.util_1min, "util_1min");
+    ASSERT_TRUE(a.idle_fraction && b.idle_fraction);
+    EXPECT_EQ(bitsOf(*a.idle_fraction), bitsOf(*b.idle_fraction));
+    EXPECT_EQ(a.mean_idle_interval, b.mean_idle_interval);
+    ASSERT_TRUE(a.idle_mass_1s && b.idle_mass_1s);
+    EXPECT_EQ(bitsOf(*a.idle_mass_1s), bitsOf(*b.idle_mass_1s));
+}
+
+class FoldedBusyProfile : public ::testing::TestWithParam<BusyCase>
+{
+};
+
+TEST_P(FoldedBusyProfile, MatchesAddBusyProfileOfTheLog)
+{
+    const BusyRun run = GetParam().make();
+    disk::DiskDrive drive(run.config);
+    const disk::ServiceLog log = drive.service(run.trace);
+    ASSERT_FALSE(log.busy.empty());
+    const Tick last_busy = log.busy.back().second;
+    const std::string name = GetParam().name;
+    // Each case is the shape it is named for.
+    if (name == "LastIntervalPastTheWindow" || name == "EndsBusy") {
+        EXPECT_GT(log.window_end, run.trace.end());
+        EXPECT_EQ(last_busy, log.window_end);
+    } else {
+        EXPECT_EQ(log.window_end, run.trace.end());
+    }
+    if (name == "EndsIdle") {
+        EXPECT_LT(last_busy + kMinute, log.window_end);
+    }
+    if (name == "BackToBackCoalesces") {
+        EXPECT_LE(log.busy.size(), 3u);
+    }
+
+    // addBusyProfile(log), through characterizeMs, against the code
+    // it replaced.
+    const DriveCharacterization replayed = characterizeMs(run.trace, log);
+    expectSameBusyHalf(replayed, endOfRunBusyHalf(log));
+    // Folded from the drive as each interval closed, at two batch
+    // sizes.
+    for (std::size_t bs : {std::size_t{1}, trace::kDefaultBatchRequests}) {
+        trace::MsTraceSource src(run.trace);
+        StatusOr<DriveCharacterization> folded =
+            serviceAndCharacterize(drive, src, bs);
+        ASSERT_TRUE(folded.ok()) << folded.status().toString();
+        expectSameBusyHalf(folded.value(), replayed);
+        EXPECT_EQ(folded.value().render(), replayed.render());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, FoldedBusyProfile, ::testing::ValuesIn(kBusyCases),
+    [](const ::testing::TestParamInfo<BusyCase> &p) {
+        return std::string(p.param.name);
+    });
+
+/** Keeps completions only: the busy hook left at its default. */
+class CompletionsOnlySink final : public disk::CompletionSink
+{
+  public:
+    void onCompletion(const disk::Completion &) override { ++seen; }
+
+    std::size_t seen = 0;
+};
+
+/** Records the busy intervals the drive hands its sink. */
+class BusyRecordingSink final : public disk::CompletionSink
+{
+  public:
+    void onCompletion(const disk::Completion &) override {}
+
+    bool
+    onBusyInterval(const trace::BusyInterval &iv) override
+    {
+        busy.push_back(iv);
+        return true;
+    }
+
+    std::vector<trace::BusyInterval> busy;
+};
+
+TEST(BusyIntervalHook, DefaultKeepsTheServiceLogsBusyList)
+{
+    for (const BusyCase &c : kBusyCases) {
+        const BusyRun run = c.make();
+        disk::DiskDrive drive(run.config);
+        const disk::ServiceLog ref = drive.service(run.trace);
+
+        trace::MsTraceSource src(run.trace);
+        CompletionsOnlySink sink;
+        const disk::ServiceLog log = drive.service(src, &sink, 7);
+        EXPECT_EQ(sink.seen, run.trace.size()) << c.name;
+        EXPECT_TRUE(log.completions.empty()) << c.name;
+        EXPECT_EQ(log.busy, ref.busy) << c.name;
+        EXPECT_EQ(log.window_end, ref.window_end) << c.name;
+        // Coalesced: every interval starts strictly after the last.
+        for (std::size_t i = 1; i < log.busy.size(); ++i) {
+            EXPECT_LT(log.busy[i - 1].first, log.busy[i - 1].second);
+            EXPECT_GT(log.busy[i].first, log.busy[i - 1].second)
+                << c.name << " interval " << i;
+        }
+    }
+}
+
+TEST(BusyIntervalHook, OverrideTakesEveryIntervalInOrder)
+{
+    for (const BusyCase &c : kBusyCases) {
+        const BusyRun run = c.make();
+        disk::DiskDrive drive(run.config);
+        const disk::ServiceLog ref = drive.service(run.trace);
+
+        trace::MsTraceSource src(run.trace);
+        BusyRecordingSink sink;
+        const disk::ServiceLog log = drive.service(src, &sink);
+        EXPECT_TRUE(log.busy.empty()) << c.name;
+        EXPECT_EQ(sink.busy, ref.busy) << c.name;
+        EXPECT_EQ(log.window_end, ref.window_end) << c.name;
     }
 }
 

@@ -1963,9 +1963,10 @@ TEST(SessionCheckpoint, PreTagVersionRejectedNotDefaultTagged)
     // Forge a v2-era blob: header says version 2 and the session
     // body predates the class byte.  The loader must refuse with an
     // explicit status — silently restoring it would default-tag a
-    // session whose class the client never negotiated.  A v4 blob
-    // (a current session under the old header) is refused alike:
-    // its gap lanes and write runs are laid out differently.
+    // session whose class the client never negotiated.  v4 and v5
+    // blobs (a current session under an old header) are refused
+    // alike: their gap lanes, write runs or trace totals are laid
+    // out differently.
     std::string v2_body;
     {
         BinEnc enc(v2_body);
@@ -1979,6 +1980,7 @@ TEST(SessionCheckpoint, PreTagVersionRejectedNotDefaultTagged)
     const std::pair<std::uint32_t, std::string> olds[] = {
         {2, v2_body},
         {4, sessionBlob(s)},
+        {5, sessionBlob(s)},
     };
     const std::string path = daemon::checkpointPath(dir, "t-1");
     for (const auto &[version, body] : olds) {

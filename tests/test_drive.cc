@@ -429,6 +429,133 @@ TEST(Drive, ResponseLogAcrossChunkBoundaries)
     }
 }
 
+/** Where a response-log case puts its ticks of 2^32 or more. */
+enum class WideAt
+{
+    None,
+    First,
+    Middle,
+    Last,
+};
+
+struct WideLogCase
+{
+    const char *name;
+    std::size_t n;
+    WideAt wide;
+};
+
+constexpr std::size_t kLogChunk = ResponseTicks::kChunkTicks;
+constexpr Tick kTwo32 = Tick{1} << 32;
+
+const WideLogCase kWideLogCases[] = {
+    {"Empty", 0, WideAt::None},
+    {"One", 1, WideAt::None},
+    {"OneWide", 1, WideAt::First},
+    {"ChunkLessOne", kLogChunk - 1, WideAt::None},
+    {"ChunkLessOneWideFirst", kLogChunk - 1, WideAt::First},
+    {"ChunkLessOneWideLast", kLogChunk - 1, WideAt::Last},
+    {"Chunk", kLogChunk, WideAt::None},
+    {"ChunkWideFirst", kLogChunk, WideAt::First},
+    {"ChunkWideLast", kLogChunk, WideAt::Last},
+    {"ChunkPlusOne", kLogChunk + 1, WideAt::None},
+    {"ChunkPlusOneWideFirst", kLogChunk + 1, WideAt::First},
+    {"ChunkPlusOneWideLast", kLogChunk + 1, WideAt::Last},
+    {"ThreeChunksWideFirst", 3 * kLogChunk + 5, WideAt::First},
+    {"ThreeChunksWideMiddle", 3 * kLogChunk + 5, WideAt::Middle},
+    {"ThreeChunksWideLast", 3 * kLogChunk + 5, WideAt::Last},
+};
+
+/**
+ * Response ticks for a case: short ticks with ties, a long tail up to
+ * 2^32 - 1 (the largest tick a low word holds alone; always the first
+ * tick), and, unless wide is None, ticks of 2^32 and more (2^32
+ * itself among them) inside the first, a middle or the last chunk
+ * only.
+ */
+std::vector<Tick>
+wideLogTicks(const WideLogCase &c)
+{
+    Rng rng(0x77e1 + c.n);
+    std::vector<Tick> ticks(c.n);
+    for (Tick &t : ticks) {
+        const auto pick = rng.uniformInt(0, 15);
+        t = pick == 0   ? kTwo32 - 1
+            : pick == 1 ? kTwo32 - 1 - rng.uniformInt(0, 3)
+                        : rng.uniformInt(0, 1 << 16);
+    }
+    if (c.n == 0)
+        return ticks;
+    ticks[0] = kTwo32 - 1;
+    if (c.wide == WideAt::None)
+        return ticks;
+    std::size_t chunk = (c.n - 1) / kLogChunk; // the last
+    if (c.wide == WideAt::First)
+        chunk = 0;
+    else if (c.wide == WideAt::Middle)
+        chunk = 1;
+    const std::size_t lo = chunk * kLogChunk;
+    const std::size_t hi = std::min(c.n, lo + kLogChunk);
+    const Tick wide[] = {kTwo32, kTwo32 + 1, kTwo32 * 3 + 17,
+                         Tick{1} << 45, kTwo32};
+    // One of them at each end of the chunk, the rest spread inside.
+    for (std::size_t k = 0; k < std::size(wide); ++k) {
+        const std::size_t at =
+            k == 0 ? lo
+                   : k == 1 ? hi - 1
+                            : lo + (hi - lo) * k / std::size(wide);
+        ticks[at] = wide[k];
+    }
+    return ticks;
+}
+
+class WideResponseLog : public ::testing::TestWithParam<WideLogCase>
+{
+};
+
+TEST_P(WideResponseLog, MatchesASorted64BitReference)
+{
+    const WideLogCase c = GetParam();
+    const std::vector<Tick> ref = wideLogTicks(c);
+    ResponseTicks log = ticksOf(ref);
+    ASSERT_EQ(log.size(), c.n);
+    EXPECT_EQ(ticksIn(log), ref);
+
+    // The mean sums the 64-bit ticks in completion order.
+    double sum = 0.0;
+    for (const Tick r : ref)
+        sum += static_cast<double>(r);
+    const double mean = c.n ? sum / static_cast<double>(c.n) : 0.0;
+    EXPECT_EQ(log.mean(), mean);
+    if (c.n == 0)
+        return;
+
+    std::vector<Tick> sorted = ref;
+    std::sort(sorted.begin(), sorted.end());
+    // analyze's order: p95, then p99 inside p95's upper partition.
+    const std::size_t i95 = responseQuantileIndex(c.n, 0.95);
+    EXPECT_EQ(log.selectQuantile(0.95), sorted[i95]);
+    EXPECT_EQ(log.selectQuantile(0.99, i95),
+              sorted[responseQuantileIndex(c.n, 0.99)]);
+    // Then a sweep, each selection in the log the last one permuted.
+    for (const double q : {1.0, 0.0, 0.5, 0.999, 0.001, 0.25, 0.9,
+                           0.9999, 0.75}) {
+        EXPECT_EQ(log.selectQuantile(q),
+                  sorted[responseQuantileIndex(c.n, q)])
+            << "q " << q;
+    }
+    // Selection moved ticks between chunks; none lost a high word.
+    std::vector<Tick> after = ticksIn(log);
+    std::sort(after.begin(), after.end());
+    EXPECT_EQ(after, sorted);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, WideResponseLog, ::testing::ValuesIn(kWideLogCases),
+    [](const ::testing::TestParamInfo<WideLogCase> &p) {
+        return std::string(p.param.name);
+    });
+
 TEST(DriveDeathTest, ResponseQuantileNeedsTicks)
 {
     ResponseTicks none;
@@ -481,9 +608,15 @@ TEST(Drive, UtilizationSeriesMatchesTotals)
     synth::Workload w = synth::Workload::makeOltp(100000, 40.0);
     trace::MsTrace tr = w.generate(rng, "t", 0, 20 * kSec);
     ServiceLog log = DiskDrive(testConfig(false)).service(tr);
-    stats::BinnedSeries busy = log.busySeries(kSec);
-    EXPECT_NEAR(busy.total(), static_cast<double>(log.busyTime()),
-                1.0);
+    stats::BinnedSeries u = log.utilizationSeries(kSec);
+    // Whole bins only: a trailing partial bin is dropped.
+    const Tick covered =
+        log.window_start + static_cast<Tick>(u.size()) * kSec;
+    Tick busy = 0;
+    for (const trace::BusyInterval &iv : log.busy)
+        busy += std::max<Tick>(0, std::min(iv.second, covered) - iv.first);
+    EXPECT_NEAR(u.total() * static_cast<double>(kSec),
+                static_cast<double>(busy), 1.0);
 }
 
 // The digests below were recorded from the engine before its event

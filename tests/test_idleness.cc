@@ -140,7 +140,10 @@ TEST(IdleFigures, MatchTheSortedAnalysis)
     for (const disk::ServiceLog &log : logs) {
         const IdlenessAnalysis a(log);
         for (Tick t : {Tick{0}, Tick{1}, kSec, 10 * kSec}) {
-            const IdleFigures f = idleFigures(log, t);
+            IdleFold fold(log.window_start, t);
+            for (const trace::BusyInterval &iv : log.busy)
+                fold.add(iv);
+            const IdleFigures f = fold.finish(log.window_end);
             EXPECT_EQ(f.fraction, a.idleFraction());
             EXPECT_EQ(f.mean_interval, a.meanInterval());
             EXPECT_EQ(f.mass_at_least, a.idleMassAtLeast(t)) << t;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "trace/mstrace.hh"
 
 namespace dlw
@@ -172,6 +174,32 @@ TEST(MsTraceDeathTest, ZeroBlockAppend)
 {
     MsTrace tr("t", 0, kSec);
     EXPECT_DEATH(tr.append(mk(0, 0, 0, Op::Read)), "zero-length");
+}
+
+TEST(MsTrace, WindowMayEndAtTheLargestTick)
+{
+    constexpr Tick kMax = std::numeric_limits<Tick>::max();
+    const MsTrace whole("w", 0, kMax);
+    EXPECT_EQ(whole.end(), kMax);
+    const MsTrace last("w", kMax - 100, 100);
+    EXPECT_EQ(last.end(), kMax);
+    MsTrace set("w", 0, 0);
+    set.setWindow(-5, kMax);
+    EXPECT_EQ(set.end(), kMax - 5);
+}
+
+TEST(MsTraceDeathTest, RefusesAWindowEndingPastTheLargestTick)
+{
+    // The window end is what a RequestSource over the trace reports
+    // as end(), and the drive forms it before anything else looks:
+    // the trace refuses a window whose end overflows a Tick, by the
+    // rule every decoder applies to a header.
+    constexpr Tick kMax = std::numeric_limits<Tick>::max();
+    EXPECT_DEATH(MsTrace("w", 1000, kMax), "past the largest tick");
+    EXPECT_DEATH(MsTrace("w", kMax, 1), "past the largest tick");
+    EXPECT_DEATH(MsTrace("w", 0, -1), "negative");
+    MsTrace tr("w", 0, kSec);
+    EXPECT_DEATH(tr.setWindow(1, kMax), "past the largest tick");
 }
 
 } // anonymous namespace
