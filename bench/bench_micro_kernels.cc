@@ -5,16 +5,15 @@
  * Two parts:
  *
  *  1. A deterministic SIMD-kernel phase (runs first, under its own
- *     BenchReportGuard) that times the dispatched characterization
- *     kernels — IDC window counting, the Welford gap fold and gaps
- *     — against the scalar reference on 4096-request
- *     batches, and the autocorrelation's lag sums on a fixed binned
- *     series, prints the speedup table, and snapshots BENCH_kernels
- *     .json for the bench-diff CI gate.  The phase does fixed work,
- *     so every counter in the snapshot is reproducible to the digit.
+ *     BenchReportGuard) that times the autocorrelation's lag sums on
+ *     a fixed binned series under every dispatchable kernel table,
+ *     prints the speedup table, streams a fixed trace through the
+ *     fused characterization pass, and snapshots BENCH_kernels.json
+ *     for the bench-diff CI gate.  The phase does fixed work, so
+ *     every counter in the snapshot is reproducible to the digit.
  *     When the AVX2 table is dispatchable, the phase *enforces* the
- *     >= 2x speedup floor on IDC counting and the ACF lag sums by
- *     exiting nonzero below it.
+ *     >= 2x speedup floor on the ACF lag sums by exiting nonzero
+ *     below it.
  *
  *  2. The pre-existing google-benchmark suite (workload synthesis
  *     per drive class, Rng draws, drive servicing, binary trace I/O,
@@ -42,9 +41,7 @@
 #include "core/rwmix.hh"
 #include "obs/metrics.hh"
 #include "stats/hurst.hh"
-#include "stats/simd/kernels.hh"
 #include "stats/simd/simd.hh"
-#include "stats/timeseries.hh"
 #include "synth/bmodel.hh"
 #include "trace/aggregate.hh"
 #include "trace/binio.hh"
@@ -60,13 +57,10 @@ namespace
 
 namespace simd = stats::simd;
 
-/** Batch size the acceptance numbers are quoted at. */
-constexpr std::size_t kBatch = 4096;
-
 /** The ACF kernel's fixed input: series length, lags, calls/trial. */
 constexpr std::size_t kAcfSeries = 16384;
 constexpr std::size_t kAcfLags = 64;
-constexpr int kAcfReps = 20;
+constexpr int kAcfReps = 100;
 
 /** Local xorshift so inputs never depend on libc or repo RNG state. */
 struct XRng
@@ -147,82 +141,14 @@ secsPerCall(F &&f, int reps)
     return best;
 }
 
-struct KernelRow
-{
-    simd::Isa isa;
-    double count_sorted = 0.0;
-    double welford = 0.0;
-    double gaps = 0.0;
-    double acf = 0.0;
-};
-
-/**
- * Time every kernel for one ISA.  All scratch is preallocated by the
- * caller so the loops measure kernel work, not allocation.
- */
-KernelRow
-timeIsa(simd::Isa isa, const std::vector<Tick> &ticks,
-        const std::vector<double> &gap_xs,
-        const std::vector<double> &acf_xs, std::vector<double> &bins,
-        std::vector<double> &gaps_out, std::vector<double> &acf_out)
-{
-    simd::force(isa);
-    const simd::KernelOps &k = simd::ops();
-    constexpr int kReps = 2000;
-
-    KernelRow row;
-    row.isa = isa;
-    row.count_sorted = secsPerCall(
-        [&] {
-            // Bins stay integral and far below 2^53 for the whole
-            // bench, so repeated counting into the same series is
-            // exact and allocation-free.
-            k.count_sorted(ticks.data(), kBatch, 0, 10 * kMsec,
-                           bins.data(), bins.size());
-            benchmark::DoNotOptimize(bins.data());
-        },
-        kReps);
-    row.welford = secsPerCall(
-        [&] {
-            simd::SummaryLanes lanes;
-            k.welford_add(lanes, gap_xs.data(), kBatch);
-            benchmark::DoNotOptimize(&lanes);
-        },
-        kReps / 2);
-    row.gaps = secsPerCall(
-        [&] {
-            k.gaps_i64(ticks.data(), kBatch, -1, gaps_out.data());
-            benchmark::DoNotOptimize(gaps_out.data());
-        },
-        kReps);
-    row.acf = secsPerCall(
-        [&] {
-            std::fill(acf_out.begin(), acf_out.end(), 0.0);
-            k.acf_lags(acf_xs.data(), kAcfSeries, kAcfSeries, 1,
-                       kAcfLags, acf_out.data());
-            benchmark::DoNotOptimize(acf_out.data());
-        },
-        kAcfReps);
-    return row;
-}
-
 /**
  * Run the deterministic phase: per-ISA timings, speedup table,
  * snapshot metrics.  Returns nonzero when the AVX2 speedup floor
- * (>= 2x on IDC counting and ACF lag sums) is violated.
+ * (>= 2x on the ACF lag sums) is violated.
  */
 int
 runKernelPhase()
 {
-    // Inputs: one batch of everything, shared across ISAs.
-    const std::vector<Tick> ticks = burstyTicks(kBatch);
-    std::vector<double> gap_xs(kBatch);
-    simd::detail::kScalarOps.gaps_i64(ticks.data(), kBatch, -1,
-                                      gap_xs.data());
-    const auto nbins = static_cast<std::size_t>(
-        (ticks.back() / (10 * kMsec)) + 1);
-    std::vector<double> bins(nbins, 0.0);
-    std::vector<double> gaps_out(kBatch);
     // Spiky values of both signs, like the centered count series
     // autocorrelation() hands the kernel.
     std::vector<double> acf_xs =
@@ -231,41 +157,40 @@ runKernelPhase()
         acf_xs[i] = 900.0;
     std::vector<double> acf_out(kAcfLags);
 
-    std::vector<KernelRow> rows;
+    struct Row
+    {
+        simd::Isa isa;
+        double acf; ///< seconds per call
+    };
+    std::vector<Row> rows;
     for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
         if (!simd::supported(isa))
             continue;
-        rows.push_back(timeIsa(isa, ticks, gap_xs, acf_xs, bins,
-                               gaps_out, acf_out));
+        simd::force(isa);
+        const simd::KernelOps &k = simd::ops();
+        auto call = [&] {
+            std::fill(acf_out.begin(), acf_out.end(), 0.0);
+            k.acf_lags(acf_xs.data(), kAcfSeries, kAcfSeries, 1,
+                       kAcfLags, acf_out.data());
+            benchmark::DoNotOptimize(acf_out.data());
+        };
+        rows.push_back({isa, secsPerCall(call, kAcfReps)});
     }
     simd::force(simd::bestSupported());
 
-    const KernelRow &scalar = rows.front();
-    std::printf("SIMD kernel timings, %zu-request batches "
-                "(ns/element, best of 3; speedup vs scalar)\n",
-                kBatch);
-    std::printf("%-8s %-22s %-22s %-22s\n", "isa",
-                "count_sorted(IDC)", "welford", "acf_lags");
-    auto cell = [](double secs, double base) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%7.2f (%4.2fx)",
-                      secs / kBatch * 1e9, base / secs);
-        return std::string(buf);
-    };
-    for (const KernelRow &r : rows) {
-        std::printf("%-8s %-22s %-22s %-22s\n",
-                    simd::isaName(r.isa),
-                    cell(r.count_sorted, scalar.count_sorted).c_str(),
-                    cell(r.welford, scalar.welford).c_str(),
-                    // ns per lag product, not per batch element
-                    cell(r.acf * kBatch / (kAcfSeries * kAcfLags),
-                         scalar.acf * kBatch /
-                             (kAcfSeries * kAcfLags))
-                        .c_str());
+    const Row &scalar = rows.front();
+    std::printf("ACF lag-sum kernel timings, %zu-bin series x %zu lags "
+                "(ns per lag product, best of 3; speedup vs scalar)\n",
+                kAcfSeries, kAcfLags);
+    std::printf("%-8s %s\n", "isa", "acf_lags");
+    for (const Row &r : rows) {
+        std::printf("%-8s %7.2f (%4.2fx)\n", simd::isaName(r.isa),
+                    r.acf / (kAcfSeries * kAcfLags) * 1e9,
+                    scalar.acf / r.acf);
     }
 
     // Deterministic end-to-end slice so the snapshot also carries the
-    // wired accumulator counters (core.pass.*, core.kernel.*).
+    // wired accumulator counters (core.pass.*, core.kernel.isa).
     {
         trace::MsTrace tr;
         XRng trng(0x7ace);
@@ -294,50 +219,33 @@ runKernelPhase()
                      "pass by the kernel phase (fixed work)")
             .add(totals.count());
     }
-    // Fixed-work volume counter: reps * batch (series length for the
-    // ACF) per timed kernel.  The bench-diff gate holds this to +-5%,
-    // i.e. exactly equal, so the wall-time comparison always covers
-    // the same work.
+    // Fixed-work volume counter: series length per timed call.  The
+    // bench-diff gate holds this to +-5%, i.e. exactly equal, so the
+    // wall-time comparison always covers the same work.
     obs::counter("bench.kernels.elements", "elements", "bench",
                  "kernel-folded elements in the timed phase "
                  "(fixed work)")
-        .add(static_cast<std::uint64_t>(rows.size()) *
-             ((2 * 2000 + 1000) * kBatch + kAcfReps * kAcfSeries));
+        .add(static_cast<std::uint64_t>(rows.size()) * kAcfReps *
+             kAcfSeries);
 
-    int rc = 0;
-    const bool have_avx2 = simd::supported(simd::Isa::kAvx2);
-    obs::Gauge &idc_ok = obs::gauge(
-        "bench.kernels.avx2_idc_ge2x", "bool", "bench",
-        "1 when the AVX2 IDC counting kernel beat scalar by >= 2x");
     obs::Gauge &acf_ok = obs::gauge(
         "bench.kernels.avx2_acf_ge2x", "bool", "bench",
         "1 when the AVX2 ACF lag-sum kernel beat scalar by >= 2x");
-    if (have_avx2) {
-        const KernelRow &avx2 = rows.back();
-        const double idc_speedup =
-            scalar.count_sorted / avx2.count_sorted;
-        const double acf_speedup = scalar.acf / avx2.acf;
-        idc_ok.set(idc_speedup >= 2.0 ? 1 : 0);
-        acf_ok.set(acf_speedup >= 2.0 ? 1 : 0);
-        if (idc_speedup < 2.0) {
-            std::fprintf(stderr,
-                         "FAIL: AVX2 speedup floor (>= 2x) violated: "
-                         "count_sorted %.2fx\n",
-                         idc_speedup);
-            rc = 1;
-        }
-        if (acf_speedup < 2.0) {
-            std::fprintf(stderr,
-                         "FAIL: AVX2 speedup floor (>= 2x) violated: "
-                         "acf_lags %.2fx\n",
-                         acf_speedup);
-            rc = 1;
-        }
-    } else {
+    if (!simd::supported(simd::Isa::kAvx2)) {
         std::printf("AVX2 not dispatchable on this build/CPU; "
                     "speedup floor not checked\n");
+        return 0;
     }
-    return rc;
+    const double acf_speedup = scalar.acf / rows.back().acf;
+    acf_ok.set(acf_speedup >= 2.0 ? 1 : 0);
+    if (acf_speedup < 2.0) {
+        std::fprintf(stderr,
+                     "FAIL: AVX2 speedup floor (>= 2x) violated: "
+                     "acf_lags %.2fx\n",
+                     acf_speedup);
+        return 1;
+    }
+    return 0;
 }
 
 // ------------------------------------------------------------------

@@ -13,14 +13,14 @@
 # landing.  The 7-day shape (RATE 1.19, MINUTES 10080, budget 500)
 # pins the per-bin cost: 60.5 M bins peak near 478 MiB, 512 MiB with
 # 8 B ticks and the busy list, and 958 MiB with the centered copy.
-# The verdict compares whole MiB (the peak truncated), so a budget of
-# B passes any peak below B + 1 MiB.  The 2-hour budget of 15 passes
-# peaks below 16 MiB, about 2.4 MiB above the measured peak, and the
-# 7-day budget of 500 sits about 22 MiB above it; both are below the
-# peak of the 8 B-tick, busy-list design on the same shape, so that
-# design fails both.  The 2-hour budget also fails a run whose sink
-# leaves the busy intervals in the ServiceLog beside the fold
-# (16.9 MiB), which changes no report byte.
+# The verdict compares the peak in KiB against B x 1024, so a budget
+# of B passes peaks up to B MiB exactly.  The 2-hour budget of 15 sits
+# about 1.6 MiB above the measured peak (13.2-13.4 MiB), and the
+# 7-day budget of 500 about 22 MiB above it; both are below the peak
+# of the 8 B-tick, busy-list design on the same shape, so that design
+# fails both.  The 2-hour budget also fails a run whose sink leaves
+# the busy intervals in the ServiceLog beside the fold (16.9 MiB),
+# which changes no report byte.
 #
 # Relies on dlwtool's own --max-rss-mb verdict (getrusage peak of the
 # analyze process; the generator runs as a separate process).

@@ -119,27 +119,17 @@ BurstinessAccumulator::observe(const trace::RequestBatch &batch)
         return;
     const Tick *t = batch.arrivalsData();
 
-    noteKernelSlowPath(counts_.countSorted(t, n));
-
-    // Gap fold: the first-ever arrival has no predecessor, so a
-    // stream that starts mid-batch folds n - 1 gaps anchored at t[0].
-    // Lane membership inside gaps_ tracks the global gap index, so
-    // the result is identical no matter how arrivals were batched.
-    if (gap_scratch_.size() < n)
-        gap_scratch_.resize(n);
-    const stats::simd::KernelOps &k = stats::simd::ops();
-    std::size_t g = 0;
-    if (have_prev_) {
-        k.gaps_i64(t, n, prev_arrival_, gap_scratch_.data());
-        g = n;
-    } else if (n > 1) {
-        k.gaps_i64(t + 1, n - 1, t[0], gap_scratch_.data());
-        g = n - 1;
+    // The first-ever arrival has no predecessor, so a stream's gaps
+    // start at its second arrival.  Gap j lands in lane j % 4 of
+    // gaps_ whatever the batching, so batch shape changes no bit.
+    Tick prev = have_prev_ ? prev_arrival_ : t[0];
+    for (std::size_t i = 0; i < n; ++i) {
+        counts_.accumulateAt(t[i], 1.0);
+        if (i > 0 || have_prev_)
+            gaps_.add(static_cast<double>(t[i] - prev));
+        prev = t[i];
     }
-    if (g > 0)
-        gaps_.addBatch(gap_scratch_.data(), g);
-
-    prev_arrival_ = t[n - 1];
+    prev_arrival_ = prev;
     have_prev_ = true;
 }
 

@@ -79,12 +79,11 @@ struct BurstinessReport
 
 /**
  * Streaming burstiness analysis: accumulates the base-bin counts and
- * the interarrival-gap summary incrementally (the gap stream is
- * folded into a running 4-lane SummaryLanes through the dispatched
- * SIMD kernels, never materialized), then derives the report in
- * finish().  analyzeBurstiness() is a one-accumulator
- * pass over an in-memory source, so both paths share one
- * implementation.
+ * the interarrival-gap summary incrementally (each gap is folded
+ * into a running 4-lane SummaryLanes as it is taken, never
+ * materialized), then derives the report in finish().
+ * analyzeBurstiness() is a one-accumulator pass over an in-memory
+ * source, so both paths share one implementation.
  */
 class BurstinessAccumulator : public TraceAccumulator
 {
@@ -123,7 +122,6 @@ class BurstinessAccumulator : public TraceAccumulator
     std::vector<std::size_t> scales_;
     stats::BinnedSeries counts_;
     stats::simd::SummaryLanes gaps_;
-    std::vector<double> gap_scratch_;
     Tick prev_arrival_ = 0;
     bool have_prev_ = false;
     BurstinessReport rep_;

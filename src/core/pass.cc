@@ -30,10 +30,6 @@ struct PassMetrics
         "isa", "core",
         "active SIMD kernel table (0 scalar, 2 avx2); "
         "set at the start of every pass");
-    obs::Counter &kernel_slow = obs::counter("core.kernel.slow",
-        "elements", "core",
-        "batch-kernel elements that fell back to the per-element "
-        "reference path (series growth, early-stop)");
 };
 
 PassMetrics &
@@ -69,15 +65,6 @@ notePassBatch()
         passMetrics().batches.add(1);
 }
 
-void
-noteKernelSlowPath(std::size_t elems)
-{
-    if (elems == 0 || !obs::enabled())
-        return;
-    passMetrics().kernel_slow.add(
-        static_cast<std::uint64_t>(elems));
-}
-
 Status
 TraceTotalsAccumulator::begin(const trace::MsStreamHeader &meta)
 {
@@ -88,14 +75,9 @@ TraceTotalsAccumulator::begin(const trace::MsStreamHeader &meta)
 void
 TraceTotalsAccumulator::observe(const trace::RequestBatch &batch)
 {
-    const std::size_t sz = batch.size();
-    if (sz == 0)
-        return;
-    const stats::simd::KernelOps &k = stats::simd::ops();
-    n_ += sz;
-    reads_ += static_cast<std::size_t>(k.count_eq_u8(
-        reinterpret_cast<const std::uint8_t *>(batch.opsData()), sz,
-        static_cast<std::uint8_t>(trace::Op::Read)));
+    n_ += batch.size();
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        reads_ += batch.isRead(i) ? 1 : 0;
 }
 
 double

@@ -144,8 +144,8 @@ class CharacterizationPass
 };
 
 /**
- * Force-register the core.pass.* and core.kernel.* metrics so
- * snapshots carry the schema before any pass runs.
+ * Force-register the core.pass.* metrics and the core.kernel.isa
+ * gauge so snapshots carry the schema before any pass runs.
  */
 void registerPassMetrics();
 
@@ -157,14 +157,6 @@ void notePassRun(std::size_t accumulators);
 
 /** Count one batch a pass fanned out (core.pass.batches). */
 void notePassBatch();
-
-/**
- * Record elems slow-path elements against core.kernel.slow: requests
- * a batch kernel could not fold (series growth, early-stop) and that
- * fell back to the per-element reference path.  No-op when metrics
- * are disabled or elems is zero.
- */
-void noteKernelSlowPath(std::size_t elems);
 
 } // namespace core
 } // namespace dlw

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/binenc.hh"
 #include "common/logging.hh"
-#include "stats/simd/simd.hh"
 
 namespace dlw
 {
@@ -65,31 +65,20 @@ void
 RwMixAccumulator::observe(const trace::RequestBatch &batch)
 {
     const std::size_t sz = batch.size();
-    if (sz == 0)
-        return;
     const Tick *t = batch.arrivalsData();
-    const auto *dir =
-        reinterpret_cast<const std::uint8_t *>(batch.opsData());
-    const auto read_byte =
-        static_cast<std::uint8_t>(trace::Op::Read);
-    const stats::simd::KernelOps &k = stats::simd::ops();
-
-    // Column folds: the counts are integers, so splitting the
-    // original interleaved per-element loop into one pass per series
-    // changes no bit of either series.
     n_ += sz;
-    read_n_ +=
-        static_cast<std::size_t>(k.count_eq_u8(dir, sz, read_byte));
-    std::size_t slow = all_.countSorted(t, sz);
-    slow += reads_.countSortedIf(t, dir, read_byte, sz);
-    noteKernelSlowPath(slow);
 
-    // The direction-run scan carries a loop dependency (each element
-    // looks at the previous direction), so it stays per-element;
-    // run_len_ == 0 only before the first request, which makes the
-    // first iteration open a run no matter what prev_read_ holds.
     for (std::size_t i = 0; i < sz; ++i) {
         const bool is_read = batch.isRead(i);
+        all_.accumulateAt(t[i], 1.0);
+        if (is_read) {
+            reads_.accumulateAt(t[i], 1.0);
+            ++read_n_;
+        }
+
+        // The direction-run scan; run_len_ == 0 only before the first
+        // request, which makes the first iteration open a run no
+        // matter what prev_read_ holds.
         if (is_read == prev_read_ && run_len_ > 0) {
             ++run_len_;
         } else {

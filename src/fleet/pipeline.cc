@@ -323,8 +323,7 @@ runFleet(const FleetConfig &config)
                 obs::emitInstant("fleet.retry");
                 backoff(config, i, slot.attempts);
             }
-        },
-        config.tag.klass);
+        });
 
     // Serial phase: split survivors from failures in index order,
     // then the ordered reduction (see merge.hh).

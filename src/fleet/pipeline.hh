@@ -23,7 +23,6 @@
 #include "common/status.hh"
 #include "common/types.hh"
 #include "fleet/merge.hh"
-#include "qos/tag.hh"
 #include "synth/workload.hh"
 #include "trace/batch.hh"
 
@@ -89,12 +88,6 @@ struct FleetConfig
      * footprint is O(batch).  The report does not depend on it.
      */
     std::size_t batch_requests = trace::kDefaultBatchRequests;
-    /**
-     * Tenant/class tag the whole run executes under: every shard
-     * task lands in the priority lane of its class.  Defaults to the
-     * single-tenant identity; the tag never changes a report byte.
-     */
-    qos::TagId tag;
 };
 
 /**

@@ -177,11 +177,10 @@ ThreadPool::hardwareThreads()
 
 void
 parallelFor(ThreadPool &pool, std::size_t n,
-            const std::function<void(std::size_t)> &fn,
-            qos::WorkClass lane)
+            const std::function<void(std::size_t)> &fn)
 {
     for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); }, lane);
+        pool.submit([&fn, i] { fn(i); }, qos::WorkClass::kInteractive);
     pool.wait();
 }
 

@@ -129,11 +129,10 @@ class ThreadPool
  * Run fn(i) for every i in [0, n) on the pool and wait.
  *
  * Convenience wrapper over submit()/wait(); rethrows the first task
- * exception.  All n tasks land in `lane` (interactive by default).
+ * exception.  All n tasks land in the interactive lane.
  */
 void parallelFor(ThreadPool &pool, std::size_t n,
-                 const std::function<void(std::size_t)> &fn,
-                 qos::WorkClass lane = qos::WorkClass::kInteractive);
+                 const std::function<void(std::size_t)> &fn);
 
 /**
  * Force-register the fleet.pool.* metrics (tasks, steals, queue

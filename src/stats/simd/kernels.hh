@@ -7,7 +7,7 @@
  * exactly one place, and the vector code mirrors it operation for
  * operation (no FMA contraction — the kernel sources never enable
  * -mfma — and no reassociation).  The AVX2 kernels call these
- * same helpers for heads, tails and slow lanes, so a "vector" result
+ * same helpers for lag tails and block folds, so a "vector" result
  * is always a mix of the one scalar definition and its element-wise
  * IEEE equivalents.
  */
@@ -18,7 +18,6 @@
 #include <algorithm>
 
 #include "stats/simd/simd.hh"
-#include "stats/summary.hh"
 
 namespace dlw
 {
@@ -28,20 +27,6 @@ namespace simd
 {
 namespace detail
 {
-
-/**
- * One Welford update of lane `lane`, the reference tree: MeanM2::add
- * on the lane's count, mean and m2.
- */
-inline void
-welfordOne(SummaryLanes &s, std::uint32_t lane, double x)
-{
-    MeanM2 m{s.n[lane], s.mean[lane], s.m2[lane]};
-    m.add(x);
-    s.n[lane] = m.n;
-    s.mean[lane] = m.mean;
-    s.m2[lane] = m.m2;
-}
 
 /**
  * End of lag k's t range in one KernelOps::acf_lags call over a

@@ -1,21 +1,15 @@
 /**
  * @file
- * AVX2 kernels (4 doubles / 4 ticks per vector).
+ * AVX2 kernels (4 doubles per vector).
  *
  * Compiled with -mavx2 for this translation unit only (never -mfma,
  * so no contraction can perturb the scalar expression trees) and
  * dispatched only when the CPU reports AVX2.
  *
  * Every loop mirrors the scalar reference tree from kernels.hh with
- * element-wise IEEE operations (sub/mul/div/min/max/truncate are all
+ * element-wise IEEE operations (add/sub/mul/div/sqrt/min/max are all
  * correctly rounded per lane, and nothing here emits FMA), so the
- * results are bit-identical to kScalarOps by construction.  Tick
- * comparisons ride on the sign bit of a 64-bit subtraction (valid
- * while ticks stay well inside the int64 range, which nanosecond
- * timestamps do), and the int64 -> double conversion uses the
- * exact split identity x == (hi(x) * 2^32 - 2^52) + (2^52 + lo(x))
- * with one final rounding — the same single rounding static_cast
- * performs.
+ * results are bit-identical to kScalarOps by construction.
  */
 
 #include "stats/simd/kernels.hh"
@@ -36,194 +30,6 @@ namespace detail
 {
 namespace
 {
-
-/** Exact int64 -> double conversion, 4 lanes. */
-inline __m256d
-cvtI64F64(__m256i v)
-{
-    const __m256i magic_lo =
-        _mm256_set1_epi64x(0x4330000000000000LL); // 2^52
-    const __m256i magic_hi =
-        _mm256_set1_epi64x(0x4530000080000000LL); // 2^84 + 2^63 bias
-    const __m256d magic_all = _mm256_castsi256_pd(
-        _mm256_set1_epi64x(0x4530000080100000LL)); // 2^84+2^63+2^52
-    const __m256i low_mask = _mm256_set1_epi64x(0x00000000FFFFFFFFLL);
-
-    __m256i v_lo =
-        _mm256_or_si256(_mm256_and_si256(v, low_mask), magic_lo);
-    __m256i v_hi =
-        _mm256_xor_si256(_mm256_srli_epi64(v, 32), magic_hi);
-    __m256d hi_d = _mm256_sub_pd(_mm256_castsi256_pd(v_hi), magic_all);
-    return _mm256_add_pd(hi_d, _mm256_castsi256_pd(v_lo));
-}
-
-/** Bit k set when 64-bit lane k of (a - b) is negative, i.e. a < b. */
-inline int
-ltMask64(__m256i a, __m256i b)
-{
-    return _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_sub_epi64(a, b)));
-}
-
-/**
- * Shared gallop: one past the end of the run starting at t[i] whose
- * ticks all fall inside [bin_lo, bin_hi).
- */
-inline std::size_t
-runEnd(const Tick *t, std::size_t i, std::size_t n, Tick bin_lo,
-       Tick bin_hi)
-{
-    const __m256i vlo = _mm256_set1_epi64x(bin_lo);
-    const __m256i vhi = _mm256_set1_epi64x(bin_hi);
-    std::size_t j = i + 1;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i vt = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(t + j));
-        const int below = ltMask64(vt, vlo);
-        const int in_run = ~below & ltMask64(vt, vhi) & 0xf;
-        if (in_run != 0xf)
-            return j + static_cast<std::size_t>(
-                           __builtin_ctz(~in_run & 0xf));
-    }
-    for (; j < n; ++j) {
-        if (t[j] < bin_lo || t[j] >= bin_hi)
-            break;
-    }
-    return j;
-}
-
-std::size_t
-countSortedAvx2(const Tick *t, std::size_t n, Tick start, Tick width,
-                double *bins, std::size_t nbins)
-{
-    std::size_t i = 0;
-    while (i < n) {
-        if (t[i] < start)
-            return i;
-        const auto idx =
-            static_cast<std::size_t>((t[i] - start) / width);
-        if (idx >= nbins)
-            return i;
-        const Tick bin_lo = start + static_cast<Tick>(idx) * width;
-        const std::size_t j = runEnd(t, i, n, bin_lo, bin_lo + width);
-        bins[idx] += static_cast<double>(j - i);
-        i = j;
-    }
-    return n;
-}
-
-/** Matching flags in [i, j), 32 bytes at a time. */
-inline std::uint64_t
-countEqRange(const std::uint8_t *flags, std::size_t i, std::size_t j,
-             __m256i vwant, std::uint8_t want)
-{
-    std::uint64_t c = 0;
-    for (; i + 32 <= j; i += 32) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(flags + i));
-        c += static_cast<unsigned>(__builtin_popcount(
-            static_cast<unsigned>(_mm256_movemask_epi8(
-                _mm256_cmpeq_epi8(v, vwant)))));
-    }
-    for (; i < j; ++i)
-        c += flags[i] == want ? 1 : 0;
-    return c;
-}
-
-std::size_t
-countSortedIfAvx2(const Tick *t, const std::uint8_t *flags,
-                  std::uint8_t want, std::size_t n, Tick start,
-                  Tick width, double *bins, std::size_t nbins)
-{
-    const __m256i vwant = _mm256_set1_epi8(static_cast<char>(want));
-    std::size_t i = 0;
-    while (i < n) {
-        if (t[i] < start)
-            return i;
-        const auto idx =
-            static_cast<std::size_t>((t[i] - start) / width);
-        if (idx >= nbins)
-            return i;
-        const Tick bin_lo = start + static_cast<Tick>(idx) * width;
-        const std::size_t j = runEnd(t, i, n, bin_lo, bin_lo + width);
-        const std::uint64_t c = countEqRange(flags, i, j, vwant, want);
-        if (c)
-            bins[idx] += static_cast<double>(c);
-        i = j;
-    }
-    return n;
-}
-
-void
-gapsI64Avx2(const Tick *t, std::size_t n, Tick prev, double *out)
-{
-    if (n == 0)
-        return;
-    out[0] = static_cast<double>(t[0] - prev);
-    std::size_t i = 1;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i cur = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(t + i));
-        const __m256i prv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(t + i - 1));
-        _mm256_storeu_pd(out + i,
-                         cvtI64F64(_mm256_sub_epi64(cur, prv)));
-    }
-    for (; i < n; ++i)
-        out[i] = static_cast<double>(t[i] - t[i - 1]);
-}
-
-void
-welfordAddAvx2(SummaryLanes &s, const double *x, std::size_t n)
-{
-    std::size_t i = 0;
-    std::uint32_t lane = s.next;
-    // Peel until the cursor sits on lane 0, so vector iterations map
-    // elements i..i+3 onto lanes 0..3 exactly.
-    while (lane != 0 && i < n) {
-        welfordOne(s, lane, x[i]);
-        lane = (lane + 1) % kSummaryLanes;
-        ++i;
-    }
-
-    if (i + kSummaryLanes <= n) {
-        const __m256d one = _mm256_set1_pd(1.0);
-
-        __m256d vn = _mm256_load_pd(s.n);
-        __m256d mean = _mm256_load_pd(s.mean);
-        __m256d m2 = _mm256_load_pd(s.m2);
-
-        // MeanM2::add, one lane per element, in its order.
-        for (; i + kSummaryLanes <= n; i += kSummaryLanes) {
-            const __m256d vx = _mm256_loadu_pd(x + i);
-            const __m256d n1 = vn;
-            vn = _mm256_add_pd(n1, one);
-            const __m256d delta = _mm256_sub_pd(vx, mean);
-            const __m256d delta_n = _mm256_div_pd(delta, vn);
-            mean = _mm256_add_pd(mean, delta_n);
-            m2 = _mm256_add_pd(
-                m2, _mm256_mul_pd(_mm256_mul_pd(delta, delta_n), n1));
-        }
-
-        _mm256_store_pd(s.n, vn);
-        _mm256_store_pd(s.mean, mean);
-        _mm256_store_pd(s.m2, m2);
-    }
-
-    for (; i < n; ++i) {
-        welfordOne(s, lane, x[i]);
-        lane = (lane + 1) % kSummaryLanes;
-    }
-    s.next = lane;
-}
-
-std::uint64_t
-countEqU8Avx2(const std::uint8_t *v, std::size_t n, std::uint8_t want)
-{
-    return countEqRange(v, 0, n,
-                        _mm256_set1_epi8(static_cast<char>(want)),
-                        want);
-}
 
 /**
  * Lags [k0, k0 + 4 * kVecs) side by side, lane j of vector v on lag
@@ -369,11 +175,7 @@ rescaledRangeAvx2(const double *x, std::size_t n, std::size_t blocks)
 
 } // anonymous namespace
 
-const KernelOps kAvx2Ops = {
-    countSortedAvx2, countSortedIfAvx2, gapsI64Avx2,
-    welfordAddAvx2,  countEqU8Avx2,     acfLagsAvx2,
-    rescaledRangeAvx2,
-};
+const KernelOps kAvx2Ops = {acfLagsAvx2, rescaledRangeAvx2};
 
 } // namespace detail
 } // namespace simd

@@ -23,70 +23,6 @@ namespace detail
 namespace
 {
 
-std::size_t
-countSortedScalar(const Tick *t, std::size_t n, Tick start,
-                  Tick width, double *bins, std::size_t nbins)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        if (t[i] < start)
-            return i;
-        const auto idx =
-            static_cast<std::size_t>((t[i] - start) / width);
-        if (idx >= nbins)
-            return i;
-        bins[idx] += 1.0;
-    }
-    return n;
-}
-
-std::size_t
-countSortedIfScalar(const Tick *t, const std::uint8_t *flags,
-                    std::uint8_t want, std::size_t n, Tick start,
-                    Tick width, double *bins, std::size_t nbins)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        if (t[i] < start)
-            return i;
-        const auto idx =
-            static_cast<std::size_t>((t[i] - start) / width);
-        if (idx >= nbins)
-            return i;
-        if (flags[i] == want)
-            bins[idx] += 1.0;
-    }
-    return n;
-}
-
-void
-gapsI64Scalar(const Tick *t, std::size_t n, Tick prev, double *out)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<double>(t[i] - prev);
-        prev = t[i];
-    }
-}
-
-void
-welfordAddScalar(SummaryLanes &lanes, const double *x, std::size_t n)
-{
-    std::uint32_t lane = lanes.next;
-    for (std::size_t i = 0; i < n; ++i) {
-        welfordOne(lanes, lane, x[i]);
-        lane = (lane + 1) % kSummaryLanes;
-    }
-    lanes.next = lane;
-}
-
-std::uint64_t
-countEqU8Scalar(const std::uint8_t *v, std::size_t n,
-                std::uint8_t want)
-{
-    std::uint64_t c = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        c += v[i] == want ? 1 : 0;
-    return c;
-}
-
 /**
  * Four lags side by side: each is still its own ascending-t chain,
  * so walking them in lockstep changes no bit, and four independent
@@ -184,11 +120,7 @@ rescaledRangeScalar(const double *x, std::size_t n, std::size_t blocks)
 
 } // anonymous namespace
 
-const KernelOps kScalarOps = {
-    countSortedScalar, countSortedIfScalar, gapsI64Scalar,
-    welfordAddScalar,  countEqU8Scalar,     acfLagsScalar,
-    rescaledRangeScalar,
-};
+const KernelOps kScalarOps = {acfLagsScalar, rescaledRangeScalar};
 
 } // namespace detail
 } // namespace simd

@@ -99,19 +99,6 @@ SummaryLanes::clear()
     next = 0;
 }
 
-void
-SummaryLanes::add(double x)
-{
-    detail::welfordOne(*this, next, x);
-    next = (next + 1) % kSummaryLanes;
-}
-
-void
-SummaryLanes::addBatch(const double *x, std::size_t n_obs)
-{
-    ops().welford_add(*this, x, n_obs);
-}
-
 Summary
 SummaryLanes::combined() const
 {

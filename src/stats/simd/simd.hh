@@ -1,35 +1,28 @@
 /**
  * @file
- * Batch-at-a-time characterization kernels with runtime SIMD
- * dispatch.
+ * The binned-series kernels with runtime SIMD dispatch, and the
+ * 4-lane Welford fold.
  *
- * The hot accumulators — binned arrival counting, the
- * interarrival-gap moment fold, read counting — all reduce
- * to tight loops over one dense column of the SoA
- * trace::RequestBatch; the autocorrelation's lagged sums and the
- * R/S blocks are two more such loops over a binned series.  This layer lifts those loops into two kernel
- * tables, the scalar reference and AVX2; the AVX2 table runs when
- * CPUID reports AVX2, the scalar one everywhere else.
+ * Two characterization loops run over a whole binned series and take
+ * a measurable share of the burstiness finish: the
+ * autocorrelation's lagged sums and the R/S blocks.  This layer
+ * lifts them into two kernel tables, the scalar reference and AVX2;
+ * the AVX2 table runs when CPUID reports AVX2, the scalar one
+ * everywhere else.  The per-request folds (arrival counting, the
+ * interarrival gaps, read counting) are plain loops at their
+ * accumulators: vector versions of them sped up a layer that
+ * end-to-end time does not wait on (docs/PERFORMANCE.md).
  *
  * The contract that makes dispatch safe everywhere byte-identity is
  * promised (thread counts, batch sizes, daemon checkpoints): every
  * kernel is bit-identical to the scalar reference on the same input.
- * That is achieved by construction, not by tolerance:
- *
- *  - bin-index math and conversions use the exact scalar
- *    expression tree (subtract, IEEE divide, truncate), which SIMD
- *    lanes reproduce bit-for-bit because those operations are
- *    correctly rounded element-wise;
- *  - counts are integers carried in doubles; adding a run length k
- *    equals k unit adds exactly while bins stay below 2^53;
- *  - the one genuinely order-sensitive fold, the Welford moment
- *    update, is defined as a fixed 4-lane round-robin tree
- *    (SummaryLanes) keyed by the global element index, so the scalar
- *    and vector paths walk the identical tree and results cannot
- *    depend on how the stream was chunked into batches.
+ * That is achieved by construction, not by tolerance: both kernels
+ * run each lag's or block's chains in the scalar order, side by side,
+ * with element-wise IEEE operations that SIMD lanes reproduce bit for
+ * bit (no FMA contraction, no reassociation).
  *
  * Kernels never touch the metrics registry (obs sits above stats in
- * the link order); core wires in the core.kernel.* metrics.
+ * the link order); core wires in the core.kernel.isa gauge.
  */
 
 #ifndef DLW_STATS_SIMD_SIMD_HH
@@ -39,6 +32,7 @@
 #include <cstdint>
 
 #include "common/types.hh"
+#include "stats/summary.hh"
 
 namespace dlw
 {
@@ -49,8 +43,6 @@ class BinDec;
 namespace stats
 {
 
-class Summary;
-
 namespace simd
 {
 
@@ -58,7 +50,7 @@ namespace simd
 enum class Isa : int
 {
     kScalar = 0, ///< portable reference path (ground truth)
-    kAvx2 = 2,   ///< 256-bit vectors (4 doubles / 4 ticks)
+    kAvx2 = 2,   ///< 256-bit vectors (4 doubles)
 };
 
 /** Number of independent Welford lanes in a SummaryLanes fold. */
@@ -73,12 +65,9 @@ constexpr std::size_t kSummaryLanes = 4;
  * lanes in fixed order through Summary::merge.  The lanes keep the
  * count, mean and m2 only: their one reader is the interarrival CV.
  * Because lane membership depends only on the global element index,
- * the result is invariant to batch chunking — and because the
- * per-element update tree is identical in the scalar and SIMD
- * kernels, it is invariant to the dispatched ISA as well.
- *
- * The lane state is public plain-old-data so the per-ISA kernels can
- * load it straight into vector registers.
+ * the result is invariant to batch chunking.  Every report's CV and
+ * every dlwd checkpoint (DLWCKPT1) carries this tree's bits, so one
+ * plain Welford fold would change both.
  */
 class SummaryLanes
 {
@@ -89,10 +78,16 @@ class SummaryLanes
     void clear();
 
     /** Add one observation to the cursor lane and advance. */
-    void add(double x);
-
-    /** Add a batch through the dispatched kernel. */
-    void addBatch(const double *x, std::size_t n);
+    void
+    add(double x)
+    {
+        MeanM2 m{n[next], mean[next], m2[next]};
+        m.add(x);
+        n[next] = m.n;
+        mean[next] = m.mean;
+        m2[next] = m.m2;
+        next = (next + 1) % kSummaryLanes;
+    }
 
     /**
      * Merge the lanes (fixed order) into one Summary.  The lanes keep
@@ -109,12 +104,11 @@ class SummaryLanes
      */
     bool loadState(BinDec &dec);
 
-    // Raw lane state.  Counts are whole numbers carried as doubles
-    // so the vector update needs no int<->double traffic; exact
-    // below 2^53 observations per lane.
-    alignas(32) double n[kSummaryLanes];
-    alignas(32) double mean[kSummaryLanes];
-    alignas(32) double m2[kSummaryLanes];
+    // Raw lane state.  Counts are whole numbers carried as doubles,
+    // exact below 2^53 observations per lane.
+    double n[kSummaryLanes];
+    double mean[kSummaryLanes];
+    double m2[kSummaryLanes];
     /** Lane the next observation lands in (0..3). */
     std::uint32_t next;
 };
@@ -125,53 +119,6 @@ class SummaryLanes
  */
 struct KernelOps
 {
-    /**
-     * Count arrival ticks into fixed-width bins:
-     * bins[(t[i] - start) / width] += 1.0 for a prefix of the input.
-     * Returns how many elements were consumed; processing stops
-     * early at the first element with t < start or with a bin index
-     * >= nbins (the caller grows the series and resumes).  Sorted
-     * input is the fast path — the vector kernels batch runs of
-     * same-bin ticks into one add — but correctness does not depend
-     * on order: an out-of-run element simply starts a new run.
-     * Exact while bin values are integral counts below 2^53.
-     */
-    std::size_t (*count_sorted)(const Tick *t, std::size_t n,
-                                Tick start, Tick width, double *bins,
-                                std::size_t nbins);
-
-    /**
-     * count_sorted, but only elements with flags[i] == want are
-     * counted.  Every element still bounds-checks its bin (same
-     * early-stop contract), so the consumed prefix is independent of
-     * the flag column.
-     */
-    std::size_t (*count_sorted_if)(const Tick *t,
-                                   const std::uint8_t *flags,
-                                   std::uint8_t want, std::size_t n,
-                                   Tick start, Tick width,
-                                   double *bins, std::size_t nbins);
-
-    /**
-     * Interarrival gaps: out[0] = double(t[0] - prev), out[i] =
-     * double(t[i] - t[i-1]).  The int64 -> double conversion is
-     * correctly rounded in every ISA (the vector kernels use the
-     * exact split-conversion identity), matching static_cast.
-     */
-    void (*gaps_i64)(const Tick *t, std::size_t n, Tick prev,
-                     double *out);
-
-    /**
-     * Fold n observations into the 4-lane Welford tree (gaps and
-     * counts; denormals are fine).
-     */
-    void (*welford_add)(SummaryLanes &lanes, const double *x,
-                        std::size_t n);
-
-    /** Number of bytes equal to want (read counting over Op). */
-    std::uint64_t (*count_eq_u8)(const std::uint8_t *v, std::size_t n,
-                                 std::uint8_t want);
-
     /**
      * Lagged cross products of a centered series, carried from call
      * to call: for each j < lags, acc[j] += d[t] * d[t + k + j] for

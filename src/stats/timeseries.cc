@@ -5,7 +5,6 @@
 
 #include "common/binenc.hh"
 #include "common/logging.hh"
-#include "stats/simd/simd.hh"
 
 namespace dlw
 {
@@ -67,50 +66,6 @@ BinnedSeries::accumulateAt(Tick t, double amount)
     if (idx >= values_.size())
         values_.resize(idx + 1, 0.0);
     values_[idx] += amount;
-}
-
-std::size_t
-BinnedSeries::countSorted(const Tick *t, std::size_t n)
-{
-    const simd::KernelOps &k = simd::ops();
-    std::size_t slow = 0;
-    std::size_t i = 0;
-    while (i < n) {
-        i += k.count_sorted(t + i, n - i, start_, bin_width_,
-                            values_.data(), values_.size());
-        if (i < n) {
-            // The kernel stopped at a tick outside the current bin
-            // range: grow (or assert, exactly like the per-element
-            // path) and resume behind it.
-            accumulateAt(t[i], 1.0);
-            ++i;
-            ++slow;
-        }
-    }
-    return slow;
-}
-
-std::size_t
-BinnedSeries::countSortedIf(const Tick *t, const std::uint8_t *flags,
-                            std::uint8_t want, std::size_t n)
-{
-    const simd::KernelOps &k = simd::ops();
-    std::size_t slow = 0;
-    std::size_t i = 0;
-    while (i < n) {
-        i += k.count_sorted_if(t + i, flags + i, want, n - i, start_,
-                               bin_width_, values_.data(),
-                               values_.size());
-        if (i < n) {
-            // Only matching elements ever touched the series in the
-            // per-element loop, so only they grow it here.
-            if (flags[i] == want)
-                accumulateAt(t[i], 1.0);
-            ++i;
-            ++slow;
-        }
-    }
-    return slow;
 }
 
 void

@@ -79,27 +79,6 @@ class BinnedSeries
     void accumulateAt(Tick t, double amount);
 
     /**
-     * Count a batch of arrival ticks: for every t[i],
-     * accumulateAt(t[i], 1.0), but routed through the dispatched
-     * SIMD kernel so runs of same-bin ticks (the common case for
-     * sorted arrivals) collapse into one add.  Ticks that need the
-     * series to grow fall back to accumulateAt element by element.
-     * Bit-identical to the per-element loop while bin values are
-     * integral counts.
-     *
-     * @return Number of elements that took the slow growth path.
-     */
-    std::size_t countSorted(const Tick *t, std::size_t n);
-
-    /**
-     * countSorted, restricted to elements whose flag equals want
-     * (read/write filtered counting over the SoA op column).
-     */
-    std::size_t countSortedIf(const Tick *t,
-                              const std::uint8_t *flags,
-                              std::uint8_t want, std::size_t n);
-
-    /**
      * Spread an interval [from, to) across the bins it overlaps,
      * weighting amount by the overlap fraction.  Used to convert
      * busy intervals into per-bin busy time.

@@ -123,16 +123,14 @@ class RequestBatch
     /** Dense arrival-tick array (size() entries). */
     const std::vector<Tick> &arrivals() const { return arrivals_; }
 
-    // Raw column pointers for the batch kernels (size() entries
-    // each).  Valid until the next append()/clear().
+    // Raw column pointers (size() entries each).  Valid until the
+    // next append()/clear().
     /** Arrival ticks. */
     const Tick *arrivalsData() const { return arrivals_.data(); }
     /** Starting LBAs. */
     const Lba *lbasData() const { return lbas_.data(); }
     /** Request lengths in blocks. */
     const BlockCount *blocksData() const { return blocks_.data(); }
-    /** Directions (Op is a uint8_t enum; dense byte column). */
-    const Op *opsData() const { return ops_.data(); }
 
     /** Payload bytes currently held across all columns. */
     std::size_t byteSize() const;

@@ -1,14 +1,17 @@
 /**
  * @file
- * Bit-identity of the SIMD characterization kernels.
+ * The characterization folds, checked element by element.
  *
- * Every test runs the same input through the scalar reference table
- * and the AVX2 table when this build + CPU supports it, and demands
- * the results be identical to the last bit — that is the contract
- * that lets dispatch follow CPUID.  Inputs are chosen to be
- * adversarial: denormals, exact bin edges, tail batches of every
- * length below two vector widths, empty batches, duplicate ticks,
- * and unsorted arrivals.
+ * The per-request folds (arrival counts, interarrival gaps, the
+ * read/write series, read counts) are plain loops in their
+ * accumulators; each is checked against its per-element definition
+ * on adversarial streams: unsorted ticks, series growth, bin edges,
+ * gaps past 2^53, and every batch shape.  The two binned-series
+ * kernels that keep an AVX2 table (the ACF lag sums and the R/S
+ * blocks) run the same input through the scalar reference and the
+ * AVX2 table when this build + CPU supports it, and must agree to
+ * the last bit: that is the contract that lets dispatch follow
+ * CPUID.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binenc.hh"
@@ -103,101 +107,13 @@ burstyArrivals(std::size_t n, Tick start)
     return t;
 }
 
-TEST(CountSortedKernel, MatchesPerElementLoop)
+/** Raw bits of every element, so -0.0, NaN and inf compare exactly. */
+std::vector<std::uint64_t>
+rawBits(const std::vector<double> &xs)
 {
-    const Tick start = 1000;
-    const Tick width = 10 * kMsec;
-    for (std::size_t n : {std::size_t{0}, std::size_t{1},
-                          std::size_t{2}, std::size_t{3},
-                          std::size_t{5}, std::size_t{15},
-                          std::size_t{64}, std::size_t{1000}}) {
-        std::vector<Tick> t = burstyArrivals(n, start);
-        BinnedSeries ref(start, width);
-        for (Tick x : t)
-            ref.accumulateAt(x, 1.0); // exercises the growth path too
-        for (Isa isa : supportedIsas()) {
-            IsaGuard guard;
-            force(isa);
-            BinnedSeries got(start, width);
-            got.countSorted(t.data(), t.size());
-            ASSERT_EQ(ref.values(), got.values())
-                << "isa=" << isaName(isa) << " n=" << n;
-        }
-    }
-}
-
-TEST(CountSortedKernel, UnsortedInputStillCorrect)
-{
-    // Correctness must not depend on sort order: an out-of-run
-    // element just opens a new run (or takes the growth path).
-    std::vector<Tick> t = burstyArrivals(300, 5000);
-    // Scramble deterministically.
-    Rng rng(7);
-    for (std::size_t i = t.size(); i > 1; --i)
-        std::swap(t[i - 1], t[rng.next() % i]);
-    const Tick width = 10 * kMsec;
-    BinnedSeries ref(5000, width);
-    for (Tick x : t)
-        ref.accumulateAt(x, 1.0);
-    for (Isa isa : supportedIsas()) {
-        IsaGuard guard;
-        force(isa);
-        BinnedSeries got(5000, width);
-        got.countSorted(t.data(), t.size());
-        ASSERT_EQ(ref.values(), got.values()) << "isa=" << isaName(isa);
-    }
-}
-
-TEST(CountSortedIfKernel, MatchesFilteredPerElementLoop)
-{
-    const Tick start = 0;
-    const Tick width = 10 * kMsec;
-    std::vector<Tick> t = burstyArrivals(777, start);
-    std::vector<std::uint8_t> flags(t.size());
-    Rng rng(99);
-    for (auto &f : flags)
-        f = static_cast<std::uint8_t>(rng.next() % 2);
-
-    BinnedSeries ref(start, width);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (flags[i] == 1)
-            ref.accumulateAt(t[i], 1.0);
-    }
-    for (Isa isa : supportedIsas()) {
-        IsaGuard guard;
-        force(isa);
-        BinnedSeries got(start, width);
-        got.countSortedIf(t.data(), flags.data(), 1, t.size());
-        ASSERT_EQ(ref.values(), got.values()) << "isa=" << isaName(isa);
-    }
-}
-
-TEST(GapsKernel, ExactInt64Conversion)
-{
-    // Ticks chosen so the difference exercises > 2^52 magnitudes,
-    // where int64 -> double conversion actually rounds.
-    std::vector<Tick> t = {
-        0, 1, 2, 4503599627370497LL, 4503599627370499LL,
-        9007199254740993LL, 9007199254741995LL, 9007199254741997LL,
-        123456789012345678LL, 123456789012345679LL,
-        223456789012345678LL,
-    };
-    for (std::size_t n = 0; n <= t.size(); ++n) {
-        std::vector<double> ref(n + 1, -1.0), got(n + 1, -1.0);
-        detail::kScalarOps.gaps_i64(t.data(), n, -17, ref.data());
-        for (std::size_t i = 0; i < n; ++i) {
-            const Tick prev = i == 0 ? -17 : t[i - 1];
-            ASSERT_EQ(ref[i], static_cast<double>(t[i] - prev));
-        }
-        for (Isa isa : supportedIsas()) {
-            IsaGuard guard;
-            force(isa);
-            ops().gaps_i64(t.data(), n, -17, got.data());
-            for (std::size_t i = 0; i <= n; ++i)
-                ASSERT_EQ(ref[i], got[i])
-                    << "isa=" << isaName(isa) << " i=" << i;
-        }
-    }
+    std::vector<std::uint64_t> out(xs.size());
+    std::memcpy(out.data(), xs.data(), xs.size() * sizeof(double));
+    return out;
 }
 
 /** Gap-like positive samples, including denormals. */
@@ -230,62 +146,419 @@ lanesBitEqual(const SummaryLanes &a, const SummaryLanes &b)
     return a.next == b.next;
 }
 
-TEST(WelfordKernel, BitIdenticalAcrossIsasAndTails)
+/** One batch holding requests [from, to) of the given columns. */
+trace::RequestBatch
+batchOf(const std::vector<Tick> &t, const std::vector<trace::Op> &op,
+        std::size_t from, std::size_t to)
 {
-    const std::vector<double> xs = welfordSamples(1000);
+    trace::RequestBatch b(to - from);
+    for (std::size_t i = from; i < to; ++i) {
+        trace::Request r;
+        r.arrival = t[i];
+        r.blocks = 1;
+        r.op = op[i];
+        b.append(r);
+    }
+    return b;
+}
+
+/** Begin acc on [start, start + duration), then observe in batches. */
+void
+feed(core::TraceAccumulator &acc, Tick start, Tick duration,
+     const std::vector<Tick> &t, const std::vector<trace::Op> &op,
+     std::size_t batch)
+{
+    trace::MsStreamHeader meta;
+    meta.start = start;
+    meta.duration = duration;
+    ASSERT_TRUE(acc.begin(meta).ok());
+    for (std::size_t i = 0; i < t.size(); i += batch)
+        acc.observe(batchOf(t, op, i, std::min(t.size(), i + batch)));
+}
+
+/** The batch sizes every fold is checked at. */
+constexpr std::size_t kBatchSizes[] = {1, 7, 1024};
+
+/** A BurstinessAccumulator's counts and gap lanes, from its state. */
+struct BurstState
+{
+    BinnedSeries counts{0, 1};
+    SummaryLanes gaps;
+};
+
+BurstState
+burstState(const core::BurstinessAccumulator &acc)
+{
+    std::string blob;
+    BinEnc enc(blob);
+    acc.saveState(enc);
+    BinDec dec(blob);
+    dec.i64(); // base bin
+    for (std::uint64_t scales = dec.u64(); scales > 0; --scales)
+        dec.u64();
+    BurstState s;
+    EXPECT_TRUE(s.counts.loadState(dec) && s.gaps.loadState(dec));
+    return s;
+}
+
+TEST(BurstinessFold, CountsUnsortedTicksAndGrowsTheSeries)
+{
+    // Scrambled arrivals, and a window that covers only the first
+    // half of their span, so the series grows mid-batch.
+    const Tick start = 5000;
+    const Tick width = 10 * kMsec;
+    std::vector<Tick> t = burstyArrivals(1500, start);
+    const Tick last = t.back();
+    Rng rng(7);
+    for (std::size_t i = t.size(); i > 1; --i)
+        std::swap(t[i - 1], t[rng.next() % i]);
+    const std::vector<trace::Op> op(t.size(), trace::Op::Write);
+
+    // Per element: one count in bin (t - start) / width, the series
+    // as long as its last counted bin.
+    const Tick duration = (last - start) / 2;
+    std::vector<double> want(
+        static_cast<std::size_t>((duration + width - 1) / width), 0.0);
+    for (Tick x : t) {
+        const auto idx = static_cast<std::size_t>((x - start) / width);
+        if (idx >= want.size())
+            want.resize(idx + 1, 0.0);
+        want[idx] += 1.0;
+    }
+    for (std::size_t batch : kBatchSizes) {
+        core::BurstinessAccumulator acc(width);
+        feed(acc, start, duration, t, op, batch);
+        EXPECT_EQ(burstState(acc).counts.values(), want)
+            << "batch " << batch;
+    }
+}
+
+TEST(BurstinessFold, GapsConvertExactlyPastTwoToThe53)
+{
+    // Gaps around and far beyond 2^53, of both signs, between ticks
+    // that are themselves past 2^53 in magnitude: only the exact
+    // int64 difference, converted once, gives these bits.
+    const Tick p53 = Tick{1} << 53;
+    const Tick start = -(Tick{1} << 60);
+    const Tick steps[] = {p53 + 1,          p53 - 1,
+                          p53 + 3,          -(p53 + 1),
+                          2 * p53 + 5,      1,
+                          -(p53 - 1),       (Tick{1} << 59) + 12345,
+                          -((Tick{1} << 57) + 7), 3,
+                          8 * p53 + 1,      0};
+    std::vector<Tick> t = {start + 1};
+    for (int round = 0; round < 3; ++round) {
+        for (Tick step : steps)
+            t.push_back(t.back() + step);
+    }
+    const std::vector<trace::Op> op(t.size(), trace::Op::Read);
+
+    SummaryLanes want;
+    bool rounds = false;
+    for (std::size_t i = 1; i < t.size(); ++i) {
+        ASSERT_GE(t[i], start);
+        want.add(static_cast<double>(t[i] - t[i - 1]));
+        rounds = rounds || static_cast<double>(t[i]) -
+                                   static_cast<double>(t[i - 1]) !=
+                               static_cast<double>(t[i] - t[i - 1]);
+    }
+    // Converting the ticks before subtracting would change a gap.
+    ASSERT_TRUE(rounds);
+
+    const Tick width = Tick{1} << 56;
+    const Tick duration =
+        *std::max_element(t.begin(), t.end()) - start + 1;
+    for (std::size_t batch : kBatchSizes) {
+        core::BurstinessAccumulator acc(width);
+        feed(acc, start, duration, t, op, batch);
+        EXPECT_TRUE(lanesBitEqual(burstState(acc).gaps, want))
+            << "batch " << batch;
+    }
+}
+
+TEST(RwMixFold, MatchesPerElementCountsAcrossBinEdges)
+{
+    // Arrivals on both sides of every bin edge, late arrivals three
+    // bins back, and a read and then a write past the pre-sized
+    // window, so the all series grows further than the reads series.
+    // The window starts before tick 0.
+    const Tick start = -3 * kSec;
+    const Tick width = 250 * kMsec;
+    const std::size_t bins = 300;
+    std::vector<Tick> t;
+    for (std::size_t k = 1; k < bins; ++k) {
+        const Tick edge = start + static_cast<Tick>(k) * width;
+        for (Tick x : {edge - 1, edge, edge, edge + 1, edge + width / 2})
+            t.push_back(x);
+        if (k % 5 == 0)
+            t.push_back(edge - 3 * width + 7);
+    }
+    t.push_back(start + static_cast<Tick>(bins) * width + 3);
+    t.push_back(start + static_cast<Tick>(bins + 2) * width + 1);
+    std::vector<trace::Op> op(t.size());
+    Rng rng(0x7711);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const bool read = rng.next() % 3 == 0 && (i < 100 || i >= 130);
+        op[i] = read ? trace::Op::Read : trace::Op::Write;
+    }
+    op[t.size() - 2] = trace::Op::Read;
+    op[t.size() - 1] = trace::Op::Write;
+
+    // Per element: every request counts in its bin of the all
+    // series, a read also in the reads series; a series grows only
+    // to its own last counted bin.
+    std::vector<double> all_want(bins, 0.0), reads_want(bins, 0.0);
+    std::size_t reads = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const auto idx = static_cast<std::size_t>((t[i] - start) / width);
+        all_want.resize(std::max(all_want.size(), idx + 1), 0.0);
+        all_want[idx] += 1.0;
+        if (op[i] == trace::Op::Read) {
+            reads_want.resize(std::max(reads_want.size(), idx + 1), 0.0);
+            reads_want[idx] += 1.0;
+            ++reads;
+        }
+    }
+    // Direction runs, maximal stretches of one direction; the last
+    // is still open.
+    std::vector<std::pair<trace::Op, std::size_t>> runs;
+    for (trace::Op o : op) {
+        if (runs.empty() || runs.back().first != o)
+            runs.emplace_back(o, 0);
+        ++runs.back().second;
+    }
+    std::size_t longest_write = 0, write_bursts = 0;
+    for (std::size_t r = 0; r + 1 < runs.size(); ++r) {
+        if (runs[r].first == trace::Op::Write) {
+            longest_write = std::max(longest_write, runs[r].second);
+            write_bursts += runs[r].second >= 8 ? 1 : 0;
+        }
+    }
+    ASSERT_GE(longest_write, 30u);
+
+    for (std::size_t batch : kBatchSizes) {
+        core::RwMixAccumulator rw(width);
+        feed(rw, start, static_cast<Tick>(bins) * width, t, op, batch);
+        std::string blob;
+        BinEnc enc(blob);
+        rw.saveState(enc);
+        BinDec dec(blob);
+        dec.i64(); // bin width
+        BinnedSeries reads_got(0, 1), all_got(0, 1);
+        ASSERT_TRUE(reads_got.loadState(dec) && all_got.loadState(dec));
+        EXPECT_EQ(all_got.values(), all_want) << "batch " << batch;
+        EXPECT_EQ(reads_got.values(), reads_want) << "batch " << batch;
+        EXPECT_EQ(dec.u64(), t.size()) << "batch " << batch;
+        EXPECT_EQ(dec.u64(), reads) << "batch " << batch;
+        EXPECT_EQ(dec.u64(), runs.size() - 1) << "batch " << batch;
+        EXPECT_EQ(dec.u64(), runs.back().second) << "batch " << batch;
+        EXPECT_EQ(dec.u64(), longest_write) << "batch " << batch;
+        EXPECT_EQ(dec.u64(), write_bursts) << "batch " << batch;
+        EXPECT_EQ(dec.u8(), 0) << "batch " << batch; // ends on a write
+        EXPECT_TRUE(dec.ok() && dec.remaining() == 0);
+
+        core::TraceTotalsAccumulator totals;
+        feed(totals, start, static_cast<Tick>(bins) * width, t, op, batch);
+        EXPECT_EQ(totals.count(), t.size()) << "batch " << batch;
+        EXPECT_EQ(totals.readCount(), reads) << "batch " << batch;
+    }
+}
+
+TEST(BurstinessFold, SortedStreamsOfEveryLengthMatchPerElement)
+{
+    // Sorted bursty arrivals, from the empty stream up: counts are one
+    // accumulateAt per request, gaps one add() per request after the
+    // first.
+    const Tick start = 1000;
+    const Tick width = 10 * kMsec;
     for (std::size_t n : {std::size_t{0}, std::size_t{1},
                           std::size_t{2}, std::size_t{3},
-                          std::size_t{4}, std::size_t{5},
-                          std::size_t{7}, std::size_t{8},
-                          std::size_t{15}, std::size_t{1000}}) {
-        // Start from a non-trivial cursor to exercise the peel.
-        for (std::uint32_t cursor = 0; cursor < kSummaryLanes;
-             ++cursor) {
-            SummaryLanes ref;
-            for (std::uint32_t c = 0; c < cursor; ++c)
-                ref.add(3.5); // advance the cursor the slow way
-            SummaryLanes seed = ref;
-            detail::kScalarOps.welford_add(ref, xs.data(), n);
-            for (Isa isa : supportedIsas()) {
-                IsaGuard guard;
-                force(isa);
-                SummaryLanes got = seed;
-                ops().welford_add(got, xs.data(), n);
-                ASSERT_TRUE(lanesBitEqual(ref, got))
-                    << "isa=" << isaName(isa) << " n=" << n
-                    << " cursor=" << cursor;
-            }
+                          std::size_t{5}, std::size_t{15},
+                          std::size_t{64}, std::size_t{1000}}) {
+        const std::vector<Tick> t = burstyArrivals(n, start);
+        const std::vector<trace::Op> op(n, trace::Op::Read);
+        // A one-bin window, so every later bin is grown into.
+        BinnedSeries counts(start, width, 1);
+        SummaryLanes gaps;
+        for (std::size_t i = 0; i < n; ++i) {
+            counts.accumulateAt(t[i], 1.0);
+            if (i > 0)
+                gaps.add(static_cast<double>(t[i] - t[i - 1]));
+        }
+        for (std::size_t batch : kBatchSizes) {
+            core::BurstinessAccumulator acc(width);
+            feed(acc, start, width, t, op, batch);
+            const BurstState got = burstState(acc);
+            EXPECT_EQ(got.counts.values(), counts.values())
+                << "n " << n << " batch " << batch;
+            EXPECT_TRUE(lanesBitEqual(got.gaps, gaps))
+                << "n " << n << " batch " << batch;
         }
     }
 }
 
 TEST(WelfordKernel, BatchSplitInvariant)
 {
-    // Chunking must not change a single bit: lane membership follows
-    // the global element index, not the batch shape.
+    // Lane membership follows the global element index, not the batch
+    // shape: from any cursor, element j lands in lane
+    // (cursor + j) % 4, and each lane runs the plain Welford update.
+    // BurstinessFold.* feed the gaps at several batch sizes.
     const std::vector<double> xs = welfordSamples(613);
-    SummaryLanes whole;
-    whole.addBatch(xs.data(), xs.size());
-    for (std::size_t cut : {std::size_t{1}, std::size_t{2},
-                            std::size_t{3}, std::size_t{100},
-                            std::size_t{612}}) {
-        SummaryLanes split;
-        split.addBatch(xs.data(), cut);
-        split.addBatch(xs.data() + cut, xs.size() - cut);
-        ASSERT_TRUE(lanesBitEqual(whole, split)) << "cut=" << cut;
+    for (std::uint32_t cursor = 0; cursor < kSummaryLanes; ++cursor) {
+        SummaryLanes ones;
+        MeanM2 lane[kSummaryLanes];
+        for (std::uint32_t c = 0; c < cursor; ++c) {
+            ones.add(3.5);
+            lane[c].add(3.5);
+        }
+        for (std::size_t j = 0; j < xs.size(); ++j) {
+            ones.add(xs[j]);
+            lane[(cursor + j) % kSummaryLanes].add(xs[j]);
+        }
+        for (std::size_t l = 0; l < kSummaryLanes; ++l) {
+            ASSERT_EQ(rawBits({ones.n[l], ones.mean[l], ones.m2[l]}),
+                      rawBits({lane[l].n, lane[l].mean, lane[l].m2}))
+                << "cursor " << cursor << " lane " << l;
+        }
+        ASSERT_EQ(ones.next, (cursor + xs.size()) % kSummaryLanes);
     }
-    // And the one-element path is the same tree again.
-    SummaryLanes ones;
-    for (double x : xs)
-        ones.add(x);
-    ASSERT_TRUE(lanesBitEqual(whole, ones));
+}
+
+/** A RwMixAccumulator's two series and its request and read counts. */
+struct RwState
+{
+    BinnedSeries reads{0, 1};
+    BinnedSeries all{0, 1};
+    std::uint64_t n = 0;
+    std::uint64_t read_n = 0;
+};
+
+RwState
+rwState(const core::RwMixAccumulator &rw)
+{
+    std::string blob;
+    BinEnc enc(blob);
+    rw.saveState(enc);
+    BinDec dec(blob);
+    dec.i64(); // bin width
+    RwState s;
+    EXPECT_TRUE(s.reads.loadState(dec) && s.all.loadState(dec));
+    s.n = dec.u64();
+    s.read_n = dec.u64();
+    EXPECT_TRUE(dec.ok());
+    return s;
+}
+
+TEST(RwMixFold, ScrambledTicksCountInTheirBins)
+{
+    // Scrambled arrivals in a window that starts before tick 0: the
+    // next tick is as often in an earlier bin as in a later one, and
+    // every 50th request is followed by one exactly a width behind
+    // it, then one a tick short of a width ahead of that.
+    const Tick start = -40 * kMsec;
+    const Tick width = 10 * kMsec;
+    std::vector<Tick> t = burstyArrivals(900, start);
+    Rng rng(0x3c3c);
+    for (std::size_t i = t.size(); i > 1; --i)
+        std::swap(t[i - 1], t[rng.next() % i]);
+    for (std::size_t i = 0; i + 2 < t.size(); i += 50) {
+        t[i + 1] = std::max(t[i] - width, start);
+        t[i + 2] = t[i + 1] + width - 1;
+    }
+    std::vector<trace::Op> op(t.size());
+    for (trace::Op &o : op)
+        o = rng.next() % 2 == 0 ? trace::Op::Read : trace::Op::Write;
+
+    const std::size_t bins = 4;
+    BinnedSeries all_want(start, width, bins), reads_want(start, width, bins);
+    std::uint64_t reads = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        all_want.accumulateAt(t[i], 1.0);
+        if (op[i] == trace::Op::Read) {
+            reads_want.accumulateAt(t[i], 1.0);
+            ++reads;
+        }
+    }
+    for (std::size_t batch : kBatchSizes) {
+        core::RwMixAccumulator rw(width);
+        feed(rw, start, static_cast<Tick>(bins) * width, t, op, batch);
+        const RwState got = rwState(rw);
+        EXPECT_EQ(got.all.values(), all_want.values()) << "batch " << batch;
+        EXPECT_EQ(got.reads.values(), reads_want.values())
+            << "batch " << batch;
+        EXPECT_EQ(got.n, t.size()) << "batch " << batch;
+        EXPECT_EQ(got.read_n, reads) << "batch " << batch;
+    }
+}
+
+TEST(RwMixFold, OneDirectionStreams)
+{
+    // All reads: the reads series is the all series.  All writes: the
+    // reads series keeps its pre-sized zeros while all grows past it.
+    const Tick start = 0;
+    const Tick width = 10 * kMsec;
+    const std::size_t bins = 8;
+    const std::vector<Tick> t = burstyArrivals(400, start);
+    ASSERT_GT(t.back(), static_cast<Tick>(bins) * width);
+    BinnedSeries all_want(start, width, bins);
+    for (Tick x : t)
+        all_want.accumulateAt(x, 1.0);
+    for (std::size_t batch : kBatchSizes) {
+        core::RwMixAccumulator rd(width);
+        feed(rd, start, static_cast<Tick>(bins) * width, t,
+             std::vector<trace::Op>(t.size(), trace::Op::Read), batch);
+        const RwState r = rwState(rd);
+        EXPECT_EQ(r.all.values(), all_want.values()) << "batch " << batch;
+        EXPECT_EQ(r.reads.values(), all_want.values()) << "batch " << batch;
+        EXPECT_EQ(r.read_n, t.size()) << "batch " << batch;
+
+        core::RwMixAccumulator wr(width);
+        feed(wr, start, static_cast<Tick>(bins) * width, t,
+             std::vector<trace::Op>(t.size(), trace::Op::Write), batch);
+        const RwState w = rwState(wr);
+        EXPECT_EQ(w.all.values(), all_want.values()) << "batch " << batch;
+        EXPECT_EQ(w.reads.values(), std::vector<double>(bins, 0.0))
+            << "batch " << batch;
+        EXPECT_EQ(w.read_n, 0u) << "batch " << batch;
+    }
+}
+
+TEST(TraceTotalsFold, CountsReadsAtEveryLength)
+{
+    // Every stream length up to 70, then every 37th: the read count
+    // is one test per request, whatever the batch shape.
+    Rng rng(0x515151);
+    const std::size_t most = 517;
+    const std::vector<Tick> t = burstyArrivals(most, 0);
+    std::vector<trace::Op> op(most);
+    for (trace::Op &o : op)
+        o = rng.next() % 3 == 1 ? trace::Op::Read : trace::Op::Write;
+    for (std::size_t n = 0; n <= most; n += (n < 70 ? 1 : 37)) {
+        const std::vector<Tick> tn(t.begin(), t.begin() + n);
+        const std::vector<trace::Op> opn(op.begin(), op.begin() + n);
+        const std::size_t reads = static_cast<std::size_t>(
+            std::count(opn.begin(), opn.end(), trace::Op::Read));
+        for (std::size_t batch : kBatchSizes) {
+            core::TraceTotalsAccumulator totals;
+            feed(totals, 0, t.back() + 1, tn, opn, batch);
+            ASSERT_EQ(totals.count(), n) << "batch " << batch;
+            ASSERT_EQ(totals.readCount(), reads)
+                << "n " << n << " batch " << batch;
+            ASSERT_EQ(totals.readFraction(),
+                      n == 0 ? 0.0
+                             : static_cast<double>(reads) /
+                                   static_cast<double>(n))
+                << "n " << n << " batch " << batch;
+        }
+    }
 }
 
 TEST(SummaryLanesState, SaveLoadRoundTrip)
 {
     const std::vector<double> xs = welfordSamples(41);
     SummaryLanes a;
-    a.addBatch(xs.data(), xs.size());
+    for (double x : xs)
+        a.add(x);
     std::string blob;
     BinEnc enc(blob);
     a.saveState(enc);
@@ -308,7 +581,8 @@ TEST(SummaryLanesState, LoadStateRejectsNonWholeCounts)
     // restored session).
     const std::vector<double> xs = welfordSamples(41);
     SummaryLanes a;
-    a.addBatch(xs.data(), xs.size());
+    for (double x : xs)
+        a.add(x);
     const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
                           -1.0,
                           2.5,
@@ -336,38 +610,6 @@ TEST(SummaryLanesState, LoadStateRejectsNonWholeCounts)
     BinDec dec(blob);
     SummaryLanes back;
     EXPECT_TRUE(back.loadState(dec));
-}
-
-TEST(CountEqKernel, MatchesScalar)
-{
-    Rng rng(0x515151);
-    std::vector<std::uint8_t> flags(517);
-    for (std::uint8_t &f : flags)
-        f = static_cast<std::uint8_t>(rng.next() % 3);
-    for (std::size_t n = 0; n <= flags.size();
-         n += (n < 70 ? 1 : 37)) {
-        const std::uint64_t ref_cnt =
-            detail::kScalarOps.count_eq_u8(flags.data(), n, 1);
-        std::uint64_t expect_cnt = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            expect_cnt += flags[i] == 1 ? 1 : 0;
-        ASSERT_EQ(ref_cnt, expect_cnt);
-        for (Isa isa : supportedIsas()) {
-            IsaGuard guard;
-            force(isa);
-            ASSERT_EQ(ops().count_eq_u8(flags.data(), n, 1), ref_cnt)
-                << "isa=" << isaName(isa) << " n=" << n;
-        }
-    }
-}
-
-/** Raw bits of every element, so -0.0, NaN and inf compare exactly. */
-std::vector<std::uint64_t>
-rawBits(const std::vector<double> &xs)
-{
-    std::vector<std::uint64_t> out(xs.size());
-    std::memcpy(out.data(), xs.data(), xs.size() * sizeof(double));
-    return out;
 }
 
 /** Adversarial series for the ACF kernel: signs, denormals, spikes. */

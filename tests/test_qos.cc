@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests for the QoS layer: tag vocabulary, token-bucket
- * determinism, AIMD convergence of the ratekeeper, priority-lane
- * dispatch ordering in the thread pool, and the contract that a
- * default (or bulk) tag never changes a fleet report byte.
+ * determinism, AIMD convergence of the ratekeeper and priority-lane
+ * dispatch ordering in the thread pool.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "fleet/pipeline.hh"
 #include "fleet/pool.hh"
 #include "qos/ratekeeper.hh"
 #include "qos/tag.hh"
@@ -392,33 +390,6 @@ TEST(PriorityLanes, InteractiveDispatchesBeforeBulkBeforeBackground)
         << ::testing::PrintToString(order);
     EXPECT_EQ(std::count(order.begin(), order.end(), 0), 4);
     EXPECT_EQ(std::count(order.begin(), order.end(), 1), 4);
-}
-
-// ---- Tagged fleet runs stay byte-identical ---------------------
-
-TEST(TagPlumbing, FleetReportIdenticalUnderAnyTagAndLane)
-{
-    // The tag rides every batch and picks the pool lane, but it must
-    // never change a single report byte: scheduling order is not
-    // part of any result.
-    fleet::FleetConfig base;
-    base.drives = 6;
-    base.threads = 2;
-    base.preset = fleet::FleetPreset::Mixed;
-    base.seed = 11;
-    base.rate = 30.0;
-    base.window = 10 * kSec;
-
-    const fleet::FleetResult ref = runFleet(base);
-    const std::string ref_report = renderFleetReport(base, ref);
-
-    for (WorkClass k : {WorkClass::kBulk, WorkClass::kBackground}) {
-        fleet::FleetConfig tagged = base;
-        tagged.tag = TagId{internTenant("qos-fleet-tenant"), k};
-        const fleet::FleetResult out = runFleet(tagged);
-        EXPECT_EQ(renderFleetReport(tagged, out), ref_report)
-            << "class " << workClassName(k);
-    }
 }
 
 } // namespace

@@ -32,6 +32,7 @@
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -389,10 +390,19 @@ checkRssBudget(const dlw::Options &opts, int rc)
     const std::int64_t budget = opts.getInt("max-rss-mb", 0);
     struct rusage ru = {};
     getrusage(RUSAGE_SELF, &ru);
-    const std::int64_t peak_mb = ru.ru_maxrss / 1024; // KiB on Linux
-    std::cerr << "rss: peak " << peak_mb << " MiB, budget " << budget
+    const std::int64_t peak_kib = ru.ru_maxrss; // KiB on Linux
+    char peak_mib[32];
+    std::snprintf(peak_mib, sizeof peak_mib, "%.1f",
+                  static_cast<double>(peak_kib) / 1024.0);
+    std::cerr << "rss: peak " << peak_mib << " MiB, budget " << budget
               << " MiB\n";
-    if (peak_mb > budget) {
+    // Whole KiB against whole KiB: a peak a fraction of a MiB over
+    // the budget fails it.  A budget too large for KiB never does.
+    std::int64_t budget_kib = 0;
+    const bool over = __builtin_mul_overflow(budget, 1024, &budget_kib)
+                          ? budget < 0
+                          : peak_kib > budget_kib;
+    if (over) {
         std::cerr << "rss: budget exceeded\n";
         return rc == 0 ? 1 : rc;
     }
