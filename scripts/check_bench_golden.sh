@@ -1,7 +1,8 @@
 #!/bin/sh
 # Experiment bench golden corpus: the stdout of each bench_eNN binary
-# (the reconstructed tables and figures E1..E21), pinned by sha256 in
-# tests/golden/bench.sha256.
+# (the reconstructed tables and figures E1..E13, E16, E17, E19 and
+# E21), pinned by sha256 in tests/golden/bench.sha256;
+# check_bench_golden_names.sh checks that the two lists match.
 #
 # Each bench runs from its own directory WORKDIR/<bench> (the BENCH_*
 # .json it drops lands there) with its stdout kept as

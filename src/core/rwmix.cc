@@ -109,11 +109,14 @@ RwMixAccumulator::current() const
                      static_cast<double>(n_)
                : 0.0;
 
+    // A write past the pre-sized window grows all_ alone: the bins
+    // reads_ lacks hold no reads.
     d.read_fraction_series.reserve(all_.size());
     for (std::size_t i = 0; i < all_.size(); ++i) {
         const double total = all_.at(i);
+        const double reads = i < reads_.size() ? reads_.at(i) : 0.0;
         d.read_fraction_series.push_back(
-            total > 0.0 ? reads_.at(i) / total : -1.0);
+            total > 0.0 ? reads / total : -1.0);
     }
     finishSeriesStats(d);
 
@@ -161,11 +164,12 @@ RwMixAccumulator::loadState(BinDec &dec)
     bin_width_ = bin_width;
     if (!reads_.loadState(dec) || !all_.loadState(dec))
         return false;
-    // begin() lays both series out alike, and finish() reads them bin
-    // for bin: a blob whose series differ is garbled.
+    // begin() lays both series out alike and only a read grows reads_,
+    // so reads_ is never longer than all_: a blob whose series differ
+    // otherwise is garbled.
     if (reads_.start() != all_.start() ||
         reads_.binWidth() != bin_width || all_.binWidth() != bin_width ||
-        reads_.size() != all_.size())
+        reads_.size() > all_.size())
         return false;
     n_ = static_cast<std::size_t>(dec.u64());
     read_n_ = static_cast<std::size_t>(dec.u64());

@@ -11,24 +11,6 @@ namespace dlw
 namespace synth
 {
 
-const char *
-driveClassName(DriveClass cls)
-{
-    switch (cls) {
-      case DriveClass::Archival:
-        return "archival";
-      case DriveClass::Light:
-        return "light";
-      case DriveClass::Moderate:
-        return "moderate";
-      case DriveClass::Busy:
-        return "busy";
-      case DriveClass::Streamer:
-        return "streamer";
-    }
-    return "unknown";
-}
-
 FamilyModel::FamilyModel(FamilyConfig config)
     : config_(std::move(config))
 {

@@ -38,9 +38,6 @@ enum class DriveClass
     Streamer, ///< Alternates idle with hours-long saturated streams.
 };
 
-/** Human-readable class name. */
-const char *driveClassName(DriveClass cls);
-
 /**
  * Sampled per-drive behaviour.
  */

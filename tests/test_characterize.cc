@@ -11,12 +11,15 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "common/binenc.hh"
 #include "common/rng.hh"
 #include "core/characterize.hh"
 #include "core/live.hh"
@@ -225,6 +228,156 @@ TEST(LiveCharacterization, SnapshotsMatchTheFinishOfEachPrefix)
     EXPECT_EQ(bytesOf(live.snapshot()), last);
     EXPECT_EQ(bytesOf(live.finish()), last);
 }
+
+enum class LiveWl
+{
+    Oltp,
+    FileServer,
+    Streaming,
+    Backup,
+};
+
+const char *
+liveWlName(LiveWl w)
+{
+    switch (w) {
+      case LiveWl::Oltp:
+        return "oltp";
+      case LiveWl::FileServer:
+        return "fileserver";
+      case LiveWl::Streaming:
+        return "streaming";
+      case LiveWl::Backup:
+        return "backup";
+    }
+    return "?";
+}
+
+/** Where a stream is cut for its checkpoint. */
+enum class Cut
+{
+    BeforeFirst,
+    AfterFirst,
+    Third,
+    MidBatch,
+    BeforeLast,
+    AfterLast,
+};
+
+const char *
+cutName(Cut c)
+{
+    switch (c) {
+      case Cut::BeforeFirst:
+        return "before_first";
+      case Cut::AfterFirst:
+        return "after_first";
+      case Cut::Third:
+        return "third";
+      case Cut::MidBatch:
+        return "mid_batch";
+      case Cut::BeforeLast:
+        return "before_last";
+      case Cut::AfterLast:
+        return "after_last";
+    }
+    return "?";
+}
+
+std::size_t
+cutAt(Cut c, std::size_t n)
+{
+    switch (c) {
+      case Cut::BeforeFirst:
+        return 0;
+      case Cut::AfterFirst:
+        return 1;
+      case Cut::Third:
+        return n / 3;
+      case Cut::MidBatch:
+        return n / 2 + 13;
+      case Cut::BeforeLast:
+        return n - 1;
+      case Cut::AfterLast:
+        return n;
+    }
+    return 0;
+}
+
+class LiveCheckpointSweep
+    : public ::testing::TestWithParam<std::tuple<LiveWl, Cut>>
+{
+};
+
+/**
+ * A session checkpointed anywhere in its stream and restored into a
+ * fresh process reports what an uninterrupted fold reports: the
+ * snapshot right after the restore, and the finish after the rest of
+ * the stream, byte for byte, for every workload class.
+ */
+TEST_P(LiveCheckpointSweep, RestoredFoldMatchesTheUninterruptedOne)
+{
+    const auto [wl, cut] = GetParam();
+    Rng rng(31);
+    const Lba cap = Lba{1} << 22;
+    synth::Workload w = [&] {
+        switch (wl) {
+          case LiveWl::Oltp:
+            return synth::Workload::makeOltp(cap, 40.0, 31);
+          case LiveWl::FileServer:
+            return synth::Workload::makeFileServer(cap, 40.0, 31);
+          case LiveWl::Streaming:
+            return synth::Workload::makeStreaming(cap, 40.0);
+          case LiveWl::Backup:
+            return synth::Workload::makeBackup(cap, 40.0);
+        }
+        return synth::Workload::makeOltp(cap, 40.0, 31);
+    }();
+    const trace::MsTrace tr = w.generate(rng, "ckpt", 0, 2 * kMinute);
+    const std::size_t n = tr.size();
+    ASSERT_GT(n, 1000u);
+    const std::size_t at = cutAt(cut, n);
+    const trace::MsStreamHeader meta{tr.driveId(), tr.start(),
+                                     tr.duration()};
+
+    LiveCharacterization whole(meta);
+    feed(whole, tr, 0, n);
+    const std::string want = bytesOf(whole.finish());
+
+    std::string blob;
+    {
+        LiveCharacterization head(meta);
+        feed(head, tr, 0, at);
+        BinEnc enc(blob);
+        head.saveState(enc);
+    }
+    BinDec dec(blob);
+    std::unique_ptr<LiveCharacterization> rest =
+        LiveCharacterization::restore(dec);
+    ASSERT_NE(rest, nullptr);
+    EXPECT_EQ(dec.remaining(), 0u);
+    EXPECT_EQ(rest->requests(), at);
+
+    LiveCharacterization prefix(meta);
+    feed(prefix, tr, 0, at);
+    EXPECT_EQ(bytesOf(rest->snapshot()), bytesOf(prefix.finish()));
+
+    feed(*rest, tr, at, n);
+    EXPECT_EQ(rest->requests(), n);
+    EXPECT_EQ(bytesOf(rest->finish()), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ClassesAndCuts, LiveCheckpointSweep,
+    ::testing::Combine(::testing::Values(LiveWl::Oltp, LiveWl::FileServer,
+                                         LiveWl::Streaming, LiveWl::Backup),
+                       ::testing::Values(Cut::BeforeFirst, Cut::AfterFirst,
+                                         Cut::Third, Cut::MidBatch,
+                                         Cut::BeforeLast, Cut::AfterLast)),
+    [](const ::testing::TestParamInfo<std::tuple<LiveWl, Cut>> &p) {
+        return std::string(liveWlName(std::get<0>(p.param))) + "_" +
+               cutName(std::get<1>(p.param));
+    });
 
 TEST(ServiceAndCharacterize, MatchesServiceThenCharacterizeMs)
 {

@@ -2317,8 +2317,9 @@ csvTrace40Header()
 
 /**
  * LiveCharacterization state for csvTrace(40)'s header and no
- * request, with the burstiness or the rwmix part swapped for a blob
- * that loads but that finish() cannot run on.
+ * request, with the burstiness part swapped for a blob that loads but
+ * that finish() cannot run on (a zero aggregation scale), or the
+ * rwmix part for one that no stream writes (more read bins than bins).
  */
 std::string
 unfinishableLiveBlob(bool zero_scale)
@@ -2339,9 +2340,9 @@ unfinishableLiveBlob(bool zero_scale)
         rw.begin(meta);
         rw.saveState(enc);
     } else {
-        // One total bin, no read bin.
+        // Two read bins, one total bin.
         enc.i64(kMinute);
-        stats::BinnedSeries(0, kMinute, 0).saveState(enc);
+        stats::BinnedSeries(0, kMinute, 2).saveState(enc);
         stats::BinnedSeries(0, kMinute, 1).saveState(enc);
         for (int i = 0; i < 6; ++i)
             enc.u64(0);

@@ -335,6 +335,15 @@ TEST(RwMixFold, MatchesPerElementCountsAcrossBinEdges)
         }
     }
     ASSERT_GE(longest_write, 30u);
+    // The per-bin read fraction: a bin the reads series never grew
+    // into holds no reads.
+    ASSERT_LT(reads_want.size(), all_want.size());
+    std::vector<double> fraction_want(all_want.size(), -1.0);
+    for (std::size_t i = 0; i < all_want.size(); ++i) {
+        const double r = i < reads_want.size() ? reads_want[i] : 0.0;
+        if (all_want[i] > 0.0)
+            fraction_want[i] = r / all_want[i];
+    }
 
     for (std::size_t batch : kBatchSizes) {
         core::RwMixAccumulator rw(width);
@@ -356,6 +365,16 @@ TEST(RwMixFold, MatchesPerElementCountsAcrossBinEdges)
         EXPECT_EQ(dec.u64(), write_bursts) << "batch " << batch;
         EXPECT_EQ(dec.u8(), 0) << "batch " << batch; // ends on a write
         EXPECT_TRUE(dec.ok() && dec.remaining() == 0);
+
+        // The report over the grown window, live and from the saved
+        // state.
+        EXPECT_EQ(rw.current().read_fraction_series, fraction_want)
+            << "batch " << batch;
+        BinDec again(blob);
+        core::RwMixAccumulator back;
+        ASSERT_TRUE(back.loadState(again)) << "batch " << batch;
+        EXPECT_EQ(back.current().read_fraction_series, fraction_want)
+            << "batch " << batch;
 
         core::TraceTotalsAccumulator totals;
         feed(totals, start, static_cast<Tick>(bins) * width, t, op, batch);

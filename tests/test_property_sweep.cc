@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/idleness.hh"
@@ -153,6 +158,105 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(disk::SchedPolicy::Fcfs,
                           disk::SchedPolicy::Sstf,
                           disk::SchedPolicy::Elevator)));
+
+using MechParam = std::tuple<Wl, bool /*cache*/, disk::SchedPolicy>;
+
+class WorkConservation : public ::testing::TestWithParam<MechParam>
+{
+};
+
+/**
+ * The drive has one mechanism and never leaves it idle while a
+ * request waits for it.  At a load where queues form, for every
+ * class, scheduler and cache setting: mechanical services never
+ * overlap, each lies inside one busy interval, a request that waited
+ * was waiting inside the busy interval it was served in, and a
+ * cache-served request takes exactly the controller overhead.  With
+ * the cache off, the busy time is the sum of the service times.
+ */
+TEST_P(WorkConservation, MechanismNeverIdlesWhileARequestWaits)
+{
+    const auto [wl, cache, sched] = GetParam();
+    SCOPED_TRACE(wlName(wl));
+
+    disk::DriveConfig cfg = disk::DriveConfig::makeEnterprise();
+    cfg.cache.enabled = cache;
+    cfg.sched = sched;
+
+    Rng rng(11);
+    synth::Workload w =
+        build(wl, cfg.geometry.capacityBlocks(), 150.0, 11);
+    trace::MsTrace tr = w.generate(rng, "mech", 0, 10 * kSec);
+    ASSERT_TRUE(tr.validate());
+    disk::ServiceLog log = disk::DiskDrive(cfg).service(tr);
+    ASSERT_EQ(log.completions.size(), tr.size());
+
+    std::vector<disk::Completion> mech;
+    for (const disk::Completion &c : log.completions) {
+        if (c.cache_hit) {
+            EXPECT_EQ(c.finish - c.start, cfg.overhead);
+        } else {
+            mech.push_back(c);
+        }
+    }
+    std::sort(mech.begin(), mech.end(),
+              [](const disk::Completion &a, const disk::Completion &b) {
+                  return a.start < b.start;
+              });
+
+    // The busy interval holding tick t, or log.busy.end().
+    auto holding = [&log](Tick t) {
+        auto it = std::upper_bound(
+            log.busy.begin(), log.busy.end(), t,
+            [](Tick v, const trace::BusyInterval &iv) {
+                return v < iv.second;
+            });
+        return it != log.busy.end() && it->first <= t ? it
+                                                      : log.busy.end();
+    };
+
+    Tick served = 0;
+    std::size_t waited = 0;
+    for (std::size_t i = 0; i < mech.size(); ++i) {
+        const disk::Completion &c = mech[i];
+        ASSERT_GT(c.finish, c.start);
+        if (i > 0) {
+            ASSERT_GE(c.start, mech[i - 1].finish)
+                << "request " << c.index;
+        }
+        const auto iv = holding(c.start);
+        ASSERT_NE(iv, log.busy.end()) << "request " << c.index;
+        EXPECT_LE(c.finish, iv->second) << "request " << c.index;
+        if (c.start > c.arrival) {
+            ++waited;
+            EXPECT_LE(iv->first, c.arrival) << "request " << c.index;
+        }
+        served += c.finish - c.start;
+    }
+    EXPECT_GT(waited, 0u) << "no queue formed; the check is empty";
+    if (!cache) {
+        EXPECT_EQ(mech.size(), tr.size());
+        EXPECT_EQ(log.destages, 0u);
+        EXPECT_EQ(log.busyTime(), served);
+    } else {
+        EXPECT_GE(log.busyTime(), served);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ClassesConfigs, WorkConservation,
+    ::testing::Combine(
+        ::testing::Values(Wl::Oltp, Wl::FileServer, Wl::Streaming,
+                          Wl::Backup),
+        ::testing::Values(true, false),
+        ::testing::Values(disk::SchedPolicy::Fcfs,
+                          disk::SchedPolicy::Sstf,
+                          disk::SchedPolicy::Elevator)),
+    [](const ::testing::TestParamInfo<MechParam> &p) {
+        return std::string(wlName(std::get<0>(p.param))) +
+               (std::get<1>(p.param) ? "_cache_" : "_nocache_") +
+               disk::schedPolicyName(std::get<2>(p.param));
+    });
 
 } // anonymous namespace
 } // namespace dlw

@@ -175,12 +175,6 @@ TEST(Family, PopulationShowsVariability)
     EXPECT_GT(hi, 0.2);
 }
 
-TEST(Family, ClassNames)
-{
-    EXPECT_STREQ(driveClassName(DriveClass::Archival), "archival");
-    EXPECT_STREQ(driveClassName(DriveClass::Streamer), "streamer");
-}
-
 TEST(FamilyDeathTest, BadConfig)
 {
     FamilyConfig c;
